@@ -34,17 +34,22 @@ of the contract.
 
 from __future__ import annotations
 
+import importlib
 from typing import Any, Callable, List
 
 from repro.api.registry import Registry
 
 DEFAULT_BACKEND = "cycle"
 
+# The built-in backends in presentation order: the reference model
+# first.  Registration order cannot serve, since importing one backend
+# module directly registers it before the loader runs.
+_BUILTIN_BACKENDS = ("cycle", "fast")
+
 
 def _load_backends() -> None:
-    # Import order is presentation order: the reference model first.
-    import repro.backends.cycle        # noqa: F401
-    import repro.backends.fast         # noqa: F401
+    for name in _BUILTIN_BACKENDS:
+        importlib.import_module(f"repro.backends.{name}")
 
 
 BACKENDS = Registry("backend", loader=_load_backends)
@@ -62,8 +67,11 @@ def register_backend(name: str, **metadata: Any) -> Callable[[Any], Any]:
 
 
 def backend_names() -> List[str]:
-    """Registered backend names, in registration order."""
-    return BACKENDS.names()
+    """Registered backend names: the built-ins in their declared order,
+    then any others in registration order."""
+    names = BACKENDS.names()
+    builtin = [name for name in _BUILTIN_BACKENDS if name in names]
+    return builtin + [name for name in names if name not in builtin]
 
 
 def create_backend(name: str) -> Any:

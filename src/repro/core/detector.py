@@ -63,7 +63,9 @@ class ShadowAnomalyDetector:
     Attach with :meth:`attach`; the detector samples on every engine
     cycle tick (piggybacking on ``set_cycle``) and records an
     :class:`AnomalyEvent` whenever a structure exceeds its threshold.
-    Detach restores the engine.
+    The core ticks only the cycles it steps; the cycles its clock skips
+    cannot change occupancy, so no crossing is missed.  Detach restores
+    the engine.
     """
 
     def __init__(self, thresholds: Optional[Dict[str, int]] = None) -> None:

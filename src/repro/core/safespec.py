@@ -276,9 +276,11 @@ class SafeSpecEngine:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample_occupancy(self) -> None:
+    def sample_occupancy(self, count: int = 1) -> None:
+        """Record every structure's current occupancy for ``count``
+        cycles (the core passes a whole idle span at once)."""
         for structure in self._structures:
-            structure.sample_occupancy()
+            structure.sample_occupancy(count)
 
     # -- invariant surface ---------------------------------------------------
 

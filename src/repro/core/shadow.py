@@ -168,16 +168,16 @@ class ShadowStructure:
 
     # -- introspection ---------------------------------------------------------
 
-    def sample_occupancy(self) -> None:
-        """Record the current occupancy (per-cycle sizing histograms,
-        Figures 6-9 of the paper)."""
+    def sample_occupancy(self, count: int = 1) -> None:
+        """Record the current occupancy for ``count`` cycles (per-cycle
+        sizing histograms, Figures 6-9 of the paper)."""
         if self._count == self._occ_value:
-            self._occ_run += 1
+            self._occ_run += count
         else:
             if self._occ_run:
                 self._occupancy_hist.record(self._occ_value, self._occ_run)
             self._occ_value = self._count
-            self._occ_run = 1
+            self._occ_run = count
 
     def keys(self) -> Iterable[int]:
         return self._by_key.keys()

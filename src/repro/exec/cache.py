@@ -47,6 +47,30 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
+def enable_wal(conn: Any, busy_timeout_ms: int) -> None:
+    """Switch an ``sqlite3`` connection to WAL journaling.
+
+    ``PRAGMA journal_mode=WAL`` may answer "database is locked" at once,
+    without waiting out the busy timeout, while other processes open
+    the same database.  Retry it until ``busy_timeout_ms`` runs out.
+    """
+    # Imported here so the directory cache's import path stays free of
+    # sqlite3: only the SQLite stores call this.
+    import sqlite3
+
+    deadline = time.monotonic() + busy_timeout_ms / 1000.0
+    delay = 0.001
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() >= deadline:
+                raise
+        time.sleep(delay)
+        delay = min(delay * 2, 0.05)
+
+
 class ResultCache:
     """A directory of cached :class:`SimResult` JSON files."""
 

@@ -96,6 +96,14 @@ class Core:
     SafeSpec engine) lives outside and is passed in, so consecutive runs
     on the same structures model consecutive executions on one CPU — the
     setting every mistraining attack needs.
+
+    The clock is an event horizon: :meth:`run` steps a cycle only when
+    some stage can act.  After a cycle on which no stage acted, nothing
+    changes until the next event (see :meth:`_cycles_to_next_event`),
+    so the clock jumps there and the skipped span's shadow occupancy is
+    recorded in one call.  Every simulated statistic — cycles, counters,
+    occupancy histograms, fault cycles — is the same as stepping every
+    cycle.
     """
 
     def __init__(self, program: Program, hierarchy: MemoryHierarchy,
@@ -184,12 +192,21 @@ class Core:
         # Loop-invariant bindings: every structure consulted per cycle is
         # mutated in place (never rebound), so one lookup each suffices.
         step = self._step
+        engine = self.engine
         rob_entries = self.rob._entries
         fetch_buffer = self._fetch_buffer
         program_fetch = self.program.fetch
         max_cycles = self.config.max_cycles
         while not self._halted_reason:
-            step()
+            acted = step()
+            if not self._halted_reason:
+                # The cycle just simulated, plus — when no stage acted —
+                # every following cycle on which none can: their shadow
+                # occupancy is unchanged, so it is recorded in one call.
+                span = 1 if acted else self._cycles_to_next_event(max_cycles)
+                if engine is not None:
+                    engine.sample_occupancy(span)
+                self.cycle += span
             if (not rob_entries and not fetch_buffer
                     and not self._executing
                     and self.cycle >= self._fetch_stall_until
@@ -247,7 +264,13 @@ class Core:
     # the cycle
     # ------------------------------------------------------------------
 
-    def _step(self) -> None:
+    def _step(self) -> bool:
+        """Run every stage for ``self.cycle``; True when any stage acted.
+
+        A stage acts when it commits, writes back, issues (a replayed
+        load included), dispatches or fetches anything; squashes and
+        fetch redirects happen only inside commit and writeback.
+        """
         # Each stage's idle early-out is checked here, before the call:
         # on a stall cycle (waiting on memory) most stages have nothing
         # to do and the call overhead itself was the dominant cost.
@@ -255,31 +278,69 @@ class Core:
         if engine is not None:
             engine.set_cycle(self.cycle)
         self.fus.new_cycle()
+        acted = False
         if self.rob._entries:
-            self._commit_stage()
+            acted = self._commit_stage()
             if self._halted_reason:
-                return
-        if self._executing:
-            self._writeback_stage()
-        if self.iq._ready:
-            self._issue_stage()
+                return True
+        if self._executing and self._writeback_stage():
+            acted = True
+        if self.iq._ready and self._issue_stage():
+            acted = True
+        if self._fetch_buffer and self._dispatch_stage():
+            acted = True
+        if (not self._fetch_halted and self.cycle >= self._fetch_stall_until
+                and self._fetch_stage()):
+            acted = True
+        return acted
+
+    def _cycles_to_next_event(self, max_cycles: int) -> int:
+        """Cycles from the idle ``self.cycle`` to the next one on which
+        some stage can act (at least 1).
+
+        A cycle on which no stage acted changed nothing, so every later
+        cycle stays idle until one of these events:
+
+        * the ROB head is done: it commits the cycle after;
+        * an executing micro-op completes: writeback on that cycle;
+        * the fetch-buffer head has waited out the front-end depth;
+        * the fetch stall ends (unless fetch is halted at a HALT).
+
+        Stalls on a full ROB, IQ, LSQ or fetch buffer, on a fence, on an
+        older store or on a full shadow structure clear only through one
+        of these.  An event already due is a resource stall, not a future
+        event.  The span is clamped so ``max_cycles`` and the no-commit
+        guard fire on the cycle they would under per-cycle stepping.
+        """
+        following = self.cycle + 1
+        horizon = max_cycles
+        entries = self.rob._entries
+        if entries:
+            horizon = min(horizon, self._last_commit_cycle
+                          + _PROGRESS_GUARD_CYCLES + 1)
+            head = entries[0]
+            if head.state is UopState.DONE:
+                horizon = min(horizon, head.done_cycle + 1)
+        for uop in self._executing:
+            if uop.state is UopState.ISSUED and uop.done_cycle < horizon:
+                horizon = uop.done_cycle
         if self._fetch_buffer:
-            self._dispatch_stage()
-        if not self._fetch_halted and self.cycle >= self._fetch_stall_until:
-            self._fetch_stage()
-        if engine is not None:
-            engine.sample_occupancy()
-        self.cycle += 1
+            ready = self._fetch_buffer[0].fetch_cycle + self._front_end_depth
+            if following <= ready < horizon:
+                horizon = ready
+        stall_until = self._fetch_stall_until
+        if not self._fetch_halted and following <= stall_until < horizon:
+            horizon = stall_until
+        return max(horizon - self.cycle, 1)
 
     # ------------------------------------------------------------------
     # commit
     # ------------------------------------------------------------------
 
-    def _commit_stage(self) -> None:
+    def _commit_stage(self) -> bool:
         entries = self.rob._entries
-        if not entries:
-            return
         cycle = self.cycle
+        committed = False
         for _ in range(self._commit_width):
             if not entries:
                 break
@@ -288,10 +349,12 @@ class Core:
                 break
             if head.fault is not None:
                 self._raise_fault(head)
-                return
+                return True
             self._commit_uop(head)
+            committed = True
             if self._halted_reason:
-                return
+                break
+        return committed
 
     def _commit_uop(self, uop: DynUop) -> None:
         self.rob.pop_head()
@@ -407,14 +470,12 @@ class Core:
     # writeback / branch resolution
     # ------------------------------------------------------------------
 
-    def _writeback_stage(self) -> None:
-        if not self._executing:
-            return
+    def _writeback_stage(self) -> bool:
         finishing = [u for u in self._executing
                      if u.done_cycle <= self.cycle
                      and u.state is UopState.ISSUED]
         if not finishing:
-            return
+            return False
         finishing_set = set(id(u) for u in finishing)
         self._executing = [u for u in self._executing
                            if id(u) not in finishing_set
@@ -444,6 +505,7 @@ class Core:
                 self._check_memory_order(uop)
             if uop.is_branch:
                 self._resolve_branch(uop)
+        return True
 
     def _resolve_branch(self, uop: DynUop) -> None:
         self._n_branches += 1
@@ -564,10 +626,10 @@ class Core:
                 return uop.seq
         return None
 
-    def _issue_stage(self) -> None:
+    def _issue_stage(self) -> bool:
         ready = self.iq.ready_uops()
         if not ready:
-            return
+            return False
         barrier = self._oldest_pending_fence()
         issue_width = self._issue_width
         try_claim = self.fus.try_claim_index
@@ -588,6 +650,7 @@ class Core:
                 continue
             self._execute(uop)
             issued += 1
+        return issued > 0
 
     def _shadow_admits(self, uop: DynUop) -> bool:
         """BLOCK full-policy: memory micro-ops stall while the d-side
@@ -766,10 +829,8 @@ class Core:
     # dispatch
     # ------------------------------------------------------------------
 
-    def _dispatch_stage(self) -> None:
+    def _dispatch_stage(self) -> bool:
         fetch_buffer = self._fetch_buffer
-        if not fetch_buffer:
-            return
         cycle = self.cycle
         front_end_depth = self._front_end_depth
         dispatched = 0
@@ -786,6 +847,7 @@ class Core:
             fetch_buffer.popleft()
             self._dispatch_uop(uop)
             dispatched += 1
+        return dispatched > 0
 
     def _dispatch_uop(self, uop: DynUop) -> None:
         uop.state = UopState.DISPATCHED
@@ -824,9 +886,7 @@ class Core:
     # fetch
     # ------------------------------------------------------------------
 
-    def _fetch_stage(self) -> None:
-        if self.cycle < self._fetch_stall_until or self._fetch_halted:
-            return
+    def _fetch_stage(self) -> bool:
         fetched = 0
         while (fetched < self._fetch_width
                and len(self._fetch_buffer) < _FETCH_BUFFER_CAP):
@@ -847,6 +907,7 @@ class Core:
             self._predict_and_advance(uop)
             if stall or uop.pred_taken:
                 break
+        return fetched > 0
 
     def _fetch_instruction_line(self, uop: DynUop) -> bool:
         """Access the i-side hierarchy for the line holding ``uop.pc``.

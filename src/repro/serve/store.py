@@ -37,7 +37,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-from repro.exec.cache import default_cache_dir
+from repro.exec.cache import default_cache_dir, enable_wal
 from repro.exec.job import SCHEMA_VERSION, SimJob, SimResult
 
 # The default database file name, placed inside the cache directory
@@ -102,7 +102,7 @@ class SQLiteResultStore:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             conn = sqlite3.connect(str(self.path), timeout=BUSY_TIMEOUT_MS
                                    / 1000.0, check_same_thread=False)
-            conn.execute("PRAGMA journal_mode=WAL")
+            enable_wal(conn, BUSY_TIMEOUT_MS)
             conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute(_SCHEMA_SQL)

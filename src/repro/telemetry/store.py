@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.exec.cache import default_cache_dir
+from repro.exec.cache import default_cache_dir, enable_wal
 
 # Bump when the points table layout changes incompatibly.
 TELEMETRY_SCHEMA_VERSION = 1
@@ -165,7 +165,7 @@ class TrajectoryStore:
             conn = sqlite3.connect(str(self.path),
                                    timeout=BUSY_TIMEOUT_MS / 1000.0,
                                    check_same_thread=False)
-            conn.execute("PRAGMA journal_mode=WAL")
+            enable_wal(conn, BUSY_TIMEOUT_MS)
             conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
             conn.execute("PRAGMA synchronous=NORMAL")
             for statement in _SCHEMA_SQL:

@@ -11,7 +11,10 @@ cached results never cross backends.
 
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -36,6 +39,19 @@ class TestRegistry:
     def test_builtin_backends_in_presentation_order(self):
         assert backend_names() == ["cycle", "fast"]
         assert DEFAULT_BACKEND == "cycle"
+
+    def test_order_independent_of_first_import(self):
+        # A fresh interpreter: importing the fast backend module first
+        # registers it before the registry's loader runs.
+        code = ("import repro.backends.fast\n"
+                "from repro.backends import backend_names\n"
+                "print(','.join(backend_names()))\n")
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "cycle,fast"
 
     def test_create_returns_runnable_backends(self):
         for name in backend_names():

@@ -7,9 +7,14 @@ semantics being asserted.
 
 import pytest
 
-from repro_testlib import DATA_BASE as DATA, KERNEL_BASE, POLICIES
+from repro_testlib import (DATA_BASE as DATA, KERNEL_BASE, POLICIES,
+                           make_user_machine)
 from repro import CommitPolicy, ProgramBuilder
+from repro.errors import SimulationError
 from repro.memory.paging import PrivilegeLevel
+from repro.pipeline.config import CoreConfig
+from repro.pipeline.core import Core
+from repro.pipeline.trace import PipelineTracer
 
 
 class TestAluSemantics:
@@ -323,6 +328,87 @@ class TestRunTermination:
             b.halt()
         _, result = run_program(build)
         assert 0 < result.ipc < 6
+
+
+def _bare_core(build, policy, setup=None, **config):
+    """A :class:`Core` over a fresh user machine, so tests can read its
+    clock after :meth:`Core.run` raises."""
+    machine = make_user_machine(policy=policy)
+    if setup:
+        setup(machine)
+    b = ProgramBuilder()
+    build(b)
+    program = b.build()
+    machine.page_table.map_range(program.code_base, program.code_bytes)
+    return Core(program, machine.hierarchy, config=CoreConfig(**config),
+                predictor=machine.predictor, btb=machine.btb,
+                rsb=machine.rsb, engine=machine.engine)
+
+
+def _pointer_chain_setup(machine):
+    for hop in range(8):
+        machine.write_word(DATA + hop * 0x1000, DATA + (hop + 1) * 0x1000)
+
+
+def _pointer_chain(b):
+    """Eight dependent loads, each a cold miss to DRAM on a fresh page."""
+    b.li("r1", DATA)
+    for _ in range(8):
+        b.load("r1", "r1", 0)
+    b.halt()
+
+
+class TestClockBoundaries:
+    """Cycles on which the run loop's stop conditions and the stages
+    act, pinned at their per-cycle-stepping values: the clock skips
+    cycles on which no stage can act, and must never move these."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_max_cycles_fires_mid_stall(self, policy):
+        core = _bare_core(_pointer_chain, policy, _pointer_chain_setup,
+                          max_cycles=1000)
+        with pytest.raises(SimulationError,
+                           match=r"^exceeded max_cycles=1000$"):
+            core.run()
+        assert core.cycle == 1000
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_pointer_chain_cycles(self, policy):
+        core = _bare_core(_pointer_chain, policy, _pointer_chain_setup)
+        result = core.run()
+        assert result.halted_reason == "halt"
+        assert result.reg("r1") == DATA + 8 * 0x1000
+        assert result.cycles == 2802
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_jump_off_code_halts_on_pinned_cycle(self, policy):
+        def build(b):
+            b.li("r1", DATA)
+            b.load("r2", "r1", 0)          # cold: the jump waits on DRAM
+            b.alu("add", "r3", "r2", imm=0x700000)
+            b.jmpi("r3")                   # mispredicts, then off code
+        result = _bare_core(build, policy).run()
+        assert result.halted_reason == "ran_off_code"
+        assert result.instructions == 4
+        assert result.cycles == 1366
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_imiss_then_front_end_depth_commit_cycle(self, policy):
+        def build(b):
+            b.li("r1", 5)
+            b.halt()
+        core = _bare_core(build, policy)
+        tracer = PipelineTracer().attach(core)
+        result = core.run()
+        by_kind = {}
+        for event in tracer.events:
+            by_kind.setdefault(event.kind, []).append(event.cycle)
+        # The cold i-fetch stalls fetch until cycle 951; both micro-ops
+        # then wait out the 5-cycle front end and commit together.
+        assert by_kind["fetch"] == [0, 951]
+        assert by_kind["dispatch"] == [956, 956]
+        assert by_kind["commit"] == [959, 959]
+        assert result.cycles == 959
 
 
 class TestArchitecturalEquivalence:

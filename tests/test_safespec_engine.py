@@ -163,3 +163,22 @@ class TestOccupancySampling:
         engine.sample_occupancy()
         for structure in engine.all_structures():
             assert structure.occupancy_histogram.total == 1
+
+    def test_bulk_sample_equals_single_samples(self):
+        bulk, single = make_engine(), make_engine()
+        for engine in (bulk, single):
+            engine.record_line("d", 0x4000, make_uop(1))
+        bulk.sample_occupancy(count=4)
+        for _ in range(4):
+            single.sample_occupancy()
+        for engine in (bulk, single):
+            engine.record_line("d", 0x4040, make_uop(2))
+        bulk.sample_occupancy(count=3)
+        for _ in range(3):
+            single.sample_occupancy()
+        for mine, theirs in zip(bulk.all_structures(),
+                                single.all_structures()):
+            assert list(mine.occupancy_histogram.items()) == \
+                list(theirs.occupancy_histogram.items())
+        assert list(bulk.shadow_dcache.occupancy_histogram.items()) == \
+            [(1, 4), (2, 3)]

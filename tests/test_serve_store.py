@@ -10,13 +10,15 @@ cache (racing ``put`` against ``clear``) and one SQLite database
 import json
 import multiprocessing
 import os
+import sqlite3
 
 import pytest
 
 from repro.core.policy import CommitPolicy
 from repro.errors import ConfigError
 from repro.exec.cache import (NullCache, ResultCache, STORE_ENV,
-                              STORE_KINDS, default_store_kind, make_cache)
+                              STORE_KINDS, default_store_kind, enable_wal,
+                              make_cache)
 from repro.exec.job import SCHEMA_VERSION, SimResult, workload_job
 from repro.serve.store import SQLiteResultStore, default_db_path
 
@@ -225,6 +227,38 @@ class TestMakeCache:
         cache = NullCache()
         assert cache.stats()["entries"] == 0
         assert cache.gc(max_entries=0) == 0
+
+
+class _LockedThenOpen:
+    """A connection stand-in whose first ``failures`` statements fail."""
+
+    def __init__(self, failures, message="database is locked"):
+        self.failures = failures
+        self.message = message
+        self.calls = 0
+
+    def execute(self, _sql):
+        self.calls += 1
+        if self.calls <= self.failures:
+            raise sqlite3.OperationalError(self.message)
+
+
+class TestEnableWal:
+    def test_retries_a_locked_answer(self):
+        conn = _LockedThenOpen(failures=3)
+        enable_wal(conn, busy_timeout_ms=10_000)
+        assert conn.calls == 4
+
+    def test_gives_up_when_the_timeout_runs_out(self):
+        conn = _LockedThenOpen(failures=10**6)
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
+            enable_wal(conn, busy_timeout_ms=20)
+
+    def test_other_errors_are_not_retried(self):
+        conn = _LockedThenOpen(failures=1, message="disk I/O error")
+        with pytest.raises(sqlite3.OperationalError, match="disk"):
+            enable_wal(conn, busy_timeout_ms=10_000)
+        assert conn.calls == 1
 
 
 # ---------------------------------------------------------------------------

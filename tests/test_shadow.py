@@ -111,6 +111,24 @@ class TestOccupancySampling:
         assert hist.total == 2
         assert hist.max == 1
 
+    def test_bulk_sample_equals_single_samples(self):
+        bulk, single = make(), make()
+        for shadow in (bulk, single):
+            shadow.fill(1, 1, None, 0)
+        # k samples at one occupancy, then across an occupancy change.
+        bulk.sample_occupancy(count=5)
+        for _ in range(5):
+            single.sample_occupancy()
+        for shadow in (bulk, single):
+            shadow.fill(2, 2, None, 0)
+        bulk.sample_occupancy(count=3)
+        bulk.sample_occupancy(count=2)
+        for _ in range(5):
+            single.sample_occupancy()
+        assert list(bulk.occupancy_histogram.items()) == [(1, 5), (2, 5)]
+        assert list(bulk.occupancy_histogram.items()) == \
+            list(single.occupancy_histogram.items())
+
     def test_snapshot(self):
         shadow = make()
         shadow.fill(1, 10, None, 0)
