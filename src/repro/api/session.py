@@ -21,7 +21,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 from repro.api.scenario import Scenario, Sweep, SweepPoint
 from repro.core.policy import CommitPolicy
 from repro.errors import ConfigError
-from repro.exec.cache import NullCache, make_cache
+from repro.exec.cache import NullCache, ResultCache
 from repro.exec.executor import ProgressFn, make_executor
 from repro.exec.job import DEFAULT_INSTRUCTION_BUDGET, SimJob, SimResult
 from repro.spec import MachineSpec
@@ -70,16 +70,10 @@ class Session:
     Arguments:
         jobs: worker processes (``> 1`` fans batches out over a
             ``multiprocessing`` pool with bit-identical results).
-        cache: back the session with the persistent result store
+        cache: back the session with the persistent result cache
             (default); ``False`` simulates everything fresh.
-        cache_dir: store location (default ``$REPRO_CACHE_DIR`` or
-            ``~/.cache/repro``); for the SQLite store this may also
-            name the database file itself.
-        store: which result-store backend persists results — ``"dir"``
-            (one JSON file per result, the default) or ``"sqlite"``
-            (the shared :class:`~repro.serve.store.SQLiteResultStore`
-            many clients and workers hit concurrently, the one
-            ``repro serve`` uses).  ``None`` reads ``$REPRO_STORE``.
+        cache_dir: cache location (default ``$REPRO_CACHE_DIR`` or
+            ``~/.cache/repro``).
         progress: per-completed-job callback (see
             :data:`~repro.exec.executor.ProgressFn`).
         executor: bring-your-own executor; overrides every other
@@ -88,7 +82,6 @@ class Session:
 
     def __init__(self, jobs: int = 1, cache: bool = True,
                  cache_dir: Optional[str] = None,
-                 store: Optional[str] = None,
                  progress: Optional[ProgressFn] = None,
                  executor: Any = None) -> None:
         if executor is not None:
@@ -96,7 +89,7 @@ class Session:
             attached = getattr(executor, "cache", None)
             self.cache = attached if attached is not None else NullCache()
         else:
-            self.cache = make_cache(store, cache_dir, enabled=cache)
+            self.cache = ResultCache(cache_dir) if cache else NullCache()
             self.executor = make_executor(workers=jobs, cache=self.cache,
                                           progress=progress)
 
@@ -258,8 +251,9 @@ class Session:
         longitudinal trajectory store.
 
         ``db`` names the SQLite database (default
-        ``$REPRO_TELEMETRY_DB``, else ``telemetry.sqlite`` inside the
-        cache directory).  Ingest any artifact the repo emits, then
+        ``$REPRO_TELEMETRY_DB``, else
+        :data:`~repro.telemetry.store.DB_FILENAME` inside the cache
+        directory).  Ingest any artifact the repo emits, then
         render the offline HTML dashboard::
 
             telem = session.telemetry()

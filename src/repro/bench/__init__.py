@@ -25,7 +25,6 @@ from repro.bench.harness import (BENCH_SCHEMA_VERSION, BenchHarness,
                                  BenchSpec, FULL_SPECS, QUICK_SPECS,
                                  payload_fingerprint, with_backend)
 from repro.bench.sampled import render_sampled_rows, sampled_roundtrip
-from repro.bench.service import render_service_rows, service_roundtrip
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
@@ -40,9 +39,7 @@ __all__ = [
     "payload_fingerprint",
     "render_calibration_drift",
     "render_sampled_rows",
-    "render_service_rows",
     "render_speedups",
     "sampled_roundtrip",
-    "service_roundtrip",
     "with_backend",
 ]

@@ -31,21 +31,13 @@ Commands:
   >10% slowdown); with a non-cycle backend it also reports the
   fast-vs-cycle speedup (``--min-speedup X`` gates on it), and
   ``--sampled`` adds a sampled-vs-full wall-clock row.
-* ``serve [--port N] [--workers N] [--store sqlite]`` — run the
-  simulation service: an asyncio HTTP job server over a pool of worker
-  processes and a shared result store (``repro.serve``).
-* ``submit <payload> [--url URL] [--wait S]`` — post a submission
-  payload (inline JSON, ``@file`` or ``-``) to a running server;
-  ``--wait`` polls the batch to completion (exit code counts failures).
-* ``status [key] [--batch ID] [--url URL]`` — server stats, one job's
-  state, or a batch's states.
-* ``cache stats|clear|gc`` — inspect or prune the result store, for
-  both the directory cache and the shared SQLite store.
+* ``cache stats|clear|gc`` — inspect or prune the on-disk result
+  cache.
 * ``telemetry ingest|render|show`` — the longitudinal trajectory store
   (``repro.telemetry``): ingest any artifact the repo emits (BENCH
-  snapshots, ``--format json`` envelopes, ``/v1/stats`` bodies) into
-  one SQLite database, then render a self-contained offline HTML
-  dashboard of the perf/security trends across revisions.
+  snapshots, ``--format json`` envelopes) into one SQLite database,
+  then render a self-contained offline HTML dashboard of the
+  perf/security trends across revisions.
 * ``table5`` — the hardware-overhead table.
 * ``asm <file>`` — assemble a text program and print its disassembly.
 
@@ -90,7 +82,7 @@ from repro.attacks.runner import (attack_result_from_sim, expected_closed,
                                   render_matrix)
 from repro.core.policy import CommitPolicy
 from repro.errors import ReproError
-from repro.exec.cache import STORE_KINDS, make_cache
+from repro.exec.cache import NullCache, ResultCache
 from repro.exec.executor import stderr_progress
 from repro.exec.job import SCHEMA_VERSION
 from repro.hwmodel.overhead import render_table5
@@ -138,11 +130,6 @@ def _add_exec_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="result cache location (default: "
                              "$REPRO_CACHE_DIR or ~/.cache/repro)")
-    parser.add_argument("--store", choices=STORE_KINDS, default=None,
-                        help="result-store backend: dir (one JSON file "
-                             "per result) or sqlite (the shared store "
-                             "`repro serve` uses; default: $REPRO_STORE "
-                             "or dir)")
 
 
 def _add_spec_options(parser: argparse.ArgumentParser) -> None:
@@ -351,77 +338,21 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="X",
                        help="fail unless the geomean non-cycle backend "
                             "speedup is at least X (e.g. 5)")
-    bench.add_argument("--service", action="store_true",
-                       help="also measure a served warm-vs-cold "
-                            "round-trip per backend (repro.serve over a "
-                            "temporary shared SQLite store)")
     bench.add_argument("--sampled", action="store_true",
                        help="also measure a sampled-vs-full wall-clock "
                             "pair for one long workload (repro.sample)")
     _add_spec_options(bench)
     _add_backend_option(bench, plural=True)
 
-    serve = sub.add_parser(
-        "serve",
-        help="run the simulation service (HTTP job server over a "
-             "shared result store)")
-    serve.add_argument("--host", default=None, metavar="ADDR",
-                       help="bind address (default: 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=None, metavar="N",
-                       help="bind port (default: 8322; 0 picks an "
-                            "ephemeral port)")
-    serve.add_argument("--workers", type=int, default=2, metavar="N",
-                       help="background simulation worker processes "
-                            "(default: 2)")
-    serve.add_argument("--store", choices=STORE_KINDS, default="sqlite",
-                       help="result-store backend backing the service "
-                            "(default: sqlite, the shared store)")
-    serve.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="store location (default: $REPRO_CACHE_DIR "
-                            "or ~/.cache/repro)")
-
-    submit = sub.add_parser(
-        "submit",
-        help="submit a job payload to a running `repro serve` instance")
-    submit.add_argument("payload",
-                        help="submission JSON: an inline object, "
-                             "@path/to/file.json, or '-' for stdin")
-    submit.add_argument("--url", default=None, metavar="URL",
-                        help="server base URL (default: $REPRO_SERVE_URL "
-                             "or http://127.0.0.1:8322)")
-    submit.add_argument("--wait", type=float, default=None, metavar="S",
-                        help="poll until the batch completes (at most S "
-                             "seconds); exit code counts failed jobs")
-    submit.add_argument("--format", choices=["text", "json"],
-                        default="text")
-
-    status = sub.add_parser(
-        "status",
-        help="query a running `repro serve` instance (stats, a job, "
-             "or a batch)")
-    status.add_argument("job", nargs="?", default=None,
-                        help="job key to show (omit for server stats)")
-    status.add_argument("--batch", default=None, metavar="ID",
-                        help="show one submission batch instead")
-    status.add_argument("--url", default=None, metavar="URL",
-                        help="server base URL (default: $REPRO_SERVE_URL "
-                             "or http://127.0.0.1:8322)")
-    status.add_argument("--wait", type=float, default=None, metavar="S",
-                        help="long-poll a job/batch for up to S seconds")
-    status.add_argument("--format", choices=["text", "json"],
-                        default="text")
-
     cache = sub.add_parser(
         "cache",
-        help="inspect or prune the result store (dir or sqlite)")
+        help="inspect or prune the on-disk result cache")
     cache.add_argument("action", choices=["stats", "clear", "gc"],
                        help="stats: corpus shape; clear: drop every "
                             "current-schema entry; gc: prune by "
                             "age/count/size")
-    cache.add_argument("--store", choices=STORE_KINDS, default=None,
-                       help="store backend (default: $REPRO_STORE or dir)")
     cache.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="store location (default: $REPRO_CACHE_DIR "
+                       help="cache location (default: $REPRO_CACHE_DIR "
                             "or ~/.cache/repro)")
     cache.add_argument("--max-age-days", type=float, default=None,
                        metavar="D",
@@ -434,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "B-byte payload budget")
     cache.add_argument("--all-schemas", action="store_true",
                        help="gc: also drop entries from other schema "
-                            "versions (sqlite store)")
+                            "versions")
     cache.add_argument("--format", choices=["text", "json"],
                        default="text")
 
@@ -445,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     telemetry_sub = telemetry.add_subparsers(dest="action", required=True)
     telemetry_ingest = telemetry_sub.add_parser(
         "ingest",
-        help="normalize artifacts (BENCH_<rev>.json, --format json "
-             "envelopes, /v1/stats bodies) into the trajectory store")
+        help="normalize artifacts (BENCH_<rev>.json and --format json "
+             "envelopes) into the trajectory store")
     telemetry_ingest.add_argument(
         "paths", nargs="+", metavar="PATH",
         help="JSON artifacts; malformed ones skip with a warning")
@@ -471,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub_parser.add_argument(
             "--db", default=None, metavar="PATH",
             help="trajectory database (default: $REPRO_TELEMETRY_DB or "
-                 "telemetry.sqlite in the cache dir)")
+                 "a database file in the cache dir)")
         sub_parser.add_argument("--format", choices=["text", "json"],
                                 default="text")
 
@@ -493,8 +424,7 @@ def _make_session(args: argparse.Namespace,
     if progress is None:
         progress = stderr_progress if args.jobs > 1 else None
     return Session(jobs=args.jobs, cache=not args.no_cache,
-                   cache_dir=args.cache_dir,
-                   store=getattr(args, "store", None), progress=progress)
+                   cache_dir=args.cache_dir, progress=progress)
 
 
 def _report_cache(session: Session) -> None:
@@ -707,7 +637,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                              compare_payloads, render_calibration_drift,
                              render_speedups, with_backend)
     from repro.bench.harness import dump_payload, load_payload
-    from repro.exec.cache import NullCache, ResultCache
 
     cache = NullCache() if args.no_cache else ResultCache(args.cache_dir)
     harness = BenchHarness(warmup=args.warmup, repeats=args.repeats,
@@ -735,20 +664,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               f"(best of {args.repeats})", file=sys.stderr, flush=True)
 
     payload = harness.run(specs, progress=progress)
-    if args.service:
-        import tempfile
-
-        from repro.bench.service import (render_service_rows,
-                                         service_roundtrip)
-
-        rows = []
-        with tempfile.TemporaryDirectory(prefix="repro-bench-serve-") \
-                as store_dir:
-            for backend in backends:
-                rows.append(service_roundtrip(backend=backend,
-                                              store_dir=store_dir))
-        payload["service"] = rows
-        print(render_service_rows(rows))
     if args.sampled:
         from repro.bench.sampled import (render_sampled_rows,
                                          sampled_roundtrip)
@@ -845,135 +760,10 @@ def _cmd_specs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_url(args: argparse.Namespace) -> str:
-    import os
-
-    from repro.serve.server import DEFAULT_HOST, DEFAULT_PORT
-
-    return (args.url or os.environ.get("REPRO_SERVE_URL")
-            or f"http://{DEFAULT_HOST}:{DEFAULT_PORT}")
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve.server import (DEFAULT_HOST, DEFAULT_PORT, JobService,
-                                    run_server)
-
-    host = args.host or DEFAULT_HOST
-    port = args.port if args.port is not None else DEFAULT_PORT
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 1
-    store = make_cache(args.store, args.cache_dir)
-    service = JobService(store=store, workers=args.workers)
-    location = getattr(store, "path", None) or getattr(
-        store, "directory", "")
-
-    def announce(server):
-        print(f"repro serve: {server.url} "
-              f"(schema v{SCHEMA_VERSION}, {args.workers} workers, "
-              f"{args.store} store at {location})", file=sys.stderr,
-              flush=True)
-
-    run_server(service, host=host, port=port, on_start=announce)
-    return 0
-
-
-def _load_submission(raw: str) -> dict:
-    """The submission payload a `repro submit` argument names."""
-    if raw == "-":
-        text = sys.stdin.read()
-    elif raw.startswith("@"):
-        with open(raw[1:]) as handle:
-            text = handle.read()
-    else:
-        text = raw
-    try:
-        return json.loads(text)
-    except ValueError as error:
-        raise ReproError(
-            f"submission payload is not valid JSON: {error}") from error
-
-
-def _render_batch_text(state: dict) -> None:
-    for job in state["jobs"]:
-        line = (f"{job['key'][:12]}  {job['kind']}:{job['target']}"
-                f"/{job['policy']}  {job['status']}")
-        origin = job.get("origin") or job.get("source")
-        if origin:
-            line += f" ({origin})"
-        if job.get("error"):
-            line += f"  {job['error']}"
-        print(line)
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.serve.client import ServeClient
-
-    client = ServeClient(_serve_url(args))
-    envelope = client.submit(_load_submission(args.payload))
-    if args.wait is None:
-        if args.format == "json":
-            _emit_json("submit", envelope)
-        else:
-            print(f"batch {envelope['batch']}: "
-                  f"{len(envelope['jobs'])} jobs submitted")
-            _render_batch_text(envelope)
-        return 0
-    final = client.wait_batch(envelope["batch"], timeout=args.wait)
-    if args.format == "json":
-        _emit_json("submit", final)
-    else:
-        print(f"batch {final['batch']}: {final['completed']}/"
-              f"{final['total']} done, {final['failed']} failed")
-        _render_batch_text(final)
-    return min(final["failed"], 255)
-
-
-def _cmd_status(args: argparse.Namespace) -> int:
-    from repro.serve.client import ServeClient
-
-    client = ServeClient(_serve_url(args))
-    if args.job is not None and args.batch is not None:
-        print("error: pass a job key or --batch, not both",
-              file=sys.stderr)
-        return 1
-    if args.job is not None:
-        payload = client.job(args.job, wait=args.wait)
-        failed = payload["status"] == "failed"
-    elif args.batch is not None:
-        payload = client.batch(args.batch, wait=args.wait)
-        failed = payload["failed"] > 0
-    else:
-        payload = client.stats()
-        failed = False
-    if args.format == "json":
-        _emit_json("status", payload)
-    elif args.job is not None:
-        print(f"{payload['key']}  {payload['kind']}:{payload['target']}"
-              f"/{payload['policy']}  {payload['status']}")
-        if payload.get("error"):
-            print(f"error: {payload['error']}")
-    elif args.batch is not None:
-        print(f"batch {payload['batch']}: {payload['completed']}/"
-              f"{payload['total']} done, {payload['failed']} failed")
-        _render_batch_text(payload)
-    else:
-        jobs = payload["jobs"]
-        print(f"serve up {payload['uptime_s']}s, schema "
-              f"v{payload['schema']}, {payload['workers']} workers")
-        print(f"jobs: {jobs['known']} known, {jobs['executed']} executed, "
-              f"{jobs['store_hits']} store hits, {jobs['failed']} failed")
-        store = payload["store"]
-        print(f"store [{store.get('backend')}] {store.get('location')}: "
-              f"{store.get('entries', 0)} entries, "
-              f"{store.get('payload_bytes', 0)} payload bytes")
-    return 1 if failed else 0
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
-    store = make_cache(args.store, args.cache_dir)
+    cache = ResultCache(args.cache_dir)
     if args.action == "stats":
-        payload = store.stats()
+        payload = cache.stats()
         if args.format == "json":
             _emit_json("cache", payload)
         else:
@@ -981,14 +771,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                   f"(schema v{payload['schema']})")
             print(f"entries: {payload['entries']}, payload bytes: "
                   f"{payload['payload_bytes']}")
-            for key in ("by_kind", "schema_versions"):
-                if payload.get(key):
-                    rows = ", ".join(f"{name}={count}" for name, count
-                                     in payload[key].items())
-                    print(f"{key.replace('_', ' ')}: {rows}")
         return 0
     if args.action == "clear":
-        removed = store.clear()
+        removed = cache.clear()
     else:
         if (args.max_age_days is None and args.max_entries is None
                 and args.max_bytes is None and not args.all_schemas):
@@ -996,16 +781,16 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                   "--max-entries, --max-bytes, --all-schemas",
                   file=sys.stderr)
             return 1
-        removed = store.gc(max_age_days=args.max_age_days,
+        removed = cache.gc(max_age_days=args.max_age_days,
                            max_entries=args.max_entries,
                            max_bytes=args.max_bytes,
                            all_schemas=args.all_schemas)
     if args.format == "json":
         _emit_json("cache", {"action": args.action, "removed": removed,
-                             "remaining": len(store)})
+                             "remaining": len(cache)})
     else:
         print(f"{args.action}: removed {removed} entries "
-              f"({len(store)} remain)")
+              f"({len(cache)} remain)")
     return 0
 
 
@@ -1107,9 +892,6 @@ _COMMANDS = {
     "verify": _cmd_verify,
     "sample": _cmd_sample,
     "bench": _cmd_bench,
-    "serve": _cmd_serve,
-    "submit": _cmd_submit,
-    "status": _cmd_status,
     "cache": _cmd_cache,
     "telemetry": _cmd_telemetry,
     "table5": _cmd_table5,

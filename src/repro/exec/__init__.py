@@ -19,8 +19,7 @@ submits them through an executor:
 This package is the transport layer; the user-facing surface on top of
 it is :mod:`repro.api` (:class:`~repro.api.session.Session` owns an
 executor + cache pair, :class:`~repro.api.scenario.Sweep` expands
-declarative grids into job batches), which is also the seam future
-scaling work (sharding, async backends, result servers) plugs into.
+declarative grids into job batches).
 """
 
 from repro.exec.cache import (NullCache, ResultCache, default_cache_dir)

@@ -4,7 +4,7 @@ Results live as one JSON file per job under
 ``<cache-dir>/v<SCHEMA_VERSION>/<job-key>.json``.  The directory defaults
 to ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``; bumping
 :data:`~repro.exec.job.SCHEMA_VERSION` namespaces away entries written by
-incompatible simulator versions.  Writes are atomic (temp file +
+incompatible simulator versions (``gc(all_schemas=True)`` reclaims them).  Writes are atomic (temp file +
 ``os.replace``) so concurrent processes never observe torn entries, and
 unreadable entries degrade to cache misses.
 """
@@ -19,24 +19,14 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-from repro.errors import ConfigError
 from repro.exec.job import SCHEMA_VERSION, SimJob, SimResult
 
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-STORE_ENV = "REPRO_STORE"
 
 # Temp files carry this prefix so clear()/len() never touch an entry
 # another process is still writing (a racing clear() unlinking a temp
 # file mid-write used to surface as a spurious "cache disabled").
 _TMP_PREFIX = ".tmp-"
-
-# The registered store kinds ``make_cache`` resolves.
-STORE_KINDS = ("dir", "sqlite")
-
-
-def default_store_kind() -> str:
-    """``$REPRO_STORE`` when set, else the directory cache."""
-    return os.environ.get(STORE_ENV, "dir")
 
 
 def default_cache_dir() -> Path:
@@ -45,30 +35,6 @@ def default_cache_dir() -> Path:
     if override:
         return Path(override)
     return Path.home() / ".cache" / "repro"
-
-
-def enable_wal(conn: Any, busy_timeout_ms: int) -> None:
-    """Switch an ``sqlite3`` connection to WAL journaling.
-
-    ``PRAGMA journal_mode=WAL`` may answer "database is locked" at once,
-    without waiting out the busy timeout, while other processes open
-    the same database.  Retry it until ``busy_timeout_ms`` runs out.
-    """
-    # Imported here so the directory cache's import path stays free of
-    # sqlite3: only the SQLite stores call this.
-    import sqlite3
-
-    deadline = time.monotonic() + busy_timeout_ms / 1000.0
-    delay = 0.001
-    while True:
-        try:
-            conn.execute("PRAGMA journal_mode=WAL")
-            return
-        except sqlite3.OperationalError as exc:
-            if "locked" not in str(exc) or time.monotonic() >= deadline:
-                raise
-        time.sleep(delay)
-        delay = min(delay * 2, 0.05)
 
 
 class ResultCache:
@@ -168,7 +134,7 @@ class ResultCache:
                 f"{self.misses} misses, {self.stores} stored")
 
     def stats(self) -> Dict[str, Any]:
-        """The corpus shape, in the same layout as the SQLite store."""
+        """The corpus shape: entry count and payload bytes."""
         entries = 0
         payload_bytes = 0
         for path in self._entries():
@@ -187,17 +153,26 @@ class ResultCache:
 
     def gc(self, max_age_days: Optional[float] = None,
            max_entries: Optional[int] = None,
-           max_bytes: Optional[int] = None, **_ignored: Any) -> int:
+           max_bytes: Optional[int] = None,
+           all_schemas: bool = False) -> int:
         """Prune entries by age and/or size; returns the number removed.
 
         ``max_age_days`` drops entries whose file mtime (refreshed on
         every store) is outside the window; ``max_entries`` /
-        ``max_bytes`` keep the newest entries within the budget.  Stale
+        ``max_bytes`` keep the newest entries within the budget.
+        ``all_schemas=True`` also drops every completed entry in the
+        sibling ``v<N>/`` directories of other schema versions.  Stale
         temp files older than a day are swept too (an interrupted writer
         orphans at most one).
         """
         removed = 0
         now = time.time()
+        if all_schemas:
+            for path in self.directory.parent.glob("v*/*.json"):
+                if (path.parent != self.directory
+                        and path.parent.name[1:].isdigit()
+                        and not path.name.startswith(_TMP_PREFIX)):
+                    removed += _unlink_quiet(path)
         survivors = []
         for path in self._entries():
             try:
@@ -260,33 +235,11 @@ class NullCache:
         return {"backend": "null", "location": None,
                 "schema": SCHEMA_VERSION, "entries": 0, "payload_bytes": 0}
 
-    def gc(self, **_ignored: Any) -> int:
+    def gc(self, max_age_days: Optional[float] = None,
+           max_entries: Optional[int] = None,
+           max_bytes: Optional[int] = None,
+           all_schemas: bool = False) -> int:
         return 0
-
-
-def make_cache(store: Optional[str] = None,
-               directory: Union[str, Path, None] = None,
-               enabled: bool = True):
-    """The result store a (store kind, location) pair describes.
-
-    ``store`` is ``"dir"`` (one JSON file per result, the default) or
-    ``"sqlite"`` (the shared :class:`~repro.serve.store.SQLiteResultStore`
-    many clients and workers can hit concurrently); ``None`` reads
-    ``$REPRO_STORE``.  ``enabled=False`` returns the no-op
-    :class:`NullCache` regardless.
-    """
-    if not enabled:
-        return NullCache()
-    kind = store if store is not None else default_store_kind()
-    if kind == "dir":
-        return ResultCache(directory)
-    if kind == "sqlite":
-        # Imported lazily: repro.serve sits above the exec layer.
-        from repro.serve.store import SQLiteResultStore
-
-        return SQLiteResultStore(directory)
-    raise ConfigError(f"unknown result store {kind!r}; choose from "
-                      f"{', '.join(STORE_KINDS)}")
 
 
 def _unlink_quiet(path: Path) -> int:

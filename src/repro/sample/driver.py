@@ -6,8 +6,8 @@ coordinates* (workload, plan knobs, slice index, backends, spec), never
 the checkpoint itself — workers re-derive checkpoints deterministically
 with a per-process memoized fast-forward scan.  That keeps sample jobs
 content-hashable exactly like every other kind, so they flow through the
-serial/parallel executors, the on-disk result cache and the serve
-protocol unchanged, and a repeated sampled run is all cache hits.
+serial/parallel executors and the on-disk result cache unchanged, and
+a repeated sampled run is all cache hits.
 
 Stitching (:func:`stitch_windows`) turns the measured windows back into
 whole-program estimates: each measured slice contributes its own IPC
@@ -35,7 +35,7 @@ from repro.workloads.profiles import WorkloadProfile
 
 # Per-process memo of fast-forward scans, keyed by everything that can
 # change the produced checkpoints.  A worker measuring several windows
-# of one plan scans once; the cap keeps long-lived servers bounded.
+# of one plan scans once; the cap keeps long-lived workers bounded.
 _SCAN_MEMO: Dict[Tuple, Dict[int, Checkpoint]] = {}
 _SCAN_MEMO_MAX = 4
 

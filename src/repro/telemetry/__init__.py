@@ -2,8 +2,8 @@
 
 The observability layer the rest of the stack reports into: every
 artifact the repo emits (``BENCH_<rev>.json`` snapshots, ``verify`` /
-``matrix`` / ``sample`` / ``workload`` CLI JSON envelopes, a server's
-``/v1/stats``) ingests into one SQLite :class:`TrajectoryStore`, and
+``matrix`` / ``sample`` / ``workload`` CLI JSON envelopes) ingests
+into one SQLite :class:`TrajectoryStore`, and
 :func:`render_dashboard` turns the store into a single self-contained
 offline HTML dashboard.
 

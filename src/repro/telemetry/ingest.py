@@ -10,9 +10,7 @@ dispatches:
   "payload"}`` — ``verify`` (pass-rate by profile/policy), ``matrix`` /
   ``attack`` (leak verdicts per attack x policy), ``sample`` (stitched
   IPC + CI), ``workload`` / ``run`` (full-run IPC, the sampled-error
-  reference), ``cache`` (store stats), ``status`` (server stats);
-* a raw ``/v1/stats`` body from a running ``repro serve`` (no envelope,
-  so the rev comes from ``default_rev`` or the working tree).
+  reference).
 
 The input contract is forgiving by design: a malformed or partial
 payload is *skipped with a warning* (collected on the returned
@@ -243,61 +241,6 @@ def _parse_workload(payload: Dict[str, Any], rev: str, schema: int
     return points, warnings
 
 
-def _parse_serve_stats(payload: Dict[str, Any], rev: str, schema: int
-                       ) -> Tuple[List[TrajectoryPoint], List[str]]:
-    jobs = payload.get("jobs")
-    store = payload.get("store")
-    if not isinstance(jobs, dict) or not isinstance(store, dict):
-        return [], ["status payload is not a server stats body "
-                    "(no jobs/store counters); skipped"]
-    points: List[TrajectoryPoint] = []
-    warnings: List[str] = []
-    meta = {"workers": payload.get("workers"),
-            "uptime_s": payload.get("uptime_s"),
-            "store_backend": store.get("backend"),
-            "store_location": store.get("location")}
-    for counter in ("known", "executed", "store_hits", "failed"):
-        if counter not in jobs:
-            warnings.append(f"serve stats missing jobs.{counter}")
-            continue
-        points.append(TrajectoryPoint(
-            rev=rev, schema_version=schema, command="serve",
-            series="jobs", label=counter,
-            value=_number(jobs[counter]), unit="jobs", meta=meta))
-    for series, key in (("store_entries", "entries"),
-                        ("store_bytes", "payload_bytes")):
-        if key in store:
-            points.append(TrajectoryPoint(
-                rev=rev, schema_version=schema, command="serve",
-                series=series, label=str(store.get("backend", "?")),
-                value=_number(store[key]), meta=meta))
-    return points, warnings
-
-
-def _parse_cache(payload: Dict[str, Any], rev: str, schema: int
-                 ) -> Tuple[List[TrajectoryPoint], List[str]]:
-    if "entries" not in payload or "backend" not in payload:
-        # `repro cache clear/gc` emits {action, removed, remaining}:
-        # an action receipt, not a corpus observation.
-        return [], ["cache payload is not a stats body; skipped"]
-    points = [TrajectoryPoint(
-        rev=rev, schema_version=schema, command="cache",
-        series="store_entries", label=str(payload["backend"]),
-        value=_number(payload["entries"]),
-        meta={"location": payload.get("location")})]
-    if "payload_bytes" in payload:
-        points.append(TrajectoryPoint(
-            rev=rev, schema_version=schema, command="cache",
-            series="store_bytes", label=str(payload["backend"]),
-            value=_number(payload["payload_bytes"]), unit="bytes"))
-    for kind, count in (payload.get("by_kind") or {}).items():
-        points.append(TrajectoryPoint(
-            rev=rev, schema_version=schema, command="cache",
-            series="store_kind_entries", label=str(kind),
-            value=_number(count)))
-    return points, []
-
-
 _ENVELOPE_PARSERS: Dict[str, Callable[..., Tuple[List[TrajectoryPoint],
                                                  List[str]]]] = {
     "verify": _parse_verify,
@@ -306,8 +249,6 @@ _ENVELOPE_PARSERS: Dict[str, Callable[..., Tuple[List[TrajectoryPoint],
     "sample": _parse_sample,
     "workload": _parse_workload,
     "run": _parse_workload,
-    "status": _parse_serve_stats,
-    "cache": _parse_cache,
 }
 
 
@@ -355,17 +296,10 @@ def ingest_payload(store: TrajectoryStore, payload: Any,
             return IngestReport(source=source, kind="skipped", rev=rev,
                                 warnings=[f"malformed {command} envelope "
                                           f"({error}); skipped"])
-    elif "protocol" in payload and "jobs" in payload and \
-            "store" in payload:
-        # A raw /v1/stats body (no envelope, so no rev of its own).
-        kind = "serve-stats"
-        rev = str(default_rev or _working_tree_rev())
-        schema = int(payload.get("schema") or 0)
-        points, warnings = _parse_serve_stats(payload, rev, schema)
     else:
         return IngestReport(source=source, kind="skipped", warnings=[
-            "unrecognized payload shape (not a bench snapshot, CLI "
-            "envelope, or serve stats body); skipped"])
+            "unrecognized payload shape (not a bench snapshot or CLI "
+            "envelope); skipped"])
 
     if not points:
         return IngestReport(source=source, kind="skipped", rev=rev,

@@ -2,16 +2,14 @@
 
 Every artifact the repo emits — ``BENCH_<rev>.json`` snapshots, the CLI
 ``--format json`` envelopes (``verify`` / ``matrix`` / ``sample`` /
-``workload`` / ``cache`` / ``status``), a server's ``/v1/stats`` — is a
-point-in-time payload.  :class:`TrajectoryStore` is where they connect:
-the ingesters (:mod:`repro.telemetry.ingest`) normalize each payload
-into :class:`TrajectoryPoint` rows keyed by
+``workload``) — is a point-in-time payload.  :class:`TrajectoryStore`
+is where they connect: the ingesters (:mod:`repro.telemetry.ingest`)
+normalize each payload into :class:`TrajectoryPoint` rows keyed by
 
     (rev, schema_version, command, series, label, backend, spec_digest)
 
 and the store upserts them into one SQLite database (WAL mode + busy
-timeout, the same concurrency posture as
-:class:`~repro.serve.store.SQLiteResultStore`).  The primary key *is*
+timeout, so concurrent ingesters do not collide).  The primary key *is*
 the idempotency contract: re-ingesting the same artifact replaces its
 own rows instead of duplicating them, so the dashboard can be rebuilt
 from committed artifacts any number of times.
@@ -34,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.exec.cache import default_cache_dir, enable_wal
+from repro.exec.cache import default_cache_dir
 
 # Bump when the points table layout changes incompatibly.
 TELEMETRY_SCHEMA_VERSION = 1
@@ -145,6 +143,26 @@ def git_rev_ranks(revs: Sequence[str]) -> Optional[Dict[str, int]]:
                 ranks[rev] = index
                 break
     return ranks
+
+
+def enable_wal(conn: sqlite3.Connection, busy_timeout_ms: int) -> None:
+    """Switch an ``sqlite3`` connection to WAL journaling.
+
+    ``PRAGMA journal_mode=WAL`` may answer "database is locked" at once,
+    without waiting out the busy timeout, while other processes open
+    the same database.  Retry it until ``busy_timeout_ms`` runs out.
+    """
+    deadline = time.monotonic() + busy_timeout_ms / 1000.0
+    delay = 0.001
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() >= deadline:
+                raise
+        time.sleep(delay)
+        delay = min(delay * 2, 0.05)
 
 
 class TrajectoryStore:

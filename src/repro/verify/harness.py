@@ -51,8 +51,11 @@ from repro.verify.fuzz import (FUZZ_FORMAT_VERSION, FuzzProfile,
 from repro.verify.oracle import OracleResult, ReferenceOracle
 
 # Cross-backend accuracy contract: the fast backend's cycle count must
-# stay within this relative tolerance of the cycle-accurate core's
-# (measured ratios on the suite sit around 0.88-1.0).
+# stay within this relative tolerance of the cycle-accurate core's.
+# It holds only in the regime TestCycleTolerance checks (namd/mcf at 4k
+# instructions, cold start); longer runs undercount, e.g. bwaves and
+# lbm at 64k WFC instructions measure fast/cycle 0.475 and 0.505
+# (ROADMAP item 3).
 CYCLE_TOLERANCE = 0.25
 
 # The timing half of the contract is stated for realistic instruction

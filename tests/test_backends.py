@@ -147,7 +147,7 @@ class TestMatrixVerdicts:
 
 class TestCycleTolerance:
     """Suite workloads: same retirement count, cycles within the
-    documented tolerance (measured fast/cycle ratios sit at 0.85-1.0)."""
+    documented tolerance on short cold-start runs (4k instructions)."""
 
     @pytest.mark.parametrize("bench,policy", [
         ("namd", CommitPolicy.BASELINE),

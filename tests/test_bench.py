@@ -262,32 +262,3 @@ class TestSlotsPickling:
         parallel = ParallelExecutor(workers=2).run(jobs)
         for s, p in zip(serial, parallel):
             assert s.to_dict() == p.to_dict()
-
-
-class TestServiceRow:
-    def test_warm_roundtrip_is_served_from_the_store(self, tmp_path):
-        """The bench service row: cold trip simulates, warm trip is a
-        pure store hit on a fresh server instance."""
-        from repro.bench import service_roundtrip
-
-        row = service_roundtrip(benchmark="namd",
-                                policy=CommitPolicy.WFC,
-                                instructions=400,
-                                store_dir=str(tmp_path))
-        assert row["cold_source"] == "executed"
-        assert row["warm_source"] == "store"
-        assert row["cold_s"] > 0 and row["warm_s"] > 0
-        assert row["warm_speedup"] == pytest.approx(
-            row["cold_s"] / row["warm_s"], rel=0.1)
-        job = workload_job("namd", CommitPolicy.WFC, instructions=400)
-        assert row["job_key"] == job.key()
-
-    def test_render_service_rows(self, tmp_path):
-        from repro.bench import render_service_rows
-
-        text = render_service_rows([{
-            "benchmark": "namd", "policy": "wfc", "backend": "cycle",
-            "cold_s": 1.25, "warm_s": 0.05, "warm_speedup": 25.0,
-            "cold_source": "executed", "warm_source": "store"}])
-        assert "cold 1.250s (executed)" in text
-        assert "warm 0.050s (store)" in text

@@ -3,8 +3,7 @@
 The contract (documented in :mod:`repro.cli`): machine-readable output
 is always ``{"schema_version": N, "rev": "<git rev>", "command":
 "<name>", "payload": {...}}``, so scripted consumers dispatch on one
-shape no matter which subcommand produced it.  ``submit``/``status``
-need a running server and are covered by the serve tests instead.
+shape no matter which subcommand produced it.
 """
 
 import json

@@ -91,15 +91,6 @@ class TestShadowSizingSweep:
             assert out.count(sizing) >= 2
 
 
-class TestServeSession:
-    def test_warm_server_answers_from_store(self, capsys):
-        load_example("serve_session").main()
-        out = capsys.readouterr().out
-        assert out.count("source=executed") == 3    # cold: all simulate
-        assert "3 jobs, 0 failed" in out
-        assert "sources=['store'] executed=0" in out
-
-
 class TestSampledRun:
     def test_compares_sampled_to_full(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv",

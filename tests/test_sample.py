@@ -26,7 +26,6 @@ from repro.machine import Machine
 from repro.sample import (CHECKPOINT_SCHEMA_VERSION, Checkpoint, SamplePlan,
                           run_sample, sample_jobs, scan_checkpoints)
 from repro.sample.plan import resolve_workload
-from repro.serve.protocol import ProtocolError, build_jobs
 
 # Small slices: every simulation here exercises the checkpoint/stitch
 # machinery, not the micro-architecture.
@@ -248,20 +247,3 @@ class TestSampledRun:
         assert report.ok
         assert report.backend == backend
 
-
-class TestServeSampleKind:
-    def test_build_jobs_lowers_sample_submissions(self):
-        jobs = build_jobs({"kind": "sample", "target": "namd",
-                           "interval": INTERVAL, "warmup": PLAN.warmup,
-                           "windows": PLAN.windows, "window": PLAN.window,
-                           "instructions": TOTAL})
-        assert len(jobs) == PLAN.windows
-        assert all(job.kind == SAMPLE for job in jobs)
-        assert all(job.target == "namd" for job in jobs)
-
-    def test_bad_sample_submissions_rejected(self):
-        with pytest.raises(ProtocolError):
-            build_jobs({"kind": "sample", "target": "no-such-benchmark"})
-        with pytest.raises(ProtocolError):
-            build_jobs({"kind": "sample", "target": "namd",
-                        "warm": "yes"})

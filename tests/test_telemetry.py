@@ -1,24 +1,23 @@
 """Tests for repro.telemetry: store, ingesters, renderer, facades.
 
 The ingester consumes every producer payload the repo emits, so the
-suite doubles as the input-contract check for those producers: the
-serve ``/v1/stats`` body and the ``repro cache stats`` payload are
-asserted shape-by-shape here (a drifted key breaks these tests before
-it silently breaks the dashboard), and malformed or partial artifacts
-must *skip with a warning* rather than raise.
+suite doubles as the input-contract check for those producers, and
+malformed or partial artifacts must *skip with a warning* rather than
+raise.
 """
 
 import json
+import sqlite3
 from pathlib import Path
 
 import pytest
 
 from repro.api.session import Session
-from repro.exec.cache import make_cache
 from repro.exec.job import SCHEMA_VERSION
 from repro.telemetry import (Telemetry, TrajectoryPoint, TrajectoryStore,
                              collect_dashboard_data, ingest_file,
                              ingest_payload, render_dashboard)
+from repro.telemetry.store import enable_wal
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_SNAPSHOTS = sorted(REPO_ROOT.glob("BENCH_*.json"))
@@ -185,71 +184,6 @@ class TestEnvelopeIngest:
         assert len(store.points(command="workload")) == 1
 
 
-class TestServeStatsContract:
-    """The `/v1/stats` body the ingester consumes, produced by the real
-    JobService — shape drift breaks this before it breaks dashboards."""
-
-    def _stats(self, tmp_path):
-        from test_serve_service import (WORKLOAD_PAYLOAD, _fake_runner,
-                                        run_service)
-        from repro.serve import SQLiteResultStore
-
-        async def scenario(service):
-            submitted = await service.submit(WORKLOAD_PAYLOAD)
-            await service.batch_state(submitted["batch"], wait=60)
-            return service.stats()
-
-        return run_service(scenario,
-                           store=SQLiteResultStore(tmp_path / "serve"),
-                           runner=_fake_runner)
-
-    def test_stats_payload_shape(self, tmp_path):
-        stats = self._stats(tmp_path)
-        assert {"protocol", "schema", "uptime_s", "workers", "jobs",
-                "store"} <= set(stats)
-        assert {"known", "executed", "store_hits",
-                "failed"} <= set(stats["jobs"])
-        assert {"backend", "entries"} <= set(stats["store"])
-
-    def test_raw_stats_body_ingests(self, store, tmp_path):
-        report = ingest_payload(store, self._stats(tmp_path),
-                                default_rev="cafe123")
-        assert report.kind == "serve-stats"
-        assert report.rev == "cafe123"
-        labels = {p.label for p in store.points(command="serve",
-                                                series="jobs")}
-        assert labels == {"known", "executed", "store_hits", "failed"}
-
-    def test_status_envelope_ingests(self, store, tmp_path):
-        report = ingest_payload(
-            store, envelope("status", self._stats(tmp_path)))
-        assert report.kind == "status"
-        assert store.points(command="serve", series="store_entries")
-
-
-class TestCacheStatsContract:
-    """The `repro cache stats` payloads, produced by the real stores."""
-
-    @pytest.mark.parametrize("kind", ["dir", "sqlite"])
-    def test_stats_payload_shape_and_ingest(self, store, tmp_path, kind):
-        cache = make_cache(kind, str(tmp_path / kind))
-        stats = cache.stats()
-        assert {"backend", "location", "schema", "entries",
-                "payload_bytes"} <= set(stats)
-        report = ingest_payload(store, envelope("cache", stats))
-        assert report.kind == "cache"
-        assert report.points >= 2
-
-    def test_action_receipt_skips_with_warning(self, store):
-        # `repro cache clear/gc --format json` emits a receipt, not a
-        # corpus observation — it must skip, not crash or pollute.
-        report = ingest_payload(store, envelope("cache", {
-            "action": "clear", "removed": 3, "remaining": 0}))
-        assert report.skipped
-        assert report.warnings
-        assert len(store) == 0
-
-
 class TestSkipWithWarning:
     def test_non_object_payload(self, store):
         report = ingest_payload(store, [1, 2, 3])
@@ -378,3 +312,35 @@ class TestTelemetryCLI:
         code = main(["telemetry", "ingest",
                      "--db", str(tmp_path / "t.sqlite"), str(bad)])
         assert code == 1
+
+
+class _LockedThenOpen:
+    """A connection stand-in whose first ``failures`` statements fail."""
+
+    def __init__(self, failures, message="database is locked"):
+        self.failures = failures
+        self.message = message
+        self.calls = 0
+
+    def execute(self, _sql):
+        self.calls += 1
+        if self.calls <= self.failures:
+            raise sqlite3.OperationalError(self.message)
+
+
+class TestEnableWal:
+    def test_retries_a_locked_answer(self):
+        conn = _LockedThenOpen(failures=3)
+        enable_wal(conn, busy_timeout_ms=10_000)
+        assert conn.calls == 4
+
+    def test_gives_up_when_the_timeout_runs_out(self):
+        conn = _LockedThenOpen(failures=10**6)
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
+            enable_wal(conn, busy_timeout_ms=20)
+
+    def test_other_errors_are_not_retried(self):
+        conn = _LockedThenOpen(failures=1, message="disk I/O error")
+        with pytest.raises(sqlite3.OperationalError, match="disk"):
+            enable_wal(conn, busy_timeout_ms=10_000)
+        assert conn.calls == 1
