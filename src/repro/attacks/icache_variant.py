@@ -50,7 +50,7 @@ def build_victim(layout: AttackLayout) -> Program:
     b.add("r10", "r8", "r1")
     b.load("r4", "r10", 0)                  # secret
     b.alu("shl", "r5", "r4", imm=8)         # * slot bytes (256)
-    b.li("r9", 0)                           # patched below to fn_base
+    b.la("r9", "fn_table")
     b.add("r11", "r9", "r5")
     b.jmpi("r11")                           # data-dependent control flow
     b.label("skip")
@@ -70,27 +70,7 @@ def build_victim(layout: AttackLayout) -> Program:
             b.jmp(f"fn{slot}")
             b.nop(_SLOT_INSTRUCTIONS - 1)
     b.halt()
-    program = b.build()
-    return program
-
-
-def _patch_fn_base(layout: AttackLayout, victim: Program) -> Program:
-    """Rebuild the victim with r9 = the real fn_table address.
-
-    The table address is only known after the first build (it depends on
-    padding), so the victim is assembled twice.
-    """
-    fn_base = victim.label_pc("fn_table")
-    instructions = list(victim.instructions)
-    for index, inst in enumerate(instructions):
-        if inst.opcode.value == "loadimm" and inst.rd == 9:
-            from repro.isa.instructions import Instruction, Opcode
-
-            instructions[index] = Instruction(
-                Opcode.LOADIMM, rd=9, imm=fn_base)
-            break
-    return Program(instructions, code_base=victim.code_base,
-                   labels=dict(victim.labels))
+    return b.build()
 
 
 @register_attack("icache")
@@ -109,7 +89,7 @@ def run_icache_variant(policy: CommitPolicy, secret: int = 42,
     machine.write_word(layout.secret_addr, secret)
     machine.write_word(layout.array1 + 1, 0)   # training lands in slot 0
 
-    victim = _patch_fn_base(layout, build_victim(layout))
+    victim = build_victim(layout)
     fn_base = victim.label_pc("fn_table")
     channel = IcacheReloadChannel(machine, fn_base, slots=_SLOTS,
                                   stride=_SLOT_BYTES)

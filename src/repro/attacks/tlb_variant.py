@@ -26,7 +26,7 @@ from repro.api.registry import register_attack
 from repro.attacks.runner import AttackResult
 from repro.core.policy import CommitPolicy
 from repro.isa.assembler import ProgramBuilder
-from repro.isa.instructions import INSTRUCTION_BYTES, Instruction, Opcode
+from repro.isa.instructions import INSTRUCTION_BYTES
 from repro.isa.program import Program
 from repro.machine import Machine
 from repro.spec import MachineSpec
@@ -119,7 +119,7 @@ def build_itlb_victim(layout: AttackLayout) -> Program:
     b.add("r10", "r8", "r1")
     b.load("r4", "r10", 0)                 # secret
     b.alu("shl", "r5", "r4", imm=12)       # * PAGE per slot
-    b.li("r9", 0)                          # patched to fn_table below
+    b.la("r9", "fn_table")
     b.add("r11", "r9", "r5")
     b.jmpi("r11")
     b.label("skip")
@@ -138,18 +138,6 @@ def build_itlb_victim(layout: AttackLayout) -> Program:
     return b.build()
 
 
-def _patch_fn_base(victim: Program) -> Program:
-    fn_base = victim.label_pc("fn_table")
-    instructions = list(victim.instructions)
-    for index, inst in enumerate(instructions):
-        if inst.opcode is Opcode.LOADIMM and inst.rd == 9:
-            instructions[index] = Instruction(Opcode.LOADIMM, rd=9,
-                                              imm=fn_base)
-            break
-    return Program(instructions, code_base=victim.code_base,
-                   labels=dict(victim.labels))
-
-
 @register_attack("itlb")
 def run_itlb_variant(policy: CommitPolicy, secret: int = 42,
                      spec: Optional[MachineSpec] = None,
@@ -165,7 +153,7 @@ def run_itlb_variant(policy: CommitPolicy, secret: int = 42,
     machine.write_word(layout.secret_addr, secret)
     machine.write_word(layout.array1 + 1, 0)   # training lands in slot 0
 
-    victim = _patch_fn_base(build_itlb_victim(layout))
+    victim = build_itlb_victim(layout)
     fn_base = victim.label_pc("fn_table")
     channel = TlbProbeChannel(machine, fn_base, slots=_SLOTS, side="i")
 

@@ -21,11 +21,17 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import AssemblyError
-from repro.isa.instructions import (AluOp, BranchCond, Instruction, Opcode)
+from repro.isa.instructions import (INSTRUCTION_BYTES, AluOp, BranchCond,
+                                    Instruction, Opcode)
 from repro.isa.program import Program
 from repro.isa.registers import register_index
 
 RegLike = Union[str, int]
+
+# Instructions are frozen and decoded once, so every NOP a builder emits
+# is this one object: padding a page-strided function table costs a list
+# append per slot instead of a decode.
+_NOP = Instruction(Opcode.NOP)
 
 
 def _reg(value: RegLike) -> int:
@@ -76,6 +82,12 @@ class ProgramBuilder:
 
     def li(self, rd: RegLike, imm: int) -> "ProgramBuilder":
         self._emit(Instruction(Opcode.LOADIMM, rd=_reg(rd), imm=imm))
+        return self
+
+    def la(self, rd: RegLike, label: str) -> "ProgramBuilder":
+        """Load address: ``rd`` <- the virtual PC of ``label``."""
+        self._emit(Instruction(Opcode.LOADIMM, rd=_reg(rd)),
+                   pending_label=label, label_is_pc=True)
         return self
 
     def load(self, rd: RegLike, base: RegLike, offset: int = 0
@@ -131,8 +143,7 @@ class ProgramBuilder:
         return self
 
     def nop(self, count: int = 1) -> "ProgramBuilder":
-        for _ in range(count):
-            self._emit(Instruction(Opcode.NOP))
+        self._instructions.extend([_Pending(_NOP, None)] * count)
         return self
 
     def halt(self) -> "ProgramBuilder":
@@ -151,29 +162,41 @@ class ProgramBuilder:
             if pending.label_ref not in self._labels:
                 raise AssemblyError(
                     f"undefined label {pending.label_ref!r}")
-            target = self._labels[pending.label_ref]
+            index = self._labels[pending.label_ref]
             inst = pending.instruction
+            imm, target = inst.imm, index
+            if pending.label_is_pc:
+                imm, target = (self._code_base + index * INSTRUCTION_BYTES,
+                               inst.target)
             resolved.append(Instruction(
                 inst.opcode, rd=inst.rd, rs1=inst.rs1, rs2=inst.rs2,
-                imm=inst.imm, target=target, alu_op=inst.alu_op,
+                imm=imm, target=target, alu_op=inst.alu_op,
                 cond=inst.cond, label=inst.label))
         return Program(resolved, code_base=self._code_base,
                        labels=dict(self._labels))
 
     def _emit(self, instruction: Instruction,
-              pending_label: Optional[str] = None) -> None:
-        self._instructions.append(_Pending(instruction, pending_label))
+              pending_label: Optional[str] = None,
+              label_is_pc: bool = False) -> None:
+        self._instructions.append(
+            _Pending(instruction, pending_label, label_is_pc))
 
 
 class _Pending:
-    """An emitted instruction, possibly awaiting label resolution."""
+    """An emitted instruction, possibly awaiting label resolution.
 
-    __slots__ = ("instruction", "label_ref")
+    A label resolves into ``target`` (an instruction index) unless
+    ``label_is_pc``, when it resolves into ``imm`` as a virtual PC.
+    """
+
+    __slots__ = ("instruction", "label_ref", "label_is_pc")
 
     def __init__(self, instruction: Instruction,
-                 label_ref: Optional[str]) -> None:
+                 label_ref: Optional[str],
+                 label_is_pc: bool = False) -> None:
         self.instruction = instruction
         self.label_ref = label_ref
+        self.label_is_pc = label_is_pc
 
 
 def assemble(source: str, code_base: int = 0x1000) -> Program:

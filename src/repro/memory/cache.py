@@ -74,6 +74,19 @@ class CacheConfig:
         return self.size_bytes // self.line_bytes
 
 
+class _LazySets(dict):
+    """Set index -> that set's lines, created the first time the timing
+    path indexes it.  Most of an L2/L3's sets are never touched by a
+    short job, so building them eagerly dominated machine construction.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, index: int) -> "OrderedDict[int, bool]":
+        cache_set = self[index] = OrderedDict()
+        return cache_set
+
+
 class Cache:
     """One set-associative cache level with true-LRU replacement.
 
@@ -100,10 +113,10 @@ class Cache:
         self._set_mask = config.num_sets - 1
         self._associativity = config.associativity
         # One OrderedDict per set: line_addr -> True, LRU order = insertion
-        # order with move_to_end on touch.
-        self._sets: List["OrderedDict[int, bool]"] = [
-            OrderedDict() for _ in range(config.num_sets)
-        ]
+        # order with move_to_end on touch.  Sets are created on first use;
+        # the mapping itself lives as long as the cache (the fast backend
+        # binds it once).  Inspection goes through .get and never creates.
+        self._sets = _LazySets()
 
     # -- address helpers -------------------------------------------------
 
@@ -170,16 +183,16 @@ class Cache:
     def contains(self, addr: int) -> bool:
         """Whether the line holding ``addr`` is present (no LRU update)."""
         return (addr & self._line_mask) in \
-            self._sets[(addr >> self._set_shift) & self._set_mask]
+            self._sets.get((addr >> self._set_shift) & self._set_mask, ())
 
     def probe_set(self, addr: int) -> Tuple[int, ...]:
         """Resident line addresses of the set selected by ``addr``
         (LRU-first order), without perturbing state."""
-        return tuple(self._sets[self.set_index(addr)])
+        return tuple(self._sets.get(self.set_index(addr), ()))
 
     def occupancy(self) -> int:
         """Total number of resident lines."""
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets.values())
 
     # -- invalidation ------------------------------------------------------
 
@@ -187,7 +200,7 @@ class Cache:
         """Evict the line containing ``addr`` (clflush).  Returns whether
         the line was present."""
         line = self.line_address(addr)
-        cache_set = self._sets[self.set_index(addr)]
+        cache_set = self._sets.get(self.set_index(addr), ())
         if line in cache_set:
             del cache_set[line]
             self._flushes.increment()
@@ -196,8 +209,7 @@ class Cache:
 
     def flush_all(self) -> None:
         """Invalidate the entire cache."""
-        for cache_set in self._sets:
-            cache_set.clear()
+        self._sets.clear()
 
     # -- checkpointing ------------------------------------------------------
 
@@ -207,18 +219,20 @@ class Cache:
         Statistics are deliberately excluded: a restored cache is warm but
         starts counting from zero, like a measurement window should.
         """
-        return [tuple(cache_set) for cache_set in self._sets]
+        get = self._sets.get
+        return [tuple(get(index, ()))
+                for index in range(self.config.num_sets)]
 
     def restore(self, sets: List[Tuple[int, ...]]) -> None:
         """Replace contents with a :meth:`snapshot` (LRU order preserved)."""
-        if len(sets) != len(self._sets):
+        if len(sets) != self.config.num_sets:
             raise ConfigError(
                 f"{self.config.name}: snapshot has {len(sets)} sets, "
-                f"cache has {len(self._sets)}")
-        for cache_set, lines in zip(self._sets, sets):
-            cache_set.clear()
-            for line in lines:
-                cache_set[line] = True
+                f"cache has {self.config.num_sets}")
+        self._sets.clear()
+        for index, lines in enumerate(sets):
+            if lines:
+                self._sets[index] = OrderedDict.fromkeys(lines, True)
 
     # -- statistics ---------------------------------------------------------
 

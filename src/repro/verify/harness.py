@@ -36,7 +36,7 @@ from the on-disk result cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.backends import BACKENDS, DEFAULT_BACKEND
 from repro.core.policy import CommitPolicy
@@ -65,6 +65,18 @@ CYCLE_TOLERANCE = 0.25
 # out-of-order core serializes, so cycle drift is only asserted on runs
 # at least this long.
 TIMING_CONTRACT_MIN_INSTRUCTIONS = 1000
+
+# An oracle after its run, and the run's golden result.
+Reference = Tuple[ReferenceOracle, OracleResult]
+
+# Per-process memo of each seed's fuzz program and oracle run, keyed by
+# (profile name, seed, instruction budget): neither depends on the
+# policy, backend or machine spec of the job.  ``Session.verify``
+# submits a seed's policy jobs back to back and every worker takes jobs
+# in submission order, so once a worker moves past a seed it never sees
+# it again: one entry is enough.
+_REFERENCE_MEMO: Dict[Tuple[str, int, Optional[int]],
+                      Tuple[FuzzProgram, Reference]] = {}
 
 
 def _backend_names(backend: str) -> List[str]:
@@ -192,8 +204,7 @@ def _profile_from_params(params: Dict[str, Any]) -> FuzzProfile:
 # ---------------------------------------------------------------------------
 
 def run_reference(case: FuzzProgram,
-                  max_instructions: Optional[int] = None
-                  ) -> "tuple[ReferenceOracle, OracleResult]":
+                  max_instructions: Optional[int] = None) -> Reference:
     """Execute one fuzz case on a fresh oracle (the golden state).
 
     Returns the oracle too so callers (golden-state fixtures) can read
@@ -209,18 +220,22 @@ def run_reference(case: FuzzProgram,
 def verify_case(case: FuzzProgram, policy: CommitPolicy,
                 spec: Optional[MachineSpec] = None,
                 max_instructions: Optional[int] = None,
-                backend: str = DEFAULT_BACKEND) -> VerifyVerdict:
+                backend: str = DEFAULT_BACKEND,
+                reference: Optional[Reference] = None) -> VerifyVerdict:
     """Run one fuzz case differentially and check every invariant.
 
     A comma-joined ``backend`` (``"cycle,fast"``) delegates to
     :func:`diff_backends_case` for a cross-backend differential.
+    ``reference`` is the case's :func:`run_reference` result at the same
+    ``max_instructions``, when the caller already has it.
     """
     names = _backend_names(backend)
     if len(names) > 1:
         return diff_backends_case(case, policy, spec=spec,
                                   max_instructions=max_instructions,
-                                  backends=names)
-    oracle, golden = run_reference(case, max_instructions=max_instructions)
+                                  backends=names, reference=reference)
+    oracle, golden = reference or run_reference(
+        case, max_instructions=max_instructions)
 
     machine = Machine.from_spec(spec, policy=policy, backend=names[0])
     case.apply_memory_image(machine)
@@ -248,7 +263,8 @@ def diff_backends_case(case: FuzzProgram, policy: CommitPolicy,
                        spec: Optional[MachineSpec] = None,
                        max_instructions: Optional[int] = None,
                        backends: "Optional[List[str]]" = None,
-                       cycle_tolerance: float = CYCLE_TOLERANCE
+                       cycle_tolerance: float = CYCLE_TOLERANCE,
+                       reference: Optional[Reference] = None
                        ) -> VerifyVerdict:
     """One fuzz case across several backends, all held to one oracle.
 
@@ -263,7 +279,8 @@ def diff_backends_case(case: FuzzProgram, policy: CommitPolicy,
     ``cycle_tolerance`` (relative) of the first backend named.
     """
     names = backends if backends else [DEFAULT_BACKEND, "fast"]
-    oracle, golden = run_reference(case, max_instructions=max_instructions)
+    oracle, golden = reference or run_reference(
+        case, max_instructions=max_instructions)
 
     mismatches: List[str] = []
     invariant_failures: List[str] = []
@@ -380,6 +397,21 @@ def _check_invariants(machine: Machine, policy: CommitPolicy,
 # executor worker entry
 # ---------------------------------------------------------------------------
 
+def _seed_reference(profile: FuzzProfile, seed: int,
+                    max_instructions: Optional[int]
+                    ) -> Tuple[FuzzProgram, Reference]:
+    """One seed's fuzz program and oracle run, generated once per run of
+    adjacent jobs (see :data:`_REFERENCE_MEMO`)."""
+    key = (profile.name, seed, max_instructions)
+    hit = _REFERENCE_MEMO.get(key)
+    if hit is None:
+        case = generate_fuzz_program(profile, seed)
+        hit = (case, run_reference(case, max_instructions=max_instructions))
+        _REFERENCE_MEMO.clear()
+        _REFERENCE_MEMO[key] = hit
+    return hit
+
+
 def run_verify_job(job: SimJob) -> SimResult:
     """Rebuild one differential case from its job spec and run it."""
     if job.kind != VERIFY:
@@ -394,10 +426,10 @@ def run_verify_job(job: SimJob) -> SimResult:
     profile = _profile_from_params(params)
     spec = machine_spec_from_params(params)
     backend = str(params.get("backend", DEFAULT_BACKEND))
-    case = generate_fuzz_program(profile, seed)
+    case, reference = _seed_reference(profile, seed, job.instructions)
     verdict = verify_case(case, job.policy, spec=spec,
                           max_instructions=job.instructions,
-                          backend=backend)
+                          backend=backend, reference=reference)
     return SimResult(
         job_key=job.key(),
         kind=job.kind,

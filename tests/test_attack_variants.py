@@ -164,3 +164,28 @@ class TestPredictorChoice:
         machine.run(victim, initial_registers={
             1: layout.secret_addr - layout.array1})
         assert channel.reload().value == 99
+
+
+class TestFunctionTableVictims:
+    """The I-cache and iTLB victims load their table base with ``la``;
+    the programs are pinned to the listings the earlier build-then-patch
+    construction produced (length and a digest of ``to_source()``)."""
+
+    @pytest.mark.parametrize("build, length, digest, fn_base", [
+        ("icache", 4113, "dbd3ae1564afc551", 0x1100),
+        ("itlb", 16641, "66b54e4a76a4a0be", 0x2000),
+    ])
+    def test_victim_listing_is_pinned(self, build, length, digest, fn_base):
+        import hashlib
+
+        from repro.attacks.icache_variant import build_victim
+        from repro.attacks.tlb_variant import build_itlb_victim
+
+        builder = {"icache": build_victim, "itlb": build_itlb_victim}[build]
+        victim = builder(AttackLayout())
+        assert len(victim) == length
+        assert hashlib.sha256(
+            victim.to_source().encode()).hexdigest()[:16] == digest
+        assert victim.label_pc("fn_table") == fn_base
+        r9 = [inst for inst in victim if inst.rd == 9]
+        assert [inst.imm for inst in r9] == [fn_base]

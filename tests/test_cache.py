@@ -136,3 +136,63 @@ class TestOccupancy:
         for i in range(100):
             cache.fill(i * 64)
         assert cache.occupancy() <= 4
+
+
+class TestLazySets:
+    """Sets are created on first use by the timing path, never by
+    construction or inspection."""
+
+    @pytest.fixture
+    def allocations(self, monkeypatch):
+        import repro.memory.cache as cache_module
+
+        made = []
+
+        class CountingOrderedDict(cache_module.OrderedDict):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "OrderedDict", CountingOrderedDict)
+        return made
+
+    def test_fresh_machine_allocates_no_sets(self, allocations):
+        from repro.machine import Machine
+
+        machine = Machine.from_spec(None)
+        hier = machine.hierarchy
+        assert allocations == []
+        for cache in (hier.l1i, hier.l1d, hier.l2, hier.l3):
+            assert cache.occupancy() == 0
+
+    def test_inspection_allocates_no_sets(self, allocations):
+        cache = small_cache(assoc=2, sets=4)
+        for addr in range(0, 4 * 64, 64):
+            assert not cache.contains(addr)
+            assert cache.probe_set(addr) == ()
+            assert not cache.flush_line(addr)
+        assert cache.snapshot() == [()] * 4
+        assert cache.occupancy() == 0
+        assert allocations == []
+
+    def test_fill_allocates_only_its_set(self, allocations):
+        cache = small_cache(assoc=2, sets=4)
+        cache.fill(0x40)
+        assert len(allocations) == 1
+        assert cache.snapshot() == [(), (0x40,), (), ()]
+
+    def test_snapshot_restore_round_trip(self):
+        cache = small_cache(assoc=2, sets=4)
+        for addr in (0x000, 0x100, 0x040):
+            cache.fill(addr)
+        cache.touch(0x000)
+        dump = cache.snapshot()
+        other = small_cache(assoc=2, sets=4)
+        other.fill(0x0C0)
+        other.restore(dump)
+        assert other.snapshot() == dump
+        assert not other.contains(0x0C0)
+        # LRU order survives: 0x100 is the oldest line of set 0.
+        other.fill(0x200)
+        assert other.contains(0x000)
+        assert not other.contains(0x100)

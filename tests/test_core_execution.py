@@ -173,6 +173,18 @@ class TestControlFlow:
         _, result = run_program(build)
         assert result.reg("r2") == 42
 
+    def test_jmpi_to_la_address(self, run_program):
+        def build(b):
+            b.la("r1", "target")
+            b.jmpi("r1")
+            b.li("r2", 666)
+            b.label("target")
+            b.li("r3", 42)
+            b.halt()
+        _, result = run_program(build)
+        assert result.reg("r2") == 0
+        assert result.reg("r3") == 42
+
     def test_mispredicted_branch_leaves_no_architectural_effects(
             self, run_program):
         """Wrong-path writes must never reach the register file."""

@@ -126,6 +126,34 @@ class TestBuilder:
         b.nop(3)
         assert b.here() == 3
 
+    def test_nop_padding_shares_one_instruction(self):
+        b = ProgramBuilder()
+        b.nop(4096)
+        b.nop()
+        prog = b.build()
+        assert len(prog) == 4097
+        assert len({id(inst) for inst in prog}) == 1
+        assert prog.instructions[0] == Instruction(Opcode.NOP)
+        assert prog.instructions[0].inst_class is InstructionClass.INT
+
+    def test_la_loads_forward_label_pc(self):
+        b = ProgramBuilder(code_base=0x4000)
+        b.la("r9", "table")
+        b.nop(2)
+        b.label("table")
+        b.halt()
+        prog = b.build()
+        assert prog.instructions[0] == Instruction(
+            Opcode.LOADIMM, rd=9, imm=0x4000 + 3 * INSTRUCTION_BYTES)
+        assert prog.instructions[0].imm == prog.label_pc("table")
+        assert prog.instructions[0].target is None
+
+    def test_la_undefined_label_rejected(self):
+        b = ProgramBuilder()
+        b.la("r1", "nowhere")
+        with pytest.raises(AssemblyError):
+            b.build()
+
 
 class TestAssembler:
     def test_full_program(self):

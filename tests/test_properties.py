@@ -21,7 +21,7 @@ class TestCacheProperties:
         for addr in addrs:
             cache.fill(addr)
         assert cache.occupancy() <= cache.config.num_lines
-        for cache_set in cache._sets:
+        for cache_set in cache.snapshot():
             assert len(cache_set) <= cache.config.associativity
 
     @given(st.lists(addresses, min_size=1, max_size=100))
@@ -39,15 +39,16 @@ class TestCacheProperties:
         cache.flush_line(victim)
         assert not cache.contains(victim)
 
-    @given(st.lists(addresses, max_size=100))
-    def test_contains_is_pure(self, addrs):
+    @given(st.lists(addresses, max_size=100),
+           st.lists(addresses, max_size=100))
+    def test_contains_is_pure(self, addrs, others):
         cache = Cache(CacheConfig("p", 4096, 4, 64, 1))
         for addr in addrs:
             cache.fill(addr)
-        before = [tuple(s) for s in cache._sets]
-        for addr in addrs:
+        before = cache.snapshot()
+        for addr in addrs + others:
             cache.contains(addr)
-        assert [tuple(s) for s in cache._sets] == before
+        assert cache.snapshot() == before
 
 
 class TestTlbProperties:

@@ -191,6 +191,48 @@ class TestSessionVerify:
         assert report.verdicts[0].policy is CommitPolicy.WFC
 
 
+class TestSeedReferenceMemo:
+    """A seed's fuzz program and oracle run are shared by its policy
+    jobs; the memo changes no verdict."""
+
+    def test_one_generation_and_oracle_run_per_seed(self, monkeypatch):
+        import repro.verify.harness as harness
+
+        calls = {"generate": 0, "oracle": 0}
+        generate = harness.generate_fuzz_program
+        oracle_run = ReferenceOracle.run
+
+        def counting_generate(*args, **kwargs):
+            calls["generate"] += 1
+            return generate(*args, **kwargs)
+
+        def counting_run(self, *args, **kwargs):
+            calls["oracle"] += 1
+            return oracle_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "generate_fuzz_program",
+                            counting_generate)
+        monkeypatch.setattr(ReferenceOracle, "run", counting_run)
+        harness._REFERENCE_MEMO.clear()
+        for policy in POLICIES:
+            assert run_verify_job(verify_job(11, policy)).details["ok"]
+        assert calls == {"generate": 1, "oracle": 1}
+
+    def test_payload_unchanged_with_memo_cleared_per_job(self, monkeypatch):
+        import repro.verify.harness as harness
+
+        memoised = Session(cache=False).verify(count=3, seed=5)
+        run_job = harness.run_verify_job
+
+        def fresh_run(job):
+            harness._REFERENCE_MEMO.clear()
+            return run_job(job)
+
+        monkeypatch.setattr(harness, "run_verify_job", fresh_run)
+        fresh = Session(cache=False).verify(count=3, seed=5)
+        assert fresh.to_payload() == memoised.to_payload()
+
+
 class TestAcceptance:
     """The PR's acceptance gate: 25 seeds under every policy on the
     default preset, via the real CLI, deterministically."""
