@@ -1,60 +1,57 @@
-"""Baseline comparison: flag benches that got slower than allowed.
+"""What one bench run can check honestly: determinism and backend speedup.
 
-The committed ``benchmarks/baseline.json`` is a full harness payload.
-Comparison uses each bench's ``normalized_score`` (cycles/sec divided by
-the host calibration spin) so a faster or slower CI machine moves the
-numerator and denominator together; raw ``cycles_per_sec`` is the
-fallback when either payload predates calibration.
-
-A bench regresses when ``current/baseline < 1 - threshold``; the default
-threshold (10%) is the CI gate.  Benches present on only one side are
-reported but never fail the gate — adding a bench must not break CI.
-Only cycle-backend rows are speed-gated: fast-backend wall times are
-milliseconds-scale and noise-dominated, and their performance contract
-is the dedicated speedup gate (:func:`backend_speedups` plus the CLI's
-``--min-speedup``) rather than this row-by-row comparison.
-
-The determinism fields are cross-checked before any score is trusted:
+The committed ``benchmarks/baseline.json`` is a timing-free fingerprint
+(:func:`~repro.bench.harness.payload_fingerprint`): each row's name,
+job key, simulated cycles and instructions.  :func:`compare_payloads`
+holds every row, on every backend, to two rules:
 
 * a changed ``job_key`` means the baseline describes a *different*
-  simulation (a spec or schema change) — the bench is marked stale,
-  excluded from score gating, and reported so the baseline gets
-  refreshed;
+  simulation (a spec or schema change) — the row is marked stale and
+  reported so the baseline gets refreshed, but it does not fail;
 * a changed simulated ``cycles`` count under an *unchanged* job key
   means simulator semantics drifted without a schema bump — that is a
-  correctness failure and fails the gate regardless of speed.
+  correctness failure and fails the run.
+
+Rows present on only one side are reported but never fail — adding a
+bench must not break CI.
+
+Wall-clock is never compared against the baseline: a time stored on
+another host says nothing about this one.  The one timing check is
+:func:`backend_speedups`, which pairs rows *within one payload*, so
+both sides ran on the same host in the same run.  Speed changes
+between revisions are measured by same-host parent/change pairs in
+``perfbench/``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-DEFAULT_THRESHOLD = 0.10
+from repro.bench.harness import inst_per_sec
+from repro.statistics import geometric_mean
 
 
 @dataclass
 class BenchDelta:
-    """One bench's current-vs-baseline comparison."""
+    """One row's current-vs-baseline determinism check."""
 
     name: str
-    metric: str
-    baseline: float
-    current: float
-    ratio: float                      # current / baseline (higher = faster)
-    regression: bool
+    baseline_cycles: Any
+    cycles: Any
     stale: bool = False               # baseline is for a different job
+    drifted: bool = False             # same job, different cycles
     notes: List[str] = field(default_factory=list)
 
     def render(self) -> str:
         if self.stale:
             verdict = "STALE BASELINE"
-        elif self.regression:
-            verdict = "REGRESSION"
+        elif self.drifted:
+            verdict = "CYCLES DRIFTED"
         else:
             verdict = "ok"
-        line = (f"{self.name:28s} {self.baseline:12.1f} -> "
-                f"{self.current:12.1f}  ({self.ratio:5.2f}x)  {verdict}")
+        line = (f"{self.name:34s} {self.baseline_cycles!s:>10} -> "
+                f"{self.cycles!s:>10} cycles  {verdict}")
         for note in self.notes:
             line += f"\n    note: {note}"
         return line
@@ -64,23 +61,20 @@ class BenchDelta:
 class ComparisonReport:
     """The comparator's verdict over a whole payload."""
 
-    metric: str
-    threshold: float
     deltas: List[BenchDelta] = field(default_factory=list)
     only_in_baseline: List[str] = field(default_factory=list)
     only_in_current: List[str] = field(default_factory=list)
 
     @property
-    def regressions(self) -> List[BenchDelta]:
-        return [d for d in self.deltas if d.regression]
+    def failures(self) -> List[BenchDelta]:
+        return [d for d in self.deltas if d.drifted]
 
     @property
     def passed(self) -> bool:
-        return not self.regressions
+        return not self.failures
 
     def render(self) -> str:
-        lines = [f"bench comparison ({self.metric}, "
-                 f"threshold {self.threshold:.0%})"]
+        lines = ["bench determinism vs baseline (job_key, cycles)"]
         lines.extend(delta.render() for delta in self.deltas)
         if self.only_in_baseline:
             lines.append("only in baseline (not run): "
@@ -90,199 +84,104 @@ class ComparisonReport:
                          + ", ".join(self.only_in_current))
         lines.append(
             f"verdict: {'PASS' if self.passed else 'FAIL'} "
-            f"({len(self.regressions)} regression(s) / "
+            f"({len(self.failures)} drifted / "
             f"{len(self.deltas)} compared)")
         return "\n".join(lines)
 
 
-def _pick_metric(current: Dict[str, Any], baseline: Dict[str, Any]) -> str:
-    def has_normalized(payload: Dict[str, Any]) -> bool:
-        rows = payload.get("results", [])
-        return bool(rows) and all("normalized_score" in row for row in rows)
-
-    if has_normalized(current) and has_normalized(baseline):
-        return "normalized_score"
-    return "cycles_per_sec"
-
-
-def backend_speedups(current: Dict[str, Any],
-                     baseline: Optional[Dict[str, Any]] = None,
+def backend_speedups(payload: Dict[str, Any],
                      reference_backend: str = "cycle"
                      ) -> Dict[str, Any]:
     """Pair every non-reference-backend row with its cycle-core twin.
 
-    Rows pair on (benchmark, policy, instructions, machine_spec_digest).
-    The reference row is taken from ``current`` when present, falling
-    back to ``baseline`` (the committed snapshot) — so
-    ``repro bench --backend fast`` reports its speedup against the
-    committed cycle scores without re-timing the cycle core.
-    Speedups divide ``normalized_score`` (host-calibrated cycles/sec),
-    which is what makes the cross-payload fallback meaningful.
+    Rows pair only within ``payload``, on (benchmark, policy,
+    instructions, machine_spec_digest) and equal ``sim_instructions``.
+    A pair's speedup is the ratio of the rows' instructions per
+    wall-second, so it says how much faster the same instructions
+    simulated; cycle counts, which the fast backend only estimates,
+    play no part.
 
     Returns ``{"reference": ..., "pairs": [...], "geomean": g,
     "min": m}`` with an empty ``pairs`` list when nothing pairs up.
     """
     def key(row: Dict[str, Any]) -> tuple:
         return (row.get("benchmark"), row.get("policy"),
-                row.get("instructions"), row.get("machine_spec_digest"))
+                row.get("instructions"), row.get("machine_spec_digest"),
+                row.get("sim_instructions"))
 
     def backend_of(row: Dict[str, Any]) -> str:
         return str(row.get("backend", reference_backend))
 
-    references: Dict[tuple, tuple] = {}
-    for source, payload in (("baseline", baseline), ("current", current)):
-        for row in (payload or {}).get("results", []):
-            if backend_of(row) == reference_backend \
-                    and "normalized_score" in row:
-                references[key(row)] = (source, row)
-
+    rows = payload.get("results", [])
+    references = {key(row): row for row in rows
+                  if backend_of(row) == reference_backend}
     pairs: List[Dict[str, Any]] = []
-    for row in current.get("results", []):
-        if backend_of(row) == reference_backend:
+    ratios: List[float] = []
+    for row in rows:
+        ref_row = references.get(key(row))
+        if backend_of(row) == reference_backend or ref_row is None:
             continue
-        ref = references.get(key(row))
-        if ref is None or not float(ref[1]["normalized_score"]):
-            continue
-        source, ref_row = ref
-        speedup = (float(row["normalized_score"])
-                   / float(ref_row["normalized_score"]))
+        reference_rate = inst_per_sec(ref_row)
+        rate = inst_per_sec(row)
+        ratios.append(rate / reference_rate)
         pairs.append({
             "name": row["name"],
             "backend": backend_of(row),
             "reference_name": ref_row["name"],
-            "reference_source": source,
-            "reference_score": float(ref_row["normalized_score"]),
-            "score": float(row["normalized_score"]),
-            "speedup": round(speedup, 2),
+            "reference_inst_per_sec": round(reference_rate, 1),
+            "inst_per_sec": round(rate, 1),
+            "speedup": round(rate / reference_rate, 2),
         })
     report: Dict[str, Any] = {"reference": reference_backend,
                               "pairs": pairs}
-    if pairs:
-        speedups = [pair["speedup"] for pair in pairs]
-        product = 1.0
-        for value in speedups:
-            product *= value
-        report["geomean"] = round(product ** (1.0 / len(speedups)), 2)
-        report["min"] = min(speedups)
+    if ratios:
+        report["geomean"] = round(geometric_mean(ratios), 2)
+        report["min"] = round(min(ratios), 2)
     return report
-
-
-def annotate_calibration_drift(current: Dict[str, Any],
-                               baseline: Optional[Dict[str, Any]],
-                               threshold: float = DEFAULT_THRESHOLD
-                               ) -> Dict[str, Any]:
-    """Flag host-calibration drift against the committed baseline.
-
-    ``normalized_score`` trends are only comparable across runs when
-    the calibration spin (kloops/sec) describes comparable hosts: a
-    drifted host moves every normalized score even though the simulator
-    did not change.  This annotates ``current`` *in place* — so the
-    flags land in the written ``BENCH_<rev>.json`` and ride into the
-    telemetry store — and returns a report for the CLI warning:
-
-    * ``current["calibration"]["drift_vs_baseline"]`` — signed fraction
-      (``current/baseline - 1``), plus ``drifted`` when ``abs`` exceeds
-      ``threshold``;
-    * each result row gains ``calibration_drift`` / a
-      ``calibration_drifted`` flag, marking its normalized score as
-      cross-run-comparable or not.
-    """
-    report: Dict[str, Any] = {"checked": False, "drifted": False,
-                              "threshold": threshold}
-    calibration = current.get("calibration") or {}
-    current_kloops = float(calibration.get("kloops_per_sec") or 0.0)
-    baseline_kloops = float(((baseline or {}).get("calibration") or {})
-                            .get("kloops_per_sec") or 0.0)
-    if not current_kloops or not baseline_kloops:
-        return report
-    drift = current_kloops / baseline_kloops - 1.0
-    drifted = abs(drift) > threshold
-    report.update(checked=True, drifted=drifted,
-                  drift=round(drift, 4),
-                  current_kloops_per_sec=current_kloops,
-                  baseline_kloops_per_sec=baseline_kloops)
-    calibration["drift_vs_baseline"] = round(drift, 4)
-    calibration["drifted"] = drifted
-    for row in current.get("results", []):
-        row["calibration_drift"] = round(drift, 4)
-        row["calibration_drifted"] = drifted
-    return report
-
-
-def render_calibration_drift(report: Dict[str, Any]) -> str:
-    """One warning line for an :func:`annotate_calibration_drift` report."""
-    if not report.get("checked"):
-        return "calibration drift: no baseline calibration to compare"
-    verdict = ("DRIFTED — normalized-score trends vs the baseline host "
-               "are suspect" if report["drifted"] else "ok")
-    return (f"calibration drift vs baseline: {report['drift']:+.1%} "
-            f"({report['current_kloops_per_sec']:,.0f} vs "
-            f"{report['baseline_kloops_per_sec']:,.0f} kloops/s, "
-            f"threshold {report['threshold']:.0%}): {verdict}")
 
 
 def render_speedups(report: Dict[str, Any]) -> str:
     """Human-readable lines for a :func:`backend_speedups` report."""
     lines = [f"backend speedup vs {report['reference']} "
-             f"(normalized_score)"]
+             f"(instructions/s, same run)"]
     for pair in report["pairs"]:
         lines.append(
-            f"{pair['name']:34s} {pair['reference_score']:10.1f} -> "
-            f"{pair['score']:10.1f}  ({pair['speedup']:5.2f}x vs "
-            f"{pair['reference_source']})")
+            f"{pair['name']:34s} {pair['reference_inst_per_sec']:10,.0f} "
+            f"-> {pair['inst_per_sec']:10,.0f}  ({pair['speedup']:5.2f}x)")
     if report["pairs"]:
         lines.append(f"geomean {report['geomean']:.2f}x, "
                      f"min {report['min']:.2f}x over "
                      f"{len(report['pairs'])} pair(s)")
     else:
-        lines.append("no backend pairs to compare")
+        lines.append(f"no backend pairs to compare: a pair needs a "
+                     f"{report['reference']} row and another backend's "
+                     f"row for the same spec in one run "
+                     f"(e.g. --backend cycle,fast)")
     return "\n".join(lines)
 
 
-def compare_payloads(current: Dict[str, Any], baseline: Dict[str, Any],
-                     threshold: float = DEFAULT_THRESHOLD
+def compare_payloads(current: Dict[str, Any], baseline: Dict[str, Any]
                      ) -> ComparisonReport:
-    """Compare two harness payloads; see module docstring for rules."""
-    if not 0 < threshold < 1:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    metric = _pick_metric(current, baseline)
+    """Check a payload against a baseline; see module docstring."""
     current_rows = {row["name"]: row for row in current.get("results", [])}
     baseline_rows = {row["name"]: row for row in baseline.get("results", [])}
-    report = ComparisonReport(metric=metric, threshold=threshold)
+    report = ComparisonReport()
     report.only_in_baseline = sorted(set(baseline_rows) - set(current_rows))
     report.only_in_current = sorted(set(current_rows) - set(baseline_rows))
     for name in (n for n in current_rows if n in baseline_rows):
         cur, base = current_rows[name], baseline_rows[name]
-        cur_score = float(cur[metric])
-        base_score = float(base[metric])
-        ratio = cur_score / base_score if base_score else float("inf")
-        # Speed-gate only the cycle-backend rows.  Fast-backend runs
-        # finish in tens of milliseconds, so host noise swamps a
-        # percent-level threshold; their performance contract is the
-        # dedicated speedup gate (--min-speedup), while the job-key and
-        # simulated-cycles checks below still apply to every row.
-        speed_gated = str(cur.get("backend", "cycle")) == "cycle"
-        delta = BenchDelta(
-            name=name, metric=metric,
-            baseline=base_score, current=cur_score, ratio=ratio,
-            regression=speed_gated and ratio < 1.0 - threshold)
+        delta = BenchDelta(name=name, baseline_cycles=base.get("cycles"),
+                           cycles=cur.get("cycles"))
         if cur.get("job_key") != base.get("job_key"):
-            # Different simulation: the score comparison is meaningless,
-            # so it neither passes nor fails on speed.
             delta.stale = True
-            delta.regression = False
             delta.notes.append(
                 "job key changed — baseline describes a different "
                 "simulation; refresh it (repro bench --update-baseline)")
         elif cur.get("cycles") != base.get("cycles"):
-            # Same spec, different simulated result: semantics drifted
-            # without a schema bump — a correctness failure, not a
-            # performance question.
-            delta.regression = True
+            delta.drifted = True
             delta.notes.append(
                 "simulated cycle count changed under an unchanged job "
                 "key — simulator semantics drifted; bump SCHEMA_VERSION "
                 "or fix the change, then refresh the baseline")
         report.deltas.append(delta)
-    report.deltas.sort(key=lambda d: d.ratio)
     return report

@@ -13,11 +13,10 @@ Timing methodology:
   noise only ever adds time, so the minimum is the robust estimator);
 * timed runs always simulate from scratch (:func:`execute_job`), never
   through the result cache — the cache would time a JSON read;
-* a pure-Python calibration spin measures the host interpreter
-  *immediately before each spec's timed repeats*, and the spec's
-  ``normalized_score`` divides simulated cycles/sec by it — so the
-  score tracks simulator efficiency, not host speed, and stays stable
-  under machine changes and load varying across the run.
+* each row's one rate is ``inst_per_sec``: simulated instructions over
+  the fastest repeat.  It is only compared within one payload (the
+  fast-vs-cycle speedup); speed across revisions is measured by
+  same-host parent/change pairs in ``perfbench/``.
 
 The result cache still participates for accounting: each spec's job is
 looked up before timing and its fresh result stored after, so a
@@ -43,11 +42,7 @@ from repro.exec.job import SimJob
 from repro.spec import MachineSpec
 
 # Bump when the payload layout changes incompatibly.
-BENCH_SCHEMA_VERSION = 1
-
-# Calibration spin: fixed interpreter work per loop, so ``loops / time``
-# measures host Python speed in a unit stable across repo revisions.
-_CALIBRATION_LOOPS = 200_000
+BENCH_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -56,10 +51,10 @@ class BenchSpec:
 
     ``machine_spec`` selects the hardware shape (CLI ``--preset`` /
     ``--set``); attaching one changes the job key, so the comparator
-    marks baseline rows stale rather than gating scores across
-    different machines.  ``backend`` selects the execution backend
-    (``repro.backends``); non-default backends carry their name as a
-    row-name suffix so cycle and fast rows coexist in one payload.
+    marks baseline rows stale rather than checking their cycles.
+    ``backend`` selects the execution backend (``repro.backends``);
+    non-default backends carry their name as a row-name suffix so
+    cycle and fast rows coexist in one payload.
     """
 
     name: str
@@ -141,20 +136,6 @@ def git_revision(default: str = "local") -> str:
     return rev if out.returncode == 0 and rev else default
 
 
-def calibration_score(loops: int = _CALIBRATION_LOOPS,
-                      repeats: int = 3) -> float:
-    """Host interpreter speed in kilo-loops/sec (best of ``repeats``)."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        acc = 0
-        for i in range(loops):
-            acc += i & 7
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-    return loops / best / 1000.0
-
-
 class BenchHarness:
     """Times a set of :class:`BenchSpec` and assembles the payload."""
 
@@ -179,9 +160,6 @@ class BenchHarness:
         result = None
         for _ in range(self.warmup):
             result = execute_job(job)
-        # Calibrate against *current* host conditions: the spin runs in
-        # the same load environment as the repeats it normalises.
-        calibration = calibration_score()
         walls: List[float] = []
         for _ in range(self.repeats):
             start = time.perf_counter()
@@ -189,8 +167,6 @@ class BenchHarness:
             walls.append(time.perf_counter() - start)
         self.cache.put(job, result)
         best_wall = min(walls)
-        cycles = result.cycles
-        cycles_per_sec = cycles / best_wall
         return {
             "name": spec.name,
             "benchmark": spec.benchmark,
@@ -203,14 +179,12 @@ class BenchHarness:
             "machine_spec_digest": (spec.machine_spec
                                     or MachineSpec()).short_digest(),
             "job_key": job.key(),
-            "cycles": cycles,
+            "cycles": result.cycles,
             "sim_instructions": result.instructions,
             "wall_s": [round(w, 6) for w in walls],
             "best_wall_s": round(best_wall, 6),
             "median_wall_s": round(_stats.median(walls), 6),
-            "cycles_per_sec": round(cycles_per_sec, 1),
-            "kloops_per_sec": round(calibration, 1),
-            "normalized_score": round(cycles_per_sec / calibration, 3),
+            "inst_per_sec": round(result.instructions / best_wall, 1),
         }
 
     def run(self, specs: Sequence[BenchSpec],
@@ -222,17 +196,11 @@ class BenchHarness:
             results.append(row)
             if progress:
                 progress(index + 1, len(specs), spec, row)
-        calibrations = [row["kloops_per_sec"] for row in results]
         return {
             "schema": BENCH_SCHEMA_VERSION,
             "rev": self.rev,
             "warmup": self.warmup,
             "repeats": self.repeats,
-            "calibration": {
-                "loops": _CALIBRATION_LOOPS,
-                "kloops_per_sec": round(
-                    _stats.median(calibrations), 1) if calibrations else 0.0,
-            },
             "results": results,
             "cache": {"hits": self.cache.hits,
                       "misses": self.cache.misses,
@@ -244,7 +212,8 @@ def payload_fingerprint(payload: Dict[str, Any]) -> Dict[str, Any]:
     """The deterministic subset of a payload (no timing fields).
 
     Two payloads produced from the same tree have equal fingerprints;
-    the determinism tests and cache-validity reasoning rely on this.
+    the determinism tests and cache-validity reasoning rely on this,
+    and the committed ``benchmarks/baseline.json`` is exactly this.
     """
     return {
         "schema": payload["schema"],
@@ -254,6 +223,15 @@ def payload_fingerprint(payload: Dict[str, Any]) -> Dict[str, Any]:
              "sim_instructions": row["sim_instructions"]}
             for row in payload["results"]],
     }
+
+
+def inst_per_sec(row: Dict[str, Any]) -> float:
+    """Simulated instructions per second of a row's fastest repeat.
+
+    Computed from ``sim_instructions`` and ``best_wall_s``, which rows
+    of every payload schema carry, so old snapshots rate the same way.
+    """
+    return float(row["sim_instructions"]) / float(row["best_wall_s"])
 
 
 def dump_payload(payload: Dict[str, Any], path: str) -> None:

@@ -27,10 +27,12 @@ Commands:
   with error bars.
 * ``bench [--quick] [--backend cycle,fast]`` — time the simulator
   (``repro.bench``), emit a schema-versioned ``BENCH_<rev>.json`` and
-  gate against the committed ``benchmarks/baseline.json`` (exit 1 on a
-  >10% slowdown); with a non-cycle backend it also reports the
-  fast-vs-cycle speedup (``--min-speedup X`` gates on it), and
-  ``--sampled`` adds a sampled-vs-full wall-clock row.
+  check each row's job key and simulated cycles against the committed
+  fingerprint ``benchmarks/baseline.json`` (exit 1 when cycles drift
+  under an unchanged key); with both backends it also reports the
+  fast-vs-cycle speedup in instructions/s within the run
+  (``--min-speedup X`` gates on it).  Speed across revisions is
+  measured by ``perfbench/``.
 * ``cache stats|clear|gc`` — inspect or prune the on-disk result
   cache.
 * ``telemetry ingest|render|show`` — the longitudinal trajectory store
@@ -311,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="time the simulator and gate against benchmarks/baseline.json")
+        help="time the simulator; check job keys and cycles against "
+             "benchmarks/baseline.json")
     bench.add_argument("--quick", action="store_true",
                        help="the small CI spec set (matches the committed "
                             "baseline)")
@@ -321,15 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="payload path (default: BENCH_<rev>.json)")
     bench.add_argument("--baseline", default="benchmarks/baseline.json",
                        metavar="PATH",
-                       help="baseline payload to gate against")
-    bench.add_argument("--no-compare", action="store_true",
-                       help="emit the payload without gating")
-    bench.add_argument("--threshold", type=float, default=0.10,
-                       metavar="FRACTION",
-                       help="slowdown fraction that fails the gate "
-                            "(default: 0.10)")
+                       help="fingerprint (job keys, cycles) to check "
+                            "against")
     bench.add_argument("--update-baseline", action="store_true",
-                       help="also write the payload over --baseline")
+                       help="also write the payload's fingerprint over "
+                            "--baseline")
     bench.add_argument("--no-cache", action="store_true",
                        help="do not read/write the on-disk result cache "
                             "for accounting")
@@ -337,10 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--min-speedup", type=float, default=None,
                        metavar="X",
                        help="fail unless the geomean non-cycle backend "
-                            "speedup is at least X (e.g. 5)")
-    bench.add_argument("--sampled", action="store_true",
-                       help="also measure a sampled-vs-full wall-clock "
-                            "pair for one long workload (repro.sample)")
+                            "speedup over the cycle core, in "
+                            "instructions/s within this run, is at "
+                            "least X (e.g. 5)")
     _add_spec_options(bench)
     _add_backend_option(bench, plural=True)
 
@@ -633,9 +631,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     from repro.backends import BACKENDS
     from repro.bench import (BenchHarness, FULL_SPECS, QUICK_SPECS,
-                             annotate_calibration_drift, backend_speedups,
-                             compare_payloads, render_calibration_drift,
-                             render_speedups, with_backend)
+                             backend_speedups, compare_payloads,
+                             payload_fingerprint, render_speedups,
+                             with_backend)
     from repro.bench.harness import dump_payload, load_payload
 
     cache = NullCache() if args.no_cache else ResultCache(args.cache_dir)
@@ -646,7 +644,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if machine_spec is not None:
         # Time the same workload set on the requested hardware shape.
         # The job keys change with the shape, so the comparator marks
-        # baseline rows stale instead of gating across machines.
+        # baseline rows stale instead of checking their cycles.
         import dataclasses
 
         specs = tuple(dataclasses.replace(s, machine_spec=machine_spec)
@@ -660,35 +658,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     def progress(done, total, spec, row):
         print(f"[{done}/{total}] {spec.name}: "
-              f"{row['cycles_per_sec']:,.0f} cycles/s "
+              f"{row['inst_per_sec']:,.0f} inst/s "
               f"(best of {args.repeats})", file=sys.stderr, flush=True)
 
     payload = harness.run(specs, progress=progress)
-    if args.sampled:
-        from repro.bench.sampled import (render_sampled_rows,
-                                         sampled_roundtrip)
-
-        sampled_rows = [sampled_roundtrip()]
-        payload["sampled"] = sampled_rows
-        print(render_sampled_rows(sampled_rows))
-    baseline = (load_payload(args.baseline)
-                if os.path.exists(args.baseline) else None)
-    # Calibration drift guard: annotate BEFORE dumping so the flags
-    # land in the written BENCH_<rev>.json and ride into telemetry.
-    drift = annotate_calibration_drift(payload, baseline,
-                                       threshold=args.threshold)
-    if drift["checked"] and drift["drifted"]:
-        print(f"warning: {render_calibration_drift(drift)}",
-              file=sys.stderr)
     output = args.output or f"BENCH_{payload['rev']}.json"
     dump_payload(payload, output)
-    print(f"wrote {output} "
-          f"(calibration {payload['calibration']['kloops_per_sec']:,.0f} "
-          f"kloops/s)", file=sys.stderr)
-    # Fast-vs-cycle speedup: reported whenever a non-cycle backend was
-    # timed; reference scores come from this run's cycle rows, or from
-    # the committed baseline when only the fast backend was timed.
-    speedups = backend_speedups(payload, baseline)
+    print(f"wrote {output}", file=sys.stderr)
+    # Fast-vs-cycle speedup over the rows this run timed on both.
+    speedups = backend_speedups(payload)
     speedup_failed = False
     if speedups["pairs"] or args.min_speedup is not None:
         print(render_speedups(speedups))
@@ -698,17 +676,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"speedup gate (>= {args.min_speedup:.1f}x): "
                   f"{'FAIL' if speedup_failed else 'PASS'}")
     if args.update_baseline:
-        dump_payload(payload, args.baseline)
+        dump_payload(payload_fingerprint(payload), args.baseline)
         print(f"updated baseline {args.baseline}", file=sys.stderr)
         return 1 if speedup_failed else 0
-    if args.no_compare:
+    if not os.path.exists(args.baseline):
+        print(f"no baseline at {args.baseline}; skipping the determinism "
+              f"check (write one with --update-baseline)", file=sys.stderr)
         return 1 if speedup_failed else 0
-    if baseline is None:
-        print(f"no baseline at {args.baseline}; skipping the gate "
-              f"(write one with --update-baseline)", file=sys.stderr)
-        return 1 if speedup_failed else 0
-    report = compare_payloads(payload, baseline,
-                              threshold=args.threshold)
+    report = compare_payloads(payload, load_payload(args.baseline))
     print(report.render())
     return 0 if report.passed and not speedup_failed else 1
 

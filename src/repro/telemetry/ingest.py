@@ -3,9 +3,9 @@
 One entry point, :func:`ingest_payload`, sniffs the artifact shape and
 dispatches:
 
-* ``BENCH_<rev>.json`` harness snapshots (``repro.bench``) — per-row
-  cycles/sec, calibration-normalized scores, the host calibration spin,
-  and the calibration-drift flags when present;
+* ``BENCH_<rev>.json`` harness snapshots (``repro.bench``, any
+  schema) — one ``inst_per_sec`` point per row, simulated instructions
+  over the fastest timed repeat;
 * the uniform CLI JSON envelope ``{"schema_version", "rev", "command",
   "payload"}`` — ``verify`` (pass-rate by profile/policy), ``matrix`` /
   ``attack`` (leak verdicts per attack x policy), ``sample`` (stitched
@@ -72,36 +72,27 @@ def _number(value: Any) -> float:
 
 def _parse_bench(payload: Dict[str, Any], rev: str, schema: int
                  ) -> Tuple[List[TrajectoryPoint], List[str]]:
+    from repro.bench.harness import inst_per_sec
+
     points: List[TrajectoryPoint] = []
     warnings: List[str] = []
-    calibration = payload.get("calibration", {})
-    if isinstance(calibration, dict) and "kloops_per_sec" in calibration:
-        points.append(TrajectoryPoint(
-            rev=rev, schema_version=schema, command="bench",
-            series="calibration", label="host",
-            value=_number(calibration["kloops_per_sec"]),
-            unit="kloops/s",
-            meta={key: calibration[key] for key in
-                  ("loops", "drift_vs_baseline", "drifted")
-                  if key in calibration}))
     for row in payload.get("results", []):
         try:
-            name = str(row["name"])
-            backend = str(row.get("backend", "cycle"))
-            digest = str(row.get("machine_spec_digest") or "")
             meta = {key: row[key] for key in
                     ("benchmark", "policy", "instructions", "job_key",
-                     "cycles", "best_wall_s", "kloops_per_sec",
-                     "calibration_drift", "calibration_drifted")
+                     "cycles", "sim_instructions", "best_wall_s")
                     if key in row}
-            for series, unit in (("cycles_per_sec", "cyc/s"),
-                                 ("normalized_score", "x")):
-                points.append(TrajectoryPoint(
-                    rev=rev, schema_version=schema, command="bench",
-                    series=series, label=name, backend=backend,
-                    spec_digest=digest, value=_number(row[series]),
-                    unit=unit, meta=meta))
-        except (KeyError, TypeError, ValueError) as error:
+            points.append(TrajectoryPoint(
+                rev=rev, schema_version=schema, command="bench",
+                series="inst_per_sec", label=str(row["name"]),
+                backend=str(row.get("backend", "cycle")),
+                spec_digest=str(row.get("machine_spec_digest") or ""),
+                value=inst_per_sec({
+                    key: _number(row[key])
+                    for key in ("sim_instructions", "best_wall_s")}),
+                unit="inst/s", meta=meta))
+        except (KeyError, TypeError, ValueError,
+                ZeroDivisionError) as error:
             warnings.append(f"bench row skipped ({error})")
     if not points:
         warnings.append("bench payload contributed no points")
@@ -269,8 +260,8 @@ def ingest_payload(store: TrajectoryStore, payload: Any,
         return IngestReport(source=source, kind="skipped", warnings=[
             f"not a JSON object ({type(payload).__name__}); skipped"])
 
-    if "results" in payload and "calibration" in payload:
-        # A bench harness snapshot (BENCH_<rev>.json / baseline.json).
+    if "schema" in payload and "results" in payload:
+        # A bench harness snapshot (BENCH_<rev>.json), any schema.
         kind = "bench"
         rev = str(payload.get("rev") or default_rev
                   or _working_tree_rev())

@@ -9,9 +9,10 @@ asserts).
 
 Sections:
 
-* **cycles/sec trend** — geomean calibration-normalized score per
-  backend across revisions (the auditable form of the >10% bench gate);
-* **backend speedup** — geomean fast-vs-cycle ratio per revision;
+* **backend speedup** — geomean fast-vs-cycle instructions/s ratio per
+  revision, paired within that revision's bench rows exactly as
+  ``repro bench`` pairs them (bench timings from different revisions
+  ran on different hosts, so no raw-speed trend is drawn);
 * **security verdicts** — the latest leak matrix plus every cell that
   changed between adjacent revisions (the paper's claims are exactly
   that this list stays empty while the trends climb);
@@ -20,9 +21,9 @@ Sections:
   against the full run whenever the same revision ingested one.
 
 Colors follow the mark's job: categorical series hues are assigned in a
-fixed slot order per backend (never cycled), verdicts wear the reserved
-status palette *plus* an icon and a word (never color alone), and text
-stays in ink tokens.  Light and dark are both selected palettes — the
+fixed slot order (never cycled), verdicts wear the reserved status
+palette *plus* an icon and a word (never color alone), and text stays
+in ink tokens.  Light and dark are both selected palettes — the
 dark values are the documented dark-surface steps, not an automatic
 flip.
 """
@@ -33,15 +34,7 @@ import html
 import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.statistics import geometric_mean
 from repro.telemetry.store import TrajectoryStore
-
-# Categorical slots (light, dark) in fixed assignment order; the
-# backend name picks its slot once and keeps it in every chart.
-_SERIES_SLOTS = (("#2a78d6", "#3987e5"),     # slot 1: blue
-                 ("#eb6834", "#d95926"),     # slot 2: orange
-                 ("#1baf7a", "#199e70"))     # slot 3: aqua
-_SLOT_ORDER = ("cycle", "fast")              # known backends first
 
 _CSS = """
 :root {
@@ -103,57 +96,31 @@ footer { color: var(--ink-muted); font-size: 12px; margin-top: 8px; }
 # data assembly
 # ---------------------------------------------------------------------------
 
-def _backend_slot(backend: str, seen: List[str]) -> int:
-    """The fixed categorical slot for ``backend`` (never re-assigned)."""
-    order = [name for name in _SLOT_ORDER if name in seen]
-    order += [name for name in seen if name not in _SLOT_ORDER]
-    return min(order.index(backend), len(_SERIES_SLOTS) - 1)
-
-
 def collect_dashboard_data(store: TrajectoryStore) -> Dict[str, Any]:
     """Everything the dashboard draws, as one JSON-able tree."""
+    from repro.bench.compare import backend_speedups
+
     revs = store.revisions()
     rev_index = {rev: index for index, rev in enumerate(revs)}
 
-    # Bench: geomean normalized score per (rev, backend), raw rows for
-    # the speedup pairing, and the host calibration trend.
-    scores: Dict[str, Dict[str, List[float]]] = {}
-    pairable: Dict[Tuple[str, str], Dict[str, float]] = {}
-    calibration: Dict[str, float] = {}
-    for point in store.points(command="bench"):
-        if point.series == "calibration":
-            calibration[point.rev] = point.value or 0.0
-        if point.series != "normalized_score" or not point.value:
-            continue
-        scores.setdefault(point.backend, {}) \
-            .setdefault(point.rev, []).append(point.value)
+    # Bench: rebuild each revision's rows from its inst/s points and
+    # pair them the way `repro bench` does, within that revision only.
+    bench_rows: Dict[str, List[Dict[str, Any]]] = {}
+    for point in store.points(command="bench", series="inst_per_sec"):
         meta = point.meta
-        stem = (meta.get("benchmark"), meta.get("policy"),
-                meta.get("instructions"), point.spec_digest)
-        pairable.setdefault((point.rev, str(stem)), {})[point.backend] = \
-            point.value
-    backends = sorted(scores, key=lambda b: (
-        _SLOT_ORDER.index(b) if b in _SLOT_ORDER else len(_SLOT_ORDER), b))
-    score_trend = {
-        backend: [{"rev": rev, "score": round(geometric_mean(values), 3)}
-                  for rev, values in sorted(
-                      per_rev.items(),
-                      key=lambda item: rev_index.get(item[0], 1 << 30))]
-        for backend, per_rev in scores.items()}
-
-    speedups: Dict[str, List[float]] = {}
-    for (rev, _stem), by_backend in pairable.items():
-        reference = by_backend.get("cycle")
-        if not reference:
-            continue
-        for backend, score in by_backend.items():
-            if backend != "cycle":
-                speedups.setdefault(rev, []).append(score / reference)
-    speedup_trend = [
-        {"rev": rev, "speedup": round(geometric_mean(values), 2)}
-        for rev, values in sorted(
-            speedups.items(),
-            key=lambda item: rev_index.get(item[0], 1 << 30))]
+        bench_rows.setdefault(point.rev, []).append({
+            "name": point.label, "backend": point.backend,
+            "benchmark": meta.get("benchmark"),
+            "policy": meta.get("policy"),
+            "instructions": meta.get("instructions"),
+            "machine_spec_digest": point.spec_digest,
+            "sim_instructions": meta.get("sim_instructions"),
+            "best_wall_s": meta.get("best_wall_s")})
+    speedup_trend = []
+    for rev in revs:
+        report = backend_speedups({"results": bench_rows.get(rev, [])})
+        if report["pairs"]:
+            speedup_trend.append({"rev": rev, "speedup": report["geomean"]})
 
     # Security verdicts: per rev, label -> closed/LEAKED; deltas between
     # adjacent revisions that both carry verdicts.
@@ -209,10 +176,6 @@ def collect_dashboard_data(store: TrajectoryStore) -> Dict[str, Any]:
     summary = store.summary()
     return {
         "revisions": revs,
-        "calibration": [{"rev": rev, "kloops": calibration[rev]}
-                        for rev in revs if rev in calibration],
-        "backends": backends,
-        "score_trend": score_trend,
         "speedup_trend": speedup_trend,
         "verdicts": {rev: verdicts[rev] for rev in verdict_revs},
         "verdict_deltas": deltas,
@@ -343,34 +306,6 @@ def _legend(entries: Sequence[Tuple[str, str]]) -> str:
 # sections
 # ---------------------------------------------------------------------------
 
-def _series_color(backend: str, backends: List[str]) -> str:
-    return f"var(--series-{_backend_slot(backend, backends) + 1})"
-
-
-def _section_scores(data: Dict[str, Any]) -> str:
-    revs = data["revisions"]
-    backends = data["backends"]
-    rev_index = {rev: i for i, rev in enumerate(revs)}
-    series = []
-    for backend in backends:
-        color = _series_color(backend, backends)
-        points = [(rev_index[row["rev"]], row["score"],
-                   f"{backend} @ {row['rev']}: {row['score']} x host")
-                  for row in data["score_trend"].get(backend, [])
-                  if row["rev"] in rev_index]
-        series.append({"name": backend, "color": color, "points": points})
-    legend = _legend([(backend, _series_color(backend, backends))
-                      for backend in backends]) if len(backends) > 1 else ""
-    chart = _line_chart(series, revs, unit="score")
-    return (
-        "<section><h2>Normalized cycles/sec by backend</h2>"
-        "<p class='caption'>Geomean calibration-normalized score "
-        "(simulated cycles/sec &divide; host kloops/sec) over the "
-        "committed bench snapshots &mdash; the trend the &gt;10% bench "
-        "gate audits point-by-point.</p>"
-        f"{legend}{chart}</section>")
-
-
 def _section_speedup(data: Dict[str, Any]) -> str:
     revs = data["revisions"]
     rev_index = {rev: i for i, rev in enumerate(revs)}
@@ -385,8 +320,10 @@ def _section_speedup(data: Dict[str, Any]) -> str:
     return (
         "<section><h2>Backend speedup</h2>"
         "<p class='caption'>Geomean fast-backend speedup over the "
-        "cycle core, from bench rows that pair within one snapshot "
-        "(same benchmark, policy, budget, and machine spec).</p>"
+        "cycle core in simulated instructions/s, from bench rows that "
+        "pair within one revision (same benchmark, policy, budget, "
+        "machine spec, and instruction count). Speed across revisions "
+        "is measured by same-host pairs in <code>perfbench/</code>.</p>"
         f"{chart}</section>")
 
 
@@ -562,7 +499,6 @@ def render_dashboard(store: TrajectoryStore,
     data = collect_dashboard_data(store)
     summary = data["summary"]
     sections = [
-        _section_scores(data),
         _section_speedup(data),
         _section_verdicts(data),
         _section_verify(data),

@@ -86,7 +86,7 @@ _SCHEMA_SQL = (
 class TrajectoryPoint:
     """One normalized metric observation at one revision.
 
-    ``series`` names the metric (``normalized_score``, ``pass_rate``,
+    ``series`` names the metric (``inst_per_sec``, ``pass_rate``,
     ``verdict``, ...), ``label`` the entity within it (a bench row, an
     ``attack/policy`` cell, a fuzz profile).  ``value`` carries numeric
     metrics; categorical outcomes ride ``text`` (with ``value`` as a

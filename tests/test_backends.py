@@ -181,29 +181,52 @@ class TestBenchBackends:
         assert isinstance(fast, BenchSpec)
         assert fast.job().key() != spec.job().key()
 
-    def test_backend_speedups_pairs_and_falls_back_to_baseline(self):
-        def row(name, backend, score, benchmark="namd", digest="d0"):
-            return {"name": name, "backend": backend, "benchmark": benchmark,
-                    "policy": "wfc", "instructions": 1000,
-                    "machine_spec_digest": digest,
-                    "normalized_score": score}
+    @staticmethod
+    def _row(name, backend, best_wall_s, benchmark="namd", cycles=1000,
+             sim_instructions=1000):
+        return {"name": name, "backend": backend, "benchmark": benchmark,
+                "policy": "wfc", "instructions": 1000,
+                "machine_spec_digest": "d0", "cycles": cycles,
+                "sim_instructions": sim_instructions,
+                "best_wall_s": best_wall_s}
 
+    def test_backend_speedups_pair_within_one_payload(self):
+        row = self._row
         current = {"results": [
-            row("namd_wfc_1000", "cycle", 2.0),
-            row("namd_wfc_1000_fast", "fast", 24.0),
-            row("mcf_wfc_1000_fast", "fast", 30.0, benchmark="mcf"),
-        ]}
-        baseline = {"results": [
+            row("namd_wfc_1000", "cycle", 1.2),
+            row("namd_wfc_1000_fast", "fast", 0.1),
             row("mcf_wfc_1000", "cycle", 3.0, benchmark="mcf"),
+            row("mcf_wfc_1000_fast", "fast", 0.3, benchmark="mcf"),
+            # No cycle twin in this payload: never paired.
+            row("xz_wfc_1000_fast", "fast", 0.1, benchmark="xz"),
         ]}
-        report = backend_speedups(current, baseline)
+        report = backend_speedups(current)
         by_name = {p["name"]: p for p in report["pairs"]}
+        assert set(by_name) == {"namd_wfc_1000_fast", "mcf_wfc_1000_fast"}
         assert by_name["namd_wfc_1000_fast"]["speedup"] == 12.0
-        assert by_name["namd_wfc_1000_fast"]["reference_source"] == "current"
         assert by_name["mcf_wfc_1000_fast"]["speedup"] == 10.0
-        assert by_name["mcf_wfc_1000_fast"]["reference_source"] == "baseline"
+        assert by_name["mcf_wfc_1000_fast"]["reference_name"] == \
+            "mcf_wfc_1000"
         assert report["min"] == 10.0
         assert report["geomean"] == pytest.approx(10.95, abs=0.01)
+
+    def test_backend_speedup_ignores_estimated_cycles(self):
+        """The fast backend only estimates cycles; equal wall time over
+        equal instructions is 1.00x whatever the cycle counts say."""
+        row = self._row
+        report = backend_speedups({"results": [
+            row("namd_wfc_1000", "cycle", 0.5, cycles=4000),
+            row("namd_wfc_1000_fast", "fast", 0.5, cycles=3400)]})
+        (pair,) = report["pairs"]
+        assert pair["speedup"] == 1.0
+
+    def test_backend_speedups_need_equal_instructions(self):
+        row = self._row
+        report = backend_speedups({"results": [
+            row("namd_wfc_1000", "cycle", 1.0),
+            row("namd_wfc_1000_fast", "fast", 0.1,
+                sim_instructions=999)]})
+        assert report["pairs"] == []
 
     def test_backend_speedups_empty_without_pairs(self):
         report = backend_speedups({"results": []})

@@ -3,13 +3,14 @@
 import copy
 import json
 import pickle
+from pathlib import Path
 
 import pytest
 
+import repro.bench
 from repro.bench import (BENCH_SCHEMA_VERSION, BenchHarness, BenchSpec,
-                         QUICK_SPECS, annotate_calibration_drift,
-                         compare_payloads, payload_fingerprint,
-                         render_calibration_drift)
+                         QUICK_SPECS, compare_payloads, payload_fingerprint,
+                         with_backend)
 from repro.bench.harness import dump_payload, load_payload
 from repro.core.policy import CommitPolicy
 from repro.exec.executor import ParallelExecutor, SerialExecutor
@@ -18,6 +19,8 @@ from repro.isa.instructions import AluOp, Instruction, Opcode
 from repro.memory.cache import Cache, CacheConfig
 from repro.memory.tlb import TLB, TLBConfig
 from repro.pipeline.uop import DynUop
+
+BASELINE = Path(__file__).resolve().parents[1] / "benchmarks" / "baseline.json"
 
 TINY = BenchSpec(name="tiny_namd", benchmark="namd",
                  policy=CommitPolicy.WFC, instructions=200)
@@ -36,10 +39,14 @@ class TestHarness:
         (row,) = payload["results"]
         assert row["name"] == "tiny_namd"
         assert row["cycles"] > 0
-        assert row["cycles_per_sec"] > 0
-        assert row["normalized_score"] > 0
+        assert row["inst_per_sec"] == pytest.approx(
+            row["sim_instructions"] / row["best_wall_s"], rel=1e-3)
         assert len(row["wall_s"]) == 1
         assert len(row["job_key"]) == 64
+        # Nothing host-normalized: timing is raw wall-clock only.
+        assert "calibration" not in payload
+        assert not {"cycles_per_sec", "normalized_score",
+                    "kloops_per_sec"} & set(row)
 
     def test_emitted_json_is_deterministic(self, tmp_path):
         """Two runs from the same tree agree on everything but timing,
@@ -80,147 +87,145 @@ def _payload(rows):
             "results": [dict(row) for row in rows]}
 
 
-def _row(name, score, job_key="k", cycles=100):
-    return {"name": name, "normalized_score": score,
-            "cycles_per_sec": score * 1000.0, "job_key": job_key,
-            "cycles": cycles}
+def _row(name, best_wall_s=1.0, job_key="k", cycles=100, **extra):
+    return dict({"name": name, "job_key": job_key, "cycles": cycles,
+                 "sim_instructions": 50, "best_wall_s": best_wall_s},
+                **extra)
 
 
 class TestComparator:
     def test_identical_payloads_pass(self):
-        payload = _payload([_row("a", 10.0), _row("b", 20.0)])
+        payload = _payload([_row("a"), _row("b")])
         report = compare_payloads(payload, copy.deepcopy(payload))
         assert report.passed
         assert len(report.deltas) == 2
+        assert "verdict: PASS" in report.render()
 
-    def test_small_slowdown_within_threshold_passes(self):
-        base = _payload([_row("a", 10.0)])
-        current = _payload([_row("a", 9.2)])
-        assert compare_payloads(current, base, threshold=0.10).passed
+    def test_fingerprint_baseline_is_enough(self):
+        """The committed baseline is a timing-free fingerprint."""
+        payload = _payload([_row("a"), _row("b", cycles=7)])
+        assert compare_payloads(payload,
+                                payload_fingerprint(payload)).passed
 
-    def test_regression_beyond_threshold_fails(self):
-        base = _payload([_row("a", 10.0)])
-        current = _payload([_row("a", 8.5)])
-        report = compare_payloads(current, base, threshold=0.10)
-        assert not report.passed
-        (delta,) = report.regressions
-        assert delta.name == "a"
-        assert delta.ratio == pytest.approx(0.85)
-        assert "REGRESSION" in report.render()
+    def test_slowdown_never_fails(self):
+        """Wall-clock is not compared against the baseline at all."""
+        base = _payload([_row("a", best_wall_s=1.0)])
+        current = _payload([_row("a", best_wall_s=10.0)])
+        assert compare_payloads(current, base).passed
 
     def test_speedup_always_passes(self):
-        base = _payload([_row("a", 10.0)])
-        current = _payload([_row("a", 30.0)])
+        base = _payload([_row("a", best_wall_s=1.0)])
+        current = _payload([_row("a", best_wall_s=0.1)])
         assert compare_payloads(current, base).passed
 
     def test_disjoint_benches_reported_not_failed(self):
-        base = _payload([_row("a", 10.0), _row("old", 5.0)])
-        current = _payload([_row("a", 10.0), _row("new", 7.0)])
+        base = _payload([_row("a"), _row("old")])
+        current = _payload([_row("a"), _row("new")])
         report = compare_payloads(current, base)
         assert report.passed
         assert report.only_in_baseline == ["old"]
         assert report.only_in_current == ["new"]
 
     def test_changed_job_key_is_stale_not_a_regression(self):
-        """A different job key means a different simulation: no speed
-        verdict either way, even when the score ratio looks terrible."""
-        base = _payload([_row("a", 10.0, job_key="old")])
-        current = _payload([_row("a", 2.0, job_key="new")])
+        """A different job key means a different simulation: its cycles
+        are not comparable, so a changed count does not fail."""
+        base = _payload([_row("a", job_key="old", cycles=100)])
+        current = _payload([_row("a", job_key="new", cycles=999)])
         report = compare_payloads(current, base)
         assert report.passed
         (delta,) = report.deltas
         assert delta.stale
-        assert not delta.regression
+        assert not delta.drifted
         assert "STALE BASELINE" in report.render()
         assert any("job key changed" in note for note in delta.notes)
 
     def test_fast_backend_rows_are_not_speed_gated(self):
-        """Fast-backend wall times are noise-dominated; their perf
-        contract is the speedup gate, so a slow fast row never fails
-        the row-by-row comparison..."""
-        base = _payload([dict(_row("a_fast", 100.0), backend="fast")])
-        current = _payload([dict(_row("a_fast", 60.0), backend="fast")])
-        assert compare_payloads(current, base, threshold=0.10).passed
+        base = _payload([_row("a_fast", best_wall_s=0.01, backend="fast")])
+        current = _payload([_row("a_fast", best_wall_s=0.05,
+                                 backend="fast")])
+        assert compare_payloads(current, base).passed
 
     def test_fast_backend_rows_still_fail_on_cycle_drift(self):
-        """...but the simulated-cycles correctness check still applies
-        to every row, whatever its backend."""
-        base = _payload([dict(_row("a_fast", 100.0, cycles=100),
-                              backend="fast")])
-        current = _payload([dict(_row("a_fast", 100.0, cycles=101),
-                                 backend="fast")])
+        """The simulated-cycles check applies to every row, whatever
+        its backend."""
+        base = _payload([_row("a_fast", cycles=100, backend="fast")])
+        current = _payload([_row("a_fast", cycles=101, backend="fast")])
         report = compare_payloads(current, base)
         assert not report.passed
-        (delta,) = report.regressions
+        (delta,) = report.failures
         assert any("semantics drifted" in note for note in delta.notes)
 
     def test_cycle_drift_under_same_key_fails_the_gate(self):
         """Same spec, different simulated cycles: semantics drifted
-        without a schema bump — fails regardless of speed."""
-        base = _payload([_row("a", 10.0, cycles=100)])
-        current = _payload([_row("a", 30.0, cycles=101)])
+        without a schema bump — fails however fast the run was."""
+        base = _payload([_row("a", cycles=100)])
+        current = _payload([_row("a", best_wall_s=0.1, cycles=101)])
         report = compare_payloads(current, base)
         assert not report.passed
-        (delta,) = report.regressions
+        (delta,) = report.failures
         assert any("semantics drifted" in note for note in delta.notes)
-
-    def test_falls_back_to_raw_metric(self):
-        base = _payload([{"name": "a", "cycles_per_sec": 1000.0,
-                          "job_key": "k", "cycles": 1}])
-        current = _payload([_row("a", 10.0)])
-        report = compare_payloads(current, base)
-        assert report.metric == "cycles_per_sec"
-
-    def test_threshold_validation(self):
-        payload = _payload([_row("a", 1.0)])
-        with pytest.raises(ValueError):
-            compare_payloads(payload, payload, threshold=0.0)
+        assert "CYCLES DRIFTED" in report.render()
+        assert "verdict: FAIL" in report.render()
 
 
-def _calibrated(kloops, rows=None):
-    payload = _payload(rows or [_row("a", 10.0)])
-    payload["calibration"] = {"loops": 1000, "kloops_per_sec": kloops}
-    return payload
+class TestCommittedBaseline:
+    """benchmarks/baseline.json must describe the code as it stands:
+    checked without simulating, so a job-key change that forgets the
+    baseline refresh fails here, not only in the CI bench job."""
+
+    def test_baseline_is_a_fingerprint(self):
+        baseline = load_payload(str(BASELINE))
+        assert baseline["schema"] == BENCH_SCHEMA_VERSION
+        assert baseline == payload_fingerprint(baseline)
+
+    def test_rows_are_the_quick_set_on_both_backends(self):
+        specs = [spec for backend in ("cycle", "fast")
+                 for spec in with_backend(QUICK_SPECS, backend)]
+        rows = load_payload(str(BASELINE))["results"]
+        assert [row["name"] for row in rows] == \
+            [spec.name for spec in specs]
+        for row, spec in zip(rows, specs):
+            assert row["job_key"] == spec.job().key(), spec.name
+            assert row["sim_instructions"] == spec.instructions
 
 
-class TestCalibrationDrift:
-    def test_within_threshold_not_flagged(self):
-        current = _calibrated(105.0)
-        report = annotate_calibration_drift(current, _calibrated(100.0))
-        assert report["checked"] and not report["drifted"]
-        assert current["calibration"]["drift_vs_baseline"] == \
-            pytest.approx(0.05)
-        assert current["results"][0]["calibration_drifted"] is False
+class TestBenchCli:
+    """`repro bench` end to end on a tiny spec set."""
 
-    def test_drift_beyond_threshold_flags_payload_and_rows(self):
-        current = _calibrated(125.0)
-        report = annotate_calibration_drift(current, _calibrated(100.0))
-        assert report["drifted"]
-        assert current["calibration"]["drifted"] is True
-        assert all(row["calibration_drifted"]
-                   for row in current["results"])
-        assert current["results"][0]["calibration_drift"] == \
-            pytest.approx(0.25)
-        assert "DRIFTED" in render_calibration_drift(report)
+    @pytest.fixture(autouse=True)
+    def tiny_specs(self, monkeypatch):
+        monkeypatch.setattr(repro.bench, "FULL_SPECS", (TINY,))
 
-    def test_slower_host_drifts_too(self):
-        report = annotate_calibration_drift(_calibrated(80.0),
-                                            _calibrated(100.0))
-        assert report["drifted"]
-        assert report["drift"] == pytest.approx(-0.2)
+    def _bench(self, tmp_path, *extra):
+        from repro.cli import main
 
-    def test_no_baseline_is_unchecked(self):
-        current = _calibrated(100.0)
-        report = annotate_calibration_drift(current, None)
-        assert not report["checked"] and not report["drifted"]
-        assert "drift_vs_baseline" not in current["calibration"]
-        assert "no baseline" in render_calibration_drift(report)
+        return main(["bench", "--no-cache", "--warmup", "0",
+                     "--repeats", "1",
+                     "--output", str(tmp_path / "bench.json"),
+                     "--baseline", str(tmp_path / "baseline.json"),
+                     *extra])
 
-    def test_baseline_without_calibration_is_unchecked(self):
-        # Pre-calibration payloads (schema 0) must not divide by zero.
-        report = annotate_calibration_drift(
-            _calibrated(100.0), _payload([_row("a", 10.0)]))
-        assert not report["checked"]
+    def test_update_baseline_writes_the_fingerprint_then_passes(
+            self, tmp_path, capsys):
+        assert self._bench(tmp_path, "--update-baseline") == 0
+        payload = load_payload(str(tmp_path / "bench.json"))
+        assert load_payload(str(tmp_path / "baseline.json")) == \
+            payload_fingerprint(payload)
+        assert self._bench(tmp_path) == 0
+        assert "verdict: PASS" in capsys.readouterr().out
+
+    def test_min_speedup_without_pairs_says_why_and_fails(
+            self, tmp_path, capsys):
+        assert self._bench(tmp_path, "--min-speedup", "5") == 1
+        out = capsys.readouterr().out
+        assert "no backend pairs to compare" in out
+        assert "speedup gate (>= 5.0x): FAIL" in out
+
+    def test_both_backends_pair_within_the_run(self, tmp_path, capsys):
+        assert self._bench(tmp_path, "--backend", "cycle,fast",
+                           "--min-speedup", "0.01") == 0
+        out = capsys.readouterr().out
+        assert "tiny_namd_fast" in out and "PASS" in out
 
 
 class TestSlotsPickling:

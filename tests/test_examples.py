@@ -9,8 +9,6 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import pytest
-
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
 
@@ -102,7 +100,6 @@ class TestSampledRun:
         assert "error)" in out and "less wall-clock" in out
 
 
-@pytest.mark.slow
 class TestSecurityMatrixExample:
     def test_matrix_prints(self, capsys):
         load_example("security_matrix").main()

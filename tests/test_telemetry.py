@@ -29,7 +29,7 @@ def envelope(command, payload, rev="deadbee"):
             "command": command, "payload": payload}
 
 
-def make_point(rev="aaa1111", series="normalized_score", label="row",
+def make_point(rev="aaa1111", series="inst_per_sec", label="row",
                value=1.0, **kwargs):
     return TrajectoryPoint(rev=rev, schema_version=1, command="bench",
                            series=series, label=label, value=value,
@@ -103,6 +103,40 @@ class TestCommittedSnapshots:
             assert report.points > 0
         assert len(store.revisions()) >= 3
 
+    def test_every_row_of_every_vintage_lands(self, store):
+        """Schema-1 snapshots (with the retired calibration fields)
+        still give one inst/s point per row, nothing skipped."""
+        for path in BENCH_SNAPSHOTS:
+            payload = json.loads(path.read_text())
+            report = ingest_payload(store, payload, source=str(path))
+            assert report.warnings == []
+            assert report.points == len(payload["results"])
+        rows = {(p.rev, p.label): p for p in
+                store.points(command="bench", series="inst_per_sec")}
+        for path in BENCH_SNAPSHOTS:
+            payload = json.loads(path.read_text())
+            for row in payload["results"]:
+                point = rows[(payload["rev"], row["name"])]
+                assert point.value == pytest.approx(
+                    row["sim_instructions"] / row["best_wall_s"])
+
+    def test_speedup_pairs_within_a_revision(self, store):
+        """The dashboard's speedup is `repro bench`'s, per revision."""
+        from repro.bench import backend_speedups
+
+        for path in BENCH_SNAPSHOTS:
+            ingest_file(store, str(path))
+        trend = {row["rev"]: row["speedup"]
+                 for row in collect_dashboard_data(store)["speedup_trend"]}
+        for path in BENCH_SNAPSHOTS:
+            payload = json.loads(path.read_text())
+            report = backend_speedups(payload)
+            if report["pairs"]:
+                assert trend[payload["rev"]] == report["geomean"]
+            else:
+                assert payload["rev"] not in trend
+        assert trend, "no committed snapshot pairs both backends"
+
     def test_reingest_is_idempotent(self, store):
         for path in BENCH_SNAPSHOTS:
             ingest_file(store, str(path))
@@ -127,6 +161,27 @@ class TestCommittedSnapshots:
         for path in BENCH_SNAPSHOTS:
             ingest_file(store, str(path))
         assert render_dashboard(store) == render_dashboard(store)
+
+
+class TestBenchIngest:
+    def test_schema_2_payload_ingests_as_bench(self, store):
+        from repro.bench import BENCH_SCHEMA_VERSION
+
+        row = {"name": "namd_wfc_1000_fast", "backend": "fast",
+               "benchmark": "namd", "policy": "wfc", "instructions": 1000,
+               "machine_spec_digest": "d0", "job_key": "k", "cycles": 900,
+               "sim_instructions": 1000, "wall_s": [0.01],
+               "best_wall_s": 0.01, "median_wall_s": 0.01,
+               "inst_per_sec": 100000.0}
+        report = ingest_payload(store, {
+            "schema": BENCH_SCHEMA_VERSION, "rev": "ccc0001",
+            "warmup": 0, "repeats": 1, "results": [row],
+            "cache": {"hits": 0, "misses": 0, "stores": 0}})
+        assert report.kind == "bench" and report.warnings == []
+        (point,) = store.points(command="bench")
+        assert point.series == "inst_per_sec"
+        assert point.backend == "fast"
+        assert point.value == pytest.approx(100000.0)
 
 
 class TestEnvelopeIngest:
