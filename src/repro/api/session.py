@@ -10,7 +10,6 @@ entirely.  A session owns that wiring once::
     figures = session.figures(benchmarks=["mcf"])   # Figures 6-9, 11-16
     result = session.sweep(Sweep(...))              # ablation grids
     report = session.sample("mcf")                  # sampled simulation
-    telem = session.telemetry()                     # trajectory store
 """
 
 from __future__ import annotations
@@ -243,26 +242,6 @@ class Session:
                           total_instructions=instructions, spec=spec,
                           backend=backend, ff_backend=ff_backend,
                           warm=warm)
-
-    # -- telemetry ---------------------------------------------------------
-
-    def telemetry(self, db: Optional[str] = None):
-        """A :class:`~repro.telemetry.Telemetry` facade over the
-        longitudinal trajectory store.
-
-        ``db`` names the SQLite database (default
-        ``$REPRO_TELEMETRY_DB``, else
-        :data:`~repro.telemetry.store.DB_FILENAME` inside the cache
-        directory).  Ingest any artifact the repo emits, then
-        render the offline HTML dashboard::
-
-            telem = session.telemetry()
-            telem.ingest_file("BENCH_abc1234.json")
-            telem.render("dashboard.html")
-        """
-        from repro.telemetry import Telemetry
-
-        return Telemetry(db)
 
     # -- cache introspection -----------------------------------------------
 

@@ -35,11 +35,6 @@ Commands:
   measured by ``perfbench/``.
 * ``cache stats|clear|gc`` — inspect or prune the on-disk result
   cache.
-* ``telemetry ingest|render|show`` — the longitudinal trajectory store
-  (``repro.telemetry``): ingest any artifact the repo emits (BENCH
-  snapshots, ``--format json`` envelopes) into one SQLite database,
-  then render a self-contained offline HTML dashboard of the
-  perf/security trends across revisions.
 * ``table5`` — the hardware-overhead table.
 * ``asm <file>`` — assemble a text program and print its disassembly.
 
@@ -366,43 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "versions")
     cache.add_argument("--format", choices=["text", "json"],
                        default="text")
-
-    telemetry = sub.add_parser(
-        "telemetry",
-        help="longitudinal trajectory store + offline HTML dashboard "
-             "(repro.telemetry)")
-    telemetry_sub = telemetry.add_subparsers(dest="action", required=True)
-    telemetry_ingest = telemetry_sub.add_parser(
-        "ingest",
-        help="normalize artifacts (BENCH_<rev>.json and --format json "
-             "envelopes) into the trajectory store")
-    telemetry_ingest.add_argument(
-        "paths", nargs="+", metavar="PATH",
-        help="JSON artifacts; malformed ones skip with a warning")
-    telemetry_ingest.add_argument(
-        "--rev", default=None, metavar="REV",
-        help="revision for artifacts that do not carry one "
-             "(default: the working tree)")
-    telemetry_render = telemetry_sub.add_parser(
-        "render",
-        help="render the store as one self-contained offline HTML "
-             "dashboard")
-    telemetry_render.add_argument(
-        "-o", "--output", default=None, metavar="PATH",
-        help="output file (default: telemetry.html)")
-    telemetry_render.add_argument(
-        "--title", default="SafeSpec reproduction telemetry",
-        metavar="TEXT")
-    telemetry_show = telemetry_sub.add_parser(
-        "show", help="summarize the trajectory store")
-    for sub_parser in (telemetry_ingest, telemetry_render,
-                       telemetry_show):
-        sub_parser.add_argument(
-            "--db", default=None, metavar="PATH",
-            help="trajectory database (default: $REPRO_TELEMETRY_DB or "
-                 "a database file in the cache dir)")
-        sub_parser.add_argument("--format", choices=["text", "json"],
-                                default="text")
 
     sub.add_parser("table5", help="hardware overhead table (Table V)")
 
@@ -769,76 +727,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_telemetry(args: argparse.Namespace) -> int:
-    from repro.telemetry import Telemetry
-
-    with Telemetry(args.db) as telemetry:
-        if args.action == "ingest":
-            reports = [telemetry.ingest_file(path, rev=args.rev)
-                       for path in args.paths]
-            ingested = [r for r in reports if not r.skipped]
-            if args.format == "json":
-                _emit_json("telemetry", {
-                    "action": "ingest",
-                    "db": str(telemetry.store.path),
-                    "ingested": len(ingested),
-                    "skipped": len(reports) - len(ingested),
-                    "points": sum(r.points for r in reports),
-                    "reports": [r.to_dict() for r in reports],
-                })
-            else:
-                for report in reports:
-                    status = (report.kind if not report.skipped
-                              else "skipped")
-                    line = (f"{report.source}: {status}"
-                            + (f" rev {report.rev}" if report.rev else "")
-                            + (f", {report.points} points"
-                               if report.points else ""))
-                    print(line)
-                    for warning in report.warnings:
-                        print(f"  warning: {warning}", file=sys.stderr)
-                print(f"{len(ingested)}/{len(reports)} artifacts into "
-                      f"{telemetry.store.path}")
-            # Every input skipped means nothing was ingested — that is
-            # the failure mode (a tolerated bad file among good ones
-            # is not).
-            return 1 if reports and not ingested else 0
-        if args.action == "render":
-            output = args.output or "telemetry.html"
-            page = telemetry.render(output, title=args.title)
-            summary = telemetry.summary()
-            if args.format == "json":
-                _emit_json("telemetry", {
-                    "action": "render",
-                    "db": str(telemetry.store.path),
-                    "output": output,
-                    "bytes": len(page.encode("utf-8")),
-                    "points": summary["points"],
-                    "revisions": [entry["rev"] for entry
-                                  in summary["revisions"]],
-                })
-            else:
-                print(f"wrote {output} ({summary['points']} points, "
-                      f"{len(summary['revisions'])} revisions)")
-            return 0
-        # show
-        summary = telemetry.summary()
-        if args.format == "json":
-            _emit_json("telemetry", {"action": "show", **summary})
-        else:
-            print(f"{summary['db']} (telemetry schema "
-                  f"v{summary['telemetry_schema']}): "
-                  f"{summary['points']} points from "
-                  f"{summary['sources']} artifacts")
-            for entry in summary["revisions"]:
-                commands = ", ".join(
-                    f"{name} x{count}" for name, count
-                    in sorted(entry["commands"].items()))
-                print(f"  {entry['rev']}: {entry['points']} points "
-                      f"({commands})")
-        return 0
-
-
 def _cmd_table5(_args: argparse.Namespace) -> int:
     print(render_table5())
     return 0
@@ -868,7 +756,6 @@ _COMMANDS = {
     "sample": _cmd_sample,
     "bench": _cmd_bench,
     "cache": _cmd_cache,
-    "telemetry": _cmd_telemetry,
     "table5": _cmd_table5,
     "asm": _cmd_asm,
 }

@@ -19,6 +19,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
+from repro.errors import ConfigError
 from repro.exec.job import SCHEMA_VERSION, SimJob, SimResult
 
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -163,8 +164,15 @@ class ResultCache:
         ``all_schemas=True`` also drops every completed entry in the
         sibling ``v<N>/`` directories of other schema versions.  Stale
         temp files older than a day are swept too (an interrupted writer
-        orphans at most one).
+        orphans at most one).  A negative budget raises
+        :class:`~repro.errors.ConfigError` before any file is touched;
+        ``0`` keeps nothing.
         """
+        for name, budget in (("max_age_days", max_age_days),
+                             ("max_entries", max_entries),
+                             ("max_bytes", max_bytes)):
+            if budget is not None and budget < 0:
+                raise ConfigError(f"{name} must be >= 0, got {budget}")
         removed = 0
         now = time.time()
         if all_schemas:

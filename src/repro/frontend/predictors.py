@@ -26,9 +26,6 @@ from typing import List
 
 from repro.api.registry import register_predictor
 from repro.errors import ConfigError
-# Back-compat re-export: the RSB lived here before it became a real,
-# configurable predictor structure in ``repro.frontend.rsb``.
-from repro.frontend.rsb import ReturnStackBuffer  # noqa: F401
 from repro.statistics import StatRegistry
 
 _TAKEN_THRESHOLD = 2  # 2-bit counter: 0,1 predict not-taken; 2,3 taken

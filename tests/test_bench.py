@@ -9,8 +9,8 @@ import pytest
 
 import repro.bench
 from repro.bench import (BENCH_SCHEMA_VERSION, BenchHarness, BenchSpec,
-                         QUICK_SPECS, compare_payloads, payload_fingerprint,
-                         with_backend)
+                         QUICK_SPECS, backend_speedups, compare_payloads,
+                         inst_per_sec, payload_fingerprint, with_backend)
 from repro.bench.harness import dump_payload, load_payload
 from repro.core.policy import CommitPolicy
 from repro.exec.executor import ParallelExecutor, SerialExecutor
@@ -20,7 +20,12 @@ from repro.memory.cache import Cache, CacheConfig
 from repro.memory.tlb import TLB, TLBConfig
 from repro.pipeline.uop import DynUop
 
-BASELINE = Path(__file__).resolve().parents[1] / "benchmarks" / "baseline.json"
+REPO_ROOT = Path(__file__).resolve().parents[1]
+BASELINE = REPO_ROOT / "benchmarks" / "baseline.json"
+# Committed schema-1 snapshots, kept as read-only history.
+BENCH_SNAPSHOTS = sorted(REPO_ROOT.glob("BENCH_*.json"))
+# Snapshots that timed both backends: (pairs, geomean speedup).
+PAIRED_SNAPSHOTS = {"BENCH_eba7e66.json": (6, 13.0)}
 
 TINY = BenchSpec(name="tiny_namd", benchmark="namd",
                  policy=CommitPolicy.WFC, instructions=200)
@@ -187,6 +192,34 @@ class TestCommittedBaseline:
         for row, spec in zip(rows, specs):
             assert row["job_key"] == spec.job().key(), spec.name
             assert row["sim_instructions"] == spec.instructions
+
+
+@pytest.mark.parametrize("path", BENCH_SNAPSHOTS, ids=lambda p: p.name)
+class TestCommittedSnapshots:
+    """Old snapshots still rate and pair with today's helpers, although
+    their rows carry the retired calibration fields."""
+
+    def test_every_row_rates_from_its_best_repeat(self, path):
+        rows = load_payload(str(path))["results"]
+        assert rows
+        for row in rows:
+            assert inst_per_sec(row) == pytest.approx(
+                row["sim_instructions"] / row["best_wall_s"])
+
+    def test_speedup_pairs_only_where_both_backends_ran(self, path):
+        report = backend_speedups(load_payload(str(path)))
+        if path.name not in PAIRED_SNAPSHOTS:
+            assert report["pairs"] == []
+            return
+        pairs, geomean = PAIRED_SNAPSHOTS[path.name]
+        assert len(report["pairs"]) == pairs
+        assert report["geomean"] == geomean
+        assert {pair["backend"] for pair in report["pairs"]} == {"fast"}
+
+
+def test_snapshot_corpus_is_committed():
+    assert len(BENCH_SNAPSHOTS) >= 3
+    assert {path.name for path in BENCH_SNAPSHOTS} >= set(PAIRED_SNAPSHOTS)
 
 
 class TestBenchCli:

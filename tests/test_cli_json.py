@@ -7,7 +7,6 @@ shape no matter which subcommand produced it.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -15,10 +14,6 @@ from repro.cli import main
 from repro.exec.job import SCHEMA_VERSION
 
 ENVELOPE_KEYS = {"schema_version", "rev", "command", "payload"}
-
-# A committed bench snapshot for the telemetry ingest case.
-_BENCH = str(next(Path(__file__).resolve().parents[1].glob("BENCH_*.json"),
-                  Path("BENCH_missing.json")))
 
 # (id, expected command name, argv). Budgets are tiny: these runs exist
 # to exercise the serialization surface, not the simulator.
@@ -44,13 +39,6 @@ CASES = [
     ("cache-stats", "cache", ["cache", "stats", "--cache-dir", "{tmp}"]),
     ("cache-gc", "cache",
      ["cache", "gc", "--cache-dir", "{tmp}", "--max-entries", "5"]),
-    ("telemetry-ingest", "telemetry",
-     ["telemetry", "ingest", _BENCH, "--db", "{tmp}/t.sqlite"]),
-    ("telemetry-render", "telemetry",
-     ["telemetry", "render", "--db", "{tmp}/t.sqlite",
-      "-o", "{tmp}/dash.html"]),
-    ("telemetry-show", "telemetry",
-     ["telemetry", "show", "--db", "{tmp}/t.sqlite"]),
 ]
 
 

@@ -4,9 +4,8 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.frontend.btb import BTBConfig, BranchTargetBuffer
-from repro.frontend.predictors import (BimodalPredictor, GsharePredictor,
-                                       ReturnStackBuffer)
-from repro.frontend.rsb import RSBConfig
+from repro.frontend.predictors import BimodalPredictor, GsharePredictor
+from repro.frontend.rsb import ReturnStackBuffer, RSBConfig
 
 
 class TestBTB:

@@ -10,12 +10,20 @@ import json
 import multiprocessing
 import os
 
+import pytest
+
 from repro.cli import main
 from repro.core.policy import CommitPolicy
+from repro.errors import ConfigError
 from repro.exec.cache import NullCache, ResultCache
 from repro.exec.job import SCHEMA_VERSION, SimResult, workload_job
 
 BUDGET = 400
+
+# gc budgets as (library keyword, CLI flag).
+GC_BUDGETS = [("max_entries", "--max-entries"),
+              ("max_bytes", "--max-bytes"),
+              ("max_age_days", "--max-age-days")]
 
 
 def fake_result(job, cycles=123):
@@ -102,6 +110,44 @@ class TestDirCacheMaintenance:
             "gc: removed 1 entries (1 remain)"
         assert not (stale_dir / "abc.json").exists()
         assert (current / "def.json").exists()
+
+
+def filled_cache(path):
+    """A directory cache holding two entries."""
+    cache = ResultCache(path)
+    for index in range(2):
+        job = make_job(budget=BUDGET + index)
+        cache.put(job, fake_result(job))
+    return cache
+
+
+@pytest.mark.parametrize(("keyword", "flag"), GC_BUDGETS,
+                         ids=[flag for _, flag in GC_BUDGETS])
+class TestGcBudgets:
+    """A negative budget is a mistake, not "delete everything"."""
+
+    def test_negative_budget_raises_and_keeps_every_entry(
+            self, tmp_path, keyword, flag):
+        cache = filled_cache(tmp_path)
+        with pytest.raises(ConfigError, match=keyword):
+            cache.gc(**{keyword: -1})
+        assert len(cache) == 2
+
+    def test_cli_negative_budget_exits_1_and_keeps_every_entry(
+            self, tmp_path, capsys, keyword, flag):
+        cache = filled_cache(tmp_path)
+        assert main(["cache", "gc", "--cache-dir", str(tmp_path),
+                     flag, "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert len(cache) == 2
+
+    def test_zero_budget_stays_valid(self, tmp_path, keyword, flag):
+        cache = filled_cache(tmp_path)
+        if keyword == "max_age_days":
+            for path in cache.directory.glob("*.json"):
+                os.utime(path, (0, 0))
+        assert cache.gc(**{keyword: 0}) == 2
+        assert len(cache) == 0
 
 
 class TestNullCache:
