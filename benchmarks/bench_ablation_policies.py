@@ -16,18 +16,13 @@ from repro.core.policy import CommitPolicy
 BENCHMARKS = ["mcf", "x264", "lbm", "gcc"]
 
 
-def test_policy_tradeoff(benchmark, runner):
-    def compute():
-        wfb_ipc = runner.normalized_ipc(CommitPolicy.WFB)
-        wfc_ipc = runner.normalized_ipc(CommitPolicy.WFC)
-        sizing = {
-            policy: runner.shadow_sizing("shadow_dcache", policy)["Average"]
-            for policy in (CommitPolicy.WFB, CommitPolicy.WFC)
-        }
-        return wfb_ipc, wfc_ipc, sizing
-
-    wfb_ipc, wfc_ipc, sizing = benchmark.pedantic(compute, rounds=1,
-                                                  iterations=1)
+def test_policy_tradeoff(runner):
+    wfb_ipc = runner.normalized_ipc(CommitPolicy.WFB)
+    wfc_ipc = runner.normalized_ipc(CommitPolicy.WFC)
+    sizing = {
+        policy: runner.shadow_sizing("shadow_dcache", policy)["Average"]
+        for policy in (CommitPolicy.WFB, CommitPolicy.WFC)
+    }
     print()
     print(f"{'policy':6s} {'geo-mean IPC':>13s} {'avg p99.99 d-shadow':>21s}")
     print(f"{'WFB':6s} {wfb_ipc['Average']:13.4f} "
@@ -41,17 +36,14 @@ def test_policy_tradeoff(benchmark, runner):
     assert sizing[CommitPolicy.WFB] <= sizing[CommitPolicy.WFC] + 1
 
 
-def test_policy_security_split(benchmark):
+def test_policy_security_split():
     """The deciding argument for WFC: only it stops Meltdown."""
-    def campaign():
-        return {
-            ("meltdown", "wfb"): run_meltdown(CommitPolicy.WFB, 42),
-            ("meltdown", "wfc"): run_meltdown(CommitPolicy.WFC, 42),
-            ("spectre_v1", "wfb"): run_spectre_v1(CommitPolicy.WFB, 42),
-            ("spectre_v1", "wfc"): run_spectre_v1(CommitPolicy.WFC, 42),
-        }
-
-    results = benchmark.pedantic(campaign, rounds=1, iterations=1)
+    results = {
+        ("meltdown", "wfb"): run_meltdown(CommitPolicy.WFB, 42),
+        ("meltdown", "wfc"): run_meltdown(CommitPolicy.WFC, 42),
+        ("spectre_v1", "wfb"): run_spectre_v1(CommitPolicy.WFB, 42),
+        ("spectre_v1", "wfc"): run_spectre_v1(CommitPolicy.WFC, 42),
+    }
     print()
     for (attack, policy), result in results.items():
         print(f"  {attack:10s} {policy}: "

@@ -18,6 +18,7 @@ from repro.attacks.tsa import _run_tsa_channel
 from repro.core.policy import CommitPolicy
 from repro.core.safespec import SafeSpecConfig, SizingMode
 from repro.core.shadow import FullPolicy
+from repro.spec import MachineSpec
 
 CAPACITIES = (2, 4, 6, 16, 64, 128)
 
@@ -28,14 +29,13 @@ def _channel_works(capacity: int) -> bool:
         full_policy=FullPolicy.DROP,
         dcache_entries=256, icache_entries=256,
         itlb_entries=64, dtlb_entries=capacity)
-    result = _run_tsa_channel(CommitPolicy.WFC, 1, config)
+    result = _run_tsa_channel(CommitPolicy.WFC, 1,
+                              MachineSpec().derive(safespec=config))
     return bool(result.details["channel_works"])
 
 
-def test_ablation_shadow_dtlb_sizing(benchmark):
-    outcomes = benchmark.pedantic(
-        lambda: {cap: _channel_works(cap) for cap in CAPACITIES},
-        rounds=1, iterations=1)
+def test_ablation_shadow_dtlb_sizing():
+    outcomes = {cap: _channel_works(cap) for cap in CAPACITIES}
     print()
     print("shadow dTLB capacity -> TSA channel")
     for capacity, works in outcomes.items():

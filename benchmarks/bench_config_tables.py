@@ -45,13 +45,9 @@ def render_table2(config: HierarchyConfig) -> str:
     return "\n".join(lines)
 
 
-def test_tables_1_and_2(benchmark):
-    def build():
-        core = CoreConfig()
-        memory = HierarchyConfig()
-        return render_table1(core), render_table2(memory)
-
-    table1, table2 = benchmark(build)
+def test_tables_1_and_2():
+    table1 = render_table1(CoreConfig())
+    table2 = render_table2(HierarchyConfig())
     print()
     print(table1)
     print()

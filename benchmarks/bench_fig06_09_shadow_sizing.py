@@ -30,13 +30,9 @@ _WORST_CASE = {
 
 
 @pytest.mark.parametrize("figure_id,structure", FIGURES)
-def test_shadow_sizing_figure(benchmark, runner, figure_id, structure):
-    def compute():
-        wfc = runner.shadow_sizing(structure, CommitPolicy.WFC)
-        wfb = runner.shadow_sizing(structure, CommitPolicy.WFB)
-        return wfc, wfb
-
-    wfc, wfb = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_shadow_sizing_figure(runner, figure_id, structure):
+    wfc = runner.shadow_sizing(structure, CommitPolicy.WFC)
+    wfb = runner.shadow_sizing(structure, CommitPolicy.WFB)
     print()
     print(render_sizing_figure(figure_id, structure, wfc, wfb))
 

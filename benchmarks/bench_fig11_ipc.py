@@ -12,10 +12,8 @@ from repro.analysis.report import render_ipc_figure
 from repro.core.policy import CommitPolicy
 
 
-def test_fig11_normalized_ipc(benchmark, runner):
-    series = benchmark.pedantic(
-        lambda: runner.normalized_ipc(CommitPolicy.WFC),
-        rounds=1, iterations=1)
+def test_fig11_normalized_ipc(runner):
+    series = runner.normalized_ipc(CommitPolicy.WFC)
     print()
     print(render_ipc_figure(series))
 
@@ -27,12 +25,10 @@ def test_fig11_normalized_ipc(benchmark, runner):
     assert 0.94 <= series[AVERAGE] <= 1.06
 
 
-def test_fig11_wfb_also_negligible(benchmark, runner):
+def test_fig11_wfb_also_negligible(runner):
     """The paper's Section IV-B observation: 'the benefit from doing WFB
     is small' — WFB lands in the same negligible-impact band."""
-    series = benchmark.pedantic(
-        lambda: runner.normalized_ipc(CommitPolicy.WFB),
-        rounds=1, iterations=1)
+    series = runner.normalized_ipc(CommitPolicy.WFB)
     print()
     print(render_ipc_figure(series))
     assert 0.94 <= series[AVERAGE] <= 1.06

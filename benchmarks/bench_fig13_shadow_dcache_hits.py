@@ -10,10 +10,8 @@ from repro.analysis.report import render_figure_series
 from repro.core.policy import CommitPolicy
 
 
-def test_fig13_shadow_dcache_hit_fraction(benchmark, runner):
-    series = benchmark.pedantic(
-        lambda: runner.shadow_dcache_hits(CommitPolicy.WFC),
-        rounds=1, iterations=1)
+def test_fig13_shadow_dcache_hit_fraction(runner):
+    series = runner.shadow_dcache_hits(CommitPolicy.WFC)
     print()
     print(render_figure_series(
         "Figure 13: fraction of read hits on the shadow d-cache",

@@ -10,13 +10,9 @@ from repro.analysis.report import render_two_series
 from repro.core.policy import CommitPolicy
 
 
-def test_fig14_icache_miss_rates(benchmark, runner):
-    def compute():
-        wfc = runner.icache_miss_rates(CommitPolicy.WFC)
-        base = runner.icache_miss_rates(CommitPolicy.BASELINE)
-        return wfc, base
-
-    wfc, base = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_fig14_icache_miss_rates(runner):
+    wfc = runner.icache_miss_rates(CommitPolicy.WFC)
+    base = runner.icache_miss_rates(CommitPolicy.BASELINE)
     print()
     print(render_two_series(
         "Figure 14: i-cache miss rate (shadow-inclusive)",

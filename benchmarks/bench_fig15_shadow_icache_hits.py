@@ -13,10 +13,8 @@ from repro.analysis.report import render_figure_series
 from repro.core.policy import CommitPolicy
 
 
-def test_fig15_shadow_icache_hit_fraction(benchmark, runner):
-    series = benchmark.pedantic(
-        lambda: runner.shadow_icache_hits(CommitPolicy.WFC),
-        rounds=1, iterations=1)
+def test_fig15_shadow_icache_hit_fraction(runner):
+    series = runner.shadow_icache_hits(CommitPolicy.WFC)
     print()
     print(render_figure_series(
         "Figure 15: fraction of fetch hits on the shadow i-cache",

@@ -12,15 +12,9 @@ from repro.analysis.report import render_two_series
 from repro.core.policy import CommitPolicy
 
 
-def test_fig16_shadow_commit_rates(benchmark, runner):
-    def compute():
-        icache = runner.shadow_commit_rates("shadow_icache",
-                                            CommitPolicy.WFC)
-        dcache = runner.shadow_commit_rates("shadow_dcache",
-                                            CommitPolicy.WFC)
-        return icache, dcache
-
-    icache, dcache = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_fig16_shadow_commit_rates(runner):
+    icache = runner.shadow_commit_rates("shadow_icache", CommitPolicy.WFC)
+    dcache = runner.shadow_commit_rates("shadow_dcache", CommitPolicy.WFC)
     print()
     print(render_two_series("Figure 16: commit rate of shadow state",
                             "i-cache", icache, "d-cache", dcache))

@@ -5,8 +5,6 @@ closed/leaked pattern the paper reports:
 
 Table III — Meltdown closed by WFC only; Spectre 1/2 closed by both.
 Table IV  — I-cache, iTLB, dTLB and Transient variants closed by both.
-
-The benchmark timing measures the full attack campaign.
 """
 
 from repro.api import Session
@@ -31,10 +29,8 @@ EXPECTED = {
 }
 
 
-def test_tables_3_and_4_security_matrix(benchmark):
-    matrix = benchmark.pedantic(
-        lambda: Session(cache=False).matrix(secret=42),
-        rounds=1, iterations=1)
+def test_tables_3_and_4_security_matrix():
+    matrix = Session(cache=False).matrix(secret=42)
     print()
     print(render_matrix(matrix))
 
@@ -46,13 +42,11 @@ def test_tables_3_and_4_security_matrix(benchmark):
                 f"{'leak' if should_leak else 'closed'}, got {result}")
 
 
-def test_transient_channel_exists_when_undersized(benchmark):
+def test_transient_channel_exists_when_undersized():
     """Section V's premise: the TSA channel is real — it works against a
     SafeSpec implementation whose shadow dTLB is undersized, which is
     exactly why Table IV's configuration sizes for the worst case."""
-    result = benchmark.pedantic(
-        lambda: run_tsa_vulnerable(CommitPolicy.WFC, secret=1),
-        rounds=1, iterations=1)
+    result = run_tsa_vulnerable(CommitPolicy.WFC, secret=1)
     print()
     print(f"  undersized shadow dTLB: channel_works="
           f"{result.details['channel_works']}")

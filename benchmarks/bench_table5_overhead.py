@@ -15,8 +15,8 @@ from repro.hwmodel.overhead import (SECURE_SIZING, WFC_SIZING,
                                     render_table5, table5)
 
 
-def test_table5_overhead(benchmark):
-    rows = benchmark.pedantic(table5, rounds=1, iterations=1)
+def test_table5_overhead():
+    rows = table5()
     print()
     print(render_table5())
 

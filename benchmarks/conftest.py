@@ -1,10 +1,10 @@
-"""Shared fixtures for the figure/table regeneration benchmarks.
+"""Shared fixtures for the figure/table shape checks.
 
+Run them with ``python -m pytest benchmarks/bench_*.py -q`` (the files
+are named ``bench_*.py`` so the tier-1 suite does not collect them).
 One :class:`~repro.analysis.experiment.FigureRunner` is shared by
-every bench so each (workload, policy) simulation runs exactly once per
-session; the per-bench timing then measures series derivation over the
-memoized runs, while the first bench to need a policy pays for its
-simulations.
+every check so each (workload, policy) simulation runs exactly once per
+session; the first check to need a policy pays for its simulations.
 
 The runner is a thin client of :class:`repro.api.session.Session`, so
 the sweep itself is tunable without editing the benches:
@@ -12,7 +12,7 @@ the sweep itself is tunable without editing the benches:
 * ``REPRO_BENCH_JOBS=N`` fans the simulations out over N worker
   processes.
 * ``REPRO_BENCH_CACHE_DIR=DIR`` backs the sweep with the persistent
-  result cache, letting repeated benchmark sessions skip completed
+  result cache, letting repeated sessions skip completed
   simulations (leave it unset to always measure fresh runs).
 """
 
@@ -38,6 +38,6 @@ def runner():
     if jobs > 1:
         # Figure methods batch per policy; prefetching the whole
         # three-policy sweep here gives the pool the widest batch and
-        # charges it to fixture setup rather than the first bench.
+        # charges it to fixture setup rather than the first check.
         runner.run_all()
     return runner

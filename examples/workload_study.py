@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Run part of the SPEC-like suite and print the paper's figure series.
 
-A smaller, faster version of the benchmark harness: picks a handful of
+A smaller, faster version of the figure checks: picks a handful of
 benchmarks, runs them under baseline and WFC, and prints the Figure 11
 (normalized IPC), Figure 12/14 (miss rates) and Figure 7 (shadow
 d-cache sizing) style tables.

@@ -25,14 +25,6 @@ Commands:
   the fast backend, measure a seeded selection of windows on the
   detailed backend in parallel, and stitch a whole-program IPC estimate
   with error bars.
-* ``bench [--quick] [--backend cycle,fast]`` — time the simulator
-  (``repro.bench``), emit a schema-versioned ``BENCH_<rev>.json`` and
-  check each row's job key and simulated cycles against the committed
-  fingerprint ``benchmarks/baseline.json`` (exit 1 when cycles drift
-  under an unchanged key); with both backends it also reports the
-  fast-vs-cycle speedup in instructions/s within the run
-  (``--min-speedup X`` gates on it).  Speed across revisions is
-  measured by ``perfbench/``.
 * ``cache stats|clear|gc`` — inspect or prune the on-disk result
   cache.
 * ``table5`` — the hardware-overhead table.
@@ -55,7 +47,7 @@ disable with ``--no-cache``) across invocations.  Attack and workload
 name choices derive from the component registries
 (:mod:`repro.api.registry`).
 
-The simulation commands (and ``bench``) also take the hardware axis:
+The simulation commands also take the hardware axis:
 ``--preset <name>`` starts from a registered
 :class:`~repro.spec.MachineSpec` and ``--set key=value`` (repeatable)
 derives dotted-path overrides, e.g.::
@@ -68,6 +60,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import subprocess
 import sys
 from typing import List, Optional
 
@@ -79,7 +72,7 @@ from repro.attacks.runner import (attack_result_from_sim, expected_closed,
                                   render_matrix)
 from repro.core.policy import CommitPolicy
 from repro.errors import ReproError
-from repro.exec.cache import NullCache, ResultCache
+from repro.exec.cache import ResultCache
 from repro.exec.executor import stderr_progress
 from repro.exec.job import SCHEMA_VERSION
 from repro.hwmodel.overhead import render_table5
@@ -90,6 +83,18 @@ from repro.workloads import suite_names
 _POLICIES = {p.value: p for p in CommitPolicy}
 
 
+def git_revision() -> str:
+    """Short revision of the working tree, or ``"local"`` outside git."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True, text=True, timeout=10, check=False)
+    except OSError:
+        return "local"
+    rev = out.stdout.strip()
+    return rev if out.returncode == 0 and rev else "local"
+
+
 def _emit_json(command: str, payload: dict) -> None:
     """Print one ``--format json`` result in the uniform envelope.
 
@@ -98,8 +103,6 @@ def _emit_json(command: str, payload: dict) -> None:
     working tree), ``command`` (the subcommand name) and ``payload``
     (the command-specific body) — is identical across the CLI.
     """
-    from repro.bench.harness import git_revision
-
     json.dump({
         "schema_version": SCHEMA_VERSION,
         "rev": git_revision(),
@@ -141,16 +144,13 @@ def _add_spec_options(parser: argparse.ArgumentParser) -> None:
                              "(repeatable), e.g. --set core.rob_entries=96")
 
 
-def _add_backend_option(parser: argparse.ArgumentParser,
-                        plural: bool = False) -> None:
+def _add_backend_option(parser: argparse.ArgumentParser) -> None:
     """The execution-backend flag shared by the simulation commands."""
     from repro.backends import backend_names
 
     names = "/".join(backend_names())
-    extra = " (comma-separated for several)" if plural else ""
     parser.add_argument("--backend", default="cycle", metavar="NAME",
-                        help=f"execution backend: {names} "
-                             f"(default: cycle){extra}")
+                        help=f"execution backend: {names} (default: cycle)")
 
 
 def _resolve_spec(args: argparse.Namespace) -> Optional[MachineSpec]:
@@ -305,37 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_exec_options(sample)
     _add_spec_options(sample)
     _add_backend_option(sample)
-
-    bench = sub.add_parser(
-        "bench",
-        help="time the simulator; check job keys and cycles against "
-             "benchmarks/baseline.json")
-    bench.add_argument("--quick", action="store_true",
-                       help="the small CI spec set (matches the committed "
-                            "baseline)")
-    bench.add_argument("--warmup", type=int, default=1, metavar="N")
-    bench.add_argument("--repeats", type=int, default=3, metavar="N")
-    bench.add_argument("--output", default=None, metavar="PATH",
-                       help="payload path (default: BENCH_<rev>.json)")
-    bench.add_argument("--baseline", default="benchmarks/baseline.json",
-                       metavar="PATH",
-                       help="fingerprint (job keys, cycles) to check "
-                            "against")
-    bench.add_argument("--update-baseline", action="store_true",
-                       help="also write the payload's fingerprint over "
-                            "--baseline")
-    bench.add_argument("--no-cache", action="store_true",
-                       help="do not read/write the on-disk result cache "
-                            "for accounting")
-    bench.add_argument("--cache-dir", default=None, metavar="DIR")
-    bench.add_argument("--min-speedup", type=float, default=None,
-                       metavar="X",
-                       help="fail unless the geomean non-cycle backend "
-                            "speedup over the cycle core, in "
-                            "instructions/s within this run, is at "
-                            "least X (e.g. 5)")
-    _add_spec_options(bench)
-    _add_backend_option(bench, plural=True)
 
     cache = sub.add_parser(
         "cache",
@@ -584,68 +553,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return min(failed, 255)
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.backends import BACKENDS
-    from repro.bench import (BenchHarness, FULL_SPECS, QUICK_SPECS,
-                             backend_speedups, compare_payloads,
-                             payload_fingerprint, render_speedups,
-                             with_backend)
-    from repro.bench.harness import dump_payload, load_payload
-
-    cache = NullCache() if args.no_cache else ResultCache(args.cache_dir)
-    harness = BenchHarness(warmup=args.warmup, repeats=args.repeats,
-                           cache=cache)
-    specs = QUICK_SPECS if args.quick else FULL_SPECS
-    machine_spec = _resolve_spec(args)
-    if machine_spec is not None:
-        # Time the same workload set on the requested hardware shape.
-        # The job keys change with the shape, so the comparator marks
-        # baseline rows stale instead of checking their cycles.
-        import dataclasses
-
-        specs = tuple(dataclasses.replace(s, machine_spec=machine_spec)
-                      for s in specs)
-    backends = [name.strip() for name in args.backend.split(",")
-                if name.strip()]
-    for name in backends:
-        BACKENDS.entry(name)        # unknown backends fail before timing
-    specs = tuple(spec for backend in backends
-                  for spec in with_backend(specs, backend))
-
-    def progress(done, total, spec, row):
-        print(f"[{done}/{total}] {spec.name}: "
-              f"{row['inst_per_sec']:,.0f} inst/s "
-              f"(best of {args.repeats})", file=sys.stderr, flush=True)
-
-    payload = harness.run(specs, progress=progress)
-    output = args.output or f"BENCH_{payload['rev']}.json"
-    dump_payload(payload, output)
-    print(f"wrote {output}", file=sys.stderr)
-    # Fast-vs-cycle speedup over the rows this run timed on both.
-    speedups = backend_speedups(payload)
-    speedup_failed = False
-    if speedups["pairs"] or args.min_speedup is not None:
-        print(render_speedups(speedups))
-        if args.min_speedup is not None:
-            geomean = speedups.get("geomean", 0.0)
-            speedup_failed = geomean < args.min_speedup
-            print(f"speedup gate (>= {args.min_speedup:.1f}x): "
-                  f"{'FAIL' if speedup_failed else 'PASS'}")
-    if args.update_baseline:
-        dump_payload(payload_fingerprint(payload), args.baseline)
-        print(f"updated baseline {args.baseline}", file=sys.stderr)
-        return 1 if speedup_failed else 0
-    if not os.path.exists(args.baseline):
-        print(f"no baseline at {args.baseline}; skipping the determinism "
-              f"check (write one with --update-baseline)", file=sys.stderr)
-        return 1 if speedup_failed else 0
-    report = compare_payloads(payload, load_payload(args.baseline))
-    print(report.render())
-    return 0 if report.passed and not speedup_failed else 1
-
-
 def _cmd_specs(args: argparse.Namespace) -> int:
     default = get_spec(DEFAULT_SPEC)
     if args.name is None:
@@ -754,7 +661,6 @@ _COMMANDS = {
     "specs": _cmd_specs,
     "verify": _cmd_verify,
     "sample": _cmd_sample,
-    "bench": _cmd_bench,
     "cache": _cmd_cache,
     "table5": _cmd_table5,
     "asm": _cmd_asm,

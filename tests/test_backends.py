@@ -21,7 +21,6 @@ import pytest
 from repro.attacks import run_attack_by_name
 from repro.backends import (BACKENDS, DEFAULT_BACKEND, backend_names,
                             create_backend)
-from repro.bench import BenchSpec, QUICK_SPECS, backend_speedups, with_backend
 from repro.api.scenario import Scenario
 from repro.core.policy import CommitPolicy
 from repro.errors import ConfigError
@@ -162,73 +161,3 @@ class TestCycleTolerance:
             / cycle.result.cycles
         assert drift <= CYCLE_TOLERANCE, \
             f"{bench}/{policy.value}: {drift:.1%} cycle drift"
-
-
-class TestBenchBackends:
-    def test_with_backend_suffixes_row_names(self):
-        fast = with_backend(QUICK_SPECS, "fast")
-        assert [s.name for s in fast] == \
-            [f"{s.name}_fast" for s in QUICK_SPECS]
-        assert all(s.backend == "fast" for s in fast)
-
-    def test_with_backend_default_is_identity(self):
-        assert with_backend(QUICK_SPECS, DEFAULT_BACKEND) == \
-            tuple(QUICK_SPECS)
-
-    def test_backend_spec_changes_job_key(self):
-        spec = QUICK_SPECS[0]
-        fast = with_backend([spec], "fast")[0]
-        assert isinstance(fast, BenchSpec)
-        assert fast.job().key() != spec.job().key()
-
-    @staticmethod
-    def _row(name, backend, best_wall_s, benchmark="namd", cycles=1000,
-             sim_instructions=1000):
-        return {"name": name, "backend": backend, "benchmark": benchmark,
-                "policy": "wfc", "instructions": 1000,
-                "machine_spec_digest": "d0", "cycles": cycles,
-                "sim_instructions": sim_instructions,
-                "best_wall_s": best_wall_s}
-
-    def test_backend_speedups_pair_within_one_payload(self):
-        row = self._row
-        current = {"results": [
-            row("namd_wfc_1000", "cycle", 1.2),
-            row("namd_wfc_1000_fast", "fast", 0.1),
-            row("mcf_wfc_1000", "cycle", 3.0, benchmark="mcf"),
-            row("mcf_wfc_1000_fast", "fast", 0.3, benchmark="mcf"),
-            # No cycle twin in this payload: never paired.
-            row("xz_wfc_1000_fast", "fast", 0.1, benchmark="xz"),
-        ]}
-        report = backend_speedups(current)
-        by_name = {p["name"]: p for p in report["pairs"]}
-        assert set(by_name) == {"namd_wfc_1000_fast", "mcf_wfc_1000_fast"}
-        assert by_name["namd_wfc_1000_fast"]["speedup"] == 12.0
-        assert by_name["mcf_wfc_1000_fast"]["speedup"] == 10.0
-        assert by_name["mcf_wfc_1000_fast"]["reference_name"] == \
-            "mcf_wfc_1000"
-        assert report["min"] == 10.0
-        assert report["geomean"] == pytest.approx(10.95, abs=0.01)
-
-    def test_backend_speedup_ignores_estimated_cycles(self):
-        """The fast backend only estimates cycles; equal wall time over
-        equal instructions is 1.00x whatever the cycle counts say."""
-        row = self._row
-        report = backend_speedups({"results": [
-            row("namd_wfc_1000", "cycle", 0.5, cycles=4000),
-            row("namd_wfc_1000_fast", "fast", 0.5, cycles=3400)]})
-        (pair,) = report["pairs"]
-        assert pair["speedup"] == 1.0
-
-    def test_backend_speedups_need_equal_instructions(self):
-        row = self._row
-        report = backend_speedups({"results": [
-            row("namd_wfc_1000", "cycle", 1.0),
-            row("namd_wfc_1000_fast", "fast", 0.1,
-                sim_instructions=999)]})
-        assert report["pairs"] == []
-
-    def test_backend_speedups_empty_without_pairs(self):
-        report = backend_speedups({"results": []})
-        assert report["pairs"] == []
-        assert "geomean" not in report

@@ -1,6 +1,7 @@
 """Tests for the simulation service layer (repro.exec)."""
 
 import json
+import pickle
 
 import pytest
 
@@ -11,6 +12,10 @@ from repro.core.safespec import SafeSpecConfig, SizingMode
 from repro.errors import ConfigError
 from repro.exec import (NullCache, ParallelExecutor, ResultCache,
                         SerialExecutor, SimJob, attack_job, workload_job)
+from repro.isa.instructions import AluOp, Instruction, Opcode
+from repro.memory.cache import Cache, CacheConfig
+from repro.memory.tlb import TLB, TLBConfig
+from repro.pipeline.uop import DynUop
 
 # Small budget: every simulation here exists to exercise the transport,
 # not the micro-architecture.
@@ -286,3 +291,44 @@ class TestAttackExitCode:
         # expected vulnerable behaviour and does not count.
         assert main(["attack", "spectre_v1", "--no-cache"]) == 2
         assert capsys.readouterr().out.count("LEAKED") == 3
+
+
+class TestSlotsPickling:
+    """The __slots__ additions must stay picklable: results (and any
+    state they reference) cross the multiprocessing boundary in the
+    parallel executor."""
+
+    def test_dynuop_round_trips(self):
+        inst = Instruction(opcode=Opcode.ALU, rd=1, rs1=2, rs2=3,
+                           alu_op=AluOp.ADD)
+        uop = DynUop(7, inst, 0x1000, 0, 3)
+        uop.vaddr = 0x2000
+        clone = pickle.loads(pickle.dumps(uop))
+        assert clone.seq == 7
+        assert clone.pc == 0x1000
+        assert clone.vaddr == 0x2000
+        assert clone.is_load is False
+        assert clone.inst.inst_class is inst.inst_class
+        assert clone.inst.fu_index == inst.fu_index
+
+    def test_cache_and_tlb_round_trip(self):
+        cache = Cache(CacheConfig("t", 1024, 2, 64, 1))
+        cache.fill(0x40)
+        cache.touch(0x40)
+        clone = pickle.loads(pickle.dumps(cache))
+        assert clone.contains(0x40)
+        assert clone.hits == cache.hits
+        tlb = TLB(TLBConfig("t", 4))
+        clone_tlb = pickle.loads(pickle.dumps(tlb))
+        assert clone_tlb.occupancy() == 0
+
+    def test_parallel_executor_matches_serial(self):
+        """End-to-end: slotted pipeline state survives the worker-process
+        boundary and parallel results stay bit-identical to serial."""
+        jobs = [workload_job("namd", CommitPolicy.WFC, instructions=300),
+                workload_job("povray", CommitPolicy.BASELINE,
+                             instructions=300)]
+        serial = SerialExecutor().run(jobs)
+        parallel = ParallelExecutor(workers=2).run(jobs)
+        for s, p in zip(serial, parallel):
+            assert s.to_dict() == p.to_dict()

@@ -1,12 +1,14 @@
-"""Golden timing regression tests for the cycle core.
+"""Golden timing regression tests for both execution backends.
 
 ``test_golden_states.py`` pins *architectural* results; nothing there
 notices a core that retires the same instructions a few cycles early or
 late.  This module pins the micro-architectural outcome instead: the
 cycle count, the full ``counters`` dict and every shadow-occupancy
-histogram of three suite workloads under each commit policy, plus every
-registered attack's cycle-backend result (verdict and details, which
-carry the victim's cycle counts).
+histogram of three suite workloads under each commit policy, on the
+cycle core (``workload/<name>/<policy>``) and on the fast backend
+(``workload/<name>/<policy>/fast``), plus every registered attack's
+cycle-backend result (verdict and details, which carry the victim's
+cycle counts).  Cycles must not change while a job's key is unchanged.
 
 To regenerate after an intentional timing change::
 
@@ -29,10 +31,18 @@ FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "golden_timing.json"
 WORKLOADS = ("mcf", "namd", "povray")
 INSTRUCTIONS = 4000
 POLICIES = (CommitPolicy.BASELINE, CommitPolicy.WFB, CommitPolicy.WFC)
+BACKENDS = ("cycle", "fast")
 
 
-def _workload_timing(name: str, policy: CommitPolicy) -> dict:
-    run = run_workload(name, policy, instructions=INSTRUCTIONS)
+def _workload_key(name: str, policy: CommitPolicy, backend: str) -> str:
+    # Cycle-core keys predate the fast backend's and carry no suffix.
+    key = f"workload/{name}/{policy.value}"
+    return key if backend == "cycle" else f"{key}/{backend}"
+
+
+def _workload_timing(name: str, policy: CommitPolicy, backend: str) -> dict:
+    run = run_workload(name, policy, instructions=INSTRUCTIONS,
+                       backend=backend)
     return {
         "cycles": run.result.cycles,
         "instructions": run.result.instructions,
@@ -66,11 +76,14 @@ def _check(key: str, state: dict) -> None:
     assert state == fixture[key]
 
 
-@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_workload_timing_matches_golden(workload, policy):
-    _check(f"workload/{workload}/{policy.value}",
-           _workload_timing(workload, policy))
+@pytest.mark.parametrize("workload,policy,backend", [
+    pytest.param(workload, policy, backend,
+                 id=_workload_key(workload, policy, backend)
+                 .removeprefix("workload/").replace("/", "-"))
+    for backend in BACKENDS for workload in WORKLOADS for policy in POLICIES])
+def test_workload_timing_matches_golden(workload, policy, backend):
+    _check(_workload_key(workload, policy, backend),
+           _workload_timing(workload, policy, backend))
 
 
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
