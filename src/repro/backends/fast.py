@@ -36,6 +36,7 @@ loop), so Table 5 / occupancy figures require the cycle backend.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional
 
 from repro.backends import register_backend
@@ -165,7 +166,7 @@ class FastBackend:
     _CACHE_CAP = 8   # lowered programs kept per backend instance
 
     def __init__(self) -> None:
-        self._machine = None
+        self._machine: Optional[weakref.ref] = None
         self._cache: Dict[int, tuple] = {}
         self._seq = 0
         # Mutable cells shared with the lowered closures (reset per run).
@@ -188,9 +189,13 @@ class FastBackend:
     # ------------------------------------------------------------------
 
     def _bind(self, machine) -> None:
-        if machine is self._machine:
+        if self._machine is not None and self._machine() is machine:
             return
-        self._machine = machine
+        # The lowered closures reference this backend, which its machine
+        # owns: hold the machine weakly and drop the closures with it, so
+        # reference counting frees machine, backend and code together.
+        self._machine = weakref.ref(machine)
+        weakref.finalize(machine, self._cache.clear)
         self._cache.clear()
         cfg = machine.core_config
         self.hier = machine.hierarchy
@@ -291,11 +296,16 @@ class FastBackend:
 
         start = self._index_or_end(program, start_pc)
         i = 0 if start is None else start
+        instructions = program.instructions
+        lower_one = self._lower_one
         while True:
             if i >= n:
                 self.reason = "ran_off_code"
                 break
-            i = steps[i]()
+            step = steps[i]
+            if step is None:
+                step = steps[i] = lower_one(program, i, instructions[i])
+            i = step()
             if i < 0:
                 break
             if cn[_R] >= budget:
@@ -337,13 +347,13 @@ class FastBackend:
     # ------------------------------------------------------------------
 
     def _lowered(self, program: Program):
-        """The per-program dispatch lists, built lazily.
+        """The per-program dispatch lists, filled in lazily.
 
-        ``steps`` starts as self-replacing trampolines: an instruction is
-        lowered to its specialized closure the first time it executes —
-        code-heavy programs commit only a fraction of their static
-        instructions, so eager lowering would dominate short runs.
-        ``win`` records fill in on first speculative-window visit.
+        ``run`` lowers an instruction to its specialized ``steps`` closure
+        on its first visit — code-heavy programs commit only a fraction
+        of their static instructions, so eager lowering would dominate
+        short runs.  ``win`` records fill in on first speculative-window
+        visit.  Lowered code lives as long as its machine.
         """
         key = id(program)
         hit = self._cache.get(key)
@@ -351,17 +361,9 @@ class FastBackend:
             return hit[1], hit[2]
         if len(self._cache) >= self._CACHE_CAP:
             self._cache.pop(next(iter(self._cache)))
-        instructions = program.instructions
-        n = len(instructions)
+        n = len(program.instructions)
         steps: list = [None] * n
         win: list = [None] * n
-        lower_one = self._lower_one
-        for idx in range(n):
-            def tramp(idx=idx):
-                step = lower_one(program, idx, instructions[idx])
-                steps[idx] = step
-                return step()
-            steps[idx] = tramp
         self._cache[key] = (program, steps, win)
         return steps, win
 

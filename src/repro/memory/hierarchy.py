@@ -20,6 +20,7 @@ protecting these structures as well".
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import List, Optional, Protocol
 
@@ -155,7 +156,9 @@ class MemoryHierarchy:
         self.dtlb = TLB(self.config.dtlb)
         self.stats = StatRegistry("hierarchy")
         self._walks = self.stats.counter("page_walks")
-        self._direct_sink = DirectFillSink(self)
+        # A proxy, not the hierarchy itself: a sink → hierarchy strong
+        # reference would make every hierarchy cyclic garbage.
+        self._direct_sink = DirectFillSink(weakref.proxy(self))
 
     # ------------------------------------------------------------------
     # component helpers

@@ -573,6 +573,10 @@ class Core:
         self._n_squashed += 1
         if self.engine:
             self.engine.on_squash(uop)
+        # Unlink squashed producer/consumer pairs, which would otherwise
+        # leave reference cycles for the collector.
+        uop.waiters.clear()
+        uop.producers.clear()
 
     def _squash_younger_than(self, seq: int) -> None:
         for squashed in self.rob.squash_younger_than(seq):
