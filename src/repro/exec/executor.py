@@ -18,7 +18,6 @@ them cacheable at all).
 
 from __future__ import annotations
 
-import multiprocessing
 import sys
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
@@ -133,6 +132,7 @@ class ParallelExecutor:
             for chunk in chunks:
                 yield _run_chunk(chunk)
             return
+        import multiprocessing  # only parallel runs pay for the import
         context = multiprocessing.get_context()
         with context.Pool(processes=workers) as pool:
             # Streamed so progress lines appear as chunks complete.

@@ -229,6 +229,12 @@ class Cache:
             raise ConfigError(
                 f"{self.config.name}: snapshot has {len(sets)} sets, "
                 f"cache has {self.config.num_sets}")
+        for index, lines in enumerate(sets):
+            if len(lines) > self._associativity:
+                raise ConfigError(
+                    f"{self.config.name}: snapshot set {index} holds "
+                    f"{len(lines)} lines, cache is "
+                    f"{self._associativity}-way")
         self._sets.clear()
         for index, lines in enumerate(sets):
             if lines:

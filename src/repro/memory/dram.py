@@ -7,7 +7,8 @@ to timing (timing is per-access, not per-byte).
 
 from __future__ import annotations
 
-from typing import Dict
+from types import MappingProxyType
+from typing import Dict, Mapping
 
 from repro.errors import ConfigError
 
@@ -69,16 +70,16 @@ class MainMemory:
 
     # -- checkpointing ----------------------------------------------------
 
-    def snapshot(self) -> "tuple[Dict[int, int], Dict[int, int]]":
-        """``(words, written)`` copies of the backing store.
+    def snapshot(self) -> "tuple[Mapping[int, int], Mapping[int, int]]":
+        """``(words, written)``: read-only live views of the backing store.
 
-        Both dicts are keyed by aligned word index (``paddr >> 3``);
-        ``written`` holds the per-word written-byte masks that keep
-        :meth:`footprint` byte-exact across a restore.
+        Both are keyed by aligned word index (``paddr >> 3``); ``written``
+        holds the per-word written-byte masks that keep :meth:`footprint`
+        byte-exact across a restore.  Callers copy what they keep.
         """
-        return dict(self._words), dict(self._written)
+        return MappingProxyType(self._words), MappingProxyType(self._written)
 
     def restore(self, words: Dict[int, int], written: Dict[int, int]) -> None:
-        """Replace the backing store with a :meth:`snapshot`."""
-        self._words = dict(words)
-        self._written = dict(written)
+        """Replace the backing store; the memory takes both dicts over."""
+        self._words = words
+        self._written = written

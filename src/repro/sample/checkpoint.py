@@ -22,8 +22,12 @@ Contract:
 * **Stable identity.**  :meth:`Checkpoint.digest` hashes the canonical
   JSON form (the :class:`~repro.spec.MachineSpec` idiom), so equal
   checkpoints hash identically across processes and platforms.
+* **Packed.**  Memory words, written masks, page mappings and warm
+  TLB/cache contents are held as immutable ``bytes`` of unsigned 64-bit
+  words, not as Python tuples; :meth:`Checkpoint.to_dict` unpacks them
+  into the same wire form (and digest) as ever.
 * **Pickle-safe.**  Checkpoints cross ``ProcessPoolExecutor`` process
-  boundaries; everything stored is plain ints/tuples/dicts.
+  boundaries; everything stored is plain ints/tuples/dicts/bytes.
 """
 
 from __future__ import annotations
@@ -31,7 +35,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from array import array
+from itertools import chain
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Tuple)
 
 from repro.errors import ConfigError, SampleError
 from repro.isa.registers import NUM_REGISTERS
@@ -59,6 +66,63 @@ def _permissions_from_bits(bits: int) -> PagePermissions:
                            supervisor_only=bool(bits & 8))
 
 
+def _pack(rows: Iterable[Iterable[int]]) -> bytes:
+    """Integer rows flattened into packed unsigned 64-bit words."""
+    return array("Q", chain.from_iterable(rows)).tobytes()
+
+
+def _rows(packed: bytes, width: int) -> List[List[int]]:
+    """The ``width``-integer rows of a :func:`_pack` value."""
+    flat = array("Q", packed).tolist()
+    return [flat[at:at + width] for at in range(0, len(flat), width)]
+
+
+def _pack_mapping(mapping: Mapping[int, int]) -> bytes:
+    """An int -> int mapping as packed key-sorted ``(key, value)`` pairs."""
+    return _pack(sorted(mapping.items()))
+
+
+def _unpack_mapping(packed: bytes) -> Dict[int, int]:
+    flat = array("Q", packed)
+    return dict(zip(flat[0::2], flat[1::2]))
+
+
+def _pack_translations(translations: Iterable[Translation]) -> bytes:
+    """Translations as packed ``(vpn, ppn, permission_bits)`` triples."""
+    return _pack((t.vpn, t.ppn, _permission_bits(t.permissions))
+                 for t in translations)
+
+
+def _pack_sets(sets: Iterable[Tuple[int, List[int]]]) -> bytes:
+    """Sparse cache sets packed as ``index, count, *lines`` runs."""
+    return _pack((index, len(lines), *lines) for index, lines in sets)
+
+
+def _sparse_sets(packed: bytes) -> Iterator[List[Any]]:
+    """The ``[set_index, [line addresses LRU-first]]`` pairs of
+    :func:`_pack_sets` (the wire form)."""
+    flat = array("Q", packed)
+    at = 0
+    while at < len(flat):
+        index, count = flat[at], flat[at + 1]
+        yield [index, flat[at + 2:at + 2 + count].tolist()]
+        at += 2 + count
+
+
+def _convert_warm(warm: Dict[str, Any], tlbs: Callable[[Any], Any],
+                  caches: Callable[[Any], Any]) -> Dict[str, Any]:
+    """``warm`` with each TLB's and cache's contents mapped through
+    ``tlbs`` / ``caches`` (packing or unpacking them)."""
+    out = dict(warm)
+    if "tlbs" in warm:
+        out["tlbs"] = {name: tlbs(value)
+                       for name, value in warm["tlbs"].items()}
+    if "caches" in warm:
+        out["caches"] = {name: caches(value)
+                         for name, value in warm["caches"].items()}
+    return out
+
+
 @dataclasses.dataclass(frozen=True)
 class Checkpoint:
     """Committed architectural state at one point of one program's run.
@@ -68,22 +132,23 @@ class Checkpoint:
             (0 for the synthetic start-of-program checkpoint).
         next_pc: architectural PC of the next instruction to retire.
         registers: the 16 architectural register values.
-        memory: sorted ``(word_index, value)`` pairs of the physical
-            memory image (word index = ``paddr >> 3``).
-        written: sorted ``(word_index, byte_mask)`` pairs preserving the
-            byte-exact footprint accounting.
-        pages: sorted ``(vpn, ppn, permission_bits)`` page mappings.
+        memory: packed sorted ``(word_index, value)`` pairs of the
+            physical memory image (word index = ``paddr >> 3``).
+        written: packed sorted ``(word_index, byte_mask)`` pairs
+            preserving the byte-exact footprint accounting.
+        pages: packed sorted ``(vpn, ppn, permission_bits)`` mappings.
         faults: architectural faults retired so far.
-        warm: optional micro-architectural warm state (predictor/BTB/TLB/
-            cache contents); ``None`` for architectural-only checkpoints.
+        warm: optional micro-architectural warm state (predictor/BTB
+            state; packed TLB and cache contents); ``None`` for
+            architectural-only checkpoints.
     """
 
     instructions: int
     next_pc: int
     registers: Tuple[int, ...]
-    memory: Tuple[Tuple[int, int], ...]
-    written: Tuple[Tuple[int, int], ...]
-    pages: Tuple[Tuple[int, int, int], ...]
+    memory: bytes
+    written: bytes
+    pages: bytes
     faults: int = 0
     warm: Optional[Dict[str, Any]] = dataclasses.field(
         default=None, hash=False)
@@ -112,16 +177,13 @@ class Checkpoint:
         and warm structures are read off the machine.
         """
         words, written = machine.hierarchy.memory.snapshot()
-        pages = tuple(
-            (t.vpn, t.ppn, _permission_bits(t.permissions))
-            for t in machine.page_table.snapshot())
         return cls(
             instructions=instructions,
             next_pc=next_pc,
             registers=tuple(registers),
-            memory=tuple(sorted(words.items())),
-            written=tuple(sorted(written.items())),
-            pages=pages,
+            memory=_pack_mapping(words),
+            written=_pack_mapping(written),
+            pages=_pack_translations(machine.page_table.snapshot()),
             faults=faults,
             warm=cls._capture_warm(machine) if warm else None,
         )
@@ -134,20 +196,9 @@ class Checkpoint:
         but before execution: zero registers, zero counters, resume at
         the program start.  Cold micro-architecture by definition.
         """
-        words, written = machine.hierarchy.memory.snapshot()
-        pages = tuple(
-            (t.vpn, t.ppn, _permission_bits(t.permissions))
-            for t in machine.page_table.snapshot())
-        return cls(
-            instructions=0,
-            next_pc=program.code_base,
-            registers=(0,) * NUM_REGISTERS,
-            memory=tuple(sorted(words.items())),
-            written=tuple(sorted(written.items())),
-            pages=pages,
-            faults=0,
-            warm=None,
-        )
+        return cls.capture(machine, instructions=0,
+                           next_pc=program.code_base,
+                           registers=(0,) * NUM_REGISTERS, warm=False)
 
     @staticmethod
     def _capture_warm(machine) -> Dict[str, Any]:
@@ -162,17 +213,16 @@ class Checkpoint:
         if rsb_state["stack"]:
             warm["rsb"] = rsb_state
         warm["tlbs"] = {
-            name: [(t.vpn, t.ppn, _permission_bits(t.permissions))
-                   for t in getattr(machine.hierarchy, name).snapshot()]
+            name: _pack_translations(
+                getattr(machine.hierarchy, name).snapshot())
             for name in _TLBS
         }
-        # Caches are stored sparsely: only non-empty sets, as
-        # [set_index, [line addresses LRU-first]] pairs.
+        # Caches are stored sparsely: only non-empty sets, LRU-first.
         warm["caches"] = {
-            name: [[index, list(lines)]
-                   for index, lines
-                   in enumerate(getattr(machine.hierarchy, name).snapshot())
-                   if lines]
+            name: _pack_sets(
+                (index, lines) for index, lines
+                in enumerate(getattr(machine.hierarchy, name).snapshot())
+                if lines)
             for name in _CACHE_LEVELS
         }
         return warm
@@ -188,10 +238,10 @@ class Checkpoint:
         initial_registers=dict(enumerate(ckpt.registers)))`` continues
         exactly where the checkpointed run stopped, on either backend.
         """
-        for vpn, ppn, bits in self.pages:
+        for vpn, ppn, bits in _rows(self.pages, 3):
             machine.page_table.map_page(vpn, ppn, _permissions_from_bits(bits))
-        machine.hierarchy.memory.restore(dict(self.memory),
-                                         dict(self.written))
+        machine.hierarchy.memory.restore(_unpack_mapping(self.memory),
+                                         _unpack_mapping(self.written))
         if self.warm is not None:
             self._apply_warm(machine)
 
@@ -204,18 +254,18 @@ class Checkpoint:
         machine.btb.restore(dict(warm.get("btb", ())))
         machine.btb.restore_history(int(warm.get("btb_history", 0)))
         machine.rsb.restore(warm.get("rsb", {"stack": []}))
-        for name, entries in warm.get("tlbs", {}).items():
+        for name, packed in warm.get("tlbs", {}).items():
             if name not in _TLBS:
                 raise SampleError(f"unknown TLB in checkpoint: {name!r}")
             getattr(machine.hierarchy, name).restore(tuple(
                 Translation(vpn, ppn, _permissions_from_bits(bits))
-                for vpn, ppn, bits in entries))
-        for name, sparse_sets in warm.get("caches", {}).items():
+                for vpn, ppn, bits in _rows(packed, 3)))
+        for name, packed in warm.get("caches", {}).items():
             if name not in _CACHE_LEVELS:
                 raise SampleError(f"unknown cache in checkpoint: {name!r}")
             cache = getattr(machine.hierarchy, name)
             dense: List[Tuple[int, ...]] = [()] * cache.config.num_sets
-            for index, lines in sparse_sets:
+            for index, lines in _sparse_sets(packed):
                 dense[index] = tuple(lines)
             cache.restore(dense)
 
@@ -230,11 +280,13 @@ class Checkpoint:
             "instructions": self.instructions,
             "next_pc": self.next_pc,
             "registers": list(self.registers),
-            "memory": [list(pair) for pair in self.memory],
-            "written": [list(pair) for pair in self.written],
-            "pages": [list(entry) for entry in self.pages],
+            "memory": _rows(self.memory, 2),
+            "written": _rows(self.written, 2),
+            "pages": _rows(self.pages, 3),
             "faults": self.faults,
-            "warm": self.warm,
+            "warm": None if self.warm is None else _convert_warm(
+                self.warm, lambda packed: _rows(packed, 3),
+                lambda packed: list(_sparse_sets(packed))),
         }
 
     @classmethod
@@ -248,11 +300,14 @@ class Checkpoint:
             instructions=payload["instructions"],
             next_pc=payload["next_pc"],
             registers=tuple(payload["registers"]),
-            memory=tuple((i, v) for i, v in payload["memory"]),
-            written=tuple((i, m) for i, m in payload["written"]),
-            pages=tuple((v, p, b) for v, p, b in payload["pages"]),
+            memory=_pack((i, v) for i, v in payload["memory"]),
+            written=_pack((i, m) for i, m in payload["written"]),
+            pages=_pack((v, p, b) for v, p, b in payload["pages"]),
             faults=payload.get("faults", 0),
-            warm=payload.get("warm"),
+            warm=None if payload.get("warm") is None else _convert_warm(
+                payload["warm"],
+                lambda rows: _pack((v, p, b) for v, p, b in rows),
+                _pack_sets),
         )
 
     def digest(self) -> str:

@@ -27,15 +27,16 @@ always yields the same program and chase table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.errors import ConfigError
 from repro.isa.assembler import ProgramBuilder
 from repro.isa.instructions import INSTRUCTION_BYTES
 from repro.isa.program import Program
 from repro.workloads.profiles import WorkloadProfile
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # LCG multiplier/increment (Knuth's MMIX constants).
 _LCG_MUL = 6364136223846793005
@@ -231,6 +232,9 @@ def _generate_program(profile: WorkloadProfile,
     """Generate the synthetic program for one profile."""
     if code_base % INSTRUCTION_BYTES:
         raise ConfigError("code_base must be instruction-aligned")
+    # Imported here so runs that never generate a program (the attack
+    # matrix, verification) do not pay numpy's start-up time and memory.
+    import numpy as np
     rng = np.random.default_rng(profile.seed)
     ws_bytes = _round_up_pow2(profile.working_set_kb * 1024)
     ws_mask = ws_bytes - 1

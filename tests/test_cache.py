@@ -196,3 +196,11 @@ class TestLazySets:
         other.fill(0x200)
         assert other.contains(0x000)
         assert not other.contains(0x100)
+
+    def test_restore_rejects_over_full_set(self):
+        cache = small_cache(assoc=2, sets=4)
+        cache.fill(0x040)
+        with pytest.raises(ConfigError, match="test: snapshot set 0 holds 3"):
+            cache.restore([(0x000, 0x100, 0x200), (), (), ()])
+        # Nothing was replaced.
+        assert cache.snapshot() == [(), (0x040,), (), ()]

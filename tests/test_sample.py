@@ -12,7 +12,9 @@ The load-bearing properties of sampled simulation:
 """
 
 import dataclasses
+import gc
 import json
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -26,6 +28,7 @@ from repro.machine import Machine
 from repro.sample import (CHECKPOINT_SCHEMA_VERSION, Checkpoint, SamplePlan,
                           run_sample, sample_jobs, scan_checkpoints)
 from repro.sample.plan import resolve_workload
+from repro.spec import MachineSpec
 
 # Small slices: every simulation here exercises the checkpoint/stitch
 # machinery, not the micro-architecture.
@@ -160,6 +163,69 @@ class TestCheckpointValue:
         assert checkpoint.instructions == 0
         assert checkpoint.next_pc == workload.program.code_base
         assert checkpoint.warm is None
+
+
+# Digests of the slice-1 warm checkpoint, pinned when checkpoints were
+# still held as tuples: the packed form hashes the same canonical JSON.
+PINNED_DIGESTS = {
+    ("namd", "baseline"):
+        "e479cd392a97670a72241a712989dad6b1968983102e76c9a27ef05c0d87088d",
+    ("namd", "wfc"):
+        "fadbb0a5d405fe00b4d605758858a575079b1b8b0ae33fedab9817d288452555",
+    ("mcf", "baseline"):
+        "eefbcf789292ab1bb4bc548a702dae4ecaea819e3b586429eb53061c8a2ab8b8",
+    ("mcf", "wfc"):
+        "a6d9281a7d18f758f8dedce8cb605a5334818bdad5d9b3b0c4cde042c1510e5c",
+}
+
+
+class TestPackedCheckpoint:
+    @pytest.mark.parametrize(("name", "policy"), sorted(PINNED_DIGESTS))
+    def test_digest_is_pinned(self, name, policy):
+        checkpoint = scan_checkpoints(name, PLAN, [1], warm=True,
+                                      policy=CommitPolicy(policy))[1]
+        assert checkpoint.digest() == PINNED_DIGESTS[name, policy]
+
+    @pytest.fixture(scope="class")
+    def mcf_wfc(self):
+        """A WFC machine stopped after 20,000 mcf instructions."""
+        workload = resolve_workload("mcf")
+        machine = Machine.from_spec(None, policy=CommitPolicy.WFC,
+                                    backend="fast")
+        workload.apply_memory_image(machine)
+        result = machine.run(workload.program, max_instructions=20_000)
+        assert result.halted_reason == "budget"
+        return machine, result
+
+    def _capture(self, machine, result):
+        return Checkpoint.capture(machine, instructions=result.instructions,
+                                  next_pc=result.next_pc,
+                                  registers=result.registers,
+                                  faults=len(result.fault_events))
+
+    def test_warm_checkpoint_is_held_packed(self, mcf_wfc):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            checkpoint = self._capture(*mcf_wfc)
+            # A full collection also empties the interpreter's free
+            # lists, so only what the checkpoint retains is counted.
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained <= 320_000, retained
+        assert hash(checkpoint) == hash(dataclasses.replace(checkpoint))
+
+    def test_restore_rejects_over_full_cache_sets(self, mcf_wfc):
+        # Same 64 L1D sets as the default, but 4-way instead of 8-way.
+        checkpoint = self._capture(*mcf_wfc)
+        spec = MachineSpec().derive(**{"hierarchy.l1d.size_bytes": 16 * 1024,
+                                       "hierarchy.l1d.associativity": 4})
+        machine = Machine.from_spec(spec, policy=CommitPolicy.WFC,
+                                    backend="fast")
+        with pytest.raises(ConfigError, match=r"L1D: snapshot set \d+ holds"):
+            checkpoint.apply(machine)
 
 
 class TestCheckpointRestore:
