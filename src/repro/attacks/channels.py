@@ -10,7 +10,7 @@ invisible to them by construction — which is the point of SafeSpec.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.machine import Machine
 
@@ -70,9 +70,9 @@ class FlushReloadChannel:
 
     def reload(self) -> ProbeOutcome:
         """Time a committed load of every slot; hot slots are hits."""
-        return _scan(self.slots, self.threshold,
-                     lambda s: self.machine.probe_latency(
-                         self.slot_address(s)))
+        return _outcome(self.machine.probe_latencies(
+            [self.slot_address(s) for s in range(self.slots)]),
+            self.threshold)
 
 
 class IcacheReloadChannel:
@@ -99,9 +99,9 @@ class IcacheReloadChannel:
                 self.machine.hierarchy.clflush(translation.physical(addr))
 
     def reload(self) -> ProbeOutcome:
-        return _scan(self.slots, self.threshold,
-                     lambda s: self.machine.probe_fetch_latency(
-                         self.slot_address(s)))
+        return _outcome(self.machine.probe_latencies(
+            [self.slot_address(s) for s in range(self.slots)], side="i"),
+            self.threshold)
 
 
 class TlbProbeChannel:
@@ -123,9 +123,9 @@ class TlbProbeChannel:
         return self.base + slot * self.page_stride
 
     def reload(self) -> ProbeOutcome:
-        return _scan(self.slots, self.threshold,
-                     lambda s: self.machine.probe_translation_latency(
-                         self.slot_address(s), side=self.side))
+        return _outcome([self.machine.probe_translation_latency(
+            self.slot_address(s), side=self.side)
+            for s in range(self.slots)], self.threshold)
 
 
 class PrimeProbeChannel:
@@ -176,14 +176,17 @@ class PrimeProbeChannel:
         warm_lines(self.machine, addresses, code_base=0x74_000)
 
     def _evicted_sets(self) -> set:
-        evicted = set()
-        for set_index in range(self.num_sets):
-            for way in range(self.ways):
-                addr = self.line_address(set_index, way)
-                if self.machine.probe_latency(addr) > self.threshold:
-                    evicted.add(set_index)
-                    break
-        return evicted
+        """Sets with at least one slow attacker line.
+
+        One scan times every line, translating each page of the prime
+        region once (with the Table II L1D, a way is one page).
+        """
+        sets = range(self.num_sets)
+        latencies = self.machine.probe_latencies(
+            [self.line_address(s, w) for w in range(self.ways) for s in sets])
+        return {index % self.num_sets
+                for index, latency in enumerate(latencies)
+                if latency > self.threshold}
 
     def calibrate(self) -> set:
         """Record the sets a benign victim run perturbs (call after
@@ -197,9 +200,8 @@ class PrimeProbeChannel:
         return ProbeOutcome(latencies=[], hot_slots=signal)
 
 
-def _scan(slots: int, threshold: int,
-          measure: Callable[[int], int]) -> ProbeOutcome:
-    latencies = [measure(slot) for slot in range(slots)]
+def _outcome(latencies: List[int], threshold: int) -> ProbeOutcome:
+    """The hot slots of one scan: those faster than ``threshold``."""
     hot = [slot for slot, lat in enumerate(latencies) if lat < threshold]
     return ProbeOutcome(latencies=latencies, hot_slots=hot)
 

@@ -13,10 +13,12 @@ Every attack uses the same basic layout so the PoCs stay readable:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Tuple
 
 from repro.isa.assembler import ProgramBuilder
+from repro.isa.program import Program
 from repro.machine import Machine
 from repro.memory.paging import PrivilegeLevel
 
@@ -67,6 +69,21 @@ def warm_lines(machine: Machine, addresses: Iterable[int],
     (TSA experiments): an unserialized burst would overflow the shadow
     and silently drop some of the warming state.
     """
+    program = _warm_program(tuple(addresses), code_base, serialized)
+    machine.run(program, privilege=privilege)
+
+
+@functools.lru_cache(maxsize=16)
+def _warm_program(addresses: Tuple[int, ...], code_base: int,
+                  serialized: bool) -> Program:
+    """The assembled :func:`warm_lines` program, built once per key.
+
+    The attacks call :func:`warm_lines` again and again with the same
+    few address lists: the full attack matrix on both backends makes
+    106 calls for 10 distinct programs, the largest the
+    1,025-instruction Prime+Probe prime.  A :class:`Program` is
+    immutable and holds no machine, so one instance serves every run.
+    """
     builder = ProgramBuilder(code_base=code_base)
     for address in addresses:
         builder.li("r1", address)
@@ -74,7 +91,7 @@ def warm_lines(machine: Machine, addresses: Iterable[int],
         if serialized:
             builder.fence()
     builder.halt()
-    machine.run(builder.build(), privilege=privilege)
+    return builder.build()
 
 
 def warm_code(machine: Machine, program, fault_handler_pc=None,

@@ -12,7 +12,7 @@ renderer, and the ``ALL_ATTACKS`` registry view.  Batch runs go through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.api import registry as api_registry
 from repro.core.policy import CommitPolicy
@@ -117,7 +117,8 @@ def attack_result_from_sim(result: SimResult) -> AttackResult:
 def render_matrix(matrix: Dict[str, Dict[str, AttackResult]]) -> str:
     """Pretty-print a security matrix as the paper's check/cross table."""
     policies = sorted({p for row in matrix.values() for p in row})
-    header = f"{'attack':12s} " + " ".join(f"{p:>9s}" for p in policies)
+    width = max(map(len, ["attack", *matrix]))
+    header = f"{'attack':{width}s} " + " ".join(f"{p:>9s}" for p in policies)
     lines = [header, "-" * len(header)]
     for attack, row in matrix.items():
         cells = []
@@ -127,7 +128,7 @@ def render_matrix(matrix: Dict[str, Dict[str, AttackResult]]) -> str:
                 cells.append(f"{'-':>9s}")
             else:
                 cells.append(f"{'closed' if result.closed else 'LEAKED':>9s}")
-        lines.append(f"{attack:12s} " + " ".join(cells))
+        lines.append(f"{attack:{width}s} " + " ".join(cells))
     return "\n".join(lines)
 
 

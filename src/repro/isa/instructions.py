@@ -92,11 +92,52 @@ _OPCODE_CLASS = {
 FU_CLASS_ORDER = tuple(InstructionClass)
 FU_CLASS_INDEX = {cls: index for index, cls in enumerate(FU_CLASS_ORDER)}
 
-_CONTROL_FLOW = frozenset((Opcode.BRANCH, Opcode.JMP, Opcode.JMPI,
-                           Opcode.CALL, Opcode.RET))
+# Operands an opcode cannot do without, as positions in
+# (rd, rs1, rs2, alu_op, cond), with the error naming them.
+_RD, _RS1, _RS2, _ALU_OP, _COND = range(5)
+_REQUIRED = {
+    Opcode.ALU: ((_RD, _RS1, _ALU_OP), "ALU needs rd, rs1 and alu_op"),
+    Opcode.LOADIMM: ((_RD,), "LOADIMM needs rd"),
+    Opcode.LOAD: ((_RD, _RS1), "LOAD needs rd and rs1"),
+    Opcode.STORE: ((_RS1, _RS2), "STORE needs rs1 (base) and rs2 (data)"),
+    Opcode.BRANCH: ((_RS1, _RS2, _COND), "BRANCH needs rs1, rs2 and cond"),
+    Opcode.JMPI: ((_RS1,), "JMPI needs rs1"),
+    Opcode.CALL: ((_RD,), "CALL needs rd (link register)"),
+    Opcode.RET: ((_RS1,), "RET needs rs1 (return-address register)"),
+    Opcode.CLFLUSH: ((_RS1,), "CLFLUSH needs rs1"),
+    Opcode.RDTSC: ((_RD,), "RDTSC needs rd"),
+}
 
 
-@dataclass(frozen=True)
+def _decode_row(opcode: Opcode, inst_class: InstructionClass) -> dict:
+    """An instance-dict template: the spec fields at their defaults plus
+    every decode product that depends on the opcode (and, for MUL, on
+    ``alu_op``) alone."""
+    return {
+        "opcode": opcode, "rd": None, "rs1": None, "rs2": None, "imm": 0,
+        "target": None, "alu_op": None, "cond": None, "label": None,
+        "inst_class": inst_class,
+        "fu_index": FU_CLASS_INDEX[inst_class],
+        "is_control_flow": inst_class is InstructionClass.BRANCH,
+        "is_conditional": opcode is Opcode.BRANCH,
+        "is_indirect": opcode is Opcode.JMPI,
+        "is_call": opcode is Opcode.CALL,
+        "is_return": opcode is Opcode.RET,
+        "writes_register": False,
+        "sources": (),
+    }
+
+
+# Decode rows keyed by the opcode's value string: a str hash is cached,
+# while Enum.__hash__ is a Python-level call on every lookup.
+_DECODE = {op._value_: (_decode_row(op, cls),) + _REQUIRED.get(op, ((), ""))
+           for op, cls in _OPCODE_CLASS.items()}
+_ALU, _MUL = Opcode.ALU, AluOp.MUL
+_MUL_ROW = _decode_row(Opcode.ALU, InstructionClass.MUL)
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class Instruction:
     """One static instruction.
 
@@ -111,6 +152,11 @@ class Instruction:
     * ``target`` — static branch/jump target *instruction index*.
     * ``alu_op`` / ``cond`` — sub-operation selectors.
     * ``label`` — optional symbolic name of this instruction's location.
+
+    Decoding happens once, here: every attribute the pipeline reads per
+    cycle (``inst_class``, ``fu_index``, the ``is_*`` flags,
+    ``writes_register``, ``sources``) is materialised at construction.
+    They are not spec fields, so eq/hash/repr ignore them.
     """
 
     opcode: Opcode
@@ -123,64 +169,40 @@ class Instruction:
     cond: Optional[BranchCond] = None
     label: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        self._validate()
-        # Decode once at assembly time: every attribute the pipeline reads
-        # per cycle is materialised here instead of recomputed per access.
-        # (object.__setattr__: the dataclass is frozen; these are cached
-        # decode products, not spec fields, so eq/hash/repr ignore them.)
-        if self.opcode is Opcode.ALU and self.alu_op is AluOp.MUL:
-            inst_class = InstructionClass.MUL
-        else:
-            inst_class = _OPCODE_CLASS[self.opcode]
-        sources = []
-        if self.rs1 is not None:
-            sources.append(self.rs1)
-        if self.rs2 is not None:
-            sources.append(self.rs2)
-        set_attr = object.__setattr__
-        set_attr(self, "inst_class", inst_class)
-        set_attr(self, "fu_index", FU_CLASS_INDEX[inst_class])
-        set_attr(self, "is_control_flow", self.opcode in _CONTROL_FLOW)
-        set_attr(self, "is_conditional", self.opcode is Opcode.BRANCH)
-        set_attr(self, "is_indirect", self.opcode is Opcode.JMPI)
-        set_attr(self, "is_call", self.opcode is Opcode.CALL)
-        set_attr(self, "is_return", self.opcode is Opcode.RET)
-        set_attr(self, "writes_register", self.rd is not None)
-        set_attr(self, "sources", tuple(sources))
-
-    def _validate(self) -> None:
-        op = self.opcode
-        if op == Opcode.ALU:
-            if self.rd is None or self.rs1 is None or self.alu_op is None:
-                raise AssemblyError("ALU needs rd, rs1 and alu_op")
-        elif op == Opcode.LOADIMM:
-            if self.rd is None:
-                raise AssemblyError("LOADIMM needs rd")
-        elif op == Opcode.LOAD:
-            if self.rd is None or self.rs1 is None:
-                raise AssemblyError("LOAD needs rd and rs1")
-        elif op == Opcode.STORE:
-            if self.rs1 is None or self.rs2 is None:
-                raise AssemblyError("STORE needs rs1 (base) and rs2 (data)")
-        elif op == Opcode.BRANCH:
-            if self.rs1 is None or self.rs2 is None or self.cond is None:
-                raise AssemblyError("BRANCH needs rs1, rs2 and cond")
-        elif op == Opcode.JMPI:
-            if self.rs1 is None:
-                raise AssemblyError("JMPI needs rs1")
-        elif op == Opcode.CALL:
-            if self.rd is None:
-                raise AssemblyError("CALL needs rd (link register)")
-        elif op == Opcode.RET:
-            if self.rs1 is None:
-                raise AssemblyError("RET needs rs1 (return-address register)")
-        elif op == Opcode.CLFLUSH:
-            if self.rs1 is None:
-                raise AssemblyError("CLFLUSH needs rs1")
-        elif op == Opcode.RDTSC:
-            if self.rd is None:
-                raise AssemblyError("RDTSC needs rd")
+    def __init__(self, opcode: Opcode, rd: Optional[int] = None,
+                 rs1: Optional[int] = None, rs2: Optional[int] = None,
+                 imm: int = 0, target: Optional[int] = None,
+                 alu_op: Optional[AluOp] = None,
+                 cond: Optional[BranchCond] = None,
+                 label: Optional[str] = None) -> None:
+        # The instance dict is a copy of the opcode's decode row with the
+        # operands filled in, installed in one write; the frozen
+        # dataclass's per-field object.__setattr__ calls cost more than
+        # the rest of construction.
+        row, required, error = _DECODE[opcode._value_]
+        if required:
+            operands = (rd, rs1, rs2, alu_op, cond)
+            for index in required:
+                if operands[index] is None:
+                    raise AssemblyError(error)
+        if alu_op is _MUL and opcode is _ALU:
+            row = _MUL_ROW
+        state = row.copy()
+        if rd is not None:
+            state["rd"] = rd
+            state["writes_register"] = True
+        if rs1 is not None:
+            state["rs1"] = rs1
+            state["sources"] = (rs1,) if rs2 is None else (rs1, rs2)
+        elif rs2 is not None:
+            state["sources"] = (rs2,)
+        state["rs2"] = rs2
+        state["imm"] = imm
+        state["target"] = target
+        state["alu_op"] = alu_op
+        state["cond"] = cond
+        state["label"] = label
+        _set(self, "__dict__", state)
 
     def source_registers(self) -> tuple:
         """Architectural registers read by this instruction."""

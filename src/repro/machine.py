@@ -15,7 +15,7 @@ core, which is the setting mistraining attacks (Spectre) require::
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.api.registry import PREDICTORS
 from repro.backends import DEFAULT_BACKEND, BACKENDS
@@ -25,13 +25,15 @@ from repro.frontend.btb import BranchTargetBuffer, BTBConfig
 from repro.frontend.rsb import ReturnStackBuffer, RSBConfig
 from repro.isa.program import Program
 from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy
-from repro.memory.paging import PagePermissions, PageTable, PrivilegeLevel
+from repro.memory.dram import MainMemory
+from repro.memory.paging import (MappedWords, PagePermissions, PageTable,
+                                 PrivilegeLevel)
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import RunResult
 from repro.spec import MachineSpec
 
 
-class Machine:
+class Machine(MappedWords):
     """A simulated CPU plus memory system with a selectable commit policy.
 
     Prefer describing a machine shape as a
@@ -138,19 +140,10 @@ class Machine:
             start_vaddr, size,
             PagePermissions(supervisor_only=True))
 
-    def write_word(self, vaddr: int, value: int) -> None:
-        """Write directly to backing memory (test/attack setup)."""
-        translation = self.page_table.lookup(vaddr)
-        if translation is None:
-            raise KeyError(f"vaddr {vaddr:#x} is not mapped")
-        self.hierarchy.memory.write_word(translation.physical(vaddr), value)
-
-    def read_word(self, vaddr: int) -> int:
-        """Read directly from backing memory (result inspection)."""
-        translation = self.page_table.lookup(vaddr)
-        if translation is None:
-            raise KeyError(f"vaddr {vaddr:#x} is not mapped")
-        return self.hierarchy.memory.read_word(translation.physical(vaddr))
+    @property
+    def memory(self) -> MainMemory:
+        """Backing memory (what :meth:`read_word` and friends access)."""
+        return self.hierarchy.memory
 
     # ------------------------------------------------------------------
     # execution
@@ -193,6 +186,13 @@ class Machine:
         """Latency a committed instruction fetch at ``vaddr`` would see
         now (receiver for the I-cache attack variant)."""
         return self.hierarchy.probe_fetch_latency(vaddr)
+
+    def probe_latencies(self, vaddrs: Iterable[int],
+                        side: str = "d") -> List[int]:
+        """:meth:`probe_latency` (``side="d"``) or
+        :meth:`probe_fetch_latency` (``side="i"``) of every address,
+        translating each page once (a receiver's whole scan)."""
+        return self.hierarchy.probe_latencies(side, vaddrs)
 
     def probe_translation_latency(self, vaddr: int, side: str = "d") -> int:
         """Translation (TLB/page-walk) latency a committed access would

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import List, Optional, Protocol
+from typing import Dict, Iterable, List, Optional, Protocol, Tuple
 
 from repro.errors import ConfigError
 from repro.memory.cache import Cache, CacheConfig
 from repro.memory.dram import MainMemory
-from repro.memory.paging import (PAGE_SHIFT, PageTable, PrivilegeLevel,
-                                 Translation)
+from repro.memory.paging import (PAGE_SHIFT, PAGE_SIZE, PageTable,
+                                 PrivilegeLevel, Translation)
 from repro.memory.tlb import TLB, TLBConfig
 from repro.statistics import StatRegistry
 
@@ -440,24 +440,44 @@ class MemoryHierarchy:
         Non-perturbing — used by receivers to model the timing loop of
         flush+reload without disturbing the state being measured.
         """
-        translation = self.page_table.lookup(vaddr)
-        if translation is None:
-            return self.config.memory_latency
-        latency = self.probe_translation_latency("d", vaddr)
-        paddr = translation.physical(vaddr)
-        level = self.committed_hit_level("d", paddr)
-        return latency + self.level_latency(level if level else "MEM")
+        return self.probe_latencies("d", (vaddr,))[0]
 
     def probe_fetch_latency(self, vaddr: int) -> int:
         """Latency a committed, timed instruction fetch at ``vaddr`` would
         observe now (the i-cache variant's receiver measurement)."""
-        translation = self.page_table.lookup(vaddr)
-        if translation is None:
-            return self.config.memory_latency
-        latency = self.probe_translation_latency("i", vaddr)
-        paddr = translation.physical(vaddr)
-        level = self.committed_hit_level("i", paddr)
-        return latency + self.level_latency(level if level else "MEM")
+        return self.probe_latencies("i", (vaddr,))[0]
+
+    def probe_latencies(self, side: str, vaddrs: Iterable[int]) -> List[int]:
+        """Committed-access latency of every address, on ``side``.
+
+        An unmapped address costs the memory latency; a mapped one its
+        page's translation latency plus the line's committed hit level.
+        A page's translation and its latency are resolved once per
+        call: probes never perturb state, so every address on a page
+        sees the same TLB hit or page walk.
+        """
+        memory_latency = self.config.memory_latency
+        lookup = self.page_table.lookup
+        pages: Dict[int, Tuple[Optional[int], int]] = {}
+        latencies = []
+        for vaddr in vaddrs:
+            vpn = vaddr >> PAGE_SHIFT
+            page = pages.get(vpn)
+            if page is None:
+                translation = lookup(vaddr)
+                if translation is None:
+                    page = (None, memory_latency)
+                else:
+                    page = (translation.ppn << PAGE_SHIFT,
+                            self.probe_translation_latency(side, vaddr))
+                pages[vpn] = page
+            base, latency = page
+            if base is not None:
+                level = self.committed_hit_level(
+                    side, base | (vaddr & (PAGE_SIZE - 1)))
+                latency += self.level_latency(level or "MEM")
+            latencies.append(latency)
+        return latencies
 
     def probe_translation_latency(self, side: str, vaddr: int) -> int:
         """Translation latency a committed access would observe now.

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigError
 
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
+_OFFSET_MASK = PAGE_SIZE - 1
 
 
 class PrivilegeLevel(enum.IntEnum):
@@ -109,6 +110,26 @@ class PageTable:
         """
         return self._entries.get(vaddr >> PAGE_SHIFT)
 
+    def physical_addresses(self, vaddrs: Iterable[int]) -> List[int]:
+        """The physical address of each of ``vaddrs``, looking each page
+        up once.
+
+        Raises ``KeyError`` naming the first unmapped address.
+        """
+        pages: Dict[int, int] = {}
+        entries = self._entries
+        out = []
+        for vaddr in vaddrs:
+            vpn = vaddr >> PAGE_SHIFT
+            base = pages.get(vpn)
+            if base is None:
+                entry = entries.get(vpn)
+                if entry is None:
+                    raise KeyError(f"vaddr {vaddr:#x} is not mapped")
+                base = pages[vpn] = entry.ppn << PAGE_SHIFT
+            out.append(base | (vaddr & _OFFSET_MASK))
+        return out
+
     def is_mapped(self, vaddr: int) -> bool:
         return (vaddr >> PAGE_SHIFT) in self._entries
 
@@ -119,6 +140,41 @@ class PageTable:
     def snapshot(self) -> "tuple[Translation, ...]":
         """All installed translations, sorted by VPN (checkpoint dump)."""
         return tuple(self._entries[vpn] for vpn in sorted(self._entries))
+
+
+class MappedWords:
+    """Word access by virtual address, straight to backing memory.
+
+    Mixed into :class:`~repro.machine.Machine` and
+    :class:`~repro.verify.oracle.ReferenceOracle`, which both provide a
+    ``page_table`` and a ``memory``.  These accesses are for setup and
+    result inspection: they bypass caches and TLBs entirely.  The bulk
+    forms translate each page once; they raise ``KeyError`` on an
+    unmapped address before touching memory.
+    """
+
+    def write_word(self, vaddr: int, value: int) -> None:
+        """Write one word (test/attack setup)."""
+        self.write_words(((vaddr, value),))
+
+    def read_word(self, vaddr: int) -> int:
+        """Read one word (result inspection)."""
+        return self.read_words((vaddr,))[0]
+
+    def write_words(self, words: Iterable[Tuple[int, int]]) -> None:
+        """Write every ``(vaddr, value)`` pair, in order."""
+        words = list(words)
+        paddrs = self.page_table.physical_addresses(
+            [vaddr for vaddr, _ in words])
+        write = self.memory.write_word
+        for paddr, (_, value) in zip(paddrs, words):
+            write(paddr, value)
+
+    def read_words(self, vaddrs: Iterable[int]) -> List[int]:
+        """The word at each of ``vaddrs``."""
+        read = self.memory.read_word
+        return [read(paddr)
+                for paddr in self.page_table.physical_addresses(vaddrs)]
 
 
 def vpn_of(vaddr: int) -> int:

@@ -184,8 +184,7 @@ class FuzzProgram:
         """
         machine.map_user_range(self.data_base, self.data_bytes)
         machine.map_kernel_range(self.kernel_base, 4096)
-        for vaddr, value in self.memory_words:
-            machine.write_word(vaddr, value)
+        machine.write_words(self.memory_words)
 
     def compare_addresses(self) -> List[int]:
         """Word addresses the differential harness checks after a run."""

@@ -350,9 +350,9 @@ def _compare_states(case: FuzzProgram, golden, result, oracle,
         mismatches.append(
             f"fault events: machine={machine_faults} "
             f"oracle={oracle_faults}")
-    for vaddr in case.compare_addresses():
-        got = machine.read_word(vaddr)
-        want = oracle.read_word(vaddr)
+    addresses = case.compare_addresses()
+    for vaddr, got, want in zip(addresses, machine.read_words(addresses),
+                                oracle.read_words(addresses)):
         if got != want:
             mismatches.append(
                 f"mem[{vaddr:#x}]: machine={got:#x} oracle={want:#x}")

@@ -43,7 +43,8 @@ from repro.isa.instructions import (AluOp, BranchCond, INSTRUCTION_BYTES,
 from repro.isa.program import Program
 from repro.isa.registers import NUM_REGISTERS, to_signed, to_unsigned
 from repro.memory.dram import MainMemory
-from repro.memory.paging import (PagePermissions, PageTable, PrivilegeLevel)
+from repro.memory.paging import (MappedWords, PagePermissions, PageTable,
+                                 PrivilegeLevel)
 
 # Generous backstop so a buggy generator cannot spin the oracle forever;
 # real fuzz programs retire a few hundred instructions.
@@ -78,7 +79,7 @@ class OracleResult:
                 if index not in self.tainted}
 
 
-class ReferenceOracle:
+class ReferenceOracle(MappedWords):
     """A memory image plus an in-order interpreter over it.
 
     Like :class:`~repro.machine.Machine`, the oracle is persistent:
@@ -102,18 +103,6 @@ class ReferenceOracle:
     def map_kernel_range(self, start_vaddr: int, size: int) -> None:
         self.page_table.map_range(
             start_vaddr, size, PagePermissions(supervisor_only=True))
-
-    def write_word(self, vaddr: int, value: int) -> None:
-        translation = self.page_table.lookup(vaddr)
-        if translation is None:
-            raise KeyError(f"vaddr {vaddr:#x} is not mapped")
-        self.memory.write_word(translation.physical(vaddr), value)
-
-    def read_word(self, vaddr: int) -> int:
-        translation = self.page_table.lookup(vaddr)
-        if translation is None:
-            raise KeyError(f"vaddr {vaddr:#x} is not mapped")
-        return self.memory.read_word(translation.physical(vaddr))
 
     # ------------------------------------------------------------------
     # execution

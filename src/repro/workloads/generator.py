@@ -87,8 +87,7 @@ class WorkloadProgram:
     def apply_memory_image(self, machine) -> None:
         """Map the data region and install the pointer-chase cycle."""
         machine.map_user_range(self.data_base, self.data_bytes)
-        for vaddr, value in self.chase_writes:
-            machine.write_word(vaddr, value)
+        machine.write_words(self.chase_writes)
 
 
 class _BlockBodyEmitter:

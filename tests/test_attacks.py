@@ -12,7 +12,8 @@ from repro.attacks import (run_attack_by_name, run_dtlb_variant,
                            run_icache_variant, run_itlb_variant,
                            run_meltdown, run_spectre_v1, run_spectre_v2,
                            run_tsa)
-from repro.attacks.runner import render_matrix
+from repro.api.registry import attack_names
+from repro.attacks.runner import AttackResult, render_matrix
 from repro.attacks.tsa import run_tsa_vulnerable
 from repro.errors import ConfigError
 
@@ -158,6 +159,25 @@ class TestRunner:
         text = render_matrix(matrix)
         assert "spectre_v1" in text
         assert "closed" in text
+
+    def test_render_matrix_columns_line_up(self):
+        # Every registered attack, including names longer than the
+        # header's "attack" column used to be.
+        names = attack_names()
+        matrix = {name: {policy.value: AttackResult(name, policy, 42, None)
+                         for policy in POLICIES}
+                  for name in names}
+        lines = render_matrix(matrix).splitlines()
+        header, rows = lines[0], lines[2:]
+        assert lines[1] == "-" * len(header)
+        assert [row.split()[0] for row in rows] == names
+        # Each policy column ends where its header label ends.
+        ends = [header.index(policy.value) + len(policy.value)
+                for policy in POLICIES]
+        for row in rows:
+            assert len(row) == len(header)
+            for end in ends:
+                assert row[end - len("closed"):end] == "closed"
 
     def test_unknown_attack_in_matrix_rejected(self):
         with pytest.raises(ConfigError):

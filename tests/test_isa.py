@@ -1,5 +1,8 @@
 """Unit tests for the ISA: instructions, programs, assembler, builder."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import AssemblyError
@@ -64,6 +67,146 @@ class TestInstructionValidation:
     def test_source_registers(self):
         inst = Instruction(Opcode.STORE, rs1=3, rs2=7)
         assert inst.source_registers() == (3, 7)
+
+
+# The decode table: for each opcode, the operands of a minimal valid
+# instruction and what it decodes to.  Flags: c = control flow,
+# b = conditional branch, i = indirect jump, k = call, r = return.
+_INT, _MUL_CLS, _LD, _ST, _BR, _SYS = (
+    InstructionClass.INT, InstructionClass.MUL, InstructionClass.LOAD,
+    InstructionClass.STORE, InstructionClass.BRANCH, InstructionClass.SYSTEM)
+DECODE_TABLE = {
+    # opcode: (operands, class, fu_index, flags, writes_register, sources)
+    Opcode.ALU: (dict(rd=1, rs1=2, rs2=3, alu_op=AluOp.ADD),
+                 _INT, 0, "", True, (2, 3)),
+    Opcode.LOADIMM: (dict(rd=1, imm=5), _INT, 0, "", True, ()),
+    Opcode.LOAD: (dict(rd=1, rs1=2, imm=8), _LD, 2, "", True, (2,)),
+    Opcode.STORE: (dict(rs1=2, rs2=3), _ST, 3, "", False, (2, 3)),
+    Opcode.BRANCH: (dict(rs1=2, rs2=3, cond=BranchCond.LT, target=0),
+                    _BR, 4, "cb", False, (2, 3)),
+    Opcode.JMP: (dict(target=4), _BR, 4, "c", False, ()),
+    Opcode.JMPI: (dict(rs1=2), _BR, 4, "ci", False, (2,)),
+    Opcode.CALL: (dict(rd=1, target=4), _BR, 4, "ck", True, ()),
+    Opcode.RET: (dict(rs1=2), _BR, 4, "cr", False, (2,)),
+    Opcode.CLFLUSH: (dict(rs1=2, imm=64), _SYS, 5, "", False, (2,)),
+    Opcode.RDTSC: (dict(rd=1), _SYS, 5, "", True, ()),
+    Opcode.FENCE: (dict(), _SYS, 5, "", False, ()),
+    Opcode.NOP: (dict(), _INT, 0, "", False, ()),
+    Opcode.HALT: (dict(), _SYS, 5, "", False, ()),
+}
+
+# Every opcode with required operands, and the error naming them.
+REQUIRED_OPERANDS = {
+    Opcode.ALU: (("rd", "rs1", "alu_op"), "ALU needs rd, rs1 and alu_op"),
+    Opcode.LOADIMM: (("rd",), "LOADIMM needs rd"),
+    Opcode.LOAD: (("rd", "rs1"), "LOAD needs rd and rs1"),
+    Opcode.STORE: (("rs1", "rs2"), "STORE needs rs1 (base) and rs2 (data)"),
+    Opcode.BRANCH: (("rs1", "rs2", "cond"), "BRANCH needs rs1, rs2 and cond"),
+    Opcode.JMPI: (("rs1",), "JMPI needs rs1"),
+    Opcode.CALL: (("rd",), "CALL needs rd (link register)"),
+    Opcode.RET: (("rs1",), "RET needs rs1 (return-address register)"),
+    Opcode.CLFLUSH: (("rs1",), "CLFLUSH needs rs1"),
+    Opcode.RDTSC: (("rd",), "RDTSC needs rd"),
+}
+
+SPEC_FIELDS = ("opcode", "rd", "rs1", "rs2", "imm", "target", "alu_op",
+               "cond", "label")
+
+
+def _decode_cases():
+    for opcode in Opcode:
+        yield pytest.param(opcode, None, id=opcode.value)
+    for alu_op in AluOp:
+        yield pytest.param(Opcode.ALU, alu_op, id=f"alu-{alu_op.value}")
+
+
+def _example(opcode, alu_op):
+    operands = dict(DECODE_TABLE[opcode][0])
+    if alu_op is not None:
+        operands["alu_op"] = alu_op
+    return Instruction(opcode, **operands), operands
+
+
+def _decoded(inst):
+    return (inst.inst_class, inst.fu_index, inst.is_control_flow,
+            inst.is_conditional, inst.is_indirect, inst.is_call,
+            inst.is_return, inst.writes_register, inst.sources)
+
+
+@pytest.mark.parametrize("opcode,alu_op", list(_decode_cases()))
+class TestInstructionDecode:
+    """The decode products and dataclass contract of every opcode (and
+    of ALU under every sub-operation)."""
+
+    def test_decode_matches_table(self, opcode, alu_op):
+        inst, _ = _example(opcode, alu_op)
+        _, cls, fu_index, flags, writes, sources = DECODE_TABLE[opcode]
+        if alu_op is AluOp.MUL:
+            cls, fu_index = _MUL_CLS, 1
+        assert _decoded(inst) == (
+            cls, fu_index, "c" in flags, "b" in flags, "i" in flags,
+            "k" in flags, "r" in flags, writes, sources)
+        assert inst.source_registers() == sources
+
+    def test_eq_hash_repr_cover_only_spec_fields(self, opcode, alu_op):
+        inst, operands = _example(opcode, alu_op)
+        assert tuple(f.name for f in dataclasses.fields(Instruction)) == \
+            SPEC_FIELDS
+        spec = tuple(getattr(inst, name) for name in SPEC_FIELDS)
+        twin = Instruction(opcode, **operands)
+        assert twin == inst and twin is not inst
+        assert hash(inst) == hash(spec)
+        assert repr(inst) == "Instruction(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(SPEC_FIELDS, spec)) \
+            + ")"
+        assert inst != dataclasses.replace(inst, label="elsewhere")
+        assert inst != dataclasses.replace(inst, imm=inst.imm + 1)
+
+    def test_frozen(self, opcode, alu_op):
+        inst, _ = _example(opcode, alu_op)
+        for name in ("opcode", "rd", "imm", "label", "inst_class",
+                     "fu_index", "sources"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(inst, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(inst, name)
+
+    def test_pickle_and_replace_round_trip(self, opcode, alu_op):
+        inst, _ = _example(opcode, alu_op)
+        for copy in (pickle.loads(pickle.dumps(inst)),
+                     dataclasses.replace(inst)):
+            assert copy == inst and copy is not inst
+            assert _decoded(copy) == _decoded(inst)
+        labelled = dataclasses.replace(inst, label="here")
+        assert labelled.label == "here"
+        assert _decoded(labelled) == _decoded(inst)
+
+    def test_missing_operand_errors(self, opcode, alu_op):
+        _, operands = _example(opcode, alu_op)
+        required, message = REQUIRED_OPERANDS.get(opcode, ((), ""))
+        for name in required:
+            partial = {k: v for k, v in operands.items() if k != name}
+            with pytest.raises(AssemblyError) as err:
+                Instruction(opcode, **partial)
+            assert str(err.value) == message
+
+
+def test_replace_reselects_the_mul_row():
+    add = Instruction(Opcode.ALU, rd=1, rs1=2, alu_op=AluOp.ADD)
+    mul = dataclasses.replace(add, alu_op=AluOp.MUL)
+    assert mul.inst_class is InstructionClass.MUL and mul.fu_index == 1
+    assert dataclasses.replace(mul, alu_op=AluOp.SUB).fu_index == 0
+
+
+def test_mul_selector_outside_alu_keeps_the_opcode_row():
+    # Only an ALU instruction decodes to the MUL unit.
+    load = Instruction(Opcode.LOAD, rd=1, rs1=2, alu_op=AluOp.MUL)
+    assert load.inst_class is InstructionClass.LOAD
+
+
+def test_sources_from_either_register_field():
+    assert Instruction(Opcode.NOP, rs2=4).sources == (4,)
+    assert Instruction(Opcode.NOP, rd=0).writes_register
 
 
 class TestProgram:

@@ -9,6 +9,7 @@ import pytest
 from repro_testlib import KERNEL_BASE
 from repro import (CommitPolicy, FullPolicy, Machine, ProgramBuilder,
                    SafeSpecConfig, SizingMode)
+from repro.verify.oracle import ReferenceOracle
 
 
 class TestConstruction:
@@ -48,6 +49,40 @@ class TestMemoryHelpers:
     def test_unmapped_read_raises(self):
         with pytest.raises(KeyError):
             Machine().read_word(0x10000)
+
+    @pytest.mark.parametrize("make", [Machine, ReferenceOracle],
+                             ids=["machine", "oracle"])
+    def test_bulk_words_equal_per_word_access(self, make):
+        # Three pages, written out of page order, one word unaligned.
+        words = [(0x10000 + 8 * i, 1000 + i) for i in range(600)]
+        words += [(0x12ff8, 7), (0x10003, 2**64 + 5), (0x11000, 9)]
+        bulk, single = make(), make()
+        for target in (bulk, single):
+            target.map_user_range(0x10000, 3 * 4096)
+        bulk.write_words(words)
+        for vaddr, value in words:
+            single.write_word(vaddr, value)
+        addresses = [vaddr for vaddr, _ in words] + [0x12000, 0x10001]
+        expected = [single.read_word(a) for a in addresses]
+        assert bulk.read_words(addresses) == expected
+        assert single.read_words(addresses) == expected
+        assert [bulk.read_word(a) for a in addresses] == expected
+
+    @pytest.mark.parametrize("make", [Machine, ReferenceOracle],
+                             ids=["machine", "oracle"])
+    def test_bulk_words_unmapped_raises(self, make):
+        target = make()
+        target.map_user_range(0x10000, 4096)
+        with pytest.raises(KeyError, match="0x20008"):
+            target.read_words([0x10000, 0x20008])
+        with pytest.raises(KeyError, match="0x20008"):
+            target.write_words([(0x10000, 1), (0x20008, 2)])
+        # A failed bulk write writes nothing.
+        assert target.read_word(0x10000) == 0
+        with pytest.raises(KeyError):
+            target.read_word(0x20008)
+        with pytest.raises(KeyError):
+            target.write_word(0x20008, 1)
 
     def test_unmapped_flush_raises(self):
         with pytest.raises(KeyError):
