@@ -124,17 +124,16 @@ class SafeSpecEngine:
         self.config = config
         self.hierarchy = hierarchy
         sizes = self._resolve_sizes(ldq_entries, stq_entries, rob_entries)
-        full = config.full_policy
-        self.shadow_dcache = ShadowStructure(
-            "shadow_dcache", sizes["shadow_dcache"], full)
-        self.shadow_icache = ShadowStructure(
-            "shadow_icache", sizes["shadow_icache"], full)
-        self.shadow_itlb = ShadowStructure(
-            "shadow_itlb", sizes["shadow_itlb"], full)
-        self.shadow_dtlb = ShadowStructure(
-            "shadow_dtlb", sizes["shadow_dtlb"], full)
-        self._structures = (self.shadow_dcache, self.shadow_icache,
-                            self.shadow_itlb, self.shadow_dtlb)
+        # Cycles of occupancy sampled so far: one clock for all four
+        # structures, each of which charges its histogram on change.
+        self._sampled = [0]
+        self._structures = tuple(
+            ShadowStructure(name, sizes[name], config.full_policy,
+                            self._sampled)
+            for name in ("shadow_dcache", "shadow_icache", "shadow_itlb",
+                         "shadow_dtlb"))
+        (self.shadow_dcache, self.shadow_icache, self.shadow_itlb,
+         self.shadow_dtlb) = self._structures
         # owner seq -> entries, so commit/squash are O(owner's entries)
         self._entries_by_owner: Dict[int, List[_OwnedEntry]] = {}
         self._now = 0
@@ -278,9 +277,9 @@ class SafeSpecEngine:
 
     def sample_occupancy(self, count: int = 1) -> None:
         """Record every structure's current occupancy for ``count``
-        cycles (the core passes a whole idle span at once)."""
-        for structure in self._structures:
-            structure.sample_occupancy(count)
+        cycles (the core passes a whole idle span at once) by advancing
+        the clock the structures share."""
+        self._sampled[0] += count
 
     # -- invariant surface ---------------------------------------------------
 

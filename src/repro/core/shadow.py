@@ -58,11 +58,12 @@ class ShadowStructure:
 
     __slots__ = ("name", "capacity", "full_policy", "stats", "_lookups",
                  "_hits", "_fills", "_drops", "_blocks", "_committed",
-                 "_annulled", "_occupancy_hist", "_occ_value", "_occ_run",
+                 "_annulled", "_occupancy_hist", "_clock", "_occ_mark",
                  "_by_key", "_count", "_is_drop")
 
     def __init__(self, name: str, capacity: int,
-                 full_policy: FullPolicy = FullPolicy.DROP) -> None:
+                 full_policy: FullPolicy = FullPolicy.DROP,
+                 clock: Optional[List[int]] = None) -> None:
         if capacity < 1:
             raise ConfigError(f"{name}: capacity must be >= 1")
         self.name = name
@@ -78,12 +79,11 @@ class ShadowStructure:
         self._committed = self.stats.counter("committed_entries")
         self._annulled = self.stats.counter("annulled_entries")
         self._occupancy_hist = self.stats.histogram("occupancy")
-        # Run-length sampling state: per-cycle samples at an unchanged
-        # occupancy accumulate in a counter and are folded into the
-        # histogram in bulk (the histogram is identical, the per-cycle
-        # cost drops to one comparison).
-        self._occ_value = 0
-        self._occ_run = 0
+        # ``clock[0]`` counts the cycles sampled so far (an engine's four
+        # structures share it).  Every cycle since ``_occ_mark`` saw the
+        # current count, so they are charged to it just before it moves.
+        self._clock = [0] if clock is None else clock
+        self._occ_mark = self._clock[0]
         # key -> list of entries (multiple owners may fetch the same key
         # on diverging paths before one of them is squashed)
         self._by_key: Dict[int, List[ShadowEntry]] = {}
@@ -91,11 +91,17 @@ class ShadowStructure:
 
     @property
     def occupancy_histogram(self):
-        """The occupancy histogram with all pending samples folded in."""
-        if self._occ_run:
-            self._occupancy_hist.record(self._occ_value, self._occ_run)
-            self._occ_run = 0
+        """The occupancy histogram with every sampled cycle charged."""
+        self._charge_occupancy()
         return self._occupancy_hist
+
+    def _charge_occupancy(self) -> None:
+        """Record the cycles sampled since the last charge at the
+        current count (called before the count changes)."""
+        now = self._clock[0]
+        if now != self._occ_mark:
+            self._occupancy_hist.record(self._count, now - self._occ_mark)
+            self._occ_mark = now
 
     # -- capacity -----------------------------------------------------------
 
@@ -138,6 +144,7 @@ class ShadowStructure:
             return None
         entry = ShadowEntry(key, owner_seq, payload, cycle)
         self._by_key.setdefault(key, []).append(entry)
+        self._charge_occupancy()
         self._count += 1
         self._fills.value += 1
         return entry
@@ -154,6 +161,7 @@ class ShadowStructure:
             return
         if not entries:
             del self._by_key[entry.key]
+        self._charge_occupancy()
         self._count -= 1
 
     def release_committed(self, entry: ShadowEntry) -> None:
@@ -169,15 +177,10 @@ class ShadowStructure:
     # -- introspection ---------------------------------------------------------
 
     def sample_occupancy(self, count: int = 1) -> None:
-        """Record the current occupancy for ``count`` cycles (per-cycle
-        sizing histograms, Figures 6-9 of the paper)."""
-        if self._count == self._occ_value:
-            self._occ_run += count
-        else:
-            if self._occ_run:
-                self._occupancy_hist.record(self._occ_value, self._occ_run)
-            self._occ_value = self._count
-            self._occ_run = count
+        """Sample the current occupancy for ``count`` cycles (per-cycle
+        sizing histograms, Figures 6-9 of the paper) by advancing the
+        clock, which is shared with the engine's other structures."""
+        self._clock[0] += count
 
     def keys(self) -> Iterable[int]:
         return self._by_key.keys()

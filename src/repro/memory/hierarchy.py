@@ -21,7 +21,7 @@ protecting these structures as well".
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Protocol, Tuple
 
 from repro.errors import ConfigError
@@ -98,7 +98,6 @@ class AccessResult:
     tlb_hit: bool = False
     walk_latency: int = 0
     filled: bool = False               # a new line was produced by this access
-    walked_lines: List[int] = field(default_factory=list)
 
     @property
     def cache_hit(self) -> bool:
@@ -282,7 +281,6 @@ class MemoryHierarchy:
             walk_latency += self.level_latency(level_name)
             if level_name == "MEM":
                 sink.fill_line("d", line)
-                result.walked_lines.append(line)
         result.walk_latency = walk_latency
         translation = self.page_table.lookup(vaddr)
         if translation is not None:

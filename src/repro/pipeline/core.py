@@ -25,10 +25,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from repro.core.policy import CommitPolicy
 from repro.core.safespec import SafeSpecEngine
+from repro.core.shadow import FullPolicy
 from repro.errors import SimulationError
 from repro.frontend.btb import BranchTargetBuffer
 from repro.frontend.predictors import BimodalPredictor
@@ -36,7 +38,7 @@ from repro.frontend.rsb import ReturnStackBuffer
 from repro.isa.instructions import (AluOp, BranchCond, INSTRUCTION_BYTES,
                                     Opcode)
 from repro.isa.program import Program
-from repro.isa.registers import NUM_REGISTERS, to_signed, to_unsigned
+from repro.isa.registers import NUM_REGISTERS, WORD_MASK, to_signed
 from repro.memory.hierarchy import AccessResult, MemoryHierarchy
 from repro.memory.paging import PrivilegeLevel
 from repro.pipeline.config import CoreConfig
@@ -48,6 +50,7 @@ from repro.statistics import StatRegistry
 
 _FETCH_BUFFER_CAP = 24
 _PROGRESS_GUARD_CYCLES = 100_000
+_BY_SEQ = attrgetter("seq")
 
 
 @dataclass
@@ -100,10 +103,10 @@ class Core:
     The clock is an event horizon: :meth:`run` steps a cycle only when
     some stage can act.  After a cycle on which no stage acted, nothing
     changes until the next event (see :meth:`_cycles_to_next_event`),
-    so the clock jumps there and the skipped span's shadow occupancy is
-    recorded in one call.  Every simulated statistic — cycles, counters,
-    occupancy histograms, fault cycles — is the same as stepping every
-    cycle.
+    so the clock jumps there and the engine's occupancy clock advances
+    by the whole span at once.  Every simulated statistic — cycles,
+    counters, occupancy histograms, fault cycles — is the same as
+    stepping every cycle.
     """
 
     def __init__(self, program: Program, hierarchy: MemoryHierarchy,
@@ -131,7 +134,7 @@ class Core:
         self.cycle = 0
         self.regfile: List[int] = [0] * NUM_REGISTERS
         for reg, value in (initial_registers or {}).items():
-            self.regfile[reg] = to_unsigned(value)
+            self.regfile[reg] = value & WORD_MASK
 
         self.rob = ReorderBuffer(self.config.rob_entries)
         self.iq = IssueQueue(self.config.iq_entries)
@@ -151,6 +154,14 @@ class Core:
         self._mul_latency = cfg.mul_latency
         self._store_forward_latency = cfg.store_forward_latency
         self._mem_dep_spec = cfg.mem_dep_speculation
+        self._iline_mask = ~(hierarchy.config.l1i.line_bytes - 1)
+        self._l1i_hit_latency = hierarchy.config.l1i.hit_latency
+        # Only WFB tracks branch dependence, and only BLOCK gates issue
+        # on shadow space: elsewhere those paths cannot apply.
+        self._wfb = self.policy is CommitPolicy.WFB
+        self._block_on_full = (
+            engine is not None
+            and engine.config.full_policy is FullPolicy.BLOCK)
 
         self._rename: Dict[int, DynUop] = {}
         self._fetch_buffer: Deque[DynUop] = deque()
@@ -202,7 +213,7 @@ class Core:
             if not self._halted_reason:
                 # The cycle just simulated, plus — when no stage acted —
                 # every following cycle on which none can: their shadow
-                # occupancy is unchanged, so it is recorded in one call.
+                # occupancy is unchanged, so the span is sampled at once.
                 span = 1 if acted else self._cycles_to_next_event(max_cycles)
                 if engine is not None:
                     engine.sample_occupancy(span)
@@ -277,7 +288,8 @@ class Core:
         engine = self.engine
         if engine is not None:
             engine.set_cycle(self.cycle)
-        self.fus.new_cycle()
+        if self.fus._dirty:
+            self.fus.new_cycle()
         acted = False
         if self.rob._entries:
             acted = self._commit_stage()
@@ -357,25 +369,31 @@ class Core:
         return committed
 
     def _commit_uop(self, uop: DynUop) -> None:
-        self.rob.pop_head()
+        self.rob._entries.popleft()
         uop.state = UopState.COMMITTED
-        uop.commit_cycle = self.cycle
         self._last_commit_cycle = self.cycle
-        if self.engine:
+        is_mem = uop.is_load or uop.is_store
+        engine = self.engine
+        # Only a fetch-line leader or a memory access has recency to
+        # restore.
+        if engine is not None and (is_mem or uop.ifetch_line >= 0):
             self._refresh_recency(uop)
-        if uop.inst.writes_register and uop.result is not None:
-            self.regfile[uop.inst.rd] = to_unsigned(uop.result)
+        inst = uop.inst
+        if inst.writes_register:
+            if uop.result is not None:
+                self.regfile[inst.rd] = uop.result & WORD_MASK
+            if self._rename.get(inst.rd) is uop:
+                del self._rename[inst.rd]
         if uop.is_store:
             if uop.paddr is None:
                 raise SimulationError(f"store committed w/o address: {uop!r}")
             self.hierarchy.commit_store(uop.paddr, uop.store_value or 0)
         elif uop.opcode is Opcode.CLFLUSH:
             self._commit_clflush(uop)
-        if self._rename.get(uop.inst.rd) is uop:
-            del self._rename[uop.inst.rd]
-        if self.engine:
-            self.engine.on_commit(uop)
-        self.lsq.remove(uop)
+        if engine is not None:
+            engine.on_commit(uop)
+        if is_mem:
+            self.lsq.remove(uop)
         self._committed += 1
         self._n_committed += 1
         if uop.opcode is Opcode.HALT:
@@ -458,9 +476,9 @@ class Core:
             cycle=self.cycle, pc=uop.pc, vaddr=uop.vaddr or 0,
             kind=uop.fault or "unknown"))
         self._last_commit_cycle = self.cycle
-        for squashed in self.rob.squash_all():
-            self._discard_uop(squashed)
-        self._flush_front_end()
+        # The faulting micro-op is the ROB head: squash it and everything
+        # younger, purging every queue and the rename table with it.
+        self._squash_younger_than(uop.seq - 1)
         if self.fault_handler_pc is None:
             self._halted_reason = "fault"
             return
@@ -471,16 +489,23 @@ class Core:
     # ------------------------------------------------------------------
 
     def _writeback_stage(self) -> bool:
-        finishing = [u for u in self._executing
-                     if u.done_cycle <= self.cycle
-                     and u.state is UopState.ISSUED]
+        cycle = self.cycle
+        executing = self._executing
+        # Everything in flight is ISSUED or SQUASHED.
+        finishing = [u for u in executing
+                     if u.done_cycle <= cycle and u.state is UopState.ISSUED]
         if not finishing:
             return False
-        finishing_set = set(id(u) for u in finishing)
-        self._executing = [u for u in self._executing
-                           if id(u) not in finishing_set
-                           and u.state is not UopState.SQUASHED]
-        finishing.sort(key=lambda u: u.seq)
+        finished = len(finishing)
+        if finished == len(executing):
+            self._executing = []
+        else:
+            self._executing = [u for u in executing
+                               if u.done_cycle > cycle
+                               and u.state is UopState.ISSUED]
+        if finished > 1:
+            finishing.sort(key=_BY_SEQ)
+        wfb = self._wfb
         for uop in finishing:
             if uop.state is not UopState.ISSUED:
                 # Squashed mid-batch by an older mispredicting branch:
@@ -491,15 +516,15 @@ class Core:
             uop.state = UopState.DONE
             if uop.opcode is Opcode.FENCE:
                 self._inflight_fences -= 1
-            for waiter in uop.waiters:
-                if waiter.state is UopState.DISPATCHED:
-                    waiter.pending -= 1
-                    if waiter.pending == 0:
-                        self.iq.wake(waiter)
-            uop.waiters.clear()
-            if self.engine and self.policy is CommitPolicy.WFB:
-                if not uop.branch_deps:
-                    self.engine.on_branch_resolved(uop)
+            if uop.waiters:
+                for waiter in uop.waiters:
+                    if waiter.state is UopState.DISPATCHED:
+                        waiter.pending -= 1
+                        if waiter.pending == 0:
+                            self.iq.wake(waiter)
+                uop.waiters.clear()
+            if wfb and not uop.branch_deps:
+                self.engine.on_branch_resolved(uop)
             if self._mem_dep_spec and uop.is_store \
                     and uop.vaddr is not None:
                 self._check_memory_order(uop)
@@ -556,13 +581,13 @@ class Core:
         Only WFB tracks branch dependence sets, so the ROB scan is
         skipped entirely under the other policies.
         """
-        if self.policy is not CommitPolicy.WFB:
+        if not self._wfb:
             return
         for uop in self.rob:
             if uop.seq <= branch.seq or not uop.branch_deps:
                 continue
             uop.branch_deps.discard(branch.seq)
-            if not uop.branch_deps and self.engine:
+            if not uop.branch_deps:
                 self.engine.on_branch_resolved(uop)
 
     # ------------------------------------------------------------------
@@ -622,8 +647,6 @@ class Core:
     # ------------------------------------------------------------------
 
     def _oldest_pending_fence(self) -> Optional[int]:
-        if not self._inflight_fences:
-            return None
         for uop in self.rob:
             if (uop.opcode is Opcode.FENCE
                     and uop.state in (UopState.DISPATCHED, UopState.ISSUED)):
@@ -634,21 +657,23 @@ class Core:
         ready = self.iq.ready_uops()
         if not ready:
             return False
-        barrier = self._oldest_pending_fence()
+        barrier = (self._oldest_pending_fence() if self._inflight_fences
+                   else None)
         issue_width = self._issue_width
         try_claim = self.fus.try_claim_index
+        block_on_full = self._block_on_full
+        rob_entries = self.rob._entries
         issued = 0
         for uop in ready:
             if issued >= issue_width:
                 break
             if barrier is not None and uop.seq > barrier:
                 continue
-            if uop.is_serialising and self.rob.head() is not uop:
+            if uop.is_serialising and rob_entries[0] is not uop:
                 continue
             if uop.is_load and self.lsq.older_store_blocks(uop):
                 continue
-            if not self._shadow_admits(uop):
-                uop.blocked_on_shadow = True
+            if block_on_full and not self._shadow_admits(uop):
                 continue
             if not try_claim(uop.fu_index):
                 continue
@@ -660,7 +685,7 @@ class Core:
         """BLOCK full-policy: memory micro-ops stall while the d-side
         shadow structures are full — unless oldest (deadlock avoidance).
         The resulting delay is observable: the TSA timing channel."""
-        if self.engine is None or not (uop.is_load or uop.is_store):
+        if not (uop.is_load or uop.is_store):
             return True
         if self.rob.head() is uop:
             return True
@@ -680,13 +705,11 @@ class Core:
     def _execute(self, uop: DynUop) -> None:
         self.iq.remove(uop)
         uop.state = UopState.ISSUED
-        uop.issue_cycle = self.cycle
-        uop.blocked_on_shadow = False
         op = uop.opcode
         if op is Opcode.ALU:
             self._execute_alu(uop)
         elif op is Opcode.LOADIMM:
-            uop.result = to_unsigned(uop.inst.imm)
+            uop.result = uop.inst.imm & WORD_MASK
             uop.done_cycle = self.cycle + self._alu_latency
         elif op is Opcode.LOAD:
             if not self._execute_load(uop):
@@ -694,7 +717,6 @@ class Core:
                 # word forwarding would be wrong; return the load to the
                 # issue queue until the store drains to memory.
                 uop.state = UopState.DISPATCHED
-                uop.issue_cycle = -1
                 self.iq.add(uop)
                 return
         elif op is Opcode.STORE:
@@ -704,7 +726,7 @@ class Core:
             self._execute_branch(uop)
         elif op is Opcode.CLFLUSH:
             base = uop.source_value(uop.inst.rs1)
-            uop.vaddr = to_unsigned(base + uop.inst.imm)
+            uop.vaddr = (base + uop.inst.imm) & WORD_MASK
             uop.done_cycle = self.cycle + 1
         elif op is Opcode.RDTSC:
             uop.result = self.cycle
@@ -718,7 +740,7 @@ class Core:
         if uop.inst.rs2 is not None:
             rhs = uop.source_value(uop.inst.rs2)
         else:
-            rhs = to_unsigned(uop.inst.imm)
+            rhs = uop.inst.imm & WORD_MASK
         op = uop.inst.alu_op
         if op is AluOp.ADD:
             value = lhs + rhs
@@ -736,7 +758,7 @@ class Core:
             value = lhs << (rhs & 63)
         else:
             value = lhs >> (rhs & 63)
-        uop.result = to_unsigned(value)
+        uop.result = value & WORD_MASK
         latency = (self._mul_latency if op is AluOp.MUL
                    else self._alu_latency)
         uop.done_cycle = self.cycle + latency
@@ -744,7 +766,7 @@ class Core:
     def _execute_load(self, uop: DynUop) -> bool:
         """Execute a load; returns False when it must be replayed."""
         base = uop.source_value(uop.inst.rs1)
-        uop.vaddr = to_unsigned(base + uop.inst.imm)
+        uop.vaddr = (base + uop.inst.imm) & WORD_MASK
         if self.lsq.older_store_blocks(uop):
             # Only detectable now that the address is known: a resolved
             # older store partially overlaps this word.
@@ -752,7 +774,7 @@ class Core:
         forwarded = self.lsq.forward_from_store(uop)
         if forwarded is not None:
             value, _store = forwarded
-            uop.result = to_unsigned(value)
+            uop.result = value & WORD_MASK
             uop.forwarded = True
             uop.done_cycle = self.cycle + self._store_forward_latency
             self._n_forwards += 1
@@ -761,7 +783,6 @@ class Core:
             uop.vaddr, is_write=False, privilege=self.privilege,
             sink=self._sink(uop))
         self._record_data_access(result)
-        uop.mem_latency = result.latency
         uop.hit_level = result.hit_level
         uop.fault = result.fault
         uop.paddr = result.paddr
@@ -777,7 +798,7 @@ class Core:
 
     def _execute_store(self, uop: DynUop) -> None:
         base = uop.source_value(uop.inst.rs1)
-        uop.vaddr = to_unsigned(base + uop.inst.imm)
+        uop.vaddr = (base + uop.inst.imm) & WORD_MASK
         uop.store_value = uop.source_value(uop.inst.rs2)
         result = AccessResult(latency=0)
         translation = self.hierarchy.translate(
@@ -814,10 +835,10 @@ class Core:
         elif op is Opcode.CALL:
             uop.actual_taken = True
             uop.actual_target = self.program.pc_of(uop.inst.target)
-            uop.result = to_unsigned(uop.pc + INSTRUCTION_BYTES)  # link
+            uop.result = (uop.pc + INSTRUCTION_BYTES) & WORD_MASK  # link
         else:  # JMPI / RET: indirect through rs1
             uop.actual_taken = True
-            uop.actual_target = to_unsigned(uop.source_value(uop.inst.rs1))
+            uop.actual_target = uop.source_value(uop.inst.rs1) & WORD_MASK
         uop.done_cycle = self.cycle + 1
 
     def _record_data_access(self, result: AccessResult) -> None:
@@ -837,12 +858,15 @@ class Core:
         fetch_buffer = self._fetch_buffer
         cycle = self.cycle
         front_end_depth = self._front_end_depth
+        rob_entries, rob_capacity = self.rob._entries, self.rob.capacity
+        iq_entries, iq_capacity = self.iq._entries, self.iq.capacity
         dispatched = 0
         while fetch_buffer and dispatched < self._issue_width:
             uop = fetch_buffer[0]
             if uop.fetch_cycle + front_end_depth > cycle:
                 break
-            if self.rob.full or self.iq.full:
+            if (len(rob_entries) >= rob_capacity
+                    or len(iq_entries) >= iq_capacity):
                 break
             if uop.is_load and self.lsq.ldq_full:
                 break
@@ -855,9 +879,10 @@ class Core:
 
     def _dispatch_uop(self, uop: DynUop) -> None:
         uop.state = UopState.DISPATCHED
-        uop.dispatch_cycle = self.cycle
-        for reg in uop.inst.source_registers():
-            producer = self._rename.get(reg)
+        inst = uop.inst
+        rename = self._rename
+        for reg in inst.sources:
+            producer = rename.get(reg)
             if producer is None:
                 uop.operands[reg] = self.regfile[reg]
             elif (producer.state in (UopState.DONE, UopState.COMMITTED)
@@ -867,50 +892,61 @@ class Core:
                 uop.producers[reg] = producer
                 uop.pending += 1
                 producer.waiters.append(uop)
-        self.rob.push(uop)
+        self.rob._entries.append(uop)   # dispatch checked capacity
         if uop.is_branch:
             self._unresolved_branches.append(uop.seq)
         if uop.opcode is Opcode.FENCE:
             self._inflight_fences += 1
-        if self.policy is CommitPolicy.WFB:
-            uop.branch_deps = set(self._unresolved_branches)
-            uop.branch_deps.discard(uop.seq)
-        if uop.inst.writes_register:
-            self._rename[uop.inst.rd] = uop
+        if inst.writes_register:
+            rename[inst.rd] = uop
         self.iq.add(uop)
         if uop.is_load:
             self.lsq.add_load(uop)
         elif uop.is_store:
             self.lsq.add_store(uop)
-        if (self.engine and self.policy is CommitPolicy.WFB
-                and not uop.branch_deps):
-            self.engine.on_branch_resolved(uop)
+        if self._wfb:
+            deps = set(self._unresolved_branches)
+            deps.discard(uop.seq)
+            uop.branch_deps = deps
+            if not deps:
+                self.engine.on_branch_resolved(uop)
 
     # ------------------------------------------------------------------
     # fetch
     # ------------------------------------------------------------------
 
     def _fetch_stage(self) -> bool:
+        instructions = self.program.instructions
+        code_base = self.program.code_base
+        fetch_buffer = self._fetch_buffer
         fetched = 0
         while (fetched < self._fetch_width
-               and len(self._fetch_buffer) < _FETCH_BUFFER_CAP):
-            inst = self.program.fetch(self._fetch_pc)
-            if inst is None:
+               and len(fetch_buffer) < _FETCH_BUFFER_CAP):
+            pc = self._fetch_pc
+            offset = pc - code_base
+            index = offset // INSTRUCTION_BYTES
+            if (offset < 0 or offset % INSTRUCTION_BYTES
+                    or index >= len(instructions)):
                 break
-            uop = DynUop(self._next_seq, inst, self._fetch_pc,
-                         self.program.index_of(self._fetch_pc), self.cycle)
+            inst = instructions[index]
+            uop = DynUop(self._next_seq, inst, pc, index, self.cycle)
             self._next_seq += 1
             stall = self._fetch_instruction_line(uop)
-            self._fetch_buffer.append(uop)
+            fetch_buffer.append(uop)
             fetched += 1
             if inst.opcode is Opcode.HALT:
                 # HALT serialises the front end: nothing is fetched past
                 # it until a squash or fault redirects fetch elsewhere.
                 self._fetch_halted = True
                 break
-            self._predict_and_advance(uop)
-            if stall or uop.pred_taken:
-                break
+            if inst.is_control_flow:
+                self._predict_and_advance(uop)
+                if stall or uop.pred_taken:
+                    break
+            else:
+                self._fetch_pc = pc + INSTRUCTION_BYTES
+                if stall:
+                    break
         return fetched > 0
 
     def _fetch_instruction_line(self, uop: DynUop) -> bool:
@@ -920,7 +956,7 @@ class Core:
         stalls for the remaining latency (the micro-op itself is kept and
         delivered when the line arrives).
         """
-        line = self.hierarchy.l1i.line_address(uop.pc)
+        line = uop.pc & self._iline_mask
         if line == self._last_fetch_line:
             return False
         self._last_fetch_line = line
@@ -936,7 +972,7 @@ class Core:
             self._n_i_l1_hits += 1
         else:
             self._n_i_miss += 1
-        hit_latency = self.hierarchy.config.l1i.hit_latency
+        hit_latency = self._l1i_hit_latency
         if result.latency > hit_latency:
             extra = result.latency - hit_latency
             self._fetch_stall_until = self.cycle + extra
@@ -945,6 +981,7 @@ class Core:
         return False
 
     def _predict_and_advance(self, uop: DynUop) -> None:
+        """Predict a control-flow micro-op and steer fetch after it."""
         inst = uop.inst
         if inst.opcode is Opcode.BRANCH:
             uop.pred_taken = self.predictor.predict(uop.pc)
@@ -975,7 +1012,6 @@ class Core:
                 uop.pred_target = None
         elif inst.opcode is Opcode.JMPI:
             target = self.btb.predict_target(uop.pc)
-            uop.btb_predicted = target is not None
             if target is not None:
                 uop.pred_taken = True
                 uop.pred_target = target

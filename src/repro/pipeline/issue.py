@@ -81,10 +81,6 @@ class IssueQueue:
     def __iter__(self) -> Iterator[DynUop]:
         return iter(self._entries)
 
-    @property
-    def full(self) -> bool:
-        return len(self._entries) >= self.capacity
-
     def add(self, uop: DynUop) -> None:
         if len(self._entries) >= self.capacity:
             raise SimulationError("IQ overflow — dispatch must check full")

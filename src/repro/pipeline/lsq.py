@@ -53,9 +53,6 @@ class LoadStoreQueue:
     def load_count(self) -> int:
         return len(self._loads)
 
-    def store_count(self) -> int:
-        return len(self._stores)
-
     # -- insertion / removal -------------------------------------------------
 
     def add_load(self, uop: DynUop) -> None:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional, Set, TYPE_CHECKING
+from typing import AbstractSet, Dict, Optional
 
 from repro.isa.instructions import Instruction, Opcode
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    pass
+# The branch-dependence set of every micro-op outside WFB, which alone
+# tracks one (the core gives each WFB micro-op its own set at dispatch).
+_NO_BRANCH_DEPS: AbstractSet[int] = frozenset()
 
 
 class UopState(enum.Enum):
@@ -34,15 +35,14 @@ class DynUop:
         "seq", "inst", "pc", "index", "state",
         "opcode", "is_load", "is_store", "is_branch", "is_serialising",
         "inst_class", "fu_index",
-        "fetch_cycle", "dispatch_cycle", "issue_cycle", "done_cycle",
-        "commit_cycle",
+        "fetch_cycle", "done_cycle",
         "pred_taken", "pred_target", "actual_taken", "actual_target",
-        "mispredicted", "btb_predicted",
+        "mispredicted",
         "operands", "producers", "result", "pending", "waiters",
-        "vaddr", "paddr", "store_value", "fault", "mem_latency",
+        "vaddr", "paddr", "store_value", "fault",
         "hit_level", "forwarded", "ifetch_level", "ifetch_line",
         "dwalked", "iwalked",
-        "branch_deps", "promoted", "blocked_on_shadow",
+        "branch_deps", "promoted",
     )
 
     def __init__(self, seq: int, inst: Instruction, pc: int, index: int,
@@ -67,10 +67,7 @@ class DynUop:
         self.fu_index = inst.fu_index
 
         self.fetch_cycle = fetch_cycle
-        self.dispatch_cycle = -1
-        self.issue_cycle = -1
         self.done_cycle = -1
-        self.commit_cycle = -1
 
         # control flow
         self.pred_taken = False
@@ -78,7 +75,6 @@ class DynUop:
         self.actual_taken = False
         self.actual_target: Optional[int] = None
         self.mispredicted = False
-        self.btb_predicted = False
 
         # data flow: register -> resolved value, or register -> producer
         self.operands: Dict[int, int] = {}
@@ -92,7 +88,6 @@ class DynUop:
         self.paddr: Optional[int] = None
         self.store_value: Optional[int] = None
         self.fault: Optional[str] = None
-        self.mem_latency = 0
         self.hit_level = ""
         self.forwarded = False
         self.ifetch_level = ""
@@ -101,26 +96,10 @@ class DynUop:
         self.iwalked = False
 
         # speculation bookkeeping
-        self.branch_deps: Set[int] = set()
+        self.branch_deps: AbstractSet[int] = _NO_BRANCH_DEPS
         self.promoted = False            # WFB: shadow state already moved
-        self.blocked_on_shadow = False   # stalled by a full shadow structure
 
-    # -- classification ----------------------------------------------------
-
-    @property
-    def in_flight(self) -> bool:
-        return self.state in (UopState.DISPATCHED, UopState.ISSUED,
-                              UopState.DONE)
-
-    # -- operand readiness ---------------------------------------------------
-
-    def operands_ready(self) -> bool:
-        """All source registers have values (producers finished).
-
-        Readiness is tracked by wakeup: producers decrement ``pending``
-        at writeback, so this check is O(1).
-        """
-        return self.pending == 0
+    # -- operands ------------------------------------------------------------
 
     def source_value(self, reg: int) -> int:
         """Resolved value of a source register (call once ready).

@@ -15,6 +15,7 @@ from repro.memory.paging import PrivilegeLevel
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import Core
 from repro.pipeline.trace import PipelineTracer
+from repro.verify.oracle import ReferenceOracle
 
 
 class TestAluSemantics:
@@ -304,6 +305,36 @@ class TestFaults:
             program, fault_handler_pc=program.label_pc("handler"))
         assert result.halted_reason == "halt"
         assert result.reg("r3") == 99
+
+    @pytest.mark.parametrize("backend", ["cycle", "fast"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_handler_reads_register_last_written_on_squashed_path(
+            self, policy, backend):
+        """The fault squashes every younger micro-op, so the handler
+        reads r3's committed value — and does not wait on the squashed
+        producer of r3 for ever."""
+        b = ProgramBuilder()
+        b.li("r3", 7)
+        b.li("r1", KERNEL_BASE)
+        b.load("r2", "r1", 0)
+        b.li("r3", 99)                  # squashed by the fault
+        b.alu("add", "r5", "r3", imm=1)
+        b.halt()
+        b.label("handler")
+        b.alu("add", "r4", "r3", imm=1)
+        b.halt()
+        program = b.build()
+        handler = program.label_pc("handler")
+        machine = make_user_machine(policy=policy, data_bytes=0,
+                                    kernel=True, backend=backend)
+        result = machine.run(program, fault_handler_pc=handler)
+        oracle = ReferenceOracle()
+        oracle.map_kernel_range(KERNEL_BASE, 4096)
+        expected = oracle.run(program, fault_handler_pc=handler)
+        assert result.halted_reason == expected.halted_reason == "halt"
+        assert (result.reg("r3"), result.reg("r4")) == (7, 8)
+        for index, value in expected.untainted_registers().items():
+            assert result.registers[index] == value, f"r{index}"
 
     def test_store_permission_fault(self, user_machine):
         machine = user_machine(data_bytes=0, kernel=True)

@@ -1,6 +1,7 @@
 """Unit tests for the SafeSpec engine (promotion / annulment / sizing)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.policy import CommitPolicy
 from repro.core.safespec import (PERFORMANCE_SIZES, SafeSpecConfig,
@@ -182,3 +183,52 @@ class TestOccupancySampling:
                 list(theirs.occupancy_histogram.items())
         assert list(bulk.shadow_dcache.occupancy_histogram.items()) == \
             [(1, 4), (2, 3)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(list(FullPolicy)), st.lists(st.one_of(
+        st.tuples(st.just("fill"), st.integers(0, 3), st.integers(0, 5)),
+        st.tuples(st.sampled_from(["release", "annul"]), st.integers(0, 3),
+                  st.integers(0, 7)),
+        st.tuples(st.just("sample"), st.integers(1, 40)),
+        st.tuples(st.just("read"))), max_size=60))
+    def test_charged_histograms_equal_per_cycle_samples(self, full_policy,
+                                                       ops):
+        """Charging occupancy on change records exactly what sampling
+        every structure once per cycle records, read at any point."""
+        engine = make_engine(sizing=SizingMode.CUSTOM,
+                             full_policy=full_policy, dcache_entries=3,
+                             icache_entries=2, itlb_entries=4,
+                             dtlb_entries=1)
+        structures = engine.all_structures()
+        resident = [[] for _ in structures]
+        reference = [{} for _ in structures]
+
+        def check():
+            for structure, counts in zip(structures, reference):
+                assert list(structure.occupancy_histogram.items()) == \
+                    sorted(counts.items())
+
+        for op in ops:
+            kind = op[0]
+            if kind == "fill":
+                _, which, key = op
+                entry = structures[which].fill(key, key, None, 0)
+                if entry is not None:
+                    resident[which].append(entry)
+            elif kind in ("release", "annul"):
+                _, which, pick = op
+                if resident[which]:
+                    entry = resident[which].pop(pick % len(resident[which]))
+                    if kind == "release":
+                        structures[which].release_committed(entry)
+                    else:
+                        structures[which].annul(entry)
+            elif kind == "sample":
+                engine.sample_occupancy(op[1])
+                for _ in range(op[1]):
+                    for structure, counts in zip(structures, reference):
+                        occupancy = structure.occupancy()
+                        counts[occupancy] = counts.get(occupancy, 0) + 1
+            else:
+                check()
+        check()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Machine, ProgramBuilder
+from repro import CommitPolicy, Machine, ProgramBuilder
 from repro.errors import ConfigError
 from repro.pipeline.core import Core
 from repro.pipeline.trace import PipelineTracer
@@ -66,6 +66,56 @@ class TestLifecycle:
             b.halt()
         tracer, _ = traced_run(build)
         assert tracer.filter(kind="squash")
+
+
+def mispredicting_loop(b):
+    """Twelve iterations over several i-cache lines, each with a load,
+    a store and a branch that alternates direction."""
+    b.li("r1", 0x20000)
+    b.li("r6", 0)
+    b.li("r7", 12)
+    b.label("loop")
+    b.alu("and", "r3", "r6", imm=1)
+    b.alu("shl", "r4", "r6", imm=3)
+    b.add("r4", "r1", "r4")
+    b.load("r2", "r4", 0)
+    b.branch("eq", "r3", "r0", "even")
+    b.alu("add", "r5", "r5", "r2")
+    b.label("even")
+    b.store("r4", "r6", 0)
+    b.alu("add", "r6", "r6", imm=1)
+    b.branch("lt", "r6", "r7", "loop")
+    b.halt()
+
+
+class TestEventContract:
+    """The tracer sees every pipeline event through the core methods it
+    wraps, so each must still run once per event."""
+
+    @pytest.mark.parametrize("policy", [CommitPolicy.BASELINE,
+                                        CommitPolicy.WFB, CommitPolicy.WFC])
+    def test_committed_and_squashed_lifecycles(self, policy):
+        tracer, result = traced_run(mispredicting_loop, policy=policy)
+        assert result.halted_reason == "halt"
+        assert result.counters["mispredicts"] > 0
+        assert result.counters["dcache_read_accesses"] > 0
+        events = {}
+        for event in tracer.events:
+            events.setdefault(event.seq, []).append(event)
+        committed = {e.seq for e in tracer.filter(kind="commit")}
+        assert len(committed) == result.instructions
+        squashed = set(events) - committed
+        assert len(squashed) == result.counters["squashed"] > 0
+        for seq, lifetime in events.items():
+            kinds = [e.kind for e in lifetime]
+            if seq in committed:
+                assert kinds == ["fetch", "dispatch", "issue", "commit"]
+            else:
+                assert kinds[0] == "fetch" and kinds[-1] == "squash"
+                assert kinds.count("squash") == 1
+                assert "commit" not in kinds
+            cycles = [e.cycle for e in lifetime]
+            assert cycles == sorted(cycles)
 
 
 class TestFiltering:
