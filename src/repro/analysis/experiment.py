@@ -51,7 +51,7 @@ class FigureRunner:
                  executor=None, jobs: int = 1,
                  cache: Optional[ResultCache] = None,
                  progress=None, session=None,
-                 spec: Optional[MachineSpec] = None,
+                 spec: MachineSpec = MachineSpec(),
                  backend: str = "cycle") -> None:
         # Imported here: repro.api.session itself builds runners.
         from repro.api.session import Session

@@ -8,7 +8,8 @@ Three layers, each usable on its own:
   :data:`~repro.api.registry.PREDICTORS`); adding a scenario is one
   decorated function in one module.
 * :mod:`repro.api.scenario` — declarative :class:`Scenario` specs and
-  :class:`Sweep` grids over benchmarks x policies x config variants.
+  :class:`Sweep` grids over benchmarks x policies x machine specs x
+  spec variants.
 * :mod:`repro.api.session` — the :class:`Session` facade owning
   executor + cache wiring, with ``run`` / ``matrix`` / ``figures`` /
   ``sweep``.
@@ -16,14 +17,13 @@ Three layers, each usable on its own:
 Quickstart::
 
     from repro.api import Session, Sweep
-    from repro import CommitPolicy, CoreConfig
+    from repro import CommitPolicy
 
     session = Session(jobs=4)
     print(session.matrix()["meltdown"]["wfb"].closed)   # False: Table III
     result = session.sweep(Sweep(
         benchmarks=["mcf"], policies=[CommitPolicy.WFC],
-        variants={f"rob{n}": {"core_config": CoreConfig(rob_entries=n)}
-                  for n in (96, 224)}))
+        variants={f"rob{n}": {"core.rob_entries": n} for n in (96, 224)}))
 
 The scenario and session layers import lazily so that low-level modules
 (attacks, workload profiles, predictors) can register themselves via

@@ -1,15 +1,16 @@
 """Component registries: one place where scenarios plug in.
 
 Attacks, workloads and branch predictors used to live in parallel
-hand-maintained tables (a dict plus an ``ALL_ATTACKS`` tuple in
+hand-maintained tables (a dict plus a tuple of names in
 ``attacks/runner``, ``SUITE_PROFILES`` plus a ``_BY_NAME`` index in
 ``workloads/profiles``, an if/elif inside :class:`~repro.machine.Machine`).
 Adding one scenario meant touching every one of them.  Each component
 kind now has a single decorator-based :class:`Registry`:
 
-* :data:`ATTACKS` — ``name -> attack function`` (``(policy, secret) ->
-  AttackResult``), with the paper's expected-closed metadata attached at
-  registration (``branch_free=True`` marks Meltdown-style leaks that
+* :data:`ATTACKS` — ``name -> attack function`` (``(policy, secret,
+  spec=, backend=) -> AttackResult``), with the paper's
+  expected-closed metadata attached at registration
+  (``branch_free=True`` marks Meltdown-style leaks that
   need no branch misprediction, which WFB does *not* close).
 * :data:`WORKLOADS` — ``name -> WorkloadProfile`` in the paper's
   plotting order.

@@ -2,12 +2,13 @@
 
 A :class:`Scenario` is the user-facing description of one simulation —
 what to run (a registered workload or attack), under which commit
-policy, with which config overrides and free-form ``params`` — validated
+policy, on which :class:`~repro.spec.MachineSpec`, with free-form
+``params`` — validated
 against the component registries at construction and lowered to a
 content-hashable :class:`~repro.exec.job.SimJob` with :meth:`Scenario.job`.
 
 A :class:`Sweep` expands a cartesian grid of benchmarks x policies x
-hardware specs x named config variants (e.g. ROB/LDQ/shadow-sizing
+hardware specs x named spec variants (e.g. ROB/LDQ/shadow-sizing
 ablations) into a deterministic batch of scenarios, making
 parameter-sweep studies a first-class, cacheable API instead of bespoke
 scripts::
@@ -21,9 +22,9 @@ scripts::
 
 ``specs`` is the hardware axis: preset names (or a mapping of label ->
 :class:`~repro.spec.MachineSpec`), each a distinct cache key.  Variant
-overrides may name the legacy config axes (``core_config`` etc., whole
-config objects) or dotted :meth:`MachineSpec.derive` paths; dotted
-overrides apply on top of each spec in the grid.
+overrides are :meth:`MachineSpec.derive` keys (dotted paths, or whole
+sections such as ``{"core": CoreConfig(...)}``), applied on top of each
+spec in the grid.
 
 Expansion order is benchmark-major, then policy, then spec, then
 variant (all in the order given), so job batches — and therefore cache
@@ -38,23 +39,9 @@ from typing import (Any, Dict, List, Mapping, Optional, Sequence, Union)
 from repro.api.registry import ATTACKS, WORKLOADS
 from repro.backends import BACKENDS
 from repro.core.policy import CommitPolicy
-from repro.core.safespec import SafeSpecConfig
 from repro.errors import ConfigError
-from repro.exec.job import (ATTACK, DEFAULT_INSTRUCTION_BUDGET, WORKLOAD,
-                            SimJob, ensure_single_config_style,
-                            spec_params)
-from repro.memory.hierarchy import HierarchyConfig
-from repro.pipeline.config import CoreConfig
+from repro.exec.job import ATTACK, DEFAULT_INSTRUCTION_BUDGET, WORKLOAD, SimJob
 from repro.spec import MachineSpec, get_spec
-
-# The legacy config axes a sweep variant may override (whole objects);
-# any other key must be a MachineSpec.derive dotted path.
-_OVERRIDE_KEYS = ("core_config", "hierarchy_config", "safespec_config")
-
-# Legacy override key -> the spec section it replaces.
-_OVERRIDE_SECTIONS = {"core_config": "core",
-                      "hierarchy_config": "hierarchy",
-                      "safespec_config": "safespec"}
 
 DEFAULT_VARIANT = "default"
 
@@ -77,37 +64,25 @@ class Scenario:
     # hash=False: a dict value would break the generated __hash__
     # (same treatment as SimJob.params); equality still compares it.
     params: Mapping[str, Any] = field(default_factory=dict, hash=False)
-    core_config: Optional[CoreConfig] = None
-    hierarchy_config: Optional[HierarchyConfig] = None
-    safespec_config: Optional[SafeSpecConfig] = None
-    spec: Optional[MachineSpec] = None
+    spec: MachineSpec = MachineSpec()
     backend: str = "cycle"
     serial_group: Optional[str] = None
     label: str = ""
 
     def __post_init__(self) -> None:
-        ensure_single_config_style(self.spec, self.core_config,
-                                   self.hierarchy_config,
-                                   self.safespec_config)
         BACKENDS.entry(self.backend)    # unknown backends fail here
 
     @classmethod
     def workload(cls, benchmark: str,
                  policy: CommitPolicy = CommitPolicy.BASELINE, *,
                  instructions: int = DEFAULT_INSTRUCTION_BUDGET,
-                 core_config: Optional[CoreConfig] = None,
-                 hierarchy_config: Optional[HierarchyConfig] = None,
-                 safespec_config: Optional[SafeSpecConfig] = None,
-                 spec: Optional[MachineSpec] = None,
+                 spec: MachineSpec = MachineSpec(),
                  backend: str = "cycle",
                  label: str = "", **params: Any) -> "Scenario":
         """A scenario running one registered suite benchmark."""
         WORKLOADS.entry(benchmark)      # unknown names fail here, loudly
         return cls(kind=WORKLOAD, target=benchmark, policy=policy,
-                   instructions=instructions, params=params,
-                   core_config=core_config,
-                   hierarchy_config=hierarchy_config,
-                   safespec_config=safespec_config, spec=spec,
+                   instructions=instructions, params=params, spec=spec,
                    backend=backend, label=label)
 
     @classmethod
@@ -115,7 +90,7 @@ class Scenario:
                policy: CommitPolicy = CommitPolicy.BASELINE, *,
                secret: int = 42,
                instructions: int = DEFAULT_INSTRUCTION_BUDGET,
-               spec: Optional[MachineSpec] = None,
+               spec: MachineSpec = MachineSpec(),
                backend: str = "cycle",
                serial_group: Optional[str] = None,
                label: str = "", **params: Any) -> "Scenario":
@@ -132,23 +107,12 @@ class Scenario:
                    serial_group=serial_group, label=label)
 
     def job(self) -> SimJob:
-        """Lower this scenario to its content-hashable job.
-
-        A spec-carrying scenario lowers the spec into the job's
-        ``params`` (full dict + digest), so the hardware shape flows
-        into the content hash and across executor workers; the
-        execution backend lands there too.
-        """
-        params = dict(self.params)
-        params["backend"] = self.backend
-        params.update(spec_params(self.spec))
+        """Lower this scenario to its content-hashable job (the
+        execution backend lands in the job's ``params``)."""
         return SimJob(kind=self.kind, target=self.target, policy=self.policy,
                       instructions=self.instructions,
-                      params=params,
-                      core_config=self.core_config,
-                      hierarchy_config=self.hierarchy_config,
-                      safespec_config=self.safespec_config,
-                      serial_group=self.serial_group)
+                      params={**self.params, "backend": self.backend},
+                      spec=self.spec, serial_group=self.serial_group)
 
     def describe(self) -> str:
         return self.label or self.job().describe()
@@ -179,11 +143,10 @@ class Sweep:
     ``specs`` is the hardware axis: a sequence of preset names (looked
     up in :data:`repro.spec.SPECS`) or a mapping of label ->
     :class:`~repro.spec.MachineSpec`; omitted, every cell runs the
-    unmodified default machine.  ``variants`` maps a variant name to
-    the overrides defining it — whole config objects under the legacy
-    keys (``core_config``, ``hierarchy_config``, ``safespec_config``)
-    or dotted :meth:`MachineSpec.derive` paths (``"core.rob_entries"``),
-    which apply on top of each spec in the grid.  ``backends`` is the
+    default machine.  ``variants`` maps a variant name to the
+    :meth:`MachineSpec.derive` overrides defining it — dotted paths
+    (``"core.rob_entries"``) or whole sections (``"core"``) — which
+    apply on top of each spec in the grid.  ``backends`` is the
     execution-backend axis (:data:`repro.backends.BACKENDS` names, e.g.
     ``("cycle", "fast")``) — one grid cell per backend, each with its
     own cache identity.  Benchmarks, preset names, backend names and
@@ -223,12 +186,9 @@ class Sweep:
         self.policies = list(policies)
         self.backends = list(backends)
         self.instructions = instructions
-        # None marks "no spec attached": the cell runs exactly the
-        # legacy default-machine job (same cache key as before specs
-        # existed).
-        self.specs: Dict[str, Optional[MachineSpec]] = {}
+        self.specs: Dict[str, MachineSpec] = {}
         if specs is None:
-            self.specs[DEFAULT_VARIANT] = None
+            self.specs[DEFAULT_VARIANT] = MachineSpec()
         elif isinstance(specs, Mapping):
             for label, spec in specs.items():
                 if not isinstance(spec, MachineSpec):
@@ -248,10 +208,9 @@ class Sweep:
             variants = {DEFAULT_VARIANT: {}}
         for name, overrides in variants.items():
             for key in overrides:
-                if key not in _OVERRIDE_KEYS:
-                    # Dotted derive paths validate structurally here;
-                    # value errors surface when scenarios are built.
-                    MachineSpec.resolve_path(key)
+                # Paths validate structurally here; value errors
+                # surface when scenarios are built.
+                MachineSpec.resolve_path(key)
             self.variants[name] = dict(overrides)
 
     def points(self) -> List[SweepPoint]:
@@ -265,25 +224,7 @@ class Sweep:
                 for backend in self.backends]
 
     def _scenario_for(self, point: SweepPoint) -> Scenario:
-        base = self.specs[point.spec]
-        overrides = self.variants[point.variant]
-        legacy = {key: overrides[key] for key in _OVERRIDE_KEYS
-                  if key in overrides}
-        derived = {key: value for key, value in overrides.items()
-                   if key not in _OVERRIDE_KEYS}
-        if base is None and not derived:
-            # Pure-legacy cell: identical job (and cache key) to a
-            # pre-spec sweep.
-            return Scenario.workload(point.benchmark, point.policy,
-                                     instructions=self.instructions,
-                                     backend=point.backend,
-                                     label=point.describe(), **legacy)
-        spec = base if base is not None else MachineSpec()
-        merged = {_OVERRIDE_SECTIONS[key]: value
-                  for key, value in legacy.items()}
-        merged.update(derived)
-        if merged:
-            spec = spec.derive(**merged)
+        spec = self.specs[point.spec].derive(**self.variants[point.variant])
         return Scenario.workload(point.benchmark, point.policy,
                                  instructions=self.instructions,
                                  backend=point.backend,

@@ -105,7 +105,7 @@ class Session:
     def matrix(self, attacks: Optional[Sequence[str]] = None,
                policies: Optional[Sequence[CommitPolicy]] = None,
                secret: int = 42,
-               spec: Optional["MachineSpec"] = None,
+               spec: MachineSpec = MachineSpec(),
                backend: str = "cycle"
                ) -> Dict[str, Dict[str, Any]]:
         """Every (attack, policy) outcome — the paper's Tables III & IV.
@@ -132,7 +132,7 @@ class Session:
 
     def experiment(self, benchmarks: Optional[List[str]] = None,
                    instructions: int = DEFAULT_INSTRUCTION_BUDGET,
-                   spec: Optional["MachineSpec"] = None,
+                   spec: MachineSpec = MachineSpec(),
                    backend: str = "cycle"):
         """A :class:`~repro.analysis.experiment.FigureRunner` whose
         simulations run through this session."""
@@ -144,7 +144,7 @@ class Session:
 
     def figures(self, benchmarks: Optional[List[str]] = None,
                 instructions: int = DEFAULT_INSTRUCTION_BUDGET,
-                spec: Optional["MachineSpec"] = None,
+                spec: MachineSpec = MachineSpec(),
                 backend: str = "cycle"
                 ) -> Dict[str, Dict[str, Any]]:
         """Every performance figure's series, keyed by figure number.
@@ -172,7 +172,7 @@ class Session:
                policies: Optional[Sequence[CommitPolicy]] = None,
                profile: str = "mixed",
                instructions: int = DEFAULT_INSTRUCTION_BUDGET,
-               spec: Optional["MachineSpec"] = None,
+               spec: MachineSpec = MachineSpec(),
                backend: str = "cycle"):
         """Differentially verify ``count`` fuzzed programs (seeds
         ``seed .. seed+count-1``) against the in-order reference oracle
@@ -211,7 +211,7 @@ class Session:
                window: Optional[int] = None,
                seed: int = 0,
                warm: bool = True,
-               spec: Optional["MachineSpec"] = None,
+               spec: MachineSpec = MachineSpec(),
                backend: str = "cycle",
                ff_backend: str = "fast"):
         """Sampled (SimPoint-style) simulation of one long workload.

@@ -23,7 +23,7 @@ Spectre v4      ``ssb_v4``             leaks     LEAKS  safe
 
 Each entry point registers itself with
 :data:`repro.api.registry.ATTACKS` (``@register_attack``), which is
-where the catalogue — ``ALL_ATTACKS``, CLI choices, matrix rows and the
+where the catalogue — CLI choices, matrix rows and the
 expected-closed metadata — derives from.  This ``__init__`` is the one
 place the attack modules are imported, so registration (and hence
 table) order is fixed here no matter which entry point touches the
@@ -49,19 +49,7 @@ from repro.attacks.spectre_rsb import run_spectre_rsb
 from repro.attacks.spectre_v2_bhb import run_spectre_v2_bhb
 from repro.attacks.ssb_v4 import run_ssb_v4
 
-
-def __getattr__(name):
-    # Resolved lazily (after every registration above has run) so the
-    # legacy tuple always reflects the fully-populated registry.
-    if name == "ALL_ATTACKS":
-        from repro.attacks import runner
-
-        return runner.ALL_ATTACKS
-    raise AttributeError(
-        f"module 'repro.attacks' has no attribute {name!r}")
-
 __all__ = [
-    "ALL_ATTACKS",
     "AttackResult",
     "expected_closed",
     "run_attack_by_name",

@@ -21,7 +21,6 @@ receiver excludes slot 0 and the attack leaks secrets in 1..255.
 
 from __future__ import annotations
 
-from typing import Optional
 
 from repro.attacks.channels import IcacheReloadChannel
 from repro.attacks.gadgets import AttackLayout, warm_lines
@@ -75,7 +74,7 @@ def build_victim(layout: AttackLayout) -> Program:
 
 @register_attack("icache")
 def run_icache_variant(policy: CommitPolicy, secret: int = 42,
-                       spec: Optional[MachineSpec] = None,
+                       spec: MachineSpec = MachineSpec(),
                        backend: str = "cycle") -> AttackResult:
     """Run the I-cache Spectre variant under the given commit policy."""
     if not 1 <= secret <= 255:

@@ -23,7 +23,6 @@ Table III); WFC holds the line in shadow until commit, which never comes.
 
 from __future__ import annotations
 
-from typing import Optional
 
 from repro.attacks.channels import FlushReloadChannel
 from repro.attacks.gadgets import AttackLayout, PAGE, warm_lines
@@ -63,7 +62,7 @@ def build_attacker(layout: AttackLayout) -> Program:
 
 @register_attack("meltdown", branch_free=True)
 def run_meltdown(policy: CommitPolicy, secret: int = 42,
-                 spec: Optional[MachineSpec] = None,
+                 spec: MachineSpec = MachineSpec(),
                  backend: str = "cycle") -> AttackResult:
     """Run the full Meltdown attack under the given commit policy."""
     if not 0 <= secret <= 255:

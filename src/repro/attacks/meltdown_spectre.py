@@ -16,7 +16,6 @@ branch, WFC additionally stops fault-deferred leaks.
 
 from __future__ import annotations
 
-from typing import Optional
 
 from repro.attacks.channels import FlushReloadChannel
 from repro.attacks.gadgets import AttackLayout, warm_lines
@@ -52,7 +51,7 @@ def build_attacker(layout: AttackLayout) -> Program:
 
 @register_attack("meltdown_spectre")
 def run_meltdown_spectre(policy: CommitPolicy, secret: int = 42,
-                         spec: Optional[MachineSpec] = None,
+                         spec: MachineSpec = MachineSpec(),
                          backend: str = "cycle") -> AttackResult:
     """Run the combined Meltdown+Spectre attack under ``policy``."""
     if not 0 <= secret <= 255:

@@ -19,7 +19,6 @@ c) the ``ret``'s fall-through is the gadget: speculative fetch runs it,
 
 from __future__ import annotations
 
-from typing import Optional
 
 from repro.attacks.channels import FlushReloadChannel
 from repro.attacks.gadgets import AttackLayout, warm_lines
@@ -78,13 +77,12 @@ def build_victim(layout: AttackLayout) -> Program:
 
 @register_attack("ret2spec")
 def run_ret2spec(policy: CommitPolicy, secret: int = 42,
-                 spec: Optional[MachineSpec] = None,
+                 spec: MachineSpec = MachineSpec(),
                  backend: str = "cycle") -> AttackResult:
     """Run the full ret2spec attack under the given commit policy."""
     if not 0 <= secret <= 255:
         raise ValueError(f"secret must be a byte, got {secret}")
-    base = spec if spec is not None else MachineSpec()
-    spec = base.derive(**{"rsb.depth": _RSB_DEPTH})
+    spec = spec.derive(**{"rsb.depth": _RSB_DEPTH})
     layout = AttackLayout()
     machine = Machine.from_spec(spec, policy=policy, backend=backend)
     layout.map_user_memory(machine)

@@ -5,7 +5,7 @@ The attack catalogue itself lives in the component registry
 entry point with ``@register_attack``, carrying the paper's
 expected-closed metadata.  This module keeps the classic
 :class:`AttackResult` type, the job-spec worker entry point, the matrix
-renderer, and the ``ALL_ATTACKS`` registry view.  Batch runs go through
+renderer.  Batch runs go through
 :meth:`repro.api.session.Session.matrix`.
 """
 
@@ -17,7 +17,7 @@ from typing import Dict, Optional
 from repro.api import registry as api_registry
 from repro.core.policy import CommitPolicy
 from repro.exec.job import SimJob, SimResult, json_clean_details
-from repro.spec import MachineSpec, machine_spec_from_params
+from repro.spec import MachineSpec
 
 
 @dataclass
@@ -62,22 +62,12 @@ def expected_closed(attack: str, policy: CommitPolicy) -> bool:
 
 def run_attack_by_name(name: str, policy: CommitPolicy,
                        secret: int = 42,
-                       spec: Optional[MachineSpec] = None,
+                       spec: MachineSpec = MachineSpec(),
                        backend: str = "cycle") -> AttackResult:
-    """Run one registered attack by name.
-
-    ``spec`` selects the victim machine's hardware shape and ``backend``
-    the execution backend; each is only forwarded when non-default, so
-    externally registered attacks with the classic ``(policy, secret)``
-    signature keep working spec-less.
-    """
+    """Run one registered attack by name on the ``spec`` machine and
+    the ``backend`` execution backend."""
     attack = api_registry.ATTACKS.get(name)
-    kwargs = {}
-    if spec is not None:
-        kwargs["spec"] = spec
-    if backend != "cycle":
-        kwargs["backend"] = backend
-    return attack(policy, secret, **kwargs)
+    return attack(policy, secret, spec=spec, backend=backend)
 
 
 def run_attack_job(job: SimJob) -> SimResult:
@@ -90,8 +80,7 @@ def run_attack_job(job: SimJob) -> SimResult:
     secret = int(job.params.get("secret", 42))
     backend = str(job.params.get("backend", "cycle"))
     outcome = run_attack_by_name(job.target, job.policy, secret,
-                                 spec=machine_spec_from_params(job.params),
-                                 backend=backend)
+                                 spec=job.spec, backend=backend)
     return SimResult(
         job_key=job.key(),
         kind=job.kind,
@@ -130,13 +119,3 @@ def render_matrix(matrix: Dict[str, Dict[str, AttackResult]]) -> str:
                 cells.append(f"{'closed' if result.closed else 'LEAKED':>9s}")
         lines.append(f"{attack:{width}s} " + " ".join(cells))
     return "\n".join(lines)
-
-
-def __getattr__(name):
-    # Legacy alias: the hand-maintained tuple is now derived from the
-    # registry (computed on first access so importing this module does
-    # not force-load every attack module).
-    if name == "ALL_ATTACKS":
-        return tuple(api_registry.attack_names())
-    raise AttributeError(
-        f"module 'repro.attacks.runner' has no attribute {name!r}")

@@ -15,7 +15,6 @@ recovered modulo the set count.
 
 from __future__ import annotations
 
-from typing import Optional
 
 from repro.attacks.channels import PrimeProbeChannel
 from repro.attacks.gadgets import AttackLayout, warm_lines
@@ -50,7 +49,7 @@ def build_victim(layout: AttackLayout) -> Program:
 
 @register_attack("spectre_v1_pp")
 def run_spectre_v1_prime_probe(policy: CommitPolicy, secret: int = 42,
-                               spec: Optional[MachineSpec] = None,
+                               spec: MachineSpec = MachineSpec(),
                                backend: str = "cycle") -> AttackResult:
     """Run Spectre v1 with a prime+probe receiver under ``policy``."""
     if not 0 <= secret <= 255:

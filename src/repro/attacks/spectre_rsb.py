@@ -20,7 +20,6 @@ This is the cross-context variant of Koruyeh et al.'s "Spectre Returns"
 
 from __future__ import annotations
 
-from typing import Optional
 
 from repro.attacks.channels import FlushReloadChannel
 from repro.attacks.gadgets import AttackLayout, warm_lines
@@ -78,7 +77,7 @@ def build_pusher(gadget_pc: int) -> Program:
 
 @register_attack("spectre_rsb")
 def run_spectre_rsb(policy: CommitPolicy, secret: int = 42,
-                    spec: Optional[MachineSpec] = None,
+                    spec: MachineSpec = MachineSpec(),
                     backend: str = "cycle") -> AttackResult:
     """Run the full SpectreRSB attack under the given commit policy."""
     if not 0 <= secret <= 255:

@@ -19,7 +19,6 @@ d) flush+reload the probe array to recover the secret.
 
 from __future__ import annotations
 
-from typing import Optional
 
 from repro.attacks.channels import FlushReloadChannel
 from repro.attacks.gadgets import AttackLayout, warm_lines
@@ -55,7 +54,7 @@ def build_victim(layout: AttackLayout) -> Program:
 
 @register_attack("spectre_v1")
 def run_spectre_v1(policy: CommitPolicy, secret: int = 42,
-                   spec: Optional[MachineSpec] = None,
+                   spec: MachineSpec = MachineSpec(),
                    backend: str = "cycle") -> AttackResult:
     """Run the full Spectre v1 attack under the given commit policy."""
     if not 0 <= secret <= 255:

@@ -20,7 +20,6 @@ the paper's reference [5].
 
 from __future__ import annotations
 
-from typing import Optional
 
 from repro.attacks.channels import FlushReloadChannel
 from repro.attacks.gadgets import AttackLayout, warm_lines
@@ -97,7 +96,7 @@ def build_poisoner(layout: AttackLayout, victim: Program,
 
 @register_attack("spectre_v2")
 def run_spectre_v2(policy: CommitPolicy, secret: int = 42,
-                   spec: Optional[MachineSpec] = None,
+                   spec: MachineSpec = MachineSpec(),
                    backend: str = "cycle") -> AttackResult:
     """Run the full Spectre v2 attack under the given commit policy."""
     if not 0 <= secret <= 255:

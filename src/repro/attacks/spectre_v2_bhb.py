@@ -20,7 +20,6 @@ c) function pointer flushed, victim triggered: the history-indexed BTB
 
 from __future__ import annotations
 
-from typing import Optional
 
 from repro.attacks.channels import FlushReloadChannel
 from repro.attacks.gadgets import AttackLayout, warm_lines
@@ -114,13 +113,12 @@ def build_poisoner(layout: AttackLayout, victim: Program,
 
 @register_attack("spectre_v2_bhb")
 def run_spectre_v2_bhb(policy: CommitPolicy, secret: int = 42,
-                       spec: Optional[MachineSpec] = None,
+                       spec: MachineSpec = MachineSpec(),
                        backend: str = "cycle") -> AttackResult:
     """Run the BHB-steered Spectre v2 attack under the given policy."""
     if not 0 <= secret <= 255:
         raise ValueError(f"secret must be a byte, got {secret}")
-    base = spec if spec is not None else MachineSpec()
-    spec = base.derive(**{"btb.history_bits": _HISTORY_BITS})
+    spec = spec.derive(**{"btb.history_bits": _HISTORY_BITS})
     layout = AttackLayout()
     machine = Machine.from_spec(spec, policy=policy, backend=backend)
     layout.map_user_memory(machine)

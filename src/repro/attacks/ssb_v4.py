@@ -22,7 +22,6 @@ promote-at-commit closes the channel.
 
 from __future__ import annotations
 
-from typing import Optional
 
 from repro.attacks.channels import FlushReloadChannel
 from repro.attacks.gadgets import AttackLayout, warm_lines
@@ -54,13 +53,12 @@ def build_victim(layout: AttackLayout, overwrite: int) -> Program:
 
 @register_attack("ssb_v4", branch_free=True)
 def run_ssb_v4(policy: CommitPolicy, secret: int = 42,
-               spec: Optional[MachineSpec] = None,
+               spec: MachineSpec = MachineSpec(),
                backend: str = "cycle") -> AttackResult:
     """Run the full Spectre v4 attack under the given commit policy."""
     if not 0 <= secret <= 255:
         raise ValueError(f"secret must be a byte, got {secret}")
-    base = spec if spec is not None else MachineSpec()
-    spec = base.derive(**{"core.mem_dep_speculation": True})
+    spec = spec.derive(**{"core.mem_dep_speculation": True})
     layout = AttackLayout()
     machine = Machine.from_spec(spec, policy=policy, backend=backend)
     layout.map_user_memory(machine)

@@ -18,7 +18,6 @@ is the architectural training pad, so its secrets live in 1..63.
 
 from __future__ import annotations
 
-from typing import Optional
 
 from repro.attacks.channels import TlbProbeChannel
 from repro.attacks.gadgets import AttackLayout, PAGE, warm_lines
@@ -60,7 +59,7 @@ def build_dtlb_victim(layout: AttackLayout) -> Program:
 
 
 def run_dtlb_variant(policy: CommitPolicy, secret: int = 42,
-                     spec: Optional[MachineSpec] = None,
+                     spec: MachineSpec = MachineSpec(),
                      backend: str = "cycle") -> AttackResult:
     """Run the dTLB Spectre variant under the given commit policy.
 
@@ -140,7 +139,7 @@ def build_itlb_victim(layout: AttackLayout) -> Program:
 
 @register_attack("itlb")
 def run_itlb_variant(policy: CommitPolicy, secret: int = 42,
-                     spec: Optional[MachineSpec] = None,
+                     spec: MachineSpec = MachineSpec(),
                      backend: str = "cycle") -> AttackResult:
     """Run the iTLB Spectre variant under the given commit policy."""
     secret = secret % _SLOTS

@@ -32,7 +32,6 @@ paper's chosen configuration, Table IV's "Transient" row);
 
 from __future__ import annotations
 
-from typing import Optional
 
 from repro.attacks.gadgets import AttackLayout, PAGE, warm_lines
 from repro.api.registry import register_attack
@@ -103,7 +102,7 @@ def _prime_dtlb(machine: Machine, round_index: int) -> None:
 
 
 def _run_tsa(policy: CommitPolicy, secret_bit: int,
-             spec: Optional[MachineSpec],
+             spec: MachineSpec,
              backend: str = "cycle") -> AttackResult:
     layout = AttackLayout()
     if policy is CommitPolicy.BASELINE:
@@ -165,7 +164,7 @@ def _run_tsa(policy: CommitPolicy, secret_bit: int,
 
 
 def _run_tsa_channel(policy: CommitPolicy, secret: int,
-                     spec: Optional[MachineSpec],
+                     spec: MachineSpec,
                      backend: str = "cycle") -> AttackResult:
     """Run the TSA channel for both bit values and report honestly.
 
@@ -194,7 +193,7 @@ def _run_tsa_channel(policy: CommitPolicy, secret: int,
 
 @register_attack("transient")
 def run_tsa(policy: CommitPolicy, secret: int = 1,
-            spec: Optional[MachineSpec] = None,
+            spec: MachineSpec = MachineSpec(),
             backend: str = "cycle") -> AttackResult:
     """TSA against the paper's mitigated configuration (SECURE sizing).
 
@@ -205,12 +204,11 @@ def run_tsa(policy: CommitPolicy, secret: int = 1,
     ``safespec-p9999`` preset) overrides the SECURE default, so sizing
     sensitivity is sweepable like any other hardware axis.
     """
-    base = spec if spec is not None else MachineSpec()
-    if policy.uses_shadow and base.safespec is None:
-        base = base.derive(safespec=SafeSpecConfig(
+    if policy.uses_shadow and spec.safespec is None:
+        spec = spec.derive(safespec=SafeSpecConfig(
             policy=policy, sizing=SizingMode.SECURE,
             full_policy=FullPolicy.DROP))
-    return _run_tsa_channel(policy, secret, base, backend)
+    return _run_tsa_channel(policy, secret, spec, backend)
 
 
 def run_tsa_vulnerable(policy: CommitPolicy = CommitPolicy.WFC,

@@ -134,10 +134,10 @@ def _add_exec_options(parser: argparse.ArgumentParser) -> None:
 
 def _add_spec_options(parser: argparse.ArgumentParser) -> None:
     """Hardware-shape flags shared by the simulation commands."""
-    parser.add_argument("--preset", choices=spec_names(), default=None,
-                        metavar="NAME",
+    parser.add_argument("--preset", choices=spec_names(),
+                        default=DEFAULT_SPEC, metavar="NAME",
                         help="start from a registered MachineSpec preset "
-                             f"(see `repro specs`; e.g. {DEFAULT_SPEC})")
+                             f"(see `repro specs`; default: {DEFAULT_SPEC})")
     parser.add_argument("--set", action="append", default=[],
                         metavar="KEY=VALUE", dest="set_overrides",
                         help="override one spec field by dotted path "
@@ -153,19 +153,9 @@ def _add_backend_option(parser: argparse.ArgumentParser) -> None:
                         help=f"execution backend: {names} (default: cycle)")
 
 
-def _resolve_spec(args: argparse.Namespace) -> Optional[MachineSpec]:
-    """The MachineSpec the spec flags describe (None = legacy default).
-
-    With neither ``--preset`` nor ``--set`` the command runs exactly
-    the spec-less job it always has (same cache keys); ``--set`` alone
-    derives from the default machine.
-    """
-    if args.preset is None and not args.set_overrides:
-        return None
-    spec = get_spec(args.preset) if args.preset else MachineSpec()
-    if args.set_overrides:
-        spec = derive_from_strings(spec, args.set_overrides)
-    return spec
+def _resolve_spec(args: argparse.Namespace) -> MachineSpec:
+    """The MachineSpec the ``--preset`` and ``--set`` flags describe."""
+    return derive_from_strings(get_spec(args.preset), args.set_overrides)
 
 
 def build_parser() -> argparse.ArgumentParser:

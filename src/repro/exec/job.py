@@ -1,10 +1,10 @@
 """Declarative simulation jobs and their serializable results.
 
 A :class:`SimJob` fully describes one simulation — a suite workload or an
-attack, the commit policy, any config overrides and the instruction
-budget — independent of the process that will run it.  Two jobs with the
-same spec have the same :meth:`SimJob.key`, which is what the on-disk
-cache and the executors key on.
+attack, the commit policy, the machine (a :class:`~repro.spec.MachineSpec`)
+and the instruction budget — independent of the process that will run
+it.  Two jobs with the same content have the same :meth:`SimJob.key`,
+which is what the on-disk cache and the executors key on.
 
 A :class:`SimResult` carries everything the figures and tables derive
 their series from (counters, shadow-occupancy histograms, commit rates,
@@ -15,22 +15,16 @@ analysis layer can consume either interchangeably.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 from repro.core.policy import CommitPolicy
-from repro.core.safespec import SafeSpecConfig
 from repro.errors import ConfigError
-from repro.memory.hierarchy import HierarchyConfig
-from repro.pipeline.config import CoreConfig
+from repro.spec import MachineSpec
 from repro.statistics import Histogram, ratio
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard only
-    from repro.spec import MachineSpec
 
 # Bump whenever the result schema or simulator semantics change in a way
 # that invalidates cached results; the cache namespaces entries by it.
@@ -55,7 +49,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard only
 #     generator also changed semantics (stores no longer corrupt the
 #     pointer-chase table, so chasing workloads run past a few thousand
 #     instructions instead of faulting), invalidating cached results.
-SCHEMA_VERSION = 6
+# v7: every job carries a MachineSpec and its key folds in the spec's
+#     digest; the loose core/hierarchy/safespec config fields and the
+#     spec dict in ``params`` are gone, so every job key changed (the
+#     default machine and ``skylake-table1`` now share one entry).
+SCHEMA_VERSION = 7
 
 # Single source of truth for the per-run budget; the workload suite
 # re-exports it (suite imports this module, never the reverse).
@@ -78,13 +76,15 @@ class SimJob:
     (``target`` names a fuzz case; see
     :func:`repro.verify.harness.verify_job`) or ``"sample"`` (``target``
     names a suite benchmark, the job measures one checkpointed window;
-    see :func:`repro.sample.driver.sample_job`).  ``params``
-    carries kind-specific scenario data (an attack's planted ``secret``,
-    future workload knobs) uniformly for every kind and flows into the
-    job hash.  ``serial_group`` marks jobs that must not fan out to
-    different workers (e.g. runs that rely on machine state persisting
-    between them); it never affects the job hash because it changes
-    *where* the job runs, not its result.
+    see :func:`repro.sample.driver.sample_job`).  ``spec`` is the
+    machine; its digest flows into the job hash, and workers read it
+    directly.  ``params`` carries kind-specific scenario data (an
+    attack's planted ``secret``, future workload knobs) uniformly for
+    every kind and flows into the job hash.  ``serial_group`` marks
+    jobs that must not fan out to different workers (e.g. runs that
+    rely on machine state persisting between them); it never affects
+    the job hash because it changes *where* the job runs, not its
+    result.
     """
 
     kind: str
@@ -94,9 +94,7 @@ class SimJob:
     # hash=False: the dict value would break the generated __hash__;
     # equality still compares params, same-hash jobs just may collide.
     params: Mapping[str, Any] = field(default_factory=dict, hash=False)
-    core_config: Optional[CoreConfig] = None
-    hierarchy_config: Optional[HierarchyConfig] = None
-    safespec_config: Optional[SafeSpecConfig] = None
+    spec: MachineSpec = MachineSpec()
     serial_group: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -110,7 +108,7 @@ class SimJob:
         # the spec after hashing (frozen dataclass setattr workaround).
         object.__setattr__(self, "params", dict(self.params))
 
-    def spec(self) -> Dict[str, Any]:
+    def canonical(self) -> Dict[str, Any]:
         """The canonical content of this job (hash input)."""
         return {
             "schema": SCHEMA_VERSION,
@@ -119,14 +117,12 @@ class SimJob:
             "policy": self.policy.value,
             "instructions": self.instructions,
             "params": _json_clean(self.params),
-            "core_config": _config_dict(self.core_config),
-            "hierarchy_config": _config_dict(self.hierarchy_config),
-            "safespec_config": _config_dict(self.safespec_config),
+            "spec": self.spec.digest(),
         }
 
     def key(self) -> str:
         """Deterministic content hash identifying this job."""
-        canonical = json.dumps(self.spec(), sort_keys=True,
+        canonical = json.dumps(self.canonical(), sort_keys=True,
                                separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -291,32 +287,20 @@ class SimResult(FigureMetrics):
 
 def workload_job(benchmark: str, policy: CommitPolicy,
                  instructions: int = DEFAULT_INSTRUCTION_BUDGET,
-                 core_config: Optional[CoreConfig] = None,
-                 hierarchy_config: Optional[HierarchyConfig] = None,
-                 safespec_config: Optional[SafeSpecConfig] = None,
-                 spec: Optional["MachineSpec"] = None,
+                 spec: MachineSpec = MachineSpec(),
                  backend: str = "cycle") -> SimJob:
-    """A job running one suite benchmark under one policy.
+    """A job running one suite benchmark on ``spec`` under one policy.
 
-    ``spec`` (a :class:`~repro.spec.MachineSpec`) is the declarative
-    hardware axis: its dict + digest land in ``params`` and flow into
-    the job hash.  It is mutually exclusive with the loose per-config
-    overrides.  ``backend`` selects the execution backend and always
-    lands in ``params`` so the two backends' results never collide in
-    the cache.
+    ``backend`` selects the execution backend and always lands in
+    ``params`` so the two backends' results never collide in the cache.
     """
-    ensure_single_config_style(spec, core_config, hierarchy_config,
-                               safespec_config)
     return SimJob(kind=WORKLOAD, target=benchmark, policy=policy,
-                  instructions=instructions,
-                  params={"backend": backend, **spec_params(spec)},
-                  core_config=core_config,
-                  hierarchy_config=hierarchy_config,
-                  safespec_config=safespec_config)
+                  instructions=instructions, params={"backend": backend},
+                  spec=spec)
 
 
 def attack_job(name: str, policy: CommitPolicy, secret: int = 42,
-               spec: Optional["MachineSpec"] = None,
+               spec: MachineSpec = MachineSpec(),
                backend: str = "cycle") -> SimJob:
     """A job running one attack PoC under one policy.
 
@@ -327,47 +311,12 @@ def attack_job(name: str, policy: CommitPolicy, secret: int = 42,
     ``serial_group`` to stay on one worker.
     """
     return SimJob(kind=ATTACK, target=name, policy=policy,
-                  params={"secret": secret, "backend": backend,
-                          **spec_params(spec)})
-
-
-def ensure_single_config_style(spec: Optional["MachineSpec"],
-                               core_config: Any, hierarchy_config: Any,
-                               safespec_config: Any) -> None:
-    """The one guard rejecting mixed config styles (spec + loose kwargs).
-
-    Shared by the job builders, :class:`~repro.api.scenario.Scenario`
-    and :func:`~repro.workloads.suite.run_workload` so the rule (and
-    its message) can never diverge between layers.
-    """
-    if spec is not None and (core_config is not None
-                             or hierarchy_config is not None
-                             or safespec_config is not None):
-        raise ConfigError(
-            "pass either a MachineSpec or loose config overrides, not "
-            "both (fold overrides in with spec.derive(...))")
-
-
-def spec_params(spec: Optional["MachineSpec"]) -> Dict[str, Any]:
-    """The params entries lowering ``spec`` into a job (empty if None).
-
-    The single place a MachineSpec becomes job params — every
-    spec-carrying job, whether built here or by ``Scenario.job()``,
-    gets identical keys (and therefore identical cache hashing).
-    """
-    return {} if spec is None else spec.job_params()
+                  params={"secret": secret, "backend": backend}, spec=spec)
 
 
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-def _config_dict(config: Any) -> Optional[Dict[str, Any]]:
-    """A dataclass config as a JSON-clean nested dict (None passthrough)."""
-    if config is None:
-        return None
-    return _json_clean(dataclasses.asdict(config))
-
 
 def _json_clean(value: Any) -> Any:
     """Recursively coerce a value into JSON-representable primitives."""

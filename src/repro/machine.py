@@ -93,7 +93,7 @@ class Machine(MappedWords):
         self._backend_impl = BACKENDS.create(backend)
 
     @classmethod
-    def from_spec(cls, spec: Optional[MachineSpec] = None, *,
+    def from_spec(cls, spec: MachineSpec = MachineSpec(), *,
                   policy: Optional[CommitPolicy] = None,
                   page_table: Optional[PageTable] = None,
                   backend: str = DEFAULT_BACKEND) -> "Machine":
@@ -107,7 +107,6 @@ class Machine(MappedWords):
         ``policy`` is omitted it comes from ``spec.safespec`` or
         defaults to ``BASELINE``.
         """
-        spec = spec if spec is not None else MachineSpec()
         safespec = spec.safespec
         if policy is None:
             policy = (safespec.policy if safespec is not None

@@ -1,8 +1,8 @@
 """Sampled simulation driver: window jobs, worker entry, stitching.
 
 Each (checkpoint, window) pair is one independent ``sample``
-:class:`~repro.exec.job.SimJob`: the job's params carry only *plan
-coordinates* (workload, plan knobs, slice index, backends, spec), never
+:class:`~repro.exec.job.SimJob`: the job carries only its spec and
+*plan coordinates* (workload, plan knobs, slice index, backends), never
 the checkpoint itself — workers re-derive checkpoints deterministically
 with a per-process memoized fast-forward scan.  That keeps sample jobs
 content-hashable exactly like every other kind, so they flow through the
@@ -24,12 +24,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.policy import CommitPolicy
 from repro.errors import SampleError
-from repro.exec.job import (SAMPLE, SCHEMA_VERSION, SimJob, SimResult,
-                            spec_params)
+from repro.exec.job import SAMPLE, SCHEMA_VERSION, SimJob, SimResult
 from repro.machine import Machine
 from repro.sample.checkpoint import Checkpoint
 from repro.sample.plan import SamplePlan, resolve_workload, scan_checkpoints
-from repro.spec import MachineSpec, machine_spec_from_params
+from repro.spec import MachineSpec
 from repro.workloads.generator import WorkloadProgram
 from repro.workloads.profiles import WorkloadProfile
 
@@ -42,7 +41,7 @@ _SCAN_MEMO_MAX = 4
 
 def sample_job(benchmark: str, policy: CommitPolicy, index: int,
                plan: SamplePlan, total_instructions: int,
-               *, spec: Optional[MachineSpec] = None,
+               *, spec: MachineSpec = MachineSpec(),
                backend: str = "cycle", ff_backend: str = "fast",
                warm: bool = True) -> SimJob:
     """The job measuring slice ``index`` of one sampled run.
@@ -68,13 +67,12 @@ def sample_job(benchmark: str, policy: CommitPolicy, index: int,
             "total": total_instructions,
             "warm": warm,
             **plan.to_params(),
-            **spec_params(spec),
         },
+        spec=spec,
     )
 
 
-def _checkpoint_for(job: SimJob, plan: SamplePlan,
-                    spec: Optional[MachineSpec]) -> Checkpoint:
+def _checkpoint_for(job: SimJob, plan: SamplePlan) -> Checkpoint:
     """The checkpoint opening this job's slice (memoized per process)."""
     index = int(job.params["window_index"])
     total = int(job.params["total"])
@@ -82,8 +80,7 @@ def _checkpoint_for(job: SimJob, plan: SamplePlan,
     warm = bool(job.params.get("warm", True))
     memo_key = (job.target, plan.to_params()["interval"], plan.warmup,
                 plan.windows, plan.window, plan.seed, total, job.policy,
-                ff_backend, warm,
-                spec.digest() if spec is not None else None)
+                ff_backend, warm, job.spec)
     checkpoints = _SCAN_MEMO.get(memo_key)
     if checkpoints is None or index not in checkpoints:
         # One scan covers every slice this plan selects, so sibling
@@ -91,7 +88,7 @@ def _checkpoint_for(job: SimJob, plan: SamplePlan,
         wanted = set(plan.select_windows(total))
         wanted.add(index)
         checkpoints = scan_checkpoints(job.target, plan, wanted,
-                                       spec=spec, policy=job.policy,
+                                       spec=job.spec, policy=job.policy,
                                        ff_backend=ff_backend, warm=warm)
         if len(_SCAN_MEMO) >= _SCAN_MEMO_MAX:
             _SCAN_MEMO.pop(next(iter(_SCAN_MEMO)))
@@ -110,14 +107,13 @@ def run_sample_job(job: SimJob) -> SimResult:
     measured window only.
     """
     plan = SamplePlan.from_params(job.params)
-    spec = machine_spec_from_params(job.params)
     backend = str(job.params.get("backend", "cycle"))
-    checkpoint = _checkpoint_for(job, plan, spec)
+    checkpoint = _checkpoint_for(job, plan)
     wl = resolve_workload(job.target)
     warmup, window = plan.window_span(int(job.params["window_index"]),
                                       int(job.params["total"]))
 
-    machine = Machine.from_spec(spec, policy=job.policy, backend=backend)
+    machine = Machine.from_spec(job.spec, policy=job.policy, backend=backend)
     checkpoint.apply(machine)
 
     next_pc: Optional[int] = checkpoint.next_pc
@@ -394,7 +390,7 @@ def stitch_windows(results: Sequence[SimResult], plan: SamplePlan,
 def sample_jobs(workload: Union[str, WorkloadProfile, WorkloadProgram],
                 policy: CommitPolicy, plan: SamplePlan,
                 total_instructions: int, *,
-                spec: Optional[MachineSpec] = None,
+                spec: MachineSpec = MachineSpec(),
                 backend: str = "cycle", ff_backend: str = "fast",
                 warm: bool = True) -> List[SimJob]:
     """The full job fan-out of one sampled run (one job per window)."""
@@ -411,7 +407,7 @@ def run_sample(executor, workload,
                policy: CommitPolicy = CommitPolicy.BASELINE,
                *, plan: Optional[SamplePlan] = None,
                total_instructions: int = 1_000_000,
-               spec: Optional[MachineSpec] = None,
+               spec: MachineSpec = MachineSpec(),
                backend: str = "cycle", ff_backend: str = "fast",
                warm: bool = True) -> SampleReport:
     """Run one sampled simulation through an executor and stitch it."""

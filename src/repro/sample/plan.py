@@ -160,7 +160,7 @@ def scan_checkpoints(workload: Union[str, WorkloadProfile, WorkloadProgram],
                      plan: SamplePlan,
                      wanted: Iterable[int],
                      *,
-                     spec: Optional[MachineSpec] = None,
+                     spec: MachineSpec = MachineSpec(),
                      policy: CommitPolicy = CommitPolicy.BASELINE,
                      ff_backend: str = "fast",
                      warm: bool = True) -> Dict[int, Checkpoint]:

@@ -18,10 +18,8 @@ Quickstart::
     machine = Machine.from_spec(small, policy=CommitPolicy.WFC)
 """
 
-from repro.spec.machine_spec import (SPEC_DIGEST_PARAM_KEY, SPEC_PARAM_KEY,
-                                     SPEC_SCHEMA_VERSION, MachineSpec,
-                                     derive_from_strings,
-                                     machine_spec_from_params)
+from repro.spec.machine_spec import (SPEC_SCHEMA_VERSION, MachineSpec,
+                                     derive_from_strings)
 from repro.spec.presets import (DEFAULT_SPEC, SPECS, get_spec, register_spec,
                                 spec_description, spec_names)
 
@@ -29,12 +27,9 @@ __all__ = [
     "DEFAULT_SPEC",
     "MachineSpec",
     "SPECS",
-    "SPEC_DIGEST_PARAM_KEY",
-    "SPEC_PARAM_KEY",
     "SPEC_SCHEMA_VERSION",
     "derive_from_strings",
     "get_spec",
-    "machine_spec_from_params",
     "register_spec",
     "spec_description",
     "spec_names",

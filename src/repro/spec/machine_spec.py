@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -47,11 +48,6 @@ from repro.pipeline.config import CoreConfig
 # digest (and therefore every spec-carrying job key) namespaces on it.
 # v2: rsb section, btb.history_bits, core.mem_dep_speculation.
 SPEC_SCHEMA_VERSION = 2
-
-# Keys a spec contributes to SimJob.params (transport into the job hash
-# and across executor workers).
-SPEC_PARAM_KEY = "machine_spec"
-SPEC_DIGEST_PARAM_KEY = "machine_spec_digest"
 
 
 @dataclass(frozen=True)
@@ -116,23 +112,11 @@ class MachineSpec:
         is identical across processes, interpreter restarts and
         platforms for equal specs.
         """
-        canonical = json.dumps(self.to_dict(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return _digest(self)
 
     def short_digest(self) -> str:
         """The first 12 hex chars of :meth:`digest` (display use)."""
         return self.digest()[:12]
-
-    def job_params(self) -> Dict[str, Any]:
-        """The params entries a spec-carrying job transports.
-
-        Both the full dict (so workers can rebuild the spec) and the
-        digest (a human-greppable cache discriminator) flow into the
-        job's content hash.
-        """
-        return {SPEC_PARAM_KEY: self.to_dict(),
-                SPEC_DIGEST_PARAM_KEY: self.digest()}
 
     # ------------------------------------------------------------------
     # derivation
@@ -235,17 +219,14 @@ class MachineSpec:
         return "\n".join(lines)
 
 
-# ---------------------------------------------------------------------------
-# params transport
-# ---------------------------------------------------------------------------
-
-def machine_spec_from_params(
-        params: Mapping[str, Any]) -> Optional[MachineSpec]:
-    """Rebuild the spec a job's params carry, or None when spec-less."""
-    payload = params.get(SPEC_PARAM_KEY)
-    if payload is None:
-        return None
-    return MachineSpec.from_dict(payload)
+# Memoized by spec value: every job key folds in its spec's digest, so
+# a batch serializes each distinct spec once, not once per job.  Bounded
+# well above the distinct specs one sweep holds.
+@functools.lru_cache(maxsize=1024)
+def _digest(spec: MachineSpec) -> str:
+    canonical = json.dumps(spec.to_dict(), sort_keys=True,
+                           separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,9 @@ from repro.backends import BACKENDS, DEFAULT_BACKEND
 from repro.core.policy import CommitPolicy
 from repro.errors import ConfigError
 from repro.exec.job import (DEFAULT_INSTRUCTION_BUDGET, VERIFY, SimJob,
-                            SimResult, spec_params)
+                            SimResult)
 from repro.machine import Machine
-from repro.spec import MachineSpec, machine_spec_from_params
+from repro.spec import MachineSpec
 from repro.verify.fuzz import (FUZZ_FORMAT_VERSION, FuzzProfile,
                                FuzzProgram, fuzz_profile,
                                generate_fuzz_program)
@@ -173,7 +173,7 @@ class VerifyReport:
 def verify_job(seed: int, policy: CommitPolicy,
                profile: str = "mixed",
                instructions: int = DEFAULT_INSTRUCTION_BUDGET,
-               spec: Optional[MachineSpec] = None,
+               spec: MachineSpec = MachineSpec(),
                backend: str = DEFAULT_BACKEND) -> SimJob:
     """One differential case as a cacheable job.
 
@@ -191,8 +191,8 @@ def verify_job(seed: int, policy: CommitPolicy,
                   instructions=instructions,
                   params={"seed": seed, "profile": profile,
                           "fuzz_version": FUZZ_FORMAT_VERSION,
-                          "backend": backend,
-                          **spec_params(spec)})
+                          "backend": backend},
+                  spec=spec)
 
 
 def _profile_from_params(params: Dict[str, Any]) -> FuzzProfile:
@@ -218,7 +218,7 @@ def run_reference(case: FuzzProgram,
 
 
 def verify_case(case: FuzzProgram, policy: CommitPolicy,
-                spec: Optional[MachineSpec] = None,
+                spec: MachineSpec = MachineSpec(),
                 max_instructions: Optional[int] = None,
                 backend: str = DEFAULT_BACKEND,
                 reference: Optional[Reference] = None) -> VerifyVerdict:
@@ -260,7 +260,7 @@ def verify_case(case: FuzzProgram, policy: CommitPolicy,
 
 
 def diff_backends_case(case: FuzzProgram, policy: CommitPolicy,
-                       spec: Optional[MachineSpec] = None,
+                       spec: MachineSpec = MachineSpec(),
                        max_instructions: Optional[int] = None,
                        backends: "Optional[List[str]]" = None,
                        cycle_tolerance: float = CYCLE_TOLERANCE,
@@ -424,10 +424,9 @@ def run_verify_job(job: SimJob) -> SimResult:
             f"this build generates v{FUZZ_FORMAT_VERSION}")
     seed = int(params["seed"])
     profile = _profile_from_params(params)
-    spec = machine_spec_from_params(params)
     backend = str(params.get("backend", DEFAULT_BACKEND))
     case, reference = _seed_reference(profile, seed, job.instructions)
-    verdict = verify_case(case, job.policy, spec=spec,
+    verdict = verify_case(case, job.policy, spec=job.spec,
                           max_instructions=job.instructions,
                           backend=backend, reference=reference)
     return SimResult(

@@ -3,17 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 from repro.core.policy import CommitPolicy
-from repro.core.safespec import SafeSpecConfig
 from repro.exec.job import (DEFAULT_INSTRUCTION_BUDGET, FigureMetrics,
-                            SimJob, SimResult, ensure_single_config_style)
+                            SimJob, SimResult)
 from repro.machine import Machine
-from repro.memory.hierarchy import HierarchyConfig
-from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import RunResult
-from repro.spec import MachineSpec, machine_spec_from_params
+from repro.spec import MachineSpec
 from repro.statistics import Histogram
 from repro.workloads.generator import generate_program, WorkloadProgram
 from repro.workloads.profiles import WorkloadProfile, profile_by_name
@@ -53,33 +50,20 @@ class WorkloadRun(FigureMetrics):
 def run_workload(workload: Union[str, WorkloadProfile, WorkloadProgram],
                  policy: CommitPolicy = CommitPolicy.BASELINE,
                  instructions: int = DEFAULT_INSTRUCTION_BUDGET,
-                 safespec_config: Optional[SafeSpecConfig] = None,
-                 core_config: Optional[CoreConfig] = None,
-                 hierarchy_config: Optional[HierarchyConfig] = None,
-                 spec: Optional[MachineSpec] = None,
+                 spec: MachineSpec = MachineSpec(),
                  backend: str = "cycle",
                  ) -> WorkloadRun:
-    """Run one workload on a fresh machine under the given policy.
+    """Run one workload on a fresh ``spec`` machine under ``policy``.
 
     ``workload`` may be a suite benchmark name, a profile, or an
-    already-generated :class:`WorkloadProgram`.  The machine shape is
-    either a declarative ``spec`` (:class:`~repro.spec.MachineSpec`) or
-    the loose per-config overrides — never both.  ``backend`` selects
+    already-generated :class:`WorkloadProgram`.  ``backend`` selects
     the execution backend (``repro.backends``).
     """
     if isinstance(workload, str):
         workload = profile_by_name(workload)
     if isinstance(workload, WorkloadProfile):
         workload = generate_program(workload)
-    ensure_single_config_style(spec, core_config, hierarchy_config,
-                               safespec_config)
-    if spec is not None:
-        machine = Machine.from_spec(spec, policy=policy, backend=backend)
-    else:
-        machine = Machine(policy=policy, core_config=core_config,
-                          hierarchy_config=hierarchy_config,
-                          safespec_config=safespec_config,
-                          backend=backend)
+    machine = Machine.from_spec(spec, policy=policy, backend=backend)
     workload.apply_memory_image(machine)
     result = machine.run(workload.program, max_instructions=instructions)
 
@@ -107,10 +91,7 @@ def run_workload_job(job: SimJob) -> SimResult:
     run = run_workload(
         job.target, job.policy,
         instructions=job.instructions,
-        safespec_config=job.safespec_config,
-        core_config=job.core_config,
-        hierarchy_config=job.hierarchy_config,
-        spec=machine_spec_from_params(job.params),
+        spec=job.spec,
         backend=str(job.params.get("backend", "cycle")),
     )
     return SimResult(

@@ -3,7 +3,7 @@
 Covers the component registries (registration, lookup, duplicate and
 unknown-name errors, expected-closed metadata), declarative scenarios
 and sweep grids (stable expansion order, deterministic job keys), the
-Session facade (cache-hit accounting over a config-override sweep), the
+Session facade (cache-hit accounting over a spec-variant sweep), the
 schema-v2 params migration, and the ``attack --format json`` schema.
 """
 
@@ -25,6 +25,7 @@ from repro.exec.cache import ResultCache
 from repro.exec.job import SCHEMA_VERSION, attack_job, workload_job
 from repro.machine import Machine
 from repro.pipeline.config import CoreConfig
+from repro.spec import MachineSpec
 from repro.workloads import suite_names
 
 BUDGET = 1200
@@ -147,9 +148,8 @@ class TestRegistry:
     def test_api_first_import_path_matches_package_first(self):
         # Regression: populating the registry through repro.api *before*
         # repro.attacks has ever been imported must produce the same
-        # catalogue (and legacy ALL_ATTACKS tuple) as importing the
-        # attacks package directly — a fresh interpreter is the only
-        # way to control the import order.
+        # catalogue as importing the attacks package directly — a fresh
+        # interpreter is the only way to control the import order.
         import repro
 
         src = str(Path(repro.__file__).parents[1])
@@ -161,9 +161,7 @@ class TestRegistry:
             "from repro.api.registry import attack_names\n"
             "names = tuple(attack_names())\n"
             "import repro.attacks\n"
-            f"assert names == {expected!r}, names\n"
-            "assert tuple(repro.attacks.ALL_ATTACKS) == names, "
-            "repro.attacks.ALL_ATTACKS\n")
+            f"assert names == {expected!r}, names\n")
         env = dict(os.environ)
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
@@ -175,7 +173,7 @@ class TestScenario:
         assert scenario.params == {"secret": 7}
         job = scenario.job()
         assert job.params == {"secret": 7, "backend": "cycle"}
-        assert job.spec()["params"] == {"secret": 7, "backend": "cycle"}
+        assert job.canonical()["params"] == {"secret": 7, "backend": "cycle"}
 
     def test_attack_scenario_matches_legacy_job(self):
         scenario = Scenario.attack("spectre_v1", WFC, secret=9)
@@ -202,18 +200,16 @@ class TestScenario:
 
 class TestSchemaV6:
     def test_schema_bumped(self):
-        # v6: the sample kind joined the job vocabulary, RunResult
-        # carries a resume PC, and the workload generator's store
-        # addressing changed — v5 results describe different dynamic
-        # instruction streams and must not be served.
-        assert SCHEMA_VERSION == 6
+        # v7: every job carries a MachineSpec and its key folds in the
+        # spec digest, so every v6 key names a different job content.
+        assert SCHEMA_VERSION == 7
 
     def test_spec_is_kind_uniform(self):
         # v1 special-cased a per-kind ``secret`` column; v2 carries one
         # generic params dict for every kind.
         workload_spec = workload_job("namd", WFC,
-                                     instructions=BUDGET).spec()
-        attack_spec = attack_job("meltdown", WFC).spec()
+                                     instructions=BUDGET).canonical()
+        attack_spec = attack_job("meltdown", WFC).canonical()
         assert "secret" not in workload_spec
         assert "secret" not in attack_spec
         assert workload_spec["params"] == {"backend": "cycle"}
@@ -252,8 +248,7 @@ class TestSchemaV6:
 
 class TestSweep:
     def variants(self):
-        return {f"rob{n}": {"core_config": CoreConfig(rob_entries=n)}
-                for n in (96, 128)}
+        return {f"rob{n}": {"core.rob_entries": n} for n in (96, 128)}
 
     def test_expansion_order_and_size(self):
         sweep = Sweep(benchmarks=["namd", "povray"],
@@ -280,14 +275,34 @@ class TestSweep:
         sweep = Sweep(benchmarks=["namd"], policies=[WFC],
                       instructions=BUDGET, variants=self.variants())
         jobs = sweep.jobs()
-        assert [job.core_config.rob_entries for job in jobs] == [96, 128]
+        assert [job.spec.core.rob_entries for job in jobs] == [96, 128]
 
     def test_default_variant_is_unmodified(self):
         sweep = Sweep(benchmarks=["namd"], policies=[BASELINE],
                       instructions=BUDGET)
         job, = sweep.jobs()
-        assert job.core_config is None
+        assert job.spec == MachineSpec()
         assert sweep.points()[0].variant == "default"
+
+    def test_dotted_cell_matches_derived_scenario(self):
+        sweep = Sweep(benchmarks=["namd"], policies=[WFC],
+                      instructions=BUDGET, variants=self.variants())
+        derived = [Scenario.workload(
+            "namd", WFC, instructions=BUDGET,
+            spec=MachineSpec().derive(**{"core.rob_entries": n})).job()
+            for n in (96, 128)]
+        assert [job.key() for job in sweep.jobs()] == \
+            [job.key() for job in derived]
+
+    def test_section_variant_matches_dotted_variant(self):
+        section = Sweep(benchmarks=["namd"], policies=[WFC],
+                        instructions=BUDGET,
+                        variants={"rob96": {"core": CoreConfig(
+                            rob_entries=96)}})
+        dotted = Sweep(benchmarks=["namd"], policies=[WFC],
+                       instructions=BUDGET,
+                       variants={"rob96": {"core.rob_entries": 96}})
+        assert section.jobs()[0].key() == dotted.jobs()[0].key()
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ConfigError, match="at least one benchmark"):
@@ -296,8 +311,8 @@ class TestSweep:
             Sweep(benchmarks=["namd"], policies=[])
         with pytest.raises(ConfigError, match="unknown workload"):
             Sweep(benchmarks=["spacetruck"], policies=[BASELINE])
-        # A variant key that is neither a legacy config axis nor a
-        # valid MachineSpec derive path fails before any simulation.
+        # A variant key that is not a MachineSpec derive path fails
+        # before any simulation.
         with pytest.raises(ConfigError, match="unknown spec path"):
             Sweep(benchmarks=["namd"], policies=[BASELINE],
                   variants={"bad": {"rob_entries": 96}})
@@ -313,8 +328,7 @@ class TestSessionSweep:
     def _sweep(self):
         return Sweep(benchmarks=["namd"], policies=[BASELINE, WFC],
                      instructions=BUDGET,
-                     variants={f"rob{n}": {"core_config":
-                                           CoreConfig(rob_entries=n)}
+                     variants={f"rob{n}": {"core.rob_entries": n}
                                for n in (96, 128)})
 
     def test_parallel_cached_rerun_is_all_hits(self, tmp_path):

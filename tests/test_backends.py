@@ -66,7 +66,7 @@ class TestRegistry:
 
     def test_machine_rejects_unknown_backend(self):
         with pytest.raises(ConfigError):
-            Machine.from_spec(None, policy=CommitPolicy.BASELINE,
+            Machine.from_spec(policy=CommitPolicy.BASELINE,
                               backend="warp")
 
 
@@ -114,7 +114,7 @@ class TestGoldenEquivalence:
         fixture = json.loads(
             (FIXTURES / f"golden_{profile}_seed{seed}.json").read_text())
         case = generate_fuzz_program(fuzz_profile(profile), seed)
-        machine = Machine.from_spec(None, policy=CommitPolicy.BASELINE,
+        machine = Machine.from_spec(policy=CommitPolicy.BASELINE,
                                     backend="fast")
         case.apply_memory_image(machine)
         result = machine.run(case.program,

@@ -159,7 +159,7 @@ class TestLazySets:
     def test_fresh_machine_allocates_no_sets(self, allocations):
         from repro.machine import Machine
 
-        machine = Machine.from_spec(None)
+        machine = Machine.from_spec()
         hier = machine.hierarchy
         assert allocations == []
         for cache in (hier.l1i, hier.l1d, hier.l2, hier.l3):

@@ -16,6 +16,7 @@ from repro.isa.instructions import AluOp, Instruction, Opcode
 from repro.memory.cache import Cache, CacheConfig
 from repro.memory.tlb import TLB, TLBConfig
 from repro.pipeline.uop import DynUop
+from repro.spec import MachineSpec
 
 # Small budget: every simulation here exists to exercise the transport,
 # not the micro-architecture.
@@ -45,10 +46,10 @@ class TestJobHashing:
         base = workload_job("namd", CommitPolicy.WFC, instructions=BUDGET)
         sized = workload_job(
             "namd", CommitPolicy.WFC, instructions=BUDGET,
-            safespec_config=SafeSpecConfig(
+            spec=MachineSpec(safespec=SafeSpecConfig(
                 policy=CommitPolicy.WFC, sizing=SizingMode.CUSTOM,
                 dcache_entries=8, icache_entries=8, itlb_entries=4,
-                dtlb_entries=4))
+                dtlb_entries=4)))
         assert base.key() != sized.key()
 
     def test_serial_group_does_not_change_key(self):

@@ -74,7 +74,7 @@ def test_machine_reproduces_golden_architectural_state(profile, seed):
     path = _fixture_path(profile, seed)
     fixture = json.loads(path.read_text())
     case = generate_fuzz_program(fuzz_profile(profile), seed)
-    machine = Machine.from_spec(None, policy=CommitPolicy.BASELINE)
+    machine = Machine.from_spec(policy=CommitPolicy.BASELINE)
     case.apply_memory_image(machine)
     result = machine.run(case.program,
                          fault_handler_pc=case.fault_handler_pc)

@@ -49,7 +49,7 @@ def _end_state(machine, result, *, instructions, faults):
 
 def _straight_line(workload, budget, backend="fast"):
     """Run ``budget`` instructions from scratch; return the end state."""
-    machine = Machine.from_spec(None, policy=CommitPolicy.BASELINE,
+    machine = Machine.from_spec(policy=CommitPolicy.BASELINE,
                                 backend=backend)
     workload.apply_memory_image(machine)
     result = machine.run(workload.program, max_instructions=budget)
@@ -60,7 +60,7 @@ def _straight_line(workload, budget, backend="fast"):
 
 def _resume(workload, checkpoint, budget, backend):
     """Restore ``checkpoint`` and run ``budget`` more instructions."""
-    machine = Machine.from_spec(None, policy=CommitPolicy.BASELINE,
+    machine = Machine.from_spec(policy=CommitPolicy.BASELINE,
                                 backend=backend)
     checkpoint.apply(machine)
     result = machine.run(workload.program, max_instructions=budget,
@@ -190,7 +190,7 @@ class TestPackedCheckpoint:
     def mcf_wfc(self):
         """A WFC machine stopped after 20,000 mcf instructions."""
         workload = resolve_workload("mcf")
-        machine = Machine.from_spec(None, policy=CommitPolicy.WFC,
+        machine = Machine.from_spec(policy=CommitPolicy.WFC,
                                     backend="fast")
         workload.apply_memory_image(machine)
         result = machine.run(workload.program, max_instructions=20_000)

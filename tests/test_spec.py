@@ -11,29 +11,33 @@ surface (``repro specs``, ``repro run --preset`` byte-identity,
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.api import Scenario, Session, Sweep
+from repro.api import Session, Sweep
 from repro.cli import main
 from repro.core.policy import CommitPolicy
 from repro.core.safespec import SafeSpecConfig, SizingMode
 from repro.core.shadow import FullPolicy
 from repro.errors import ConfigError
-from repro.exec.job import SCHEMA_VERSION, workload_job
+from repro.exec.job import SCHEMA_VERSION, attack_job, workload_job
 from repro.frontend.btb import BTBConfig
 from repro.machine import Machine
 from repro.memory.cache import CacheConfig
 from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.memory.tlb import TLBConfig
 from repro.pipeline.config import CoreConfig
+from repro.sample.driver import sample_job
+from repro.sample.plan import SamplePlan
 from repro.spec import (DEFAULT_SPEC, SPECS, MachineSpec,
-                        derive_from_strings, get_spec,
-                        machine_spec_from_params, spec_names)
-from repro.workloads.suite import run_workload
+                        derive_from_strings, get_spec, spec_names)
+from repro.verify.harness import verify_job
+from repro.workloads.generator import generate_program
+from repro.workloads.profiles import profile_by_name
 
 BUDGET = 1200
 
@@ -280,12 +284,17 @@ class TestPresets:
 class TestMachineFromSpec:
     def test_default_spec_matches_classic_constructor(self):
         # Same workload, same counters: the spec path builds the same
-        # machine the loose-kwargs path always has.
-        classic = run_workload("namd", WFC, instructions=BUDGET)
-        via_spec = run_workload("namd", WFC, instructions=BUDGET,
-                                spec=MachineSpec())
-        assert via_spec.result.cycles == classic.result.cycles
-        assert via_spec.result.counters == classic.result.counters
+        # machine the loose-kwargs constructor always has.
+        workload = generate_program(profile_by_name("namd"))
+        runs = []
+        for machine in (Machine(policy=WFC),
+                        Machine.from_spec(MachineSpec(), policy=WFC)):
+            workload.apply_memory_image(machine)
+            runs.append(machine.run(workload.program,
+                                    max_instructions=BUDGET))
+        classic, via_spec = runs
+        assert via_spec.cycles == classic.cycles
+        assert via_spec.counters == classic.counters
 
     def test_policy_argument_wins_over_spec_safespec(self):
         machine = Machine.from_spec(get_spec("safespec-p9999"),
@@ -309,11 +318,6 @@ class TestMachineFromSpec:
         assert machine.btb.config.entries == 1024
         assert type(machine.predictor).__name__.lower().startswith("gshare")
 
-    def test_spec_and_loose_kwargs_are_exclusive(self):
-        with pytest.raises(ConfigError, match="not both"):
-            run_workload("namd", BASELINE, instructions=BUDGET,
-                         spec=MachineSpec(), core_config=CoreConfig())
-
 
 class TestCacheKeySeparation:
     def test_same_job_two_specs_two_keys(self):
@@ -323,27 +327,39 @@ class TestCacheKeySeparation:
                            spec=get_spec("big-core"))
         assert little.key() != big.key()
 
-    def test_specless_and_default_spec_keys_differ(self):
-        # Attaching even the default spec is visible in the key; the
-        # simulated result is identical, only the cache entry splits.
-        bare = workload_job("namd", WFC, instructions=BUDGET)
-        attached = workload_job("namd", WFC, instructions=BUDGET,
-                                spec=MachineSpec())
-        assert bare.key() != attached.key()
+    def test_default_machine_has_one_key(self):
+        # No spec, MachineSpec() and the default preset describe one
+        # machine, so every job kind gives them one cache entry.
+        plan = SamplePlan(interval=1000, warmup=100, windows=2, window=200)
+        builders = {
+            "workload": lambda **spec: workload_job(
+                "namd", WFC, instructions=BUDGET, **spec),
+            "attack": lambda **spec: attack_job("meltdown", WFC, **spec),
+            "verify": lambda **spec: verify_job(3, WFC, **spec),
+            "sample": lambda **spec: sample_job(
+                "namd", WFC, 1, plan, 4000, **spec),
+        }
+        for kind, build in builders.items():
+            keys = {build().key(), build(spec=MachineSpec()).key(),
+                    build(spec=get_spec(DEFAULT_SPEC)).key()}
+            assert len(keys) == 1, kind
+            assert build().key() != build(
+                spec=get_spec("little-core")).key(), kind
 
-    def test_spec_digest_travels_in_params(self):
+    def test_spec_digest_travels_in_key(self):
         spec = get_spec("little-core")
         job = workload_job("namd", WFC, instructions=BUDGET, spec=spec)
-        assert job.params["machine_spec_digest"] == spec.digest()
-        assert machine_spec_from_params(job.params) == spec
+        assert job.spec is spec
+        assert job.canonical()["spec"] == spec.digest()
+        assert "machine_spec" not in job.params
 
-    def test_job_constructor_rejects_mixed_styles(self):
-        with pytest.raises(ConfigError, match="not both"):
-            workload_job("namd", WFC, spec=MachineSpec(),
-                         core_config=CoreConfig())
-        with pytest.raises(ConfigError, match="not both"):
-            Scenario.workload("namd", spec=MachineSpec(),
-                              core_config=CoreConfig())
+    def test_job_with_spec_survives_pickle(self):
+        spec = get_spec("little-core").derive(**{"core.rob_entries": 48})
+        job = workload_job("namd", WFC, instructions=BUDGET, spec=spec)
+        copy = pickle.loads(pickle.dumps(job))
+        assert copy == job
+        assert copy.spec == spec
+        assert copy.key() == job.key()
 
 
 class TestSweepHardwareAxis:
@@ -381,7 +397,7 @@ class TestSweepHardwareAxis:
                       specs={"table1": MachineSpec(), "tiny": tiny})
         jobs = sweep.jobs()
         assert jobs[0].key() != jobs[1].key()
-        assert machine_spec_from_params(jobs[1].params) == tiny
+        assert jobs[1].spec == tiny
 
     def test_dotted_variants_compose_with_specs(self):
         sweep = Sweep(benchmarks=["namd"], policies=[BASELINE],
@@ -390,30 +406,11 @@ class TestSweepHardwareAxis:
                       variants={"rob32": {"core.rob_entries": 32},
                                 "stock": {}})
         jobs = sweep.jobs()
-        derived = machine_spec_from_params(jobs[0].params)
+        derived = jobs[0].spec
         assert derived.core.rob_entries == 32
         # non-overridden fields still come from the preset
         assert derived.core.fetch_width == 2
-        assert machine_spec_from_params(jobs[1].params) == \
-            get_spec("little-core")
-
-    def test_legacy_variant_objects_compose_with_specs(self):
-        core = CoreConfig(rob_entries=96, iq_entries=48)
-        sweep = Sweep(benchmarks=["namd"], policies=[BASELINE],
-                      instructions=BUDGET, specs=["little-core"],
-                      variants={"rob96": {"core_config": core}})
-        derived = machine_spec_from_params(sweep.jobs()[0].params)
-        assert derived.core == core
-
-    def test_default_axis_keeps_legacy_job_keys(self):
-        # No specs argument -> the exact pre-spec job (cache compatible
-        # within schema v3).
-        sweep = Sweep(benchmarks=["namd"], policies=[BASELINE],
-                      instructions=BUDGET)
-        job, = sweep.jobs()
-        assert "machine_spec" not in job.params
-        assert job.key() == workload_job(
-            "namd", BASELINE, instructions=BUDGET).key()
+        assert jobs[1].spec == get_spec("little-core")
 
     def test_bad_axes_rejected(self):
         with pytest.raises(ConfigError, match="at least one spec"):
@@ -521,6 +518,18 @@ class TestRunCli:
         assert main(["run", "namd", "--preset", DEFAULT_SPEC,
                      "--instructions", "2000", "--no-cache"]) == 0
         assert capsys.readouterr().out == classic
+
+    def test_default_machine_shares_the_preset_cache_entry(self, capsys,
+                                                           tmp_path):
+        common = ["workload", "namd", "--instructions", "2000",
+                  "--cache-dir", str(tmp_path), "--format", "json"]
+        assert main(common) == 0
+        first = json.loads(capsys.readouterr().out)["payload"]["runs"][0]
+        assert main(common + ["--preset", DEFAULT_SPEC]) == 0
+        second = json.loads(capsys.readouterr().out)["payload"]["runs"][0]
+        assert not first["cached"] and second["cached"]
+        assert (second["ipc"], second["cycles"]) == \
+            (first["ipc"], first["cycles"])
 
     def test_run_defaults_to_suite(self):
         from repro.cli import build_parser

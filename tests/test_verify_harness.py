@@ -87,7 +87,7 @@ class TestInvariantSurface:
         case = generate_fuzz_program(fuzz_profile("mixed"), 0)
         from repro.machine import Machine
 
-        machine = Machine.from_spec(None, policy=CommitPolicy.WFC)
+        machine = Machine.from_spec(policy=CommitPolicy.WFC)
         case.apply_memory_image(machine)
         machine.run(case.program, fault_handler_pc=case.fault_handler_pc)
         stats = machine.engine.invariant_stats()
@@ -105,7 +105,7 @@ class TestInvariantSurface:
         from repro import ProgramBuilder
         from repro.machine import Machine
 
-        machine = Machine.from_spec(None, policy=CommitPolicy.WFB)
+        machine = Machine.from_spec(policy=CommitPolicy.WFB)
         machine.map_user_range(0x20000, 4096)
         machine.map_kernel_range(0x80000, 4096)
         b = ProgramBuilder()
