@@ -66,7 +66,6 @@ class Scenario:
     params: Mapping[str, Any] = field(default_factory=dict, hash=False)
     spec: MachineSpec = MachineSpec()
     backend: str = "cycle"
-    serial_group: Optional[str] = None
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -92,7 +91,6 @@ class Scenario:
                instructions: int = DEFAULT_INSTRUCTION_BUDGET,
                spec: MachineSpec = MachineSpec(),
                backend: str = "cycle",
-               serial_group: Optional[str] = None,
                label: str = "", **params: Any) -> "Scenario":
         """A scenario running one registered attack PoC.
 
@@ -103,8 +101,7 @@ class Scenario:
         return cls(kind=ATTACK, target=name, policy=policy,
                    instructions=instructions,
                    params={"secret": secret, **params},
-                   spec=spec, backend=backend,
-                   serial_group=serial_group, label=label)
+                   spec=spec, backend=backend, label=label)
 
     def job(self) -> SimJob:
         """Lower this scenario to its content-hashable job (the
@@ -112,7 +109,7 @@ class Scenario:
         return SimJob(kind=self.kind, target=self.target, policy=self.policy,
                       instructions=self.instructions,
                       params={**self.params, "backend": self.backend},
-                      spec=self.spec, serial_group=self.serial_group)
+                      spec=self.spec)
 
     def describe(self) -> str:
         return self.label or self.job().describe()

@@ -30,8 +30,8 @@ table) order is fixed here no matter which entry point touches the
 package first.
 """
 
-from repro.attacks.runner import (AttackResult, expected_closed,
-                                  run_attack_by_name)
+from repro.api.registry import expected_closed
+from repro.attacks.runner import AttackResult, run_attack_by_name
 # Import order below IS the registry order: the paper's Tables III/IV
 # row order (spectre_v1, spectre_v1_pp, spectre_v2, meltdown,
 # meltdown_spectre, icache, itlb, dtlb, transient), then the extended

@@ -50,16 +50,6 @@ class AttackResult:
                 f"(secret={self.secret}, recovered={self.leaked})")
 
 
-def expected_closed(attack: str, policy: CommitPolicy) -> bool:
-    """Whether the paper says ``policy`` closes ``attack`` (Table III).
-
-    Derived from the attack registry's ``branch_free`` metadata:
-    Meltdown-style branch-free leaks are only closed by WFC, everything
-    else rides a branch misprediction and is closed by WFB and WFC.
-    """
-    return api_registry.expected_closed(attack, policy)
-
-
 def run_attack_by_name(name: str, policy: CommitPolicy,
                        secret: int = 42,
                        spec: MachineSpec = MachineSpec(),

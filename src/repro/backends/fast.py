@@ -36,6 +36,7 @@ loop), so Table 5 / occupancy figures require the cycle backend.
 
 from __future__ import annotations
 
+import re
 import weakref
 from typing import Dict, List, Optional
 
@@ -43,16 +44,15 @@ from repro.backends import register_backend
 from repro.core.policy import CommitPolicy
 from repro.errors import SimulationError
 from repro.frontend.predictors import BimodalPredictor
-from repro.isa.instructions import AluOp, BranchCond, Opcode
+from repro.isa.instructions import AluOp, Opcode
 from repro.isa.program import Program
 from repro.isa.registers import NUM_REGISTERS, to_unsigned
+from repro.isa.semantics import ALU, BRANCH
 from repro.memory.hierarchy import AccessResult
 from repro.memory.paging import PrivilegeLevel
 from repro.pipeline.core import FaultEvent, RunResult
 
 _M = (1 << 64) - 1
-_T63 = 1 << 63
-_T64 = 1 << 64
 
 # counters-list indices, in the cycle core's historical key order
 _R, _SQ, _BR, _MIS, _FLT = 0, 1, 2, 3, 4
@@ -73,41 +73,18 @@ _W_BRANCH, _W_JMP, _W_JMPI, _W_CLFLUSH = 4, 5, 6, 7
 _W_STOP, _W_NOP = 8, 9
 _W_CALL, _W_RET = 10, 11
 
-_ALU_FN = {
-    AluOp.ADD: lambda x, y: x + y,
-    AluOp.SUB: lambda x, y: x - y,
-    AluOp.MUL: lambda x, y: x * y,
-    AluOp.AND: lambda x, y: x & y,
-    AluOp.OR: lambda x, y: x | y,
-    AluOp.XOR: lambda x, y: x ^ y,
-    AluOp.SHL: lambda x, y: x << (y & 63),
-    AluOp.SHR: lambda x, y: x >> (y & 63),
-}
-
 
 def _compile_alu_steps():
     """Step factories with the ALU operator inlined, one per (op, form).
 
-    Compiled once at import.  Each factory builds the same closure as the
-    generic ALU arm of ``_lower_one`` — identical scoreboard math and
-    result masking — with the operator expression substituted in place of
-    the ``_ALU_FN`` lambda call, and every captured name bound as a
-    default argument.  On ALU-dense workloads that one dynamic call per
-    committed instruction is a measurable share of the dispatch loop.
-
-    MUL stays on the generic arm (different latency, rare), as does any
-    op without an entry here.  ``rhs`` doubles as the second register
-    index in the register form; shift immediates arrive pre-masked.
+    Compiled once at import from the source fragments of
+    :data:`repro.isa.semantics.ALU`, with ``x`` and ``y`` replaced by
+    the operand reads and every captured name bound as a default
+    argument: on ALU-dense workloads one dynamic call per committed
+    instruction is a measurable share of the dispatch loop.  ``rhs`` is
+    the second register index in the register form and the unsigned
+    immediate in the immediate form; the caller passes the latency.
     """
-    exprs = {
-        AluOp.ADD: ("regs[a] + regs[rhs]", "regs[a] + rhs"),
-        AluOp.SUB: ("regs[a] - regs[rhs]", "regs[a] - rhs"),
-        AluOp.AND: ("regs[a] & regs[rhs]", "regs[a] & rhs"),
-        AluOp.OR: ("regs[a] | regs[rhs]", "regs[a] | rhs"),
-        AluOp.XOR: ("regs[a] ^ regs[rhs]", "regs[a] ^ rhs"),
-        AluOp.SHL: ("regs[a] << (regs[rhs] & 63)", "regs[a] << rhs"),
-        AluOp.SHR: ("regs[a] >> (regs[rhs] & 63)", "regs[a] >> rhs"),
-    }
     reg_dep = ("        t = rt[rhs]\n"
                "        if t > s:\n"
                "            s = t\n")
@@ -137,9 +114,12 @@ def factory(backend, rd, a, rhs, lat, LN, PC, nxt):
     return step
 """
     factories = {}
-    for alu_op, (reg_expr, imm_expr) in exprs.items():
-        for is_reg, expr, dep in ((True, reg_expr, reg_dep),
-                                  (False, imm_expr, "")):
+    for alu_op, semantics in ALU.items():
+        for is_reg, y, dep in ((True, "regs[rhs]", reg_dep),
+                               (False, "rhs", "")):
+            operands = {"x": "regs[a]", "y": y}
+            expr = re.sub(r"\b[xy]\b", lambda m: operands[m.group()],
+                          semantics.source)
             namespace = {"_M": _M}
             exec(template.format(expr=expr, dep=dep), namespace)
             factories[alu_op, is_reg] = namespace["factory"]
@@ -373,7 +353,7 @@ class FastBackend:
         imm_raw = inst.imm or 0
         if op is Opcode.ALU:
             return (_W_ALU, inst.rd, inst.rs1, inst.rs2, imm_u,
-                    0, _ALU_FN[inst.alu_op])
+                    0, ALU[inst.alu_op].fn)
         if op is Opcode.LOADIMM:
             return (_W_LOADIMM, inst.rd, 0, None, imm_u, 0, None)
         if op is Opcode.LOAD:
@@ -382,7 +362,7 @@ class FastBackend:
             return (_W_STORE, 0, inst.rs1, inst.rs2, imm_raw, 0, None)
         if op is Opcode.BRANCH:
             return (_W_BRANCH, 0, inst.rs1, inst.rs2, 0,
-                    inst.target, inst.cond)
+                    inst.target, BRANCH[inst.cond].fn)
         if op is Opcode.JMP:
             return (_W_JMP, 0, 0, None, 0, inst.target, None)
         if op is Opcode.JMPI:
@@ -408,58 +388,11 @@ class FastBackend:
         op = inst.opcode
 
         if op is Opcode.ALU:
-            rd, a, b = inst.rd, inst.rs1, inst.rs2
-            factory = _ALU_STEPS.get((inst.alu_op, b is not None))
-            if factory is not None:
-                rhs = b if b is not None else to_unsigned(inst.imm)
-                if b is None and inst.alu_op in (AluOp.SHL, AluOp.SHR):
-                    rhs &= 63
-                return factory(self, rd, a, rhs, self._alat, line, pc, nxt)
-            fn = _ALU_FN[inst.alu_op]
+            b = inst.rs2
+            rhs = b if b is not None else to_unsigned(inst.imm)
             lat = self._mlat if inst.alu_op is AluOp.MUL else self._alat
-            if b is not None:
-                def step(rd=rd, a=a, b=b, fn=fn, lat=lat, LN=line, PC=pc):
-                    if il[0] != LN:
-                        ifetch(LN, PC)
-                    regs[rd] = fn(regs[a], regs[b]) & _M
-                    f = tm[0] + fs
-                    tm[0] = f
-                    s = f + depth
-                    t = rt[a]
-                    if t > s:
-                        s = t
-                    t = rt[b]
-                    if t > s:
-                        s = t
-                    d = s + lat
-                    rt[rd] = d
-                    c = tm[1] + cs
-                    if d + 1.0 > c:
-                        c = d + 1.0
-                    tm[1] = c
-                    cn[0] += 1
-                    return nxt
-            else:
-                rhs = to_unsigned(inst.imm)
-                def step(rd=rd, a=a, rhs=rhs, fn=fn, lat=lat, LN=line, PC=pc):
-                    if il[0] != LN:
-                        ifetch(LN, PC)
-                    regs[rd] = fn(regs[a], rhs) & _M
-                    f = tm[0] + fs
-                    tm[0] = f
-                    s = f + depth
-                    t = rt[a]
-                    if t > s:
-                        s = t
-                    d = s + lat
-                    rt[rd] = d
-                    c = tm[1] + cs
-                    if d + 1.0 > c:
-                        c = d + 1.0
-                    tm[1] = c
-                    cn[0] += 1
-                    return nxt
-            return step
+            return _ALU_STEPS[inst.alu_op, b is not None](
+                self, inst.rd, inst.rs1, rhs, lat, line, pc, nxt)
 
         if op is Opcode.LOADIMM:
             rd = inst.rd
@@ -1107,7 +1040,7 @@ class FastBackend:
 
         # conditional BRANCH
         a, b = inst.rs1, inst.rs2
-        cond = inst.cond
+        test = BRANCH[inst.cond].fn
         tgt_idx = inst.target
         tgt_pc = program.pc_of(tgt_idx)
         predictor = self.predictor
@@ -1121,7 +1054,7 @@ class FastBackend:
             pred_index = (pc >> predictor._shift) & (predictor._entries - 1)
             predictions = predictor._predictions
             mispredictions = predictor._mispredictions
-            def step(a=a, b=b, cond=cond, LN=line, PC=pc,
+            def step(a=a, b=b, test=test, LN=line, PC=pc,
                      tgt_pc=tgt_pc, tgt_idx=tgt_idx,
                      PI=pred_index, TI=btb_index):
                 if il[0] != LN:
@@ -1129,20 +1062,7 @@ class FastBackend:
                 predictions.value += 1
                 ctr = counters[PI]
                 pred = ctr >= 2
-                lv = regs[a]
-                rv = regs[b]
-                if lv >= _T63:
-                    lv -= _T64
-                if rv >= _T63:
-                    rv -= _T64
-                if cond is BranchCond.EQ:
-                    taken = lv == rv
-                elif cond is BranchCond.NE:
-                    taken = lv != rv
-                elif cond is BranchCond.LT:
-                    taken = lv < rv
-                else:
-                    taken = lv >= rv
+                taken = test(regs[a], regs[b])
                 cn[2] += 1
                 if taken:
                     if not pred:
@@ -1198,7 +1118,7 @@ class FastBackend:
         update = predictor.update
         btb_update = btb.update
         note_branch = btb.note_branch
-        def step(a=a, b=b, cond=cond, LN=line, PC=pc,
+        def step(a=a, b=b, test=test, LN=line, PC=pc,
                  tgt_pc=tgt_pc, tgt_idx=tgt_idx):
             if il[0] != LN:
                 ifetch(LN, PC)
@@ -1206,20 +1126,7 @@ class FastBackend:
             # Fetch-time BHB shift (predicted direction, as in the cycle
             # core); a no-op when history is disabled.
             note_branch(pred)
-            lv = regs[a]
-            rv = regs[b]
-            if lv >= _T63:
-                lv -= _T64
-            if rv >= _T63:
-                rv -= _T64
-            if cond is BranchCond.EQ:
-                taken = lv == rv
-            elif cond is BranchCond.NE:
-                taken = lv != rv
-            elif cond is BranchCond.LT:
-                taken = lv < rv
-            else:
-                taken = lv >= rv
+            taken = test(regs[a], regs[b])
             cn[2] += 1
             update(PC, taken, pred)
             if taken:
@@ -1535,8 +1442,7 @@ class FastBackend:
             kind = rec[0]
             if kind == _W_ALU:
                 regs[rec[1]] = rec[6](regs[rec[2]], regs[rec[3]]
-                                      if rec[3] is not None
-                                      else rec[4]) & _M
+                                      if rec[3] is not None else rec[4])
             elif kind == _W_LOADIMM:
                 regs[rec[1]] = rec[4]
             elif kind == _W_LOAD:
@@ -1586,21 +1492,7 @@ class FastBackend:
             elif kind == _W_BRANCH:
                 pred = self.predictor.predict(pc)
                 self.btb.note_branch(pred)
-                lv = regs[rec[2]]
-                rv = regs[rec[3]]
-                if lv >= _T63:
-                    lv -= _T64
-                if rv >= _T63:
-                    rv -= _T64
-                cond = rec[6]
-                if cond is BranchCond.EQ:
-                    taken = lv == rv
-                elif cond is BranchCond.NE:
-                    taken = lv != rv
-                elif cond is BranchCond.LT:
-                    taken = lv < rv
-                else:
-                    taken = lv >= rv
+                taken = rec[6](regs[rec[2]], regs[rec[3]])
                 self.predictor.update(pc, taken, pred)
                 if taken:
                     self.btb.update(pc, program.pc_of(rec[5]))

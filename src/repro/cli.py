@@ -65,11 +65,10 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.report import render_figures_text
-from repro.api.registry import attack_names
+from repro.api.registry import attack_names, expected_closed
 from repro.api.scenario import Scenario
 from repro.api.session import MATRIX_POLICIES, Session
-from repro.attacks.runner import (attack_result_from_sim, expected_closed,
-                                  render_matrix)
+from repro.attacks.runner import attack_result_from_sim, render_matrix
 from repro.core.policy import CommitPolicy
 from repro.errors import ReproError
 from repro.exec.cache import ResultCache

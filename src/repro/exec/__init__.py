@@ -13,8 +13,7 @@ submits them through an executor:
 * :class:`~repro.exec.executor.SerialExecutor` /
   :class:`~repro.exec.executor.ParallelExecutor` — run a batch of jobs
   in-process or fanned out over a ``multiprocessing`` pool (workers
-  rebuild all machine state from the job spec; jobs that must share a
-  worker declare a ``serial_group``).
+  rebuild all machine state from the job spec).
 
 This package is the transport layer; the user-facing surface on top of
 it is :mod:`repro.api` (:class:`~repro.api.session.Session` owns an

@@ -7,20 +7,13 @@ cache before simulating and persisting every fresh result afterwards.
 The :class:`ParallelExecutor` fans uncached jobs out over a
 ``multiprocessing`` pool.  Workers rebuild the whole machine state from
 the job spec (the simulator is deterministic given a spec), so results
-are bit-identical to a serial run.  Jobs that declare a ``serial_group``
-are shipped to a single worker as one task and executed there in
-submission order.  Note the group co-locates only the jobs that
-actually simulate: cached members are served before dispatch, so a
-serial group composes with a result cache only when its jobs are
-individually reproducible from their specs (which also is what makes
-them cacheable at all).
+are bit-identical to a serial run.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exec.cache import NullCache, ResultCache
 from repro.exec.job import ATTACK, SAMPLE, VERIFY, SimJob, SimResult
@@ -114,29 +107,28 @@ class ParallelExecutor:
             else:
                 pending.append((index, job))
 
-        for indexed_chunk in self._dispatch(_chunk_by_group(pending)):
-            for index, result in indexed_chunk:
-                self.cache.put(jobs[index], result)
-                results[index] = result
-                done += 1
-                if self.progress:
-                    self.progress(done, total, jobs[index], result)
+        for index, result in self._dispatch(pending):
+            self.cache.put(jobs[index], result)
+            results[index] = result
+            done += 1
+            if self.progress:
+                self.progress(done, total, jobs[index], result)
         return results  # type: ignore[return-value]
 
-    def _dispatch(self, chunks: List[_IndexedJobs]
-                  ) -> Iterator[List[Tuple[int, SimResult]]]:
-        if not chunks:
+    def _dispatch(self, pending: _IndexedJobs
+                  ) -> Iterator[Tuple[int, SimResult]]:
+        if not pending:
             return
-        workers = min(self.workers, len(chunks))
+        workers = min(self.workers, len(pending))
         if workers <= 1:
-            for chunk in chunks:
-                yield _run_chunk(chunk)
+            for indexed_job in pending:
+                yield _run_indexed(indexed_job)
             return
         import multiprocessing  # only parallel runs pay for the import
         context = multiprocessing.get_context()
         with context.Pool(processes=workers) as pool:
-            # Streamed so progress lines appear as chunks complete.
-            yield from pool.imap_unordered(_run_chunk, chunks)
+            # Streamed so progress lines appear as jobs complete.
+            yield from pool.imap_unordered(_run_indexed, pending)
 
 
 def make_executor(workers: int = 1, cache: Optional[ResultCache] = None,
@@ -148,22 +140,8 @@ def make_executor(workers: int = 1, cache: Optional[ResultCache] = None,
     return SerialExecutor(cache=cache, progress=progress)
 
 
-def _chunk_by_group(pending: _IndexedJobs) -> List[_IndexedJobs]:
-    """Pool tasks: one chunk per serial group, singletons otherwise."""
-    groups: Dict[str, _IndexedJobs] = {}
-    chunks: List[_IndexedJobs] = []
-    for index, job in pending:
-        if job.serial_group is None:
-            chunks.append([(index, job)])
-        elif job.serial_group in groups:
-            groups[job.serial_group].append((index, job))
-        else:
-            chunk: _IndexedJobs = [(index, job)]
-            groups[job.serial_group] = chunk
-            chunks.append(chunk)
-    return chunks
-
-
-def _run_chunk(chunk: _IndexedJobs) -> List[Tuple[int, SimResult]]:
-    """Worker entry point: run one chunk's jobs in order."""
-    return [(index, execute_job(job)) for index, job in chunk]
+def _run_indexed(indexed_job: Tuple[int, SimJob]
+                 ) -> Tuple[int, SimResult]:
+    """Worker entry point: run one job, keeping its submission index."""
+    index, job = indexed_job
+    return index, execute_job(job)

@@ -80,11 +80,7 @@ class SimJob:
     machine; its digest flows into the job hash, and workers read it
     directly.  ``params`` carries kind-specific scenario data (an
     attack's planted ``secret``, future workload knobs) uniformly for
-    every kind and flows into the job hash.  ``serial_group`` marks
-    jobs that must not fan out to different workers (e.g. runs that
-    rely on machine state persisting between them); it never affects
-    the job hash because it changes *where* the job runs, not its
-    result.
+    every kind and flows into the job hash.
     """
 
     kind: str
@@ -95,7 +91,6 @@ class SimJob:
     # equality still compares params, same-hash jobs just may collide.
     params: Mapping[str, Any] = field(default_factory=dict, hash=False)
     spec: MachineSpec = MachineSpec()
-    serial_group: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.kind not in _JOB_KINDS:
@@ -302,14 +297,7 @@ def workload_job(benchmark: str, policy: CommitPolicy,
 def attack_job(name: str, policy: CommitPolicy, secret: int = 42,
                spec: MachineSpec = MachineSpec(),
                backend: str = "cycle") -> SimJob:
-    """A job running one attack PoC under one policy.
-
-    Each attack run builds and mistrains its own machines from the spec
-    alone, so attack jobs carry no serial group and fan out freely; a
-    future run family that *does* persist machine state across jobs
-    should construct its :class:`SimJob` with an explicit
-    ``serial_group`` to stay on one worker.
-    """
+    """A job running one attack PoC under one policy."""
     return SimJob(kind=ATTACK, target=name, policy=policy,
                   params={"secret": secret, "backend": backend}, spec=spec)
 

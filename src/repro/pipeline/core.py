@@ -35,10 +35,10 @@ from repro.errors import SimulationError
 from repro.frontend.btb import BranchTargetBuffer
 from repro.frontend.predictors import BimodalPredictor
 from repro.frontend.rsb import ReturnStackBuffer
-from repro.isa.instructions import (AluOp, BranchCond, INSTRUCTION_BYTES,
-                                    Opcode)
+from repro.isa.instructions import AluOp, INSTRUCTION_BYTES, Opcode
 from repro.isa.program import Program
-from repro.isa.registers import NUM_REGISTERS, WORD_MASK, to_signed
+from repro.isa.registers import NUM_REGISTERS, WORD_MASK
+from repro.isa.semantics import ALU, BRANCH
 from repro.memory.hierarchy import AccessResult, MemoryHierarchy
 from repro.memory.paging import PrivilegeLevel
 from repro.pipeline.config import CoreConfig
@@ -736,29 +736,14 @@ class Core:
         self._executing.append(uop)
 
     def _execute_alu(self, uop: DynUop) -> None:
-        lhs = uop.source_value(uop.inst.rs1)
-        if uop.inst.rs2 is not None:
-            rhs = uop.source_value(uop.inst.rs2)
+        inst = uop.inst
+        lhs = uop.source_value(inst.rs1)
+        if inst.rs2 is not None:
+            rhs = uop.source_value(inst.rs2)
         else:
-            rhs = uop.inst.imm & WORD_MASK
-        op = uop.inst.alu_op
-        if op is AluOp.ADD:
-            value = lhs + rhs
-        elif op is AluOp.SUB:
-            value = lhs - rhs
-        elif op is AluOp.MUL:
-            value = lhs * rhs
-        elif op is AluOp.AND:
-            value = lhs & rhs
-        elif op is AluOp.OR:
-            value = lhs | rhs
-        elif op is AluOp.XOR:
-            value = lhs ^ rhs
-        elif op is AluOp.SHL:
-            value = lhs << (rhs & 63)
-        else:
-            value = lhs >> (rhs & 63)
-        uop.result = value & WORD_MASK
+            rhs = inst.imm & WORD_MASK
+        op = inst.alu_op
+        uop.result = ALU[op].fn(lhs, rhs)
         latency = (self._mul_latency if op is AluOp.MUL
                    else self._alu_latency)
         uop.done_cycle = self.cycle + latency
@@ -816,19 +801,10 @@ class Core:
     def _execute_branch(self, uop: DynUop) -> None:
         op = uop.opcode
         if op is Opcode.BRANCH:
-            lhs = to_signed(uop.source_value(uop.inst.rs1))
-            rhs = to_signed(uop.source_value(uop.inst.rs2))
-            cond = uop.inst.cond
-            if cond is BranchCond.EQ:
-                taken = lhs == rhs
-            elif cond is BranchCond.NE:
-                taken = lhs != rhs
-            elif cond is BranchCond.LT:
-                taken = lhs < rhs
-            else:
-                taken = lhs >= rhs
-            uop.actual_taken = taken
-            uop.actual_target = self.program.pc_of(uop.inst.target)
+            inst = uop.inst
+            uop.actual_taken = BRANCH[inst.cond].fn(
+                uop.source_value(inst.rs1), uop.source_value(inst.rs2))
+            uop.actual_target = self.program.pc_of(inst.target)
         elif op is Opcode.JMP:
             uop.actual_taken = True
             uop.actual_target = self.program.pc_of(uop.inst.target)

@@ -12,8 +12,8 @@ one description.
 Semantics are the ISA's architectural contract, shared with
 :mod:`repro.pipeline.core`:
 
-* 64-bit wrapping register arithmetic, signed branch compares, shift
-  amounts masked to 6 bits;
+* ALU results and branch conditions come from
+  :mod:`repro.isa.semantics`, the table every engine reads;
 * loads/stores translate through the page table; an unmapped or
   privilege-violating access raises an architectural fault *at* that
   instruction (the in-order analogue of the core's commit-time fault),
@@ -38,10 +38,10 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import OracleError, SimulationError
-from repro.isa.instructions import (AluOp, BranchCond, INSTRUCTION_BYTES,
-                                    Instruction, Opcode)
+from repro.isa.instructions import INSTRUCTION_BYTES, Instruction, Opcode
 from repro.isa.program import Program
-from repro.isa.registers import NUM_REGISTERS, to_signed, to_unsigned
+from repro.isa.registers import NUM_REGISTERS, to_unsigned
+from repro.isa.semantics import ALU, BRANCH
 from repro.memory.dram import MainMemory
 from repro.memory.paging import (MappedWords, PagePermissions, PageTable,
                                  PrivilegeLevel)
@@ -141,7 +141,9 @@ class ReferenceOracle(MappedWords):
             op = inst.opcode
 
             if op is Opcode.ALU:
-                regs[inst.rd] = self._alu(inst, regs)
+                rhs = (regs[inst.rs2] if inst.rs2 is not None
+                       else to_unsigned(inst.imm))
+                regs[inst.rd] = ALU[inst.alu_op].fn(regs[inst.rs1], rhs)
                 self._propagate_taint(inst, tainted)
             elif op is Opcode.LOADIMM:
                 regs[inst.rd] = to_unsigned(inst.imm)
@@ -168,7 +170,7 @@ class ReferenceOracle(MappedWords):
                 if inst.rs1 in tainted or inst.rs2 in tainted:
                     raise OracleError(
                         f"branch on timing-tainted register at {pc:#x}")
-                if self._branch_taken(inst, regs):
+                if BRANCH[inst.cond].fn(regs[inst.rs1], regs[inst.rs2]):
                     next_pc = program.pc_of(inst.target)
             elif op is Opcode.JMP:
                 next_pc = program.pc_of(inst.target)
@@ -242,51 +244,12 @@ class ReferenceOracle(MappedWords):
         return None
 
     @staticmethod
-    def _alu(inst: Instruction, regs: List[int]) -> int:
-        lhs = regs[inst.rs1]
-        if inst.rs2 is not None:
-            rhs = regs[inst.rs2]
-        else:
-            rhs = to_unsigned(inst.imm)
-        op = inst.alu_op
-        if op is AluOp.ADD:
-            value = lhs + rhs
-        elif op is AluOp.SUB:
-            value = lhs - rhs
-        elif op is AluOp.MUL:
-            value = lhs * rhs
-        elif op is AluOp.AND:
-            value = lhs & rhs
-        elif op is AluOp.OR:
-            value = lhs | rhs
-        elif op is AluOp.XOR:
-            value = lhs ^ rhs
-        elif op is AluOp.SHL:
-            value = lhs << (rhs & 63)
-        else:
-            value = lhs >> (rhs & 63)
-        return to_unsigned(value)
-
-    @staticmethod
     def _propagate_taint(inst: Instruction, tainted: set) -> None:
         if inst.rs1 in tainted or (inst.rs2 is not None
                                    and inst.rs2 in tainted):
             tainted.add(inst.rd)
         else:
             tainted.discard(inst.rd)
-
-    @staticmethod
-    def _branch_taken(inst: Instruction, regs: List[int]) -> bool:
-        lhs = to_signed(regs[inst.rs1])
-        rhs = to_signed(regs[inst.rs2])
-        cond = inst.cond
-        if cond is BranchCond.EQ:
-            return lhs == rhs
-        if cond is BranchCond.NE:
-            return lhs != rhs
-        if cond is BranchCond.LT:
-            return lhs < rhs
-        return lhs >= rhs
 
     @staticmethod
     def _result(regs: List[int], retired: int, reason: str,

@@ -52,14 +52,6 @@ class TestJobHashing:
                 dtlb_entries=4)))
         assert base.key() != sized.key()
 
-    def test_serial_group_does_not_change_key(self):
-        grouped = SimJob(kind="attack", target="spectre_v1",
-                         policy=CommitPolicy.WFC,
-                         params={"secret": 42, "backend": "cycle"},
-                         serial_group="attack:spectre_v1")
-        ungrouped = attack_job("spectre_v1", CommitPolicy.WFC)
-        assert grouped.key() == ungrouped.key()
-
     def test_params_change_key(self):
         base = attack_job("spectre_v1", CommitPolicy.WFC, secret=42)
         assert base.key() != attack_job("spectre_v1", CommitPolicy.WFC,
@@ -155,20 +147,9 @@ class TestParallelExecutor:
         for expected, got in zip(serial, parallel):
             assert got.to_dict() == expected.to_dict()
 
-    def test_serial_group_stays_ordered(self):
-        jobs = [SimJob(kind="attack", target="spectre_v1", policy=policy,
-                       serial_group="attack:spectre_v1")
-                for policy in (CommitPolicy.BASELINE, CommitPolicy.WFB,
-                               CommitPolicy.WFC)]
-        results = ParallelExecutor(workers=3).run(jobs)
-        assert [r.policy for r in results] == [j.policy for j in jobs]
-        assert results[0].success          # baseline leaks
-        assert all(r.closed for r in results[1:])   # WFB/WFC close it
-
     def test_attack_jobs_fan_out(self):
         jobs = [attack_job("spectre_v1", policy)
                 for policy in (CommitPolicy.BASELINE, CommitPolicy.WFC)]
-        assert all(job.serial_group is None for job in jobs)
         results = ParallelExecutor(workers=2).run(jobs)
         assert results[0].success and results[1].closed
 

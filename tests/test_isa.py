@@ -5,12 +5,14 @@ import pickle
 
 import pytest
 
+from repro import Machine
 from repro.errors import AssemblyError
 from repro.isa.assembler import ProgramBuilder, assemble
 from repro.isa.instructions import (AluOp, BranchCond, INSTRUCTION_BYTES,
                                     Instruction, InstructionClass, Opcode)
 from repro.isa.program import Program
 from repro.isa.registers import (register_index, to_signed, to_unsigned)
+from repro.verify import ReferenceOracle
 
 
 class TestRegisters:
@@ -352,3 +354,105 @@ class TestAssembler:
         source = "li r1, #5\nld r2, [r1+0]\nbeq r2, r0, out\nout:\nhalt"
         prog = assemble(source)
         assert len(prog) == 4
+
+
+# -- semantics -------------------------------------------------------------
+
+def _run_oracle(program):
+    return ReferenceOracle().run(program)
+
+
+def _on_backend(backend, predictor="bimodal"):
+    def run(program):
+        return Machine(backend=backend, predictor=predictor).run(program)
+    return run
+
+
+# Every engine must compute these; "fast-gshare" reaches the fast
+# backend's generic branch closure (the bimodal one is specialised).
+ENGINES = {
+    "oracle": _run_oracle,
+    "cycle": _on_backend("cycle"),
+    "fast": _on_backend("fast"),
+    "fast-gshare": _on_backend("fast", "gshare"),
+}
+
+MAX = 0xFFFF_FFFF_FFFF_FFFF
+SIGN = 0x8000_0000_0000_0000
+
+
+@pytest.mark.parametrize("engine", list(ENGINES))
+class TestSemantics:
+    """What each ALU operation computes and when each branch is taken,
+    as literal values: the engines share one definition of both
+    (``repro.isa.semantics``), so these values are what pins it."""
+
+    @pytest.mark.parametrize("op,lhs,rhs,expected", [
+        ("add", 5, 3, 8),
+        ("add", MAX, 1, 0),
+        ("sub", 0, 1, MAX),
+        ("sub", 5, 3, 2),
+        ("mul", 1 << 32, 1 << 32, 0),
+        ("mul", MAX, 3, 0xFFFF_FFFF_FFFF_FFFD),
+        ("and", 0xF0F0, 0xFF00, 0xF000),
+        ("or", 0xF0F0, 0x0F0F, 0xFFFF),
+        ("xor", MAX, SIGN, 0x7FFF_FFFF_FFFF_FFFF),
+        ("shl", 1, 65, 2),
+        ("shl", SIGN, 1, 0),
+        ("shr", SIGN, 63, 1),
+        ("shr", MAX, 64, MAX),
+    ])
+    def test_register_form(self, engine, op, lhs, rhs, expected):
+        b = ProgramBuilder()
+        b.li("r1", lhs)
+        b.li("r2", rhs)
+        b.alu(op, "r3", "r1", "r2")
+        b.halt()
+        assert ENGINES[engine](b.build()).registers[3] == expected
+
+    @pytest.mark.parametrize("op,lhs,imm,expected", [
+        ("add", 5, -1, 4),
+        ("sub", 0, 1, MAX),
+        ("mul", 1 << 32, 1 << 32, 0),
+        ("mul", 7, -1, 0xFFFF_FFFF_FFFF_FFF9),
+        ("and", MAX, -8, 0xFFFF_FFFF_FFFF_FFF8),
+        ("or", 0, -1, MAX),
+        ("xor", 0xFF, 0x0F, 0xF0),
+        ("shl", 1, 65, 2),
+        ("shl", 1, -7, 0x0200_0000_0000_0000),
+        ("shr", SIGN, 63, 1),
+        ("shr", SIGN, -7, 64),
+    ])
+    def test_immediate_form(self, engine, op, lhs, imm, expected):
+        b = ProgramBuilder()
+        b.li("r1", lhs)
+        b.alu(op, "r3", "r1", imm=imm)
+        b.halt()
+        assert ENGINES[engine](b.build()).registers[3] == expected
+
+    @pytest.mark.parametrize("cond,lhs,rhs,taken", [
+        ("eq", 5, 5, True),
+        ("eq", 5, 6, False),
+        ("eq", -1, MAX, True),
+        ("ne", 5, 6, True),
+        ("ne", 7, 7, False),
+        ("lt", -1, 1, True),
+        ("lt", 1, -1, False),
+        ("lt", 3, 3, False),
+        ("lt", SIGN, 0x7FFF_FFFF_FFFF_FFFF, True),
+        ("ge", -1, 1, False),
+        ("ge", 1, -1, True),
+        ("ge", 3, 3, True),
+        ("ge", 0x7FFF_FFFF_FFFF_FFFF, SIGN, True),
+    ])
+    def test_branch(self, engine, cond, lhs, rhs, taken):
+        b = ProgramBuilder()
+        b.li("r1", lhs)
+        b.li("r2", rhs)
+        b.li("r3", 0)
+        b.branch(cond, "r1", "r2", "taken")
+        b.halt()
+        b.label("taken")
+        b.li("r3", 1)
+        b.halt()
+        assert ENGINES[engine](b.build()).registers[3] == int(taken)
