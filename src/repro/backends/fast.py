@@ -220,18 +220,15 @@ class FastBackend:
         # refreshes there reduce to "if present, move to MRU" on the
         # underlying per-set OrderedDicts; going through Cache.refresh /
         # Tlb.refresh costs a call per level per access, which dominates
-        # the closures' own work.  Geometry is frozen at bind time (the
+        # the closures' own work.  The cache layout is the hierarchy's
+        # own binding (MemoryHierarchy.levels), frozen at bind time (the
         # hierarchy cannot be reshaped mid-run).
         self._itlb_entries = hier.itlb._entries
         self._dtlb_entries = hier.dtlb._entries
-        self._l1i_geo = (hier.l1i._sets, hier.l1i._line_mask,
-                         hier.l1i._set_shift, hier.l1i._set_mask)
-        self._l1d_geo = (hier.l1d._sets, hier.l1d._line_mask,
-                         hier.l1d._set_shift, hier.l1d._set_mask)
-        self._l2_geo = (hier.l2._sets, hier.l2._line_mask,
-                        hier.l2._set_shift, hier.l2._set_mask)
-        self._l3_geo = (hier.l3._sets, hier.l3._line_mask,
-                        hier.l3._set_shift, hier.l3._set_mask)
+        (l1i, l2, l3), (l1d, _, _) = hier.levels["i"], hier.levels["d"]
+        (self._l1i_geo, self._l1d_geo, self._l2_geo, self._l3_geo) = (
+            (sets, hier.line_mask, hier.set_shift, set_mask)
+            for _, sets, set_mask, _, _ in (l1i, l1d, l2, l3))
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -1282,8 +1279,7 @@ class FastBackend:
             if not result.tlb_hit:
                 hier.refresh_walk_lines(va)
             if result.hit_level in ("L1", "L2", "L3"):
-                hier.refresh_line_recency(
-                    "d", hier.l1d.line_address(result.paddr))
+                hier.refresh_line_recency("d", result.line_addr)
         self.regs[rd] = hier.memory.read_word(result.paddr)
         d = s + max(result.latency, 1)
         self.rt[rd] = d

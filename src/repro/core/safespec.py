@@ -143,6 +143,9 @@ class SafeSpecEngine:
         # only via the fault hole the paper describes (Section VI).
         self.promotions = 0
         self.promoted_then_squashed = 0
+        # The config is frozen: its per-call policy tests are bound once.
+        self._wfb = config.policy is CommitPolicy.WFB
+        self._block_on_full = config.full_policy is FullPolicy.BLOCK
 
     def _resolve_sizes(self, ldq: int, stq: int, rob: int) -> Dict[str, int]:
         mode = self.config.sizing
@@ -192,7 +195,7 @@ class SafeSpecEngine:
         plus one data line plus one translation; we require one free slot
         in each d-side structure, which is the conservative stall rule.
         """
-        if self.config.full_policy is not FullPolicy.BLOCK:
+        if not self._block_on_full:
             return True
         return (self.shadow_dcache.has_space()
                 and self.shadow_dtlb.has_space())
@@ -270,7 +273,7 @@ class SafeSpecEngine:
     def on_branch_resolved(self, uop: "DynUop") -> None:
         """WFB promotion point, called by the core when a micro-op's last
         older unresolved branch resolves correctly."""
-        if self.config.policy is CommitPolicy.WFB:
+        if self._wfb:
             self.promote(uop)
 
     # -- sampling -----------------------------------------------------------

@@ -111,8 +111,12 @@ _REQUIRED = {
 
 def _decode_row(opcode: Opcode, inst_class: InstructionClass) -> dict:
     """An instance-dict template: the spec fields at their defaults plus
-    every decode product that depends on the opcode (and, for MUL, on
-    ``alu_op``) alone."""
+    every decode product that depends on the opcode alone (ALU and
+    BRANCH rows are specialised per sub-operation below).
+
+    The row holds 21 entries, the most a 32-slot dict table takes; a
+    22nd would double every instruction's dict (464 to 832 bytes on
+    CPython 3.11), so a new product must replace one no one reads."""
     return {
         "opcode": opcode, "rd": None, "rs1": None, "rs2": None, "imm": 0,
         "target": None, "alu_op": None, "cond": None, "label": None,
@@ -121,8 +125,11 @@ def _decode_row(opcode: Opcode, inst_class: InstructionClass) -> dict:
         "is_control_flow": inst_class is InstructionClass.BRANCH,
         "is_conditional": opcode is Opcode.BRANCH,
         "is_indirect": opcode is Opcode.JMPI,
-        "is_call": opcode is Opcode.CALL,
         "is_return": opcode is Opcode.RET,
+        "is_load": opcode is Opcode.LOAD,
+        "is_store": opcode is Opcode.STORE,
+        "is_serialising": opcode in (Opcode.RDTSC, Opcode.FENCE),
+        "op_fn": None,
         "writes_register": False,
         "sources": (),
     }
@@ -132,8 +139,7 @@ def _decode_row(opcode: Opcode, inst_class: InstructionClass) -> dict:
 # while Enum.__hash__ is a Python-level call on every lookup.
 _DECODE = {op._value_: (_decode_row(op, cls),) + _REQUIRED.get(op, ((), ""))
            for op, cls in _OPCODE_CLASS.items()}
-_ALU, _MUL = Opcode.ALU, AluOp.MUL
-_MUL_ROW = _decode_row(Opcode.ALU, InstructionClass.MUL)
+_ALU, _BRANCH = Opcode.ALU, Opcode.BRANCH
 _set = object.__setattr__
 
 
@@ -154,9 +160,11 @@ class Instruction:
     * ``label`` — optional symbolic name of this instruction's location.
 
     Decoding happens once, here: every attribute the pipeline reads per
-    cycle (``inst_class``, ``fu_index``, the ``is_*`` flags,
+    cycle (``inst_class``, ``fu_index``, the ``is_*`` flags, ``op_fn``,
     ``writes_register``, ``sources``) is materialised at construction.
-    They are not spec fields, so eq/hash/repr ignore them.
+    ``op_fn`` is the :mod:`repro.isa.semantics` function of an ALU
+    operation or branch condition (None for every other opcode).  They
+    are not spec fields, so eq/hash/repr/pickle ignore them.
     """
 
     opcode: Opcode
@@ -185,8 +193,10 @@ class Instruction:
             for index in required:
                 if operands[index] is None:
                     raise AssemblyError(error)
-        if alu_op is _MUL and opcode is _ALU:
-            row = _MUL_ROW
+        if opcode is _ALU:
+            row = _ALU_ROWS[alu_op._value_]
+        elif opcode is _BRANCH:
+            row = _BRANCH_ROWS[cond._value_]
         state = row.copy()
         if rd is not None:
             state["rd"] = rd
@@ -203,6 +213,13 @@ class Instruction:
         state["cond"] = cond
         state["label"] = label
         _set(self, "__dict__", state)
+
+    def __reduce__(self):
+        # Decode products are rebuilt, never pickled (``op_fn`` is a
+        # compiled lambda, which pickle cannot name).
+        return (Instruction, (self.opcode, self.rd, self.rs1, self.rs2,
+                              self.imm, self.target, self.alu_op, self.cond,
+                              self.label))
 
     def source_registers(self) -> tuple:
         """Architectural registers read by this instruction."""
@@ -235,3 +252,27 @@ class Instruction:
         if self.opcode == Opcode.RDTSC:
             return f"rdtsc r{self.rd}"
         return op
+
+
+# The semantics module imports AluOp and BranchCond from this one, so it
+# loads here, after them (the package imports this module first).
+from repro.isa.semantics import ALU, BRANCH  # noqa: E402
+
+
+def _specialised(row: dict, inst_class: InstructionClass, fn) -> dict:
+    return dict(row, inst_class=inst_class,
+                fu_index=FU_CLASS_INDEX[inst_class], op_fn=fn)
+
+
+# ALU rows per operation (MUL issues to the multiplier) and BRANCH rows
+# per condition, each with its semantics function resolved once.
+_ALU_ROWS = {
+    op._value_: _specialised(
+        _DECODE[_ALU._value_][0],
+        InstructionClass.MUL if op is AluOp.MUL else InstructionClass.INT,
+        semantics.fn)
+    for op, semantics in ALU.items()}
+_BRANCH_ROWS = {
+    cond._value_: _specialised(_DECODE[_BRANCH._value_][0],
+                               InstructionClass.BRANCH, semantics.fn)
+    for cond, semantics in BRANCH.items()}

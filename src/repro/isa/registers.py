@@ -29,14 +29,6 @@ def register_index(name: str) -> int:
     return index
 
 
-def to_signed(value: int) -> int:
-    """Interpret a 64-bit value as signed."""
-    value &= WORD_MASK
-    if value >= 1 << 63:
-        return value - (1 << 64)
-    return value
-
-
 def to_unsigned(value: int) -> int:
     """Truncate a Python integer to the 64-bit register width."""
     return value & WORD_MASK

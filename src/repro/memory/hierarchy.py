@@ -30,7 +30,7 @@ from repro.memory.dram import MainMemory
 from repro.memory.paging import (PAGE_SHIFT, PAGE_SIZE, PageTable,
                                  PrivilegeLevel, Translation)
 from repro.memory.tlb import TLB, TLBConfig
-from repro.statistics import StatRegistry
+from repro.statistics import Counter, StatRegistry
 
 # Physical region where synthetic page-table entries live; one 8-byte entry
 # per (level, vpn).  Chosen far above any address the workloads touch.
@@ -104,6 +104,26 @@ class AccessResult:
         return self.hit_level in ("shadow", "L1")
 
 
+# One committed cache level as the hierarchy's hot paths see it: its
+# name, the Cache's own set-index -> LRU-ordered-lines dict, set mask,
+# and hit and miss counters.  A plain tuple, because the loops below
+# unpack it (a tuple subclass would take the slow unpacking path).
+CacheLevel = Tuple[str, Dict[int, Dict[int, bool]], int, Counter, Counter]
+
+
+def _cache_level(name: str, cache: Cache) -> CacheLevel:
+    return (name, cache._sets, cache._set_mask, cache._hits, cache._misses)
+
+
+class _BySide(dict):
+    """``{"i": ..., "d": ...}`` that rejects any other side."""
+
+    __slots__ = ()
+
+    def __missing__(self, side: str):
+        raise ConfigError(f"side must be 'i' or 'd', got {side!r}")
+
+
 @dataclass(frozen=True)
 class HierarchyConfig:
     """Table II of the paper (Skylake-like memory system)."""
@@ -158,6 +178,29 @@ class MemoryHierarchy:
         # A proxy, not the hierarchy itself: a sink → hierarchy strong
         # reference would make every hierarchy cyclic garbage.
         self._direct_sink = DirectFillSink(weakref.proxy(self))
+        # The raw cache layout, bound once.  Each side reaches L1(side),
+        # L2 and L3, in that order; every level shares one line size
+        # (HierarchyConfig checks it), so one line mask and set shift
+        # index them all.  Presence checks, recency refreshes and the
+        # baseline lookup walk these tuples instead of calling Cache
+        # methods level by level, and the fast backend indexes the same
+        # dicts.  Sets and counters are mutated in place, never rebound.
+        self._l1 = _BySide(i=self.l1i, d=self.l1d)
+        self.line_mask = self.l1d._line_mask
+        self.set_shift = self.l1d._set_shift
+        l2 = _cache_level("L2", self.l2)
+        l3 = _cache_level("L3", self.l3)
+        self.levels = _BySide(i=(_cache_level("L1", self.l1i), l2, l3),
+                              d=(_cache_level("L1", self.l1d), l2, l3))
+        # Hit latency by level name, per side.  Shadow hits are charged
+        # the L1 hit latency of their side, the paper's conservative
+        # assumption (Section VI-A).
+        cfg = self.config
+        self._latency = _BySide(
+            (side, {"L1": l1.hit_latency, "shadow": l1.hit_latency,
+                    "L2": cfg.l2.hit_latency, "L3": cfg.l3.hit_latency,
+                    "MEM": cfg.memory_latency})
+            for side, l1 in (("i", cfg.l1i), ("d", cfg.l1d)))
 
     # ------------------------------------------------------------------
     # component helpers
@@ -166,13 +209,6 @@ class MemoryHierarchy:
     @property
     def line_bytes(self) -> int:
         return self.config.l1d.line_bytes
-
-    def _l1(self, side: str) -> Cache:
-        if side == "i":
-            return self.l1i
-        if side == "d":
-            return self.l1d
-        raise ConfigError(f"side must be 'i' or 'd', got {side!r}")
 
     def _tlb(self, side: str) -> TLB:
         return self.itlb if side == "i" else self.dtlb
@@ -188,7 +224,7 @@ class MemoryHierarchy:
 
     def install_line(self, side: str, line_addr: int) -> None:
         """Install a line into L1(side) + L2 + L3 (inclusive hierarchy)."""
-        self._l1(side).fill(line_addr)
+        self._l1[side].fill(line_addr)
         self.l2.fill(line_addr)
         self.l3.fill(line_addr)
 
@@ -207,20 +243,27 @@ class MemoryHierarchy:
         """
         self._tlb(side).refresh(vaddr >> PAGE_SHIFT)
 
-    def refresh_line_recency(self, side: str, line_addr: int) -> None:
-        """Refresh cache LRU recency of a line in whichever committed
-        levels currently hold it (no installation)."""
-        (self.l1i if side == "i" else self.l1d).refresh(line_addr)
-        self.l2.refresh(line_addr)
-        self.l3.refresh(line_addr)
+    def refresh_line_recency(self, side: str, addr: int) -> None:
+        """Refresh cache LRU recency of the line holding ``addr`` in
+        whichever committed levels currently hold it (no installation)."""
+        line = addr & self.line_mask
+        index = line >> self.set_shift
+        for _, sets, set_mask, _, _ in self.levels[side]:
+            cache_set = sets[index & set_mask]
+            if line in cache_set:
+                cache_set.move_to_end(line)
 
     def refresh_walk_lines(self, vaddr: int) -> None:
         """Refresh cache recency of the page-table lines a committing
         access's page walk read (they went through the d-cache path)."""
-        vpn = vaddr >> PAGE_SHIFT
-        for level in range(self.page_table.walk_levels):
-            pte_paddr = self._page_table_entry_paddr(level, vpn)
-            self.refresh_line_recency("d", self.l1d.line_address(pte_paddr))
+        shift = self.set_shift
+        levels = self.levels["d"]
+        for line in self._walk_lines(vaddr):
+            index = line >> shift
+            for _, sets, set_mask, _, _ in levels:
+                cache_set = sets[index & set_mask]
+                if line in cache_set:
+                    cache_set.move_to_end(line)
 
     # ------------------------------------------------------------------
     # non-perturbing presence checks (speculative path + attack receivers)
@@ -228,40 +271,35 @@ class MemoryHierarchy:
 
     def committed_hit_level(self, side: str, paddr: int) -> Optional[str]:
         """Deepest-priority level holding the line, without LRU update."""
-        l1 = self._l1(side)
-        line = l1.line_address(paddr)
-        if l1.contains(line):
-            return "L1"
-        if self.l2.contains(line):
-            return "L2"
-        if self.l3.contains(line):
-            return "L3"
+        line = paddr & self.line_mask
+        index = line >> self.set_shift
+        for name, sets, set_mask, _, _ in self.levels[side]:
+            if line in sets.get(index & set_mask, ()):
+                return name
         return None
 
-    def level_latency(self, level: str) -> int:
-        """Hit latency of a named level ('L1'/'L2'/'L3'/'MEM'/'shadow').
-
-        Shadow hits are charged the L1 hit latency, the paper's
-        conservative assumption (Section VI-A).
-        """
-        if level in ("L1", "shadow"):
-            return self.config.l1d.hit_latency
-        if level == "L2":
-            return self.config.l2.hit_latency
-        if level == "L3":
-            return self.config.l3.hit_latency
-        if level == "MEM":
-            return self.config.memory_latency
-        raise ConfigError(f"unknown level {level!r}")
+    def level_latency(self, level: str, side: str = "d") -> int:
+        """Hit latency of a named level ('L1'/'L2'/'L3'/'MEM'/'shadow')
+        on one side: 'L1' and 'shadow' are L1I's on the i-side, L1D's
+        on the d-side."""
+        latency = self._latency[side].get(level)
+        if latency is None:
+            raise ConfigError(f"unknown level {level!r}")
+        return latency
 
     # ------------------------------------------------------------------
     # page walking
     # ------------------------------------------------------------------
 
-    def _page_table_entry_paddr(self, level: int, vpn: int) -> int:
-        """Synthetic physical address of the page-table entry for
-        (walk level, vpn) — gives walker accesses realistic locality."""
-        return PAGE_TABLE_BASE + (level << 36) + (vpn >> (9 * level)) * 8
+    def _walk_lines(self, vaddr: int) -> List[int]:
+        """Lines of the page-table entries a walk for ``vaddr`` reads,
+        one per walk level.  Each entry has a synthetic physical address
+        per (walk level, vpn), which gives walker accesses realistic
+        locality."""
+        vpn = vaddr >> PAGE_SHIFT
+        line_mask = self.line_mask
+        return [(PAGE_TABLE_BASE + (level << 36) + (vpn >> (9 * level)) * 8)
+                & line_mask for level in range(self.page_table.walk_levels)]
 
     def _walk(self, side: str, vaddr: int, sink: FillSink,
               result: AccessResult) -> Optional[Translation]:
@@ -272,13 +310,11 @@ class MemoryHierarchy:
         walk still costs its full latency in that case).
         """
         self._walks.increment()
-        vpn = vaddr >> PAGE_SHIFT
+        latency = self._latency["d"]
         walk_latency = 0
-        for level in range(self.page_table.walk_levels):
-            pte_paddr = self._page_table_entry_paddr(level, vpn)
-            line = self.l1d.line_address(pte_paddr)
+        for line in self._walk_lines(vaddr):
             level_name = self._lookup_line_level("d", line, sink)
-            walk_latency += self.level_latency(level_name)
+            walk_latency += latency[level_name]
             if level_name == "MEM":
                 sink.fill_line("d", line)
         result.walk_latency = walk_latency
@@ -298,15 +334,16 @@ class MemoryHierarchy:
         if sink.lookup_line(side, line_addr):
             return "shadow"
         if sink.speculative:
-            level = self.committed_hit_level(side, line_addr)
-            return level if level is not None else "MEM"
-        l1 = self._l1(side)
-        if l1.touch(line_addr):
-            return "L1"
-        if self.l2.touch(line_addr):
-            return "L2"
-        if self.l3.touch(line_addr):
-            return "L3"
+            return self.committed_hit_level(side, line_addr) or "MEM"
+        # Cache.touch, level by level: LRU update and hit/miss counts.
+        index = line_addr >> self.set_shift
+        for name, sets, set_mask, hits, misses in self.levels[side]:
+            cache_set = sets[index & set_mask]
+            if line_addr in cache_set:
+                cache_set.move_to_end(line_addr)
+                hits.value += 1
+                return name
+            misses.value += 1
         return "MEM"
 
     # ------------------------------------------------------------------
@@ -365,11 +402,11 @@ class MemoryHierarchy:
             result.fault = "permission"
         paddr = translation.physical(vaddr)
         result.paddr = paddr
-        line = self.l1d.line_address(paddr)
+        line = paddr & self.line_mask
         result.line_addr = line
         level = self._lookup_line_level("d", line, sink)
-        result.hit_level = "shadow" if level == "shadow" else level
-        result.latency += self.level_latency(level)
+        result.hit_level = level
+        result.latency += self._latency["d"][level]
         if level == "MEM" or (sink.speculative and level in ("L2", "L3")):
             # A miss (or, speculatively, a line that would be promoted into
             # L1) produces new L1-visible state: route it through the sink.
@@ -377,7 +414,7 @@ class MemoryHierarchy:
             result.filled = True
         elif level in ("L2", "L3"):
             # Baseline promotion into L1 on an inner-level hit.
-            self._l1("d").fill(line)
+            self.l1d.fill(line)
             result.filled = True
         return result
 
@@ -397,16 +434,16 @@ class MemoryHierarchy:
             result.fault = "permission"
         paddr = translation.physical(vaddr)
         result.paddr = paddr
-        line = self.l1i.line_address(paddr)
+        line = paddr & self.line_mask
         result.line_addr = line
         level = self._lookup_line_level("i", line, sink)
-        result.hit_level = "shadow" if level == "shadow" else level
-        result.latency += self.level_latency(level)
+        result.hit_level = level
+        result.latency += self._latency["i"][level]
         if level == "MEM" or (sink.speculative and level in ("L2", "L3")):
             sink.fill_line("i", line)
             result.filled = True
         elif level in ("L2", "L3"):
-            self._l1("i").fill(line)
+            self.l1i.fill(line)
             result.filled = True
         return result
 
@@ -418,7 +455,7 @@ class MemoryHierarchy:
         """Architecturally perform a store: write memory, install the line
         (write-allocate) into the committed hierarchy."""
         self.memory.write_word(paddr, value)
-        self.install_line("d", self.l1d.line_address(paddr))
+        self.install_line("d", paddr & self.line_mask)
 
     # ------------------------------------------------------------------
     # attacker conveniences
@@ -455,6 +492,7 @@ class MemoryHierarchy:
         sees the same TLB hit or page walk.
         """
         memory_latency = self.config.memory_latency
+        level_latency = self._latency[side]
         lookup = self.page_table.lookup
         pages: Dict[int, Tuple[Optional[int], int]] = {}
         latencies = []
@@ -473,7 +511,7 @@ class MemoryHierarchy:
             if base is not None:
                 level = self.committed_hit_level(
                     side, base | (vaddr & (PAGE_SIZE - 1)))
-                latency += self.level_latency(level or "MEM")
+                latency += level_latency[level or "MEM"]
             latencies.append(latency)
         return latencies
 
@@ -488,11 +526,6 @@ class MemoryHierarchy:
         tlb = self._tlb(side)
         if tlb.contains(vaddr >> PAGE_SHIFT):
             return tlb.config.hit_latency
-        vpn = vaddr >> PAGE_SHIFT
-        latency = 0
-        for level in range(self.page_table.walk_levels):
-            pte_paddr = self._page_table_entry_paddr(level, vpn)
-            line = self.l1d.line_address(pte_paddr)
-            hit_level = self.committed_hit_level("d", line)
-            latency += self.level_latency(hit_level if hit_level else "MEM")
-        return latency
+        level_latency = self._latency["d"]
+        return sum(level_latency[self.committed_hit_level("d", line) or "MEM"]
+                   for line in self._walk_lines(vaddr))

@@ -38,19 +38,30 @@ from repro.frontend.rsb import ReturnStackBuffer
 from repro.isa.instructions import AluOp, INSTRUCTION_BYTES, Opcode
 from repro.isa.program import Program
 from repro.isa.registers import NUM_REGISTERS, WORD_MASK
-from repro.isa.semantics import ALU, BRANCH
 from repro.memory.hierarchy import AccessResult, MemoryHierarchy
 from repro.memory.paging import PrivilegeLevel
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.issue import FunctionalUnits, IssueQueue
 from repro.pipeline.lsq import LoadStoreQueue
 from repro.pipeline.rob import ReorderBuffer
-from repro.pipeline.uop import DynUop, UopState
+from repro.pipeline.uop import (COMMITTED, DISPATCHED, DONE, ISSUED,
+                                SQUASHED, DynUop)
 from repro.statistics import StatRegistry
 
 _FETCH_BUFFER_CAP = 24
 _PROGRESS_GUARD_CYCLES = 100_000
 _BY_SEQ = attrgetter("seq")
+
+# Opcodes under module names: the per-micro-op tests below read a global
+# instead of an ``Opcode.X`` class attribute, which on Python 3.11 costs
+# several times as much.
+_ALU, _LOADIMM, _LOAD, _STORE = (Opcode.ALU, Opcode.LOADIMM, Opcode.LOAD,
+                                 Opcode.STORE)
+_BRANCH, _JMP, _JMPI, _CALL, _RET = (Opcode.BRANCH, Opcode.JMP, Opcode.JMPI,
+                                     Opcode.CALL, Opcode.RET)
+_CLFLUSH, _RDTSC, _FENCE, _HALT = (Opcode.CLFLUSH, Opcode.RDTSC,
+                                   Opcode.FENCE, Opcode.HALT)
+_MUL = AluOp.MUL
 
 
 @dataclass
@@ -331,10 +342,10 @@ class Core:
             horizon = min(horizon, self._last_commit_cycle
                           + _PROGRESS_GUARD_CYCLES + 1)
             head = entries[0]
-            if head.state is UopState.DONE:
+            if head.state is DONE:
                 horizon = min(horizon, head.done_cycle + 1)
         for uop in self._executing:
-            if uop.state is UopState.ISSUED and uop.done_cycle < horizon:
+            if uop.state is ISSUED and uop.done_cycle < horizon:
                 horizon = uop.done_cycle
         if self._fetch_buffer:
             ready = self._fetch_buffer[0].fetch_cycle + self._front_end_depth
@@ -357,7 +368,7 @@ class Core:
             if not entries:
                 break
             head = entries[0]
-            if head.state is not UopState.DONE or head.done_cycle >= cycle:
+            if head.state is not DONE or head.done_cycle >= cycle:
                 break
             if head.fault is not None:
                 self._raise_fault(head)
@@ -370,7 +381,7 @@ class Core:
 
     def _commit_uop(self, uop: DynUop) -> None:
         self.rob._entries.popleft()
-        uop.state = UopState.COMMITTED
+        uop.state = COMMITTED
         self._last_commit_cycle = self.cycle
         is_mem = uop.is_load or uop.is_store
         engine = self.engine
@@ -388,7 +399,7 @@ class Core:
             if uop.paddr is None:
                 raise SimulationError(f"store committed w/o address: {uop!r}")
             self.hierarchy.commit_store(uop.paddr, uop.store_value or 0)
-        elif uop.opcode is Opcode.CLFLUSH:
+        elif uop.opcode is _CLFLUSH:
             self._commit_clflush(uop)
         if engine is not None:
             engine.on_commit(uop)
@@ -396,7 +407,7 @@ class Core:
             self.lsq.remove(uop)
         self._committed += 1
         self._n_committed += 1
-        if uop.opcode is Opcode.HALT:
+        if uop.opcode is _HALT:
             self._halt("halt")
         elif (self._max_instructions is not None
               and self._committed >= self._max_instructions):
@@ -436,8 +447,7 @@ class Core:
                 self.hierarchy.refresh_walk_lines(uop.vaddr)
         if uop.is_load and uop.hit_level in ("L1", "L2", "L3") \
                 and uop.paddr is not None:
-            self.hierarchy.refresh_line_recency(
-                "d", self.hierarchy.l1d.line_address(uop.paddr))
+            self.hierarchy.refresh_line_recency("d", uop.paddr)
 
     def _commit_clflush(self, uop: DynUop) -> None:
         """clflush takes architectural effect at commit: evict the line
@@ -454,13 +464,13 @@ class Core:
         for squashed in self.rob.squash_all():
             self._discard_uop(squashed)
         for pending in self._fetch_buffer:
-            pending.state = UopState.SQUASHED
+            pending.state = SQUASHED
             self._discard_uop(pending)
         self._fetch_buffer.clear()
         self.iq.drop_squashed()
         self.lsq.drop_squashed()
         self._executing = [u for u in self._executing
-                           if u.state is not UopState.SQUASHED]
+                           if u.state is not SQUASHED]
 
     def _raise_fault(self, uop: DynUop) -> None:
         """Architectural fault at the head of the ROB.
@@ -493,7 +503,7 @@ class Core:
         executing = self._executing
         # Everything in flight is ISSUED or SQUASHED.
         finishing = [u for u in executing
-                     if u.done_cycle <= cycle and u.state is UopState.ISSUED]
+                     if u.done_cycle <= cycle and u.state is ISSUED]
         if not finishing:
             return False
         finished = len(finishing)
@@ -502,23 +512,23 @@ class Core:
         else:
             self._executing = [u for u in executing
                                if u.done_cycle > cycle
-                               and u.state is UopState.ISSUED]
+                               and u.state is ISSUED]
         if finished > 1:
             finishing.sort(key=_BY_SEQ)
         wfb = self._wfb
         for uop in finishing:
-            if uop.state is not UopState.ISSUED:
+            if uop.state is not ISSUED:
                 # Squashed mid-batch by an older mispredicting branch:
                 # it must neither finish, wake consumers, promote WFB
                 # state, nor — crucially — resolve as a branch, which
                 # would redirect fetch down its wrong path.
                 continue
-            uop.state = UopState.DONE
-            if uop.opcode is Opcode.FENCE:
+            uop.state = DONE
+            if uop.opcode is _FENCE:
                 self._inflight_fences -= 1
             if uop.waiters:
                 for waiter in uop.waiters:
-                    if waiter.state is UopState.DISPATCHED:
+                    if waiter.state is DISPATCHED:
                         waiter.pending -= 1
                         if waiter.pending == 0:
                             self.iq.wake(waiter)
@@ -613,18 +623,18 @@ class Core:
         self.iq.drop_squashed()
         self.lsq.drop_squashed()
         self._executing = [u for u in self._executing
-                           if u.state is not UopState.SQUASHED]
+                           if u.state is not SQUASHED]
         self._rebuild_rename_table()
 
     def _recount_fences(self) -> None:
         self._inflight_fences = sum(
             1 for u in self.rob
-            if u.opcode is Opcode.FENCE
-            and u.state in (UopState.DISPATCHED, UopState.ISSUED))
+            if u.opcode is _FENCE
+            and (u.state is DISPATCHED or u.state is ISSUED))
 
     def _flush_front_end(self) -> None:
         for pending in self._fetch_buffer:
-            pending.state = UopState.SQUASHED
+            pending.state = SQUASHED
             self._discard_uop(pending)
         self._fetch_buffer.clear()
         self._last_fetch_line = None
@@ -648,8 +658,8 @@ class Core:
 
     def _oldest_pending_fence(self) -> Optional[int]:
         for uop in self.rob:
-            if (uop.opcode is Opcode.FENCE
-                    and uop.state in (UopState.DISPATCHED, UopState.ISSUED)):
+            if (uop.opcode is _FENCE
+                    and (uop.state is DISPATCHED or uop.state is ISSUED)):
                 return uop.seq
         return None
 
@@ -704,31 +714,30 @@ class Core:
 
     def _execute(self, uop: DynUop) -> None:
         self.iq.remove(uop)
-        uop.state = UopState.ISSUED
+        uop.state = ISSUED
         op = uop.opcode
-        if op is Opcode.ALU:
+        if op is _ALU:
             self._execute_alu(uop)
-        elif op is Opcode.LOADIMM:
+        elif op is _LOADIMM:
             uop.result = uop.inst.imm & WORD_MASK
             uop.done_cycle = self.cycle + self._alu_latency
-        elif op is Opcode.LOAD:
+        elif op is _LOAD:
             if not self._execute_load(uop):
                 # Replay: a partially overlapping in-flight store means
                 # word forwarding would be wrong; return the load to the
                 # issue queue until the store drains to memory.
-                uop.state = UopState.DISPATCHED
+                uop.state = DISPATCHED
                 self.iq.add(uop)
                 return
-        elif op is Opcode.STORE:
+        elif op is _STORE:
             self._execute_store(uop)
-        elif op in (Opcode.BRANCH, Opcode.JMP, Opcode.JMPI,
-                    Opcode.CALL, Opcode.RET):
+        elif uop.is_branch:
             self._execute_branch(uop)
-        elif op is Opcode.CLFLUSH:
+        elif op is _CLFLUSH:
             base = uop.source_value(uop.inst.rs1)
             uop.vaddr = (base + uop.inst.imm) & WORD_MASK
             uop.done_cycle = self.cycle + 1
-        elif op is Opcode.RDTSC:
+        elif op is _RDTSC:
             uop.result = self.cycle
             uop.done_cycle = self.cycle + 1
         else:  # FENCE, NOP, HALT
@@ -742,9 +751,8 @@ class Core:
             rhs = uop.source_value(inst.rs2)
         else:
             rhs = inst.imm & WORD_MASK
-        op = inst.alu_op
-        uop.result = ALU[op].fn(lhs, rhs)
-        latency = (self._mul_latency if op is AluOp.MUL
+        uop.result = inst.op_fn(lhs, rhs)
+        latency = (self._mul_latency if inst.alu_op is _MUL
                    else self._alu_latency)
         uop.done_cycle = self.cycle + latency
 
@@ -800,15 +808,15 @@ class Core:
 
     def _execute_branch(self, uop: DynUop) -> None:
         op = uop.opcode
-        if op is Opcode.BRANCH:
+        if op is _BRANCH:
             inst = uop.inst
-            uop.actual_taken = BRANCH[inst.cond].fn(
+            uop.actual_taken = inst.op_fn(
                 uop.source_value(inst.rs1), uop.source_value(inst.rs2))
             uop.actual_target = self.program.pc_of(inst.target)
-        elif op is Opcode.JMP:
+        elif op is _JMP:
             uop.actual_taken = True
             uop.actual_target = self.program.pc_of(uop.inst.target)
-        elif op is Opcode.CALL:
+        elif op is _CALL:
             uop.actual_taken = True
             uop.actual_target = self.program.pc_of(uop.inst.target)
             uop.result = (uop.pc + INSTRUCTION_BYTES) & WORD_MASK  # link
@@ -854,14 +862,14 @@ class Core:
         return dispatched > 0
 
     def _dispatch_uop(self, uop: DynUop) -> None:
-        uop.state = UopState.DISPATCHED
+        uop.state = DISPATCHED
         inst = uop.inst
         rename = self._rename
         for reg in inst.sources:
             producer = rename.get(reg)
             if producer is None:
                 uop.operands[reg] = self.regfile[reg]
-            elif (producer.state in (UopState.DONE, UopState.COMMITTED)
+            elif ((producer.state is DONE or producer.state is COMMITTED)
                     and producer.result is not None):
                 uop.operands[reg] = producer.result
             else:
@@ -871,7 +879,7 @@ class Core:
         self.rob._entries.append(uop)   # dispatch checked capacity
         if uop.is_branch:
             self._unresolved_branches.append(uop.seq)
-        if uop.opcode is Opcode.FENCE:
+        if uop.opcode is _FENCE:
             self._inflight_fences += 1
         if inst.writes_register:
             rename[inst.rd] = uop
@@ -910,7 +918,7 @@ class Core:
             stall = self._fetch_instruction_line(uop)
             fetch_buffer.append(uop)
             fetched += 1
-            if inst.opcode is Opcode.HALT:
+            if inst.opcode is _HALT:
                 # HALT serialises the front end: nothing is fetched past
                 # it until a squash or fault redirects fetch elsewhere.
                 self._fetch_halted = True
@@ -959,24 +967,25 @@ class Core:
     def _predict_and_advance(self, uop: DynUop) -> None:
         """Predict a control-flow micro-op and steer fetch after it."""
         inst = uop.inst
-        if inst.opcode is Opcode.BRANCH:
+        op = inst.opcode
+        if op is _BRANCH:
             uop.pred_taken = self.predictor.predict(uop.pc)
             uop.pred_target = (self.program.pc_of(inst.target)
                                if uop.pred_taken else None)
             # A fetch-time BHB sees the *predicted* direction; trained
             # branches make this the resolved direction too.
             self.btb.note_branch(uop.pred_taken)
-        elif inst.opcode is Opcode.JMP:
+        elif op is _JMP:
             uop.pred_taken = True
             uop.pred_target = self.program.pc_of(inst.target)
-        elif inst.opcode is Opcode.CALL:
+        elif op is _CALL:
             # Direct target: never mispredicts.  The RSB learns the
             # fall-through (return) address at fetch — including on the
             # wrong path, which is the ret2spec pollution surface.
             uop.pred_taken = True
             uop.pred_target = self.program.pc_of(inst.target)
             self.rsb.push(uop.pc + INSTRUCTION_BYTES)
-        elif inst.opcode is Opcode.RET:
+        elif op is _RET:
             predicted = self.rsb.pop()
             if predicted:
                 uop.pred_taken = True
@@ -986,7 +995,7 @@ class Core:
                 # resolution (the ret2spec underflow misprediction).
                 uop.pred_taken = False
                 uop.pred_target = None
-        elif inst.opcode is Opcode.JMPI:
+        elif op is _JMPI:
             target = self.btb.predict_target(uop.pc)
             if target is not None:
                 uop.pred_taken = True

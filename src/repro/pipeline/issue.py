@@ -8,7 +8,7 @@ from typing import Iterator, List
 from repro.errors import SimulationError
 from repro.isa.instructions import FU_CLASS_INDEX, InstructionClass
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.uop import DynUop, UopState
+from repro.pipeline.uop import DISPATCHED, SQUASHED, DynUop
 
 _BY_SEQ = operator.attrgetter("seq")
 
@@ -90,7 +90,7 @@ class IssueQueue:
 
     def wake(self, uop: DynUop) -> None:
         """A producer finished: move the micro-op to the ready list."""
-        if uop.state is UopState.DISPATCHED and uop.pending == 0:
+        if uop.state is DISPATCHED and uop.pending == 0:
             self._ready.append(uop)
 
     def remove(self, uop: DynUop) -> None:
@@ -102,9 +102,9 @@ class IssueQueue:
 
     def drop_squashed(self) -> None:
         self._entries = [u for u in self._entries
-                         if u.state is not UopState.SQUASHED]
+                         if u.state is not SQUASHED]
         self._ready = [u for u in self._ready
-                       if u.state is not UopState.SQUASHED]
+                       if u.state is not SQUASHED]
 
     def ready_uops(self) -> List[DynUop]:
         """Micro-ops whose operands are all available, oldest first.

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.pipeline.uop import DynUop, UopState
+from repro.pipeline.uop import DONE, ISSUED, SQUASHED, DynUop
 
 
 class LoadStoreQueue:
@@ -72,9 +72,9 @@ class LoadStoreQueue:
     def drop_squashed(self) -> None:
         """Purge every squashed entry (called after a pipeline squash)."""
         self._loads = [u for u in self._loads
-                       if u.state != UopState.SQUASHED]
+                       if u.state is not SQUASHED]
         self._stores = [u for u in self._stores
-                        if u.state != UopState.SQUASHED]
+                        if u.state is not SQUASHED]
 
     # -- disambiguation ---------------------------------------------------
 
@@ -100,7 +100,7 @@ class LoadStoreQueue:
         for store in self._stores:
             if store.seq >= load_seq:
                 continue
-            if store.state is UopState.SQUASHED:
+            if store.state is SQUASHED:
                 continue
             if store.vaddr is None:
                 if not self._mem_dep_speculation:
@@ -122,7 +122,7 @@ class LoadStoreQueue:
             return None
         best: Optional[DynUop] = None
         for store in self._stores:
-            if store.seq >= load.seq or store.state is UopState.SQUASHED:
+            if store.seq >= load.seq or store.state is SQUASHED:
                 continue
             if store.vaddr is None or load.vaddr is None:
                 continue
@@ -147,8 +147,8 @@ class LoadStoreQueue:
         for load in self._loads:
             if load.seq <= store.seq:
                 continue
-            if load.state is not UopState.ISSUED and \
-                    load.state is not UopState.DONE:
+            if load.state is not ISSUED and \
+                    load.state is not DONE:
                 continue
             if load.vaddr is None:
                 continue

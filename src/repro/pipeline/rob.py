@@ -6,7 +6,7 @@ from collections import deque
 from typing import Deque, Iterator, List, Optional
 
 from repro.errors import SimulationError
-from repro.pipeline.uop import DynUop, UopState
+from repro.pipeline.uop import COMMITTED, DONE, SQUASHED, DynUop
 
 
 class ReorderBuffer:
@@ -65,7 +65,7 @@ class ReorderBuffer:
         squashed: List[DynUop] = []
         while entries and entries[-1].seq > seq:
             uop = entries.pop()
-            uop.state = UopState.SQUASHED
+            uop.state = SQUASHED
             squashed.append(uop)
         squashed.reverse()
         return squashed
@@ -74,7 +74,7 @@ class ReorderBuffer:
         """Squash the entire window (fault at the head)."""
         squashed = list(self._entries)
         for uop in squashed:
-            uop.state = UopState.SQUASHED
+            uop.state = SQUASHED
         self._entries.clear()
         return squashed
 
@@ -89,7 +89,6 @@ class ReorderBuffer:
         for uop in self._entries:
             if uop.seq >= seq:
                 break
-            if uop.is_branch and uop.state not in (UopState.DONE,
-                                                   UopState.COMMITTED):
+            if uop.is_branch and uop.state not in (DONE, COMMITTED):
                 deps.append(uop.seq)
         return deps

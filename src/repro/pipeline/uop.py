@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from typing import AbstractSet, Dict, Optional
 
-from repro.isa.instructions import Instruction, Opcode
+from repro.isa.instructions import Instruction
 
 # The branch-dependence set of every micro-op outside WFB, which alone
 # tracks one (the core gives each WFB micro-op its own set at dispatch).
@@ -23,6 +23,17 @@ class UopState(enum.Enum):
     SQUASHED = "squashed"
 
 
+# The states under plain module names, for the pipeline's per-micro-op
+# tests: on Python 3.11 reading ``UopState.DONE`` is a metaclass lookup
+# several times the cost of reading a module global.
+FETCHED = UopState.FETCHED
+DISPATCHED = UopState.DISPATCHED
+ISSUED = UopState.ISSUED
+DONE = UopState.DONE
+COMMITTED = UopState.COMMITTED
+SQUASHED = UopState.SQUASHED
+
+
 class DynUop:
     """One dynamic instance of an instruction in flight.
 
@@ -34,7 +45,7 @@ class DynUop:
     __slots__ = (
         "seq", "inst", "pc", "index", "state",
         "opcode", "is_load", "is_store", "is_branch", "is_serialising",
-        "inst_class", "fu_index",
+        "fu_index",
         "fetch_cycle", "done_cycle",
         "pred_taken", "pred_target", "actual_taken", "actual_target",
         "mispredicted",
@@ -51,19 +62,16 @@ class DynUop:
         self.inst = inst
         self.pc = pc
         self.index = index
-        self.state = UopState.FETCHED
+        self.state = FETCHED
 
         # Decoded classification, copied from the (assembly-time decoded)
         # instruction so the pipeline's per-cycle checks are plain slot
-        # reads instead of chained property calls.
-        opcode = inst.opcode
-        self.opcode = opcode
-        self.is_load = opcode is Opcode.LOAD
-        self.is_store = opcode is Opcode.STORE
+        # reads instead of chained attribute walks.
+        self.opcode = inst.opcode
+        self.is_load = inst.is_load
+        self.is_store = inst.is_store
         self.is_branch = inst.is_control_flow
-        self.is_serialising = (opcode is Opcode.RDTSC
-                               or opcode is Opcode.FENCE)
-        self.inst_class = inst.inst_class
+        self.is_serialising = inst.is_serialising
         self.fu_index = inst.fu_index
 
         self.fetch_cycle = fetch_cycle

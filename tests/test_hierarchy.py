@@ -115,6 +115,59 @@ class TestClflushAndProbes:
             "d", 0x1000 + 10 * PAGE_SIZE) >= 4
 
 
+class TestPerSideL1Latency:
+    """L1I and shadow-i hits cost the L1I hit latency, d-side hits the
+    L1D's, when the two differ."""
+
+    @pytest.fixture
+    def split(self):
+        from repro.memory.cache import CacheConfig
+        pt = PageTable()
+        pt.map_range(0x1000, 16 * PAGE_SIZE)
+        config = HierarchyConfig(l1i=CacheConfig("L1I", 32 * 1024, 8, 64, 2))
+        return MemoryHierarchy(config, page_table=pt)
+
+    def test_l1i_hit_fetch_and_probe(self, split):
+        itlb_hit = split.config.itlb.hit_latency
+        split.fetch_access(0x1000, privilege=PrivilegeLevel.USER)
+        result = split.fetch_access(0x1000, privilege=PrivilegeLevel.USER)
+        assert (result.hit_level, result.tlb_hit) == ("L1", True)
+        assert result.latency == itlb_hit + 2
+        assert split.probe_fetch_latency(0x1000) == itlb_hit + 2
+        assert split.level_latency("L1", "i") == 2
+        assert split.level_latency("shadow", "i") == 2
+
+    def test_shadow_i_hit_costs_l1i_latency(self, split):
+        from types import SimpleNamespace
+        from repro.core.safespec import SafeSpecConfig, SafeSpecEngine
+        engine = SafeSpecEngine(SafeSpecConfig(), split)
+        owner = SimpleNamespace(seq=1, promoted=False)
+        split.fetch_access(0x1000, privilege=PrivilegeLevel.USER,
+                           sink=engine.sink_for(owner))
+        result = split.fetch_access(0x1000, privilege=PrivilegeLevel.USER,
+                                    sink=engine.sink_for(owner))
+        assert result.hit_level == "shadow"
+        assert result.latency == split.config.itlb.hit_latency + 2
+
+    def test_d_side_keeps_l1d_latency(self, split):
+        split.data_access(0x1000, is_write=False,
+                          privilege=PrivilegeLevel.USER)
+        result = split.data_access(0x1000, is_write=False,
+                                   privilege=PrivilegeLevel.USER)
+        assert result.hit_level == "L1"
+        assert result.latency == split.config.dtlb.hit_latency + 4
+        assert split.probe_data_latency(0x1000) == \
+            split.config.dtlb.hit_latency + 4
+        assert split.level_latency("L1") == 4
+
+    def test_unknown_level_and_side_rejected(self, split):
+        from repro.errors import ConfigError
+        with pytest.raises(ConfigError):
+            split.level_latency("L4")
+        with pytest.raises(ConfigError):
+            split.committed_hit_level("x", 0x1000)
+
+
 class TestStoreCommit:
     def test_commit_store_writes_memory_and_fills(self, hierarchy):
         hierarchy.commit_store(0x2000, 77)

@@ -11,7 +11,8 @@ from repro.isa.assembler import ProgramBuilder, assemble
 from repro.isa.instructions import (AluOp, BranchCond, INSTRUCTION_BYTES,
                                     Instruction, InstructionClass, Opcode)
 from repro.isa.program import Program
-from repro.isa.registers import (register_index, to_signed, to_unsigned)
+from repro.isa.registers import register_index, to_unsigned
+from repro.isa.semantics import ALU, BRANCH
 from repro.verify import ReferenceOracle
 
 
@@ -24,10 +25,6 @@ class TestRegisters:
         for name in ("x1", "r16", "r-1", "rX"):
             with pytest.raises(AssemblyError):
                 register_index(name)
-
-    def test_signed_conversion(self):
-        assert to_signed(2**64 - 1) == -1
-        assert to_signed(5) == 5
 
     def test_unsigned_truncation(self):
         assert to_unsigned(-1) == 2**64 - 1
@@ -73,7 +70,8 @@ class TestInstructionValidation:
 
 # The decode table: for each opcode, the operands of a minimal valid
 # instruction and what it decodes to.  Flags: c = control flow,
-# b = conditional branch, i = indirect jump, k = call, r = return.
+# b = conditional branch, i = indirect jump, r = return,
+# l = load, s = store, z = serialising.
 _INT, _MUL_CLS, _LD, _ST, _BR, _SYS = (
     InstructionClass.INT, InstructionClass.MUL, InstructionClass.LOAD,
     InstructionClass.STORE, InstructionClass.BRANCH, InstructionClass.SYSTEM)
@@ -82,17 +80,17 @@ DECODE_TABLE = {
     Opcode.ALU: (dict(rd=1, rs1=2, rs2=3, alu_op=AluOp.ADD),
                  _INT, 0, "", True, (2, 3)),
     Opcode.LOADIMM: (dict(rd=1, imm=5), _INT, 0, "", True, ()),
-    Opcode.LOAD: (dict(rd=1, rs1=2, imm=8), _LD, 2, "", True, (2,)),
-    Opcode.STORE: (dict(rs1=2, rs2=3), _ST, 3, "", False, (2, 3)),
+    Opcode.LOAD: (dict(rd=1, rs1=2, imm=8), _LD, 2, "l", True, (2,)),
+    Opcode.STORE: (dict(rs1=2, rs2=3), _ST, 3, "s", False, (2, 3)),
     Opcode.BRANCH: (dict(rs1=2, rs2=3, cond=BranchCond.LT, target=0),
                     _BR, 4, "cb", False, (2, 3)),
     Opcode.JMP: (dict(target=4), _BR, 4, "c", False, ()),
     Opcode.JMPI: (dict(rs1=2), _BR, 4, "ci", False, (2,)),
-    Opcode.CALL: (dict(rd=1, target=4), _BR, 4, "ck", True, ()),
+    Opcode.CALL: (dict(rd=1, target=4), _BR, 4, "c", True, ()),
     Opcode.RET: (dict(rs1=2), _BR, 4, "cr", False, (2,)),
     Opcode.CLFLUSH: (dict(rs1=2, imm=64), _SYS, 5, "", False, (2,)),
-    Opcode.RDTSC: (dict(rd=1), _SYS, 5, "", True, ()),
-    Opcode.FENCE: (dict(), _SYS, 5, "", False, ()),
+    Opcode.RDTSC: (dict(rd=1), _SYS, 5, "z", True, ()),
+    Opcode.FENCE: (dict(), _SYS, 5, "z", False, ()),
     Opcode.NOP: (dict(), _INT, 0, "", False, ()),
     Opcode.HALT: (dict(), _SYS, 5, "", False, ()),
 }
@@ -120,38 +118,57 @@ def _decode_cases():
         yield pytest.param(opcode, None, id=opcode.value)
     for alu_op in AluOp:
         yield pytest.param(Opcode.ALU, alu_op, id=f"alu-{alu_op.value}")
+    for cond in BranchCond:
+        yield pytest.param(Opcode.BRANCH, cond, id=f"branch-{cond.value}")
 
 
-def _example(opcode, alu_op):
+def _example(opcode, sub):
+    """A minimal instruction of ``opcode``, with ``sub`` (an AluOp or a
+    BranchCond) as its sub-operation when given."""
     operands = dict(DECODE_TABLE[opcode][0])
-    if alu_op is not None:
-        operands["alu_op"] = alu_op
+    if isinstance(sub, AluOp):
+        operands["alu_op"] = sub
+    elif sub is not None:
+        operands["cond"] = sub
     return Instruction(opcode, **operands), operands
 
 
 def _decoded(inst):
     return (inst.inst_class, inst.fu_index, inst.is_control_flow,
-            inst.is_conditional, inst.is_indirect, inst.is_call,
-            inst.is_return, inst.writes_register, inst.sources)
+            inst.is_conditional, inst.is_indirect, inst.is_return, inst.is_load, inst.is_store,
+            inst.is_serialising, inst.op_fn, inst.writes_register,
+            inst.sources)
 
 
-@pytest.mark.parametrize("opcode,alu_op", list(_decode_cases()))
+def _semantics_fn(inst):
+    """The semantics function an instruction must have decoded to."""
+    if inst.opcode is Opcode.ALU:
+        return ALU[inst.alu_op].fn
+    if inst.opcode is Opcode.BRANCH:
+        return BRANCH[inst.cond].fn
+    return None
+
+
+@pytest.mark.parametrize("opcode,sub", list(_decode_cases()))
 class TestInstructionDecode:
     """The decode products and dataclass contract of every opcode (and
-    of ALU under every sub-operation)."""
+    of ALU under every operation, BRANCH under every condition)."""
 
-    def test_decode_matches_table(self, opcode, alu_op):
-        inst, _ = _example(opcode, alu_op)
+    def test_decode_matches_table(self, opcode, sub):
+        inst, _ = _example(opcode, sub)
         _, cls, fu_index, flags, writes, sources = DECODE_TABLE[opcode]
-        if alu_op is AluOp.MUL:
+        if sub is AluOp.MUL:
             cls, fu_index = _MUL_CLS, 1
         assert _decoded(inst) == (
             cls, fu_index, "c" in flags, "b" in flags, "i" in flags,
-            "k" in flags, "r" in flags, writes, sources)
+            "r" in flags, "l" in flags, "s" in flags,
+            "z" in flags, _semantics_fn(inst), writes, sources)
+        assert (inst.op_fn is None) == (
+            opcode not in (Opcode.ALU, Opcode.BRANCH))
         assert inst.source_registers() == sources
 
-    def test_eq_hash_repr_cover_only_spec_fields(self, opcode, alu_op):
-        inst, operands = _example(opcode, alu_op)
+    def test_eq_hash_repr_cover_only_spec_fields(self, opcode, sub):
+        inst, operands = _example(opcode, sub)
         assert tuple(f.name for f in dataclasses.fields(Instruction)) == \
             SPEC_FIELDS
         spec = tuple(getattr(inst, name) for name in SPEC_FIELDS)
@@ -164,17 +181,26 @@ class TestInstructionDecode:
         assert inst != dataclasses.replace(inst, label="elsewhere")
         assert inst != dataclasses.replace(inst, imm=inst.imm + 1)
 
-    def test_frozen(self, opcode, alu_op):
-        inst, _ = _example(opcode, alu_op)
+    def test_instance_dict_stays_in_a_32_slot_table(self, opcode, sub):
+        # A 22nd entry doubles the size of every instruction's dict.
+        inst, _ = _example(opcode, sub)
+        assert len(vars(inst)) <= 21
+
+    def test_frozen(self, opcode, sub):
+        inst, _ = _example(opcode, sub)
         for name in ("opcode", "rd", "imm", "label", "inst_class",
-                     "fu_index", "sources"):
+                     "fu_index", "is_load", "op_fn", "sources"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(inst, name, None)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(inst, name)
 
-    def test_pickle_and_replace_round_trip(self, opcode, alu_op):
-        inst, _ = _example(opcode, alu_op)
+    def test_pickle_and_replace_round_trip(self, opcode, sub):
+        inst, _ = _example(opcode, sub)
+        # Pickle carries the nine spec fields only; decoding rebuilds
+        # the rest.
+        assert inst.__reduce__() == (
+            Instruction, tuple(getattr(inst, name) for name in SPEC_FIELDS))
         for copy in (pickle.loads(pickle.dumps(inst)),
                      dataclasses.replace(inst)):
             assert copy == inst and copy is not inst
@@ -183,8 +209,8 @@ class TestInstructionDecode:
         assert labelled.label == "here"
         assert _decoded(labelled) == _decoded(inst)
 
-    def test_missing_operand_errors(self, opcode, alu_op):
-        _, operands = _example(opcode, alu_op)
+    def test_missing_operand_errors(self, opcode, sub):
+        _, operands = _example(opcode, sub)
         required, message = REQUIRED_OPERANDS.get(opcode, ((), ""))
         for name in required:
             partial = {k: v for k, v in operands.items() if k != name}
@@ -197,13 +223,23 @@ def test_replace_reselects_the_mul_row():
     add = Instruction(Opcode.ALU, rd=1, rs1=2, alu_op=AluOp.ADD)
     mul = dataclasses.replace(add, alu_op=AluOp.MUL)
     assert mul.inst_class is InstructionClass.MUL and mul.fu_index == 1
-    assert dataclasses.replace(mul, alu_op=AluOp.SUB).fu_index == 0
+    assert mul.op_fn is ALU[AluOp.MUL].fn
+    sub = dataclasses.replace(mul, alu_op=AluOp.SUB)
+    assert sub.fu_index == 0 and sub.op_fn is ALU[AluOp.SUB].fn
+
+
+def test_replace_reselects_the_branch_semantics():
+    beq = Instruction(Opcode.BRANCH, rs1=1, rs2=2, cond=BranchCond.EQ)
+    bge = dataclasses.replace(beq, cond=BranchCond.GE)
+    assert bge.op_fn is BRANCH[BranchCond.GE].fn
+    assert beq.op_fn is BRANCH[BranchCond.EQ].fn
 
 
 def test_mul_selector_outside_alu_keeps_the_opcode_row():
     # Only an ALU instruction decodes to the MUL unit.
     load = Instruction(Opcode.LOAD, rd=1, rs1=2, alu_op=AluOp.MUL)
     assert load.inst_class is InstructionClass.LOAD
+    assert load.op_fn is None
 
 
 def test_sources_from_either_register_field():

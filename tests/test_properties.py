@@ -3,7 +3,7 @@
 from hypothesis import given, strategies as st
 
 from repro.core.shadow import FullPolicy, ShadowStructure
-from repro.isa.registers import to_signed, to_unsigned
+from repro.isa.registers import to_unsigned
 from repro.memory.cache import Cache, CacheConfig
 from repro.memory.dram import MainMemory
 from repro.memory.paging import PagePermissions, Translation
@@ -130,15 +130,6 @@ class TestHistogramProperties:
 
 
 class TestRegisterArithmeticProperties:
-    @given(st.integers())
-    def test_roundtrip_identity_on_64_bits(self, value):
-        assert to_unsigned(to_signed(to_unsigned(value))) == \
-            to_unsigned(value)
-
-    @given(st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1))
-    def test_signed_values_preserved(self, value):
-        assert to_signed(to_unsigned(value)) == value
-
     @given(words, words)
     def test_addition_wraps_like_hardware(self, a, b):
         assert to_unsigned(a + b) == (a + b) % (1 << 64)
