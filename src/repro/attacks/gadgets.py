@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 from repro.isa.assembler import ProgramBuilder
 from repro.isa.program import Program
@@ -93,29 +93,3 @@ def _warm_program(addresses: Tuple[int, ...], code_base: int,
     builder.halt()
     return builder.build()
 
-
-def warm_code(machine: Machine, program, fault_handler_pc=None,
-              initial_registers=None) -> None:
-    """Run a program once to warm its instruction lines and translations.
-
-    Attack loops in the wild run thousands of iterations; the first
-    iteration's only job is to get the attacker's own code resident.
-    """
-    machine.run(program, fault_handler_pc=fault_handler_pc,
-                initial_registers=initial_registers)
-
-
-def flush_probe(machine: Machine, base: int, slots: int = 256,
-                stride: int = 64) -> None:
-    """clflush every probe slot."""
-    for slot in range(slots):
-        machine.flush_address(base + slot * stride)
-
-
-def recover_byte(outcome, expected_none_ok: bool = True) -> Optional[int]:
-    """Interpret a probe outcome as a leaked byte (None when no signal).
-
-    Multiple hot slots mean the measurement is ambiguous; the receiver
-    reports no leak rather than guessing.
-    """
-    return outcome.value

@@ -12,14 +12,15 @@ need it:
 
 * **Committed memory accesses** go through the real
   :class:`~repro.memory.hierarchy.MemoryHierarchy` (TLBs, caches, page
-  walker) — on the SafeSpec policies via a per-access shadow sink whose
-  fills are promoted immediately, mirroring what the cycle core's
-  access-at-execute + promote-at-commit sequence leaves behind.
+  walker) — on the SafeSpec policies owned by a fresh sequence number,
+  whose shadow fills are promoted immediately, mirroring what the cycle
+  core's access-at-execute + promote-at-commit sequence leaves behind.
 * **Branches** consult and train the real direction predictor and BTB
   (property P3), and a misprediction *emulates the wrong path*: the
   predicted-path instructions are interpreted against a scratch register
-  file, their cache/TLB fills routed through the policy's fill sink and
-  annulled at resolution (property P2).
+  file, each access owned by its own sequence number, so its cache/TLB
+  fills land in shadow state (SafeSpec) or the committed structures
+  (baseline), and shadow fills are annulled at resolution (property P2).
 * **Faults** are raised at commit with the younger window emulated the
   same way; under WFB the faulting access's shadow state is promoted
   before the squash — the paper's Meltdown hole — while WFC annuls it.
@@ -129,16 +130,6 @@ def factory(backend, rd, a, rhs, lat, LN, PC, nxt):
 _ALU_STEPS = _compile_alu_steps()
 
 
-class _Standin:
-    """Minimal micro-op stand-in for the SafeSpec engine's hooks."""
-
-    __slots__ = ("seq", "promoted")
-
-    def __init__(self, seq: int) -> None:
-        self.seq = seq
-        self.promoted = False
-
-
 @register_backend("fast")
 class FastBackend:
     """Lowered-closure functional core with windowed speculation."""
@@ -209,26 +200,22 @@ class FastBackend:
         # on every committed fetch/load).
         hier = self.hier
         self._itlb_lookup = hier.itlb.lookup
-        self._itlb_peek = hier.itlb.peek
         self._itlb_refresh = hier.itlb.refresh
-        self._l1i_touch = hier.l1i.touch
-        self._l1i_refresh = hier.l1i.refresh
-        self._l2_refresh = hier.l2.refresh
-        self._l3_refresh = hier.l3.refresh
         self._fetch_access = hier.fetch_access
-        # Raw structure views for the committed hit paths.  The recency
-        # refreshes there reduce to "if present, move to MRU" on the
-        # underlying per-set OrderedDicts; going through Cache.refresh /
-        # Tlb.refresh costs a call per level per access, which dominates
-        # the closures' own work.  The cache layout is the hierarchy's
-        # own binding (MemoryHierarchy.levels), frozen at bind time (the
-        # hierarchy cannot be reshaped mid-run).
+        # Raw structure views for the committed hit paths.  The lookups
+        # and recency refreshes there reduce to "if present, move to
+        # MRU" on the underlying per-set OrderedDicts; a method call per
+        # level per access would dominate the closures' own work.  The
+        # cache layout is the hierarchy's own binding
+        # (MemoryHierarchy.levels), frozen at bind time (the hierarchy
+        # cannot be reshaped mid-run).
         self._itlb_entries = hier.itlb._entries
         self._dtlb_entries = hier.dtlb._entries
         (l1i, l2, l3), (l1d, _, _) = hier.levels["i"], hier.levels["d"]
         (self._l1i_geo, self._l1d_geo, self._l2_geo, self._l3_geo) = (
             (sets, hier.line_mask, hier.set_shift, set_mask)
             for _, sets, set_mask, _, _ in (l1i, l1d, l2, l3))
+        self._l1i_hits, self._l1i_misses = l1i[3], l1i[4]
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -1181,11 +1168,20 @@ class FastBackend:
         vpn = pc >> 12
         if engine is None:
             trans = self._itlb_lookup(vpn)
-            if trans is not None and self._l1i_touch(trans.physical(pc)):
-                cn[_IL1] += 1
-                return
-            result = self._fetch_access(pc, privilege=self.privilege,
-                                        sink=None)
+            if trans is not None:
+                # L1I lookup as the hierarchy's baseline walk makes it:
+                # LRU update and hit/miss counts.
+                sets, lmask, shift, smask = self._l1i_geo
+                paddr = trans.physical(pc)
+                ln = paddr & lmask
+                st = sets[(paddr >> shift) & smask]
+                if ln in st:
+                    st.move_to_end(ln)
+                    self._l1i_hits.value += 1
+                    cn[_IL1] += 1
+                    return
+                self._l1i_misses.value += 1
+            result = self._fetch_access(pc, privilege=self.privilege)
         else:
             # Same page as the last committed fetch: the translation is
             # the cached one, and the cycle core's commit-time iTLB
@@ -1224,10 +1220,10 @@ class FastBackend:
                         st.move_to_end(ln)
                     return
             il[1] = -1
-            std = _Standin(self._next_seq())
+            seq = self._next_seq()
             result = self._fetch_access(pc, privilege=self.privilege,
-                                        sink=engine.sink_for(std))
-            engine.on_commit(std)
+                                        owner=seq)
+            engine.on_commit(seq)
             hier.refresh_committed_translation("i", pc)
             if not result.tlb_hit:
                 hier.refresh_walk_lines(pc)
@@ -1252,15 +1248,9 @@ class FastBackend:
         hier = self.hier
         engine = self.engine
         cn = self.cn
-        std = None
-        if engine is None:
-            result = hier.data_access(va, is_write=False,
-                                      privilege=self.privilege, sink=None)
-        else:
-            std = _Standin(self._next_seq())
-            result = hier.data_access(va, is_write=False,
-                                      privilege=self.privilege,
-                                      sink=engine.sink_for(std))
+        seq = None if engine is None else self._next_seq()
+        result = hier.data_access(va, is_write=False,
+                                  privilege=self.privilege, owner=seq)
         cn[_DA] += 1
         if result.hit_level == "shadow":
             cn[_DSH] += 1
@@ -1271,10 +1261,10 @@ class FastBackend:
         if result.fault is not None:
             p1 = 0 if result.fault == "unmapped" \
                 else hier.memory.read_word(result.paddr)
-            return self._raise_fault(nxt, pc, va, result.fault, std,
+            return self._raise_fault(nxt, pc, va, result.fault, seq,
                                      rd, p1, s + max(result.latency, 1))
         if engine is not None:
-            engine.on_commit(std)
+            engine.on_commit(seq)
             hier.refresh_committed_translation("d", va)
             if not result.tlb_hit:
                 hier.refresh_walk_lines(va)
@@ -1296,13 +1286,8 @@ class FastBackend:
         hier = self.hier
         engine = self.engine
         result = AccessResult(latency=0)
-        std = None
-        if engine is None:
-            sink = hier.default_sink()
-        else:
-            std = _Standin(self._next_seq())
-            sink = engine.sink_for(std)
-        trans = hier.translate("d", va, sink, result)
+        seq = None if engine is None else self._next_seq()
+        trans = hier.translate("d", va, seq, result)
         fault = None
         if trans is None:
             fault = "unmapped"
@@ -1310,10 +1295,10 @@ class FastBackend:
                                           privilege=self.privilege):
             fault = "permission"
         if fault is not None:
-            return self._raise_fault(nxt, pc, va, fault, std,
+            return self._raise_fault(nxt, pc, va, fault, seq,
                                      None, 0, s + max(result.latency, 1))
         if engine is not None:
-            engine.on_commit(std)
+            engine.on_commit(seq)
             hier.refresh_committed_translation("d", va)
             if not result.tlb_hit:
                 hier.refresh_walk_lines(va)
@@ -1337,22 +1322,24 @@ class FastBackend:
     # ------------------------------------------------------------------
 
     def _raise_fault(self, nxt: int, pc: int, va: int, kind: str,
-                     std: Optional[_Standin], rd: Optional[int],
+                     seq: Optional[int], rd: Optional[int],
                      p1_value: int, d: float) -> int:
         """Commit-time fault: emulate the younger speculative window,
-        squash it, record the event, redirect to the handler."""
+        squash it, record the event, redirect to the handler.  ``seq``
+        owns the faulting access's shadow state (``None`` without an
+        engine)."""
         engine = self.engine
-        if engine is not None and self._wfb and std is not None:
+        if seq is not None and self._wfb:
             # WFB promotes once branch dependences clear — for a fault
             # window there are none, so the faulting access's own shadow
             # state reaches the committed structures (the Meltdown hole).
-            engine.on_branch_resolved(std)
+            engine.on_branch_resolved(seq)
         wregs = list(self.regs)
         if rd is not None:
             wregs[rd] = p1_value       # P1: the speculatively returned data
         self._spec_run(nxt, wregs, self._rob, promote=True)
-        if engine is not None and std is not None:
-            engine.on_squash(std)
+        if seq is not None:
+            engine.on_squash(seq, self._wfb)
             self.cn[_SQ] += 1
         cn = self.cn
         cn[_FLT] += 1
@@ -1384,8 +1371,8 @@ class FastBackend:
 
     def _spec_run(self, idx: int, regs: List[int], budget: int,
                   promote: bool) -> None:
-        """Interpret a speculative region (P2): real sinks, real predictor
-        and BTB training (P3), no architectural effects.
+        """Interpret a speculative region (P2): real shadow fills, real
+        predictor and BTB training (P3), no architectural effects.
 
         ``promote`` marks a *fault* window: the in-flight micro-ops have
         no unresolved branch dependences, so under WFB each one's shadow
@@ -1405,8 +1392,11 @@ class FastBackend:
         prv = self.privilege
         mem_read = hier.memory.read_word
         code_base = program.code_base
-        stds: List[_Standin] = []
-        direct = hier.default_sink()
+        # Under SafeSpec every access in the window is owned by a seq of
+        # its own, consecutive from ``first``; under WFB a fault window
+        # promotes each one as it executes.
+        first = self._seq + 1
+        promoted = promote and self._wfb
         fwd: Dict[int, int] = {}
         iline = -1
         executed = 0
@@ -1416,15 +1406,10 @@ class FastBackend:
             if line != iline:
                 iline = line
                 cn[_IA] += 1
-                if engine is None:
-                    res = hier.fetch_access(pc, privilege=prv, sink=None)
-                else:
-                    std = _Standin(self._next_seq())
-                    stds.append(std)
-                    res = hier.fetch_access(pc, privilege=prv,
-                                            sink=engine.sink_for(std))
-                    if promote:
-                        engine.on_branch_resolved(std)
+                seq = None if engine is None else self._next_seq()
+                res = hier.fetch_access(pc, privilege=prv, owner=seq)
+                if promoted:
+                    engine.on_branch_resolved(seq)
                 if res.hit_level == "shadow":
                     cn[_ISH] += 1
                 elif res.hit_level == "L1":
@@ -1450,17 +1435,11 @@ class FastBackend:
                     regs[rec[1]] = fwd[va]
                     cn[_FW] += 1
                 else:
-                    if engine is None:
-                        res = hier.data_access(va, is_write=False,
-                                               privilege=prv, sink=None)
-                    else:
-                        std = _Standin(self._next_seq())
-                        stds.append(std)
-                        res = hier.data_access(
-                            va, is_write=False, privilege=prv,
-                            sink=engine.sink_for(std))
-                        if promote:
-                            engine.on_branch_resolved(std)
+                    seq = None if engine is None else self._next_seq()
+                    res = hier.data_access(va, is_write=False,
+                                           privilege=prv, owner=seq)
+                    if promoted:
+                        engine.on_branch_resolved(seq)
                     cn[_DA] += 1
                     if res.hit_level == "shadow":
                         cn[_DSH] += 1
@@ -1476,14 +1455,10 @@ class FastBackend:
                     break
                 va = (regs[rec[2]] + rec[4]) & _M
                 res = AccessResult(latency=0)
-                if engine is None:
-                    hier.translate("d", va, direct, res)
-                else:
-                    std = _Standin(self._next_seq())
-                    stds.append(std)
-                    hier.translate("d", va, engine.sink_for(std), res)
-                    if promote:
-                        engine.on_branch_resolved(std)
+                seq = None if engine is None else self._next_seq()
+                hier.translate("d", va, seq, res)
+                if promoted:
+                    engine.on_branch_resolved(seq)
                 fwd[va] = regs[rec[3]]
             elif kind == _W_BRANCH:
                 pred = self.predictor.predict(pc)
@@ -1546,5 +1521,5 @@ class FastBackend:
             cn[_SQ] += 1
             idx += 1
         if engine is not None:
-            for std in stds:
-                engine.on_squash(std)
+            for seq in range(first, self._seq + 1):
+                engine.on_squash(seq, promoted)

@@ -1,25 +1,26 @@
 """The SafeSpec engine: shadow bookkeeping wired into the pipeline.
 
-The engine owns the four shadow structures and implements the three hooks
-the pipeline calls:
+The engine owns the four shadow structures and binds them beside the
+committed levels of its memory hierarchy.  A micro-op is known by its
+sequence number, its *owner* seq:
 
-* ``sink_for(uop)`` — a :class:`ShadowFillSink` bound to the requesting
-  micro-op; every cache-line or translation fill the memory hierarchy
-  produces on behalf of that micro-op lands in shadow state tagged with
-  the micro-op's sequence number.
-* ``on_commit(uop)`` / ``on_branch_resolved(...)`` — promotion: entries
-  move into the committed structures per the active
+* an access the hierarchy makes with ``owner=seq`` reads that side's
+  shadow state and records every cache-line or translation fill it
+  produces there (``record_line`` / ``record_translation``), owned by
+  ``seq``;
+* ``on_commit(seq)`` / ``on_branch_resolved(seq)`` — promotion: the
+  owner's entries move into the committed structures per the active
   :class:`~repro.core.policy.CommitPolicy` (WFC promotes at commit, WFB
-  when the owning micro-op's older branches have all resolved).
-* ``on_squash(uop)`` — annulment: the squashed micro-op's entries vanish
-  without ever touching committed state.
+  when the owning micro-op's older branches have all resolved);
+* ``on_squash(seq, promoted)`` — annulment: the squashed micro-op's
+  entries vanish without ever touching committed state.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.policy import CommitPolicy
 from repro.core.shadow import FullPolicy, ShadowEntry, ShadowStructure
@@ -27,8 +28,9 @@ from repro.errors import ConfigError
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.paging import Translation
 
-if TYPE_CHECKING:  # pragma: no cover - circular-import guard
-    from repro.pipeline.uop import DynUop
+# One owned shadow entry: its structure, the entry, its side, and the
+# translation it carries (``None`` for a cache line), in fill order.
+_Owned = Tuple[ShadowStructure, ShadowEntry, str, Optional[Translation]]
 
 
 class SizingMode(enum.Enum):
@@ -84,36 +86,6 @@ class SafeSpecConfig:
                         f"CUSTOM sizing requires {name} >= 1, got {value}")
 
 
-class ShadowFillSink:
-    """A :class:`~repro.memory.hierarchy.FillSink` bound to one micro-op."""
-
-    __slots__ = ("_engine", "_uop")
-
-    speculative = True
-
-    def __init__(self, engine: "SafeSpecEngine", uop: "DynUop") -> None:
-        self._engine = engine
-        self._uop = uop
-
-    def lookup_line(self, side: str, line_addr: int) -> bool:
-        structure = self._engine.cache_shadow(side)
-        return structure.lookup(line_addr) is not None
-
-    def fill_line(self, side: str, line_addr: int) -> None:
-        self._engine.record_line(side, line_addr, self._uop)
-
-    def lookup_translation(self, side: str, vpn: int) -> Optional[Translation]:
-        structure = self._engine.tlb_shadow(side)
-        entry = structure.lookup(vpn)
-        if entry is None:
-            return None
-        payload = entry.payload
-        return payload if isinstance(payload, Translation) else None
-
-    def fill_translation(self, side: str, translation: Translation) -> None:
-        self._engine.record_translation(side, translation, self._uop)
-
-
 class SafeSpecEngine:
     """Owns shadow state and implements promotion/annulment."""
 
@@ -134,9 +106,11 @@ class SafeSpecEngine:
                          "shadow_dtlb"))
         (self.shadow_dcache, self.shadow_icache, self.shadow_itlb,
          self.shadow_dtlb) = self._structures
+        self._line_shadows = {"i": self.shadow_icache,
+                              "d": self.shadow_dcache}
+        self._tlb_shadows = {"i": self.shadow_itlb, "d": self.shadow_dtlb}
         # owner seq -> entries, so commit/squash are O(owner's entries)
-        self._entries_by_owner: Dict[int, List[_OwnedEntry]] = {}
-        self._now = 0
+        self._owned: Dict[int, List[_Owned]] = {}
         # Leakage bookkeeping (read by repro.verify): a squashed micro-op
         # whose shadow state was already promoted is committed-state
         # leakage from a wrong path.  WFC can never produce one; WFB can
@@ -146,6 +120,7 @@ class SafeSpecEngine:
         # The config is frozen: its per-call policy tests are bound once.
         self._wfb = config.policy is CommitPolicy.WFB
         self._block_on_full = config.full_policy is FullPolicy.BLOCK
+        hierarchy.bind_shadow(self)
 
     def _resolve_sizes(self, ldq: int, stq: int, rob: int) -> Dict[str, int]:
         mode = self.config.sizing
@@ -168,25 +143,16 @@ class SafeSpecEngine:
             "shadow_dtlb": self.config.dtlb_entries,
         }
 
-    # -- structure selection ---------------------------------------------
-
-    def cache_shadow(self, side: str) -> ShadowStructure:
-        return self.shadow_icache if side == "i" else self.shadow_dcache
-
-    def tlb_shadow(self, side: str) -> ShadowStructure:
-        return self.shadow_itlb if side == "i" else self.shadow_dtlb
-
     def all_structures(self) -> List[ShadowStructure]:
         return list(self._structures)
 
     # -- pipeline interface -------------------------------------------------
 
     def set_cycle(self, cycle: int) -> None:
-        self._now = cycle
-
-    def sink_for(self, uop: "DynUop") -> ShadowFillSink:
-        """Fill sink routing this micro-op's state into shadow."""
-        return ShadowFillSink(self, uop)
+        """Per-cycle tick from the cycle core.  The engine keeps no clock
+        of its own (occupancy advances through :meth:`sample_occupancy`);
+        the tick is where observers such as the anomaly detector hook
+        in."""
 
     def can_accept_data_access(self) -> bool:
         """BLOCK policy: whether a new data-side access may issue.
@@ -200,81 +166,82 @@ class SafeSpecEngine:
         return (self.shadow_dcache.has_space()
                 and self.shadow_dtlb.has_space())
 
-    def record_line(self, side: str, line_addr: int, uop: "DynUop") -> None:
-        structure = self.cache_shadow(side)
-        entry = structure.fill(line_addr, uop.seq, None, self._now)
+    def record_line(self, side: str, line_addr: int, owner: int) -> None:
+        """A cache-line fill lands in ``side``'s shadow cache, owned by
+        ``owner`` (lost if the structure is full)."""
+        structure = self._line_shadows[side]
+        entry = structure.fill(line_addr, owner, None)
         if entry is not None:
-            self._entries_by_owner.setdefault(uop.seq, []).append(
-                _OwnedEntry(structure, entry, side, "line"))
+            self._owned.setdefault(owner, []).append(
+                (structure, entry, side, None))
 
     def record_translation(self, side: str, translation: Translation,
-                           uop: "DynUop") -> None:
-        structure = self.tlb_shadow(side)
-        entry = structure.fill(translation.vpn, uop.seq, translation,
-                               self._now)
+                           owner: int) -> None:
+        """A walked translation lands in ``side``'s shadow TLB."""
+        structure = self._tlb_shadows[side]
+        entry = structure.fill(translation.vpn, owner, translation)
         if entry is not None:
-            self._entries_by_owner.setdefault(uop.seq, []).append(
-                _OwnedEntry(structure, entry, side, "translation"))
+            self._owned.setdefault(owner, []).append(
+                (structure, entry, side, translation))
 
     # -- promotion / annulment ----------------------------------------------
 
-    def promote(self, uop: "DynUop") -> int:
-        """Move the micro-op's shadow state into the committed structures.
+    def promote(self, seq: int) -> int:
+        """Move ``seq``'s shadow state into the committed structures, in
+        fill order.
 
         Returns the number of entries promoted.  Idempotent: WFB promotes
         when branch dependences clear, and the later commit of the same
         micro-op finds nothing left to move.
         """
-        # The flag is meaningful even when nothing has been recorded
-        # yet: WFB may promote before the micro-op has executed (no
-        # older unresolved branches), and from then on its fills are
-        # non-speculative — the core routes them straight to the
-        # committed structures (see ``Core._sink``).
-        uop.promoted = True
-        owned = self._entries_by_owner.pop(uop.seq, None)
+        owned = self._owned.pop(seq, None)
         if not owned:
             return 0
-        for item in owned:
-            if item.kind == "line":
-                self.hierarchy.install_line(item.side, item.entry.key)
+        hierarchy = self.hierarchy
+        for structure, entry, side, translation in owned:
+            if translation is None:
+                hierarchy.install_line(side, entry.key)
             else:
-                translation = item.entry.payload
-                if isinstance(translation, Translation):
-                    self.hierarchy.install_translation(item.side, translation)
-            item.structure.release_committed(item.entry)
+                hierarchy.install_translation(side, translation)
+            structure.release_committed(entry)
         self.promotions += len(owned)
         return len(owned)
 
-    def annul(self, uop: "DynUop") -> int:
-        """Discard the squashed micro-op's shadow state in place."""
-        owned = self._entries_by_owner.pop(uop.seq, None)
+    def annul(self, seq: int) -> int:
+        """Discard ``seq``'s shadow state in place; returns the count."""
+        owned = self._owned.pop(seq, None)
         if not owned:
             return 0
-        for item in owned:
-            item.structure.annul(item.entry)
+        for structure, entry, _, _ in owned:
+            structure.annul(entry)
         return len(owned)
 
-    def on_commit(self, uop: "DynUop") -> None:
+    def on_commit(self, seq: int) -> None:
         """Commit-time hook (both policies promote whatever remains)."""
-        self.promote(uop)
+        if seq in self._owned:
+            self.promote(seq)
 
-    def on_squash(self, uop: "DynUop") -> None:
+    def on_squash(self, seq: int, promoted: bool = False) -> None:
         """Squash-time hook: annul everything the micro-op produced.
 
-        Under WFB a squashed micro-op may already have been promoted
-        (its branches resolved before an older *fault* squashed it) —
-        that is exactly the WFB/Meltdown hole the paper describes, and it
-        is preserved faithfully here: promoted state stays in the caches.
+        ``promoted`` says WFB already promoted the micro-op (its branches
+        resolved before an older *fault* squashed it) — that is exactly
+        the WFB/Meltdown hole the paper describes, and it is preserved
+        faithfully here: promoted state stays in the caches, and the
+        squash is counted in ``promoted_then_squashed``.
         """
-        if uop.promoted:
+        if promoted:
             self.promoted_then_squashed += 1
-        self.annul(uop)
+        if seq in self._owned:
+            self.annul(seq)
 
-    def on_branch_resolved(self, uop: "DynUop") -> None:
-        """WFB promotion point, called by the core when a micro-op's last
-        older unresolved branch resolves correctly."""
+    def on_branch_resolved(self, seq: int) -> None:
+        """WFB promotion point, called when a micro-op's last older
+        unresolved branch resolves correctly.  From then on the caller
+        makes the micro-op's accesses unowned: its fills are
+        non-speculative and go straight to the committed structures."""
         if self._wfb:
-            self.promote(uop)
+            self.promote(seq)
 
     # -- sampling -----------------------------------------------------------
 
@@ -311,16 +278,3 @@ class SafeSpecEngine:
             "promoted_then_squashed": self.promoted_then_squashed,
         }
         return stats
-
-
-class _OwnedEntry:
-    """Bookkeeping triple: which structure, which entry, what kind."""
-
-    __slots__ = ("structure", "entry", "side", "kind")
-
-    def __init__(self, structure: ShadowStructure, entry: ShadowEntry,
-                 side: str, kind: str) -> None:
-        self.structure = structure
-        self.entry = entry
-        self.side = side
-        self.kind = kind

@@ -37,14 +37,12 @@ class FullPolicy(enum.Enum):
 class ShadowEntry:
     """One speculatively produced item (cache line or translation)."""
 
-    __slots__ = ("key", "owner_seq", "payload", "fill_cycle")
+    __slots__ = ("key", "owner_seq", "payload")
 
-    def __init__(self, key: int, owner_seq: int, payload: object,
-                 fill_cycle: int) -> None:
+    def __init__(self, key: int, owner_seq: int, payload: object) -> None:
         self.key = key
         self.owner_seq = owner_seq
         self.payload = payload
-        self.fill_cycle = fill_cycle
 
 
 class ShadowStructure:
@@ -56,8 +54,8 @@ class ShadowStructure:
     owner's entries only.
     """
 
-    __slots__ = ("name", "capacity", "full_policy", "stats", "_lookups",
-                 "_hits", "_fills", "_drops", "_blocks", "_committed",
+    __slots__ = ("name", "capacity", "full_policy", "stats",
+                 "_fills", "_drops", "_blocks", "_committed",
                  "_annulled", "_occupancy_hist", "_clock", "_occ_mark",
                  "_by_key", "_count", "_is_drop")
 
@@ -71,8 +69,6 @@ class ShadowStructure:
         self.full_policy = full_policy
         self._is_drop = full_policy is FullPolicy.DROP
         self.stats = StatRegistry(name)
-        self._lookups = self.stats.counter("lookups")
-        self._hits = self.stats.counter("hits")
         self._fills = self.stats.counter("fills")
         self._drops = self.stats.counter("drops")
         self._blocks = self.stats.counter("blocks")
@@ -85,7 +81,9 @@ class ShadowStructure:
         self._clock = [0] if clock is None else clock
         self._occ_mark = self._clock[0]
         # key -> list of entries (multiple owners may fetch the same key
-        # on diverging paths before one of them is squashed)
+        # on diverging paths before one of them is squashed).  A key is
+        # present only while it has entries: the memory hierarchy binds
+        # this dict and probes it directly.
         self._by_key: Dict[int, List[ShadowEntry]] = {}
         self._count = 0
 
@@ -119,15 +117,11 @@ class ShadowStructure:
 
     def lookup(self, key: int) -> Optional[ShadowEntry]:
         """Associative lookup by key; newest entry wins."""
-        self._lookups.value += 1
         entries = self._by_key.get(key)
-        if not entries:
-            return None
-        self._hits.value += 1
-        return entries[-1]
+        return entries[-1] if entries else None
 
-    def fill(self, key: int, owner_seq: int, payload: object,
-             cycle: int) -> Optional[ShadowEntry]:
+    def fill(self, key: int, owner_seq: int,
+             payload: object) -> Optional[ShadowEntry]:
         """Insert a new entry owned by ``owner_seq``.
 
         Returns the entry, or ``None`` when the structure is full and the
@@ -142,7 +136,7 @@ class ShadowStructure:
             else:
                 self._blocks.value += 1
             return None
-        entry = ShadowEntry(key, owner_seq, payload, cycle)
+        entry = ShadowEntry(key, owner_seq, payload)
         self._by_key.setdefault(key, []).append(entry)
         self._charge_occupancy()
         self._count += 1

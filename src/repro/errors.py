@@ -38,18 +38,3 @@ class SampleError(ReproError):
     """Sampled simulation could not produce an estimate (no measurable
     windows, or a checkpoint could not be taken at the requested point)."""
 
-
-class MemoryFault(ReproError):
-    """An architectural memory fault (raised at commit time only).
-
-    Attributes:
-        vaddr: faulting virtual address.
-        pc: program counter of the faulting instruction.
-        kind: short fault category, e.g. ``"permission"`` or ``"unmapped"``.
-    """
-
-    def __init__(self, vaddr: int, pc: int, kind: str = "permission") -> None:
-        super().__init__(f"{kind} fault at vaddr={vaddr:#x} (pc={pc:#x})")
-        self.vaddr = vaddr
-        self.pc = pc
-        self.kind = kind

@@ -13,9 +13,11 @@ Design notes mapping to the paper:
 * ``flush_line`` models ``clflush`` (paper Section IV: "with the
   availability of instructions such as clflush on x86, an attacker is able
   to evict data").
-* ``probe``/``contains`` are non-perturbing inspection used by the attack
-  receivers and by tests; ``touch`` is the timing-path access that updates
-  replacement state.
+* ``probe_set``/``contains`` are non-perturbing inspection used by the
+  attack receivers and by tests.  The timing-path lookup, which updates
+  replacement state and the hit/miss counters, is the memory hierarchy's
+  walk over its levels' bound sets
+  (:attr:`~repro.memory.hierarchy.MemoryHierarchy.levels`).
 """
 
 from __future__ import annotations
@@ -128,23 +130,7 @@ class Cache:
         """Set index selected by ``addr``."""
         return (addr >> self._set_shift) & self._set_mask
 
-    # -- timing-path operations ------------------------------------------
-
-    def touch(self, addr: int) -> bool:
-        """Look up ``addr``; update LRU on hit.  Returns hit/miss.
-
-        This is the normal access path: it perturbs replacement state and
-        counts into hit/miss statistics.  It does *not* fill on miss — the
-        hierarchy (or SafeSpec) decides where fills go.
-        """
-        line = addr & self._line_mask
-        cache_set = self._sets[(addr >> self._set_shift) & self._set_mask]
-        if line in cache_set:
-            cache_set.move_to_end(line)
-            self._hits.value += 1
-            return True
-        self._misses.value += 1
-        return False
+    # -- installation -----------------------------------------------------
 
     def fill(self, addr: int) -> Optional[int]:
         """Install the line containing ``addr``.
@@ -165,18 +151,6 @@ class Cache:
             self._evictions.value += 1
         cache_set[line] = True
         return victim
-
-    def refresh(self, addr: int) -> bool:
-        """Refresh LRU recency of the line *if present* — no installation,
-        no statistics (commit-time recency restoration).  Returns whether
-        the line was present, so callers can fold a presence check and
-        the recency update into one operation."""
-        line = addr & self._line_mask
-        cache_set = self._sets[(addr >> self._set_shift) & self._set_mask]
-        if line in cache_set:
-            cache_set.move_to_end(line)
-            return True
-        return False
 
     # -- non-perturbing inspection ----------------------------------------
 

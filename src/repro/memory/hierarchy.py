@@ -1,18 +1,25 @@
 """The full memory hierarchy: L1I/L1D, unified L2/L3, TLBs, page walker.
 
-Accesses flow through a :class:`FillSink`, which decides where
-micro-architectural state produced by the access lands:
+Every access names an *owner*, which decides where the
+micro-architectural state it produces lands:
 
-* :class:`DirectFillSink` — the baseline processor: fills go straight into
-  the real caches/TLBs at access time (the leaky behaviour Spectre and
-  Meltdown exploit).
-* ``ShadowFillSink`` (in :mod:`repro.core.safespec`) — SafeSpec: fills are
-  redirected into shadow structures and real state is *only inspected*,
-  never perturbed (not even replacement/LRU state, per Section IV-A of the
-  paper: "not even the cache replacement algorithm state is affected").
+* ``None`` — the baseline processor (and any micro-op SafeSpec has
+  already promoted): lookups update replacement state and fills go
+  straight into the committed caches/TLBs at access time (the leaky
+  behaviour Spectre and Meltdown exploit).
+* a micro-op sequence number — SafeSpec: lookups check that side's
+  shadow structure first and only *inspect* committed state, never
+  perturbing it (not even replacement/LRU state, per Section IV-A of
+  the paper: "not even the cache replacement algorithm state is
+  affected"); fills land in the shadow structure, owned by that
+  sequence number, for the engine to promote or annul.
+
+The shadow d-/i-cache and d-/i-TLB are bound per side beside the
+committed levels when a :class:`~repro.core.safespec.SafeSpecEngine`
+is built on the hierarchy.
 
 The page walker issues one dependent access per page-table level through
-the *data-cache path* using the same sink, mirroring the paper's
+the *data-cache path* with the same owner, mirroring the paper's
 observation that "the page walker uses the load-store queue for these
 accesses, and the protection introduced for the data caches ends up
 protecting these structures as well".
@@ -22,7 +29,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Protocol, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.memory.cache import Cache, CacheConfig
@@ -32,57 +39,12 @@ from repro.memory.paging import (PAGE_SHIFT, PAGE_SIZE, PageTable,
 from repro.memory.tlb import TLB, TLBConfig
 from repro.statistics import Counter, StatRegistry
 
+if TYPE_CHECKING:  # pragma: no cover - circular-import guard
+    from repro.core.safespec import SafeSpecEngine
+
 # Physical region where synthetic page-table entries live; one 8-byte entry
 # per (level, vpn).  Chosen far above any address the workloads touch.
 PAGE_TABLE_BASE = 0x4000_0000_0000
-
-
-class FillSink(Protocol):
-    """Receiver for micro-architectural state produced by an access.
-
-    ``side`` is ``"i"`` or ``"d"``.  Implementations return ``True`` from
-    the lookup methods when they can satisfy the request from their own
-    (shadow) state.
-    """
-
-    speculative: bool
-
-    def lookup_line(self, side: str, line_addr: int) -> bool:
-        """Whether the sink holds the cache line (shadow hit)."""
-        ...
-
-    def fill_line(self, side: str, line_addr: int) -> None:
-        """Accept a newly fetched cache line."""
-        ...
-
-    def lookup_translation(self, side: str, vpn: int) -> Optional[Translation]:
-        """Return a shadow-held translation for ``vpn``, if any."""
-        ...
-
-    def fill_translation(self, side: str, translation: Translation) -> None:
-        """Accept a newly walked translation."""
-        ...
-
-
-class DirectFillSink:
-    """Baseline sink: all state goes directly into the real structures."""
-
-    speculative = False
-
-    def __init__(self, hierarchy: "MemoryHierarchy") -> None:
-        self._hierarchy = hierarchy
-
-    def lookup_line(self, side: str, line_addr: int) -> bool:
-        return False
-
-    def fill_line(self, side: str, line_addr: int) -> None:
-        self._hierarchy.install_line(side, line_addr)
-
-    def lookup_translation(self, side: str, vpn: int) -> Optional[Translation]:
-        return None
-
-    def fill_translation(self, side: str, translation: Translation) -> None:
-        self._hierarchy.install_translation(side, translation)
 
 
 @dataclass(slots=True)
@@ -99,10 +61,6 @@ class AccessResult:
     walk_latency: int = 0
     filled: bool = False               # a new line was produced by this access
 
-    @property
-    def cache_hit(self) -> bool:
-        return self.hit_level in ("shadow", "L1")
-
 
 # One committed cache level as the hierarchy's hot paths see it: its
 # name, the Cache's own set-index -> LRU-ordered-lines dict, set mask,
@@ -113,6 +71,16 @@ CacheLevel = Tuple[str, Dict[int, Dict[int, bool]], int, Counter, Counter]
 
 def _cache_level(name: str, cache: Cache) -> CacheLevel:
     return (name, cache._sets, cache._set_mask, cache._hits, cache._misses)
+
+
+# The same level as installation sees it (``Cache.fill``, unrolled): its
+# sets, set mask, associativity, and fill and eviction counters.
+FillLevel = Tuple[Dict[int, Dict[int, bool]], int, int, Counter, Counter]
+
+
+def _fill_level(cache: Cache) -> FillLevel:
+    return (cache._sets, cache._set_mask, cache._associativity,
+            cache._fills, cache._evictions)
 
 
 class _BySide(dict):
@@ -175,23 +143,34 @@ class MemoryHierarchy:
         self.dtlb = TLB(self.config.dtlb)
         self.stats = StatRegistry("hierarchy")
         self._walks = self.stats.counter("page_walks")
-        # A proxy, not the hierarchy itself: a sink → hierarchy strong
-        # reference would make every hierarchy cyclic garbage.
-        self._direct_sink = DirectFillSink(weakref.proxy(self))
+        self._page_walk_lines: Dict[int, Tuple[int, ...]] = {}
         # The raw cache layout, bound once.  Each side reaches L1(side),
         # L2 and L3, in that order; every level shares one line size
         # (HierarchyConfig checks it), so one line mask and set shift
-        # index them all.  Presence checks, recency refreshes and the
-        # baseline lookup walk these tuples instead of calling Cache
-        # methods level by level, and the fast backend indexes the same
-        # dicts.  Sets and counters are mutated in place, never rebound.
-        self._l1 = _BySide(i=self.l1i, d=self.l1d)
+        # index them all.  Presence checks, recency refreshes, the
+        # baseline lookup and installation walk these tuples instead of
+        # calling Cache methods level by level, and the fast backend
+        # indexes the same dicts.  Sets and counters are mutated in
+        # place, never rebound.
         self.line_mask = self.l1d._line_mask
         self.set_shift = self.l1d._set_shift
         l2 = _cache_level("L2", self.l2)
         l3 = _cache_level("L3", self.l3)
         self.levels = _BySide(i=(_cache_level("L1", self.l1i), l2, l3),
                               d=(_cache_level("L1", self.l1d), l2, l3))
+        self._fill_levels = _BySide(
+            (side, (_fill_level(l1), _fill_level(self.l2),
+                    _fill_level(self.l3)))
+            for side, l1 in (("i", self.l1i), ("d", self.l1d)))
+        # Shadow state beside the committed levels, bound by
+        # :meth:`bind_shadow`: per side, the shadow cache's and shadow
+        # TLB's key -> entries dicts.  Owned fills are recorded through
+        # the engine, held by a proxy: an engine -> hierarchy ->
+        # engine strong cycle would leave every machine to the cycle
+        # collector.
+        self._engine: Optional["SafeSpecEngine"] = None
+        self._shadow_lines: Optional[_BySide] = None
+        self._shadow_tlbs: Optional[_BySide] = None
         # Hit latency by level name, per side.  Shadow hits are charged
         # the L1 hit latency of their side, the paper's conservative
         # assumption (Section VI-A).
@@ -213,20 +192,34 @@ class MemoryHierarchy:
     def _tlb(self, side: str) -> TLB:
         return self.itlb if side == "i" else self.dtlb
 
-    def default_sink(self) -> DirectFillSink:
-        """The baseline (leaky) fill sink."""
-        return self._direct_sink
+    def bind_shadow(self, engine: "SafeSpecEngine") -> None:
+        """Route owned accesses through ``engine``'s shadow structures."""
+        self._engine = weakref.proxy(engine)
+        self._shadow_lines = _BySide(i=engine.shadow_icache._by_key,
+                                     d=engine.shadow_dcache._by_key)
+        self._shadow_tlbs = _BySide(i=engine.shadow_itlb._by_key,
+                                    d=engine.shadow_dtlb._by_key)
 
     # ------------------------------------------------------------------
-    # committed-state installation (used by the direct sink and by the
-    # SafeSpec engine when shadow state commits)
+    # committed-state installation (unowned fills, and the SafeSpec
+    # engine when shadow state commits)
     # ------------------------------------------------------------------
 
     def install_line(self, side: str, line_addr: int) -> None:
-        """Install a line into L1(side) + L2 + L3 (inclusive hierarchy)."""
-        self._l1[side].fill(line_addr)
-        self.l2.fill(line_addr)
-        self.l3.fill(line_addr)
+        """Install a line into L1(side) + L2 + L3 (inclusive hierarchy);
+        a line already present only moves to MRU."""
+        line = line_addr & self.line_mask
+        index = line >> self.set_shift
+        for sets, set_mask, ways, fills, evictions in self._fill_levels[side]:
+            cache_set = sets[index & set_mask]
+            if line in cache_set:
+                cache_set.move_to_end(line)
+                continue
+            fills.value += 1
+            if len(cache_set) >= ways:
+                cache_set.popitem(last=False)
+                evictions.value += 1
+            cache_set[line] = True
 
     def install_translation(self, side: str, translation: Translation) -> None:
         """Install a translation into the real TLB."""
@@ -241,7 +234,7 @@ class MemoryHierarchy:
         never *installs*: an entry whose shadow fill was dropped stays
         lost, as the paper specifies for full shadow structures.
         """
-        self._tlb(side).refresh(vaddr >> PAGE_SHIFT)
+        (self.itlb if side == "i" else self.dtlb).refresh(vaddr >> PAGE_SHIFT)
 
     def refresh_line_recency(self, side: str, addr: int) -> None:
         """Refresh cache LRU recency of the line holding ``addr`` in
@@ -291,52 +284,68 @@ class MemoryHierarchy:
     # page walking
     # ------------------------------------------------------------------
 
-    def _walk_lines(self, vaddr: int) -> List[int]:
+    def _walk_lines(self, vaddr: int) -> Tuple[int, ...]:
         """Lines of the page-table entries a walk for ``vaddr`` reads,
         one per walk level.  Each entry has a synthetic physical address
         per (walk level, vpn), which gives walker accesses realistic
-        locality."""
+        locality.  A page's lines are computed once: its walk and every
+        commit-time refresh of that walk read them."""
         vpn = vaddr >> PAGE_SHIFT
-        line_mask = self.line_mask
-        return [(PAGE_TABLE_BASE + (level << 36) + (vpn >> (9 * level)) * 8)
-                & line_mask for level in range(self.page_table.walk_levels)]
+        lines = self._page_walk_lines.get(vpn)
+        if lines is None:
+            line_mask = self.line_mask
+            lines = self._page_walk_lines[vpn] = tuple(
+                (PAGE_TABLE_BASE + (level << 36) + (vpn >> (9 * level)) * 8)
+                & line_mask for level in range(self.page_table.walk_levels))
+        return lines
 
-    def _walk(self, side: str, vaddr: int, sink: FillSink,
+    def _walk(self, side: str, vaddr: int, owner: Optional[int],
               result: AccessResult) -> Optional[Translation]:
         """Walk the page table, charging one d-cache-path access per level.
 
-        Page-table lines fill through the *sink* (shadowed under SafeSpec).
-        Returns the translation, or None when the page is unmapped (the
-        walk still costs its full latency in that case).
+        Page-table lines fill as the access's own fills do (into shadow
+        state under SafeSpec).  Returns the translation, or None when
+        the page is unmapped (the walk still costs its full latency in
+        that case).
         """
         self._walks.increment()
         latency = self._latency["d"]
         walk_latency = 0
         for line in self._walk_lines(vaddr):
-            level_name = self._lookup_line_level("d", line, sink)
+            level_name = self._lookup_line_level("d", line, owner)
             walk_latency += latency[level_name]
             if level_name == "MEM":
-                sink.fill_line("d", line)
+                if owner is None:
+                    self.install_line("d", line)
+                else:
+                    self._engine.record_line("d", line, owner)
         result.walk_latency = walk_latency
         translation = self.page_table.lookup(vaddr)
         if translation is not None:
-            sink.fill_translation(side, translation)
+            if owner is None:
+                self.install_translation(side, translation)
+            else:
+                self._engine.record_translation(side, translation, owner)
         return translation
 
     def _lookup_line_level(self, side: str, line_addr: int,
-                           sink: FillSink) -> str:
-        """Where a line currently lives, honouring the sink's shadow state.
+                           owner: Optional[int]) -> str:
+        """Where a line currently lives, shadow state included when the
+        access is owned.
 
-        Speculative sinks must not perturb real replacement state, so the
-        committed levels are checked with non-perturbing ``contains``;
-        the baseline sink uses the normal ``touch`` path.
+        An owned (speculative) lookup must not perturb real replacement
+        state, so it only inspects the committed levels (as
+        :meth:`committed_hit_level` does); an unowned one updates LRU
+        order and the hit/miss counters level by level.
         """
-        if sink.lookup_line(side, line_addr):
-            return "shadow"
-        if sink.speculative:
-            return self.committed_hit_level(side, line_addr) or "MEM"
-        # Cache.touch, level by level: LRU update and hit/miss counts.
         index = line_addr >> self.set_shift
+        if owner is not None:
+            if line_addr in self._shadow_lines[side]:
+                return "shadow"
+            for name, sets, set_mask, _, _ in self.levels[side]:
+                if line_addr in sets.get(index & set_mask, ()):
+                    return name
+            return "MEM"
         for name, sets, set_mask, hits, misses in self.levels[side]:
             cache_set = sets[index & set_mask]
             if line_addr in cache_set:
@@ -350,29 +359,25 @@ class MemoryHierarchy:
     # translation (shared by data and instruction paths)
     # ------------------------------------------------------------------
 
-    def translate(self, side: str, vaddr: int, sink: FillSink,
+    def translate(self, side: str, vaddr: int, owner: Optional[int],
                   result: AccessResult) -> Optional[Translation]:
-        """TLB lookup, walking on a miss.  Latency accrues into ``result``."""
+        """TLB lookup, walking on a miss.  Latency accrues into ``result``.
+
+        An owned lookup checks the shadow TLB (newest entry wins), then
+        peeks the committed TLB without touching its recency.
+        """
         vpn = vaddr >> PAGE_SHIFT
-        tlb = self._tlb(side)
-        shadow_entry = sink.lookup_translation(side, vpn)
-        if shadow_entry is not None:
+        tlb = self.itlb if side == "i" else self.dtlb
+        if owner is None:
+            entry = tlb.lookup(vpn)
+        else:
+            shadowed = self._shadow_tlbs[side].get(vpn)
+            entry = shadowed[-1].payload if shadowed else tlb.peek(vpn)
+        if entry is not None:
             result.latency += tlb.config.hit_latency
             result.tlb_hit = True
-            return shadow_entry
-        if sink.speculative:
-            entry = tlb.peek(vpn)
-            if entry is not None:
-                result.latency += tlb.config.hit_latency
-                result.tlb_hit = True
-                return entry
-        else:
-            entry = tlb.lookup(vpn)
-            if entry is not None:
-                result.latency += tlb.config.hit_latency
-                result.tlb_hit = True
-                return entry
-        translation = self._walk(side, vaddr, sink, result)
+            return entry
+        translation = self._walk(side, vaddr, owner, result)
         result.latency += result.walk_latency
         return translation
 
@@ -382,16 +387,17 @@ class MemoryHierarchy:
 
     def data_access(self, vaddr: int, *, is_write: bool,
                     privilege: PrivilegeLevel,
-                    sink: Optional[FillSink] = None) -> AccessResult:
+                    owner: Optional[int] = None) -> AccessResult:
         """One data-side access: translate + cache lookup + fill-on-miss.
 
+        ``owner`` is ``None`` for a committed-state access, or the
+        sequence number whose shadow state the access reads and fills.
         Permission violations do NOT abort the access (paper property P1):
         the data path completes, caches/TLBs are affected, and the fault is
         reported in ``result.fault`` for the pipeline to raise at commit.
         """
-        sink = sink or self._direct_sink
         result = AccessResult(latency=0)
-        translation = self.translate("d", vaddr, sink, result)
+        translation = self.translate("d", vaddr, owner, result)
         if translation is None:
             result.fault = "unmapped"
             result.hit_level = "MEM"
@@ -404,26 +410,30 @@ class MemoryHierarchy:
         result.paddr = paddr
         line = paddr & self.line_mask
         result.line_addr = line
-        level = self._lookup_line_level("d", line, sink)
+        level = self._lookup_line_level("d", line, owner)
         result.hit_level = level
         result.latency += self._latency["d"][level]
-        if level == "MEM" or (sink.speculative and level in ("L2", "L3")):
-            # A miss (or, speculatively, a line that would be promoted into
-            # L1) produces new L1-visible state: route it through the sink.
-            sink.fill_line("d", line)
-            result.filled = True
-        elif level in ("L2", "L3"):
-            # Baseline promotion into L1 on an inner-level hit.
-            self.l1d.fill(line)
+        if owner is None:
+            if level == "MEM":
+                self.install_line("d", line)
+                result.filled = True
+            elif level == "L2" or level == "L3":
+                # Baseline promotion into L1 on an inner-level hit.
+                self.l1d.fill(line)
+                result.filled = True
+        elif level != "L1" and level != "shadow":
+            # A miss, or a line that would be promoted into L1, produces
+            # new L1-visible state: it lands in the owner's shadow.
+            self._engine.record_line("d", line, owner)
             result.filled = True
         return result
 
     def fetch_access(self, vaddr: int, *, privilege: PrivilegeLevel,
-                     sink: Optional[FillSink] = None) -> AccessResult:
-        """One instruction-fetch access (iTLB + L1I path)."""
-        sink = sink or self._direct_sink
+                     owner: Optional[int] = None) -> AccessResult:
+        """One instruction-fetch access (iTLB + L1I path); ``owner`` as
+        for :meth:`data_access`."""
         result = AccessResult(latency=0)
-        translation = self.translate("i", vaddr, sink, result)
+        translation = self.translate("i", vaddr, owner, result)
         if translation is None:
             result.fault = "unmapped"
             result.hit_level = "MEM"
@@ -436,14 +446,18 @@ class MemoryHierarchy:
         result.paddr = paddr
         line = paddr & self.line_mask
         result.line_addr = line
-        level = self._lookup_line_level("i", line, sink)
+        level = self._lookup_line_level("i", line, owner)
         result.hit_level = level
         result.latency += self._latency["i"][level]
-        if level == "MEM" or (sink.speculative and level in ("L2", "L3")):
-            sink.fill_line("i", line)
-            result.filled = True
-        elif level in ("L2", "L3"):
-            self.l1i.fill(line)
+        if owner is None:
+            if level == "MEM":
+                self.install_line("i", line)
+                result.filled = True
+            elif level == "L2" or level == "L3":
+                self.l1i.fill(line)
+                result.filled = True
+        elif level != "L1" and level != "shadow":
+            self._engine.record_line("i", line, owner)
             result.filled = True
         return result
 

@@ -17,8 +17,9 @@ modelled faithfully:
   preserving the mistraining/poisoning surface of Spectre v1/v2.
 
 Commit policies (:class:`~repro.core.policy.CommitPolicy`) select where
-speculative fills go: directly into the hierarchy (BASELINE) or into the
-SafeSpec shadow structures (WFB/WFC), with promotion timing per policy.
+speculative fills go: directly into the hierarchy (BASELINE) or, with
+the micro-op's sequence number as the access's owner, into the SafeSpec
+shadow structures (WFB/WFC), with promotion timing per policy.
 """
 
 from __future__ import annotations
@@ -384,10 +385,12 @@ class Core:
         uop.state = COMMITTED
         self._last_commit_cycle = self.cycle
         is_mem = uop.is_load or uop.is_store
-        engine = self.engine
-        # Only a fetch-line leader or a memory access has recency to
-        # restore.
-        if engine is not None and (is_mem or uop.ifetch_line >= 0):
+        # Only a fetch-line leader or a memory access made owned
+        # accesses: it alone has recency to restore and shadow state to
+        # promote.
+        accessed = self.engine is not None and (is_mem
+                                                or uop.ifetch_line >= 0)
+        if accessed:
             self._refresh_recency(uop)
         inst = uop.inst
         if inst.writes_register:
@@ -401,8 +404,8 @@ class Core:
             self.hierarchy.commit_store(uop.paddr, uop.store_value or 0)
         elif uop.opcode is _CLFLUSH:
             self._commit_clflush(uop)
-        if engine is not None:
-            engine.on_commit(uop)
+        if accessed:
+            self.engine.on_commit(uop.seq)
         if is_mem:
             self.lsq.remove(uop)
         self._committed += 1
@@ -534,7 +537,7 @@ class Core:
                             self.iq.wake(waiter)
                 uop.waiters.clear()
             if wfb and not uop.branch_deps:
-                self.engine.on_branch_resolved(uop)
+                self._promote_branch_free(uop)
             if self._mem_dep_spec and uop.is_store \
                     and uop.vaddr is not None:
                 self._check_memory_order(uop)
@@ -598,7 +601,14 @@ class Core:
                 continue
             uop.branch_deps.discard(branch.seq)
             if not uop.branch_deps:
-                self.engine.on_branch_resolved(uop)
+                self._promote_branch_free(uop)
+
+    def _promote_branch_free(self, uop: DynUop) -> None:
+        """WFB: ``uop`` has no unresolved older branch left.  Its shadow
+        state is promoted, and from now on its accesses are unowned
+        (see :meth:`_owner`)."""
+        uop.promoted = True
+        self.engine.on_branch_resolved(uop.seq)
 
     # ------------------------------------------------------------------
     # squash machinery
@@ -607,7 +617,7 @@ class Core:
     def _discard_uop(self, uop: DynUop) -> None:
         self._n_squashed += 1
         if self.engine:
-            self.engine.on_squash(uop)
+            self.engine.on_squash(uop.seq, uop.promoted)
         # Unlink squashed producer/consumer pairs, which would otherwise
         # leave reference cycles for the collector.
         uop.waiters.clear()
@@ -701,16 +711,18 @@ class Core:
             return True
         return self.engine.can_accept_data_access()
 
-    def _sink(self, uop: DynUop):
+    def _owner(self, uop: DynUop) -> Optional[int]:
+        """The owner of ``uop``'s accesses: its seq, so its fills land in
+        shadow state — or ``None`` without an engine, or once WFB has
+        promoted it (every older branch resolved, or none to begin
+        with).  A promoted micro-op is past the shadow: its fills are
+        non-speculative and go straight to the committed structures.
+        This is the paper's WFB hole — non-branch speculation (faults,
+        memory-order violations) squashes state WFB has already
+        released."""
         if self.engine is None or uop.promoted:
-            # A WFB-promoted micro-op (every older branch resolved, or
-            # none to begin with) is past the shadow: its fills are
-            # non-speculative and go straight to the committed
-            # structures.  This is the paper's WFB hole — non-branch
-            # speculation (faults, memory-order violations) squashes
-            # state WFB has already released.
-            return self.hierarchy.default_sink()
-        return self.engine.sink_for(uop)
+            return None
+        return uop.seq
 
     def _execute(self, uop: DynUop) -> None:
         self.iq.remove(uop)
@@ -774,7 +786,7 @@ class Core:
             return True
         result = self.hierarchy.data_access(
             uop.vaddr, is_write=False, privilege=self.privilege,
-            sink=self._sink(uop))
+            owner=self._owner(uop))
         self._record_data_access(result)
         uop.hit_level = result.hit_level
         uop.fault = result.fault
@@ -795,7 +807,7 @@ class Core:
         uop.store_value = uop.source_value(uop.inst.rs2)
         result = AccessResult(latency=0)
         translation = self.hierarchy.translate(
-            "d", uop.vaddr, self._sink(uop), result)
+            "d", uop.vaddr, self._owner(uop), result)
         uop.dwalked = not result.tlb_hit
         if translation is None:
             uop.fault = "unmapped"
@@ -893,7 +905,7 @@ class Core:
             deps.discard(uop.seq)
             uop.branch_deps = deps
             if not deps:
-                self.engine.on_branch_resolved(uop)
+                self._promote_branch_free(uop)
 
     # ------------------------------------------------------------------
     # fetch
@@ -945,7 +957,7 @@ class Core:
             return False
         self._last_fetch_line = line
         result = self.hierarchy.fetch_access(
-            uop.pc, privilege=self.privilege, sink=self._sink(uop))
+            uop.pc, privilege=self.privilege, owner=self._owner(uop))
         uop.ifetch_level = result.hit_level
         uop.ifetch_line = line
         uop.iwalked = not result.tlb_hit

@@ -1,13 +1,34 @@
-"""Unit tests for the set-associative cache model."""
+"""Unit tests for the set-associative cache model.
+
+A cache's timing-path lookup (LRU update, hit/miss counts) is the
+memory hierarchy's walk over its levels; those tests put the small
+cache under test in a hierarchy's L1D and look up through the walk.
+"""
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.memory.cache import Cache, CacheConfig
+from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.memory.paging import PageTable
 
 
 def small_cache(assoc=2, sets=4, line=64):
     return Cache(CacheConfig("test", sets * assoc * line, assoc, line, 4))
+
+
+def small_l1d(assoc=2, sets=4):
+    """A hierarchy whose L1D is a small cache; returns (hierarchy, L1D)."""
+    config = HierarchyConfig(
+        l1d=CacheConfig("test", sets * assoc * 64, assoc, 64, 4))
+    hierarchy = MemoryHierarchy(config, page_table=PageTable())
+    return hierarchy, hierarchy.l1d
+
+
+def touch(hierarchy, addr):
+    """An unowned (committed-path) lookup; True on an L1D hit."""
+    line = addr & hierarchy.line_mask
+    return hierarchy._lookup_line_level("d", line, None) == "L1"
 
 
 class TestCacheConfig:
@@ -45,20 +66,21 @@ class TestAddressHelpers:
 
 class TestHitMissFill:
     def test_cold_miss(self):
-        cache = small_cache()
-        assert not cache.touch(0x1000)
+        hierarchy, cache = small_l1d()
+        assert not touch(hierarchy, 0x1000)
         assert cache.misses == 1
 
     def test_fill_then_hit(self):
-        cache = small_cache()
+        hierarchy, cache = small_l1d()
         cache.fill(0x1000)
-        assert cache.touch(0x1000)
+        assert touch(hierarchy, 0x1000)
         assert cache.hits == 1
 
     def test_fill_is_line_granular(self):
-        cache = small_cache()
+        hierarchy, cache = small_l1d()
         cache.fill(0x1000)
-        assert cache.touch(0x1030)  # same 64B line
+        assert touch(hierarchy, 0x1030)  # same 64B line
+        assert cache.contains(0x1030)
 
     def test_contains_does_not_count(self):
         cache = small_cache()
@@ -67,10 +89,10 @@ class TestHitMissFill:
         assert cache.accesses == 0
 
     def test_miss_rate(self):
-        cache = small_cache()
-        cache.touch(0x1000)
+        hierarchy, cache = small_l1d()
+        touch(hierarchy, 0x1000)
         cache.fill(0x1000)
-        cache.touch(0x1000)
+        touch(hierarchy, 0x1000)
         assert cache.miss_rate() == pytest.approx(0.5)
 
     def test_empty_miss_rate(self):
@@ -79,10 +101,10 @@ class TestHitMissFill:
 
 class TestLru:
     def test_eviction_order_is_lru(self):
-        cache = small_cache(assoc=2, sets=1, line=64)
+        hierarchy, cache = small_l1d(assoc=2, sets=1)
         cache.fill(0 * 64)
         cache.fill(1 * 64)
-        cache.touch(0 * 64)          # 0 becomes MRU
+        touch(hierarchy, 0 * 64)     # 0 becomes MRU
         victim = cache.fill(2 * 64)  # evicts 1
         assert victim == 1 * 64
         assert cache.contains(0)
@@ -97,11 +119,11 @@ class TestLru:
         assert victim == 64
 
     def test_probe_set_lru_order(self):
-        cache = small_cache(assoc=2, sets=1)
+        hierarchy, cache = small_l1d(assoc=2, sets=1)
         cache.fill(0)
         cache.fill(64)
         assert cache.probe_set(0) == (0, 64)
-        cache.touch(0)
+        touch(hierarchy, 0)
         assert cache.probe_set(0) == (64, 0)
 
 
@@ -185,7 +207,7 @@ class TestLazySets:
         cache = small_cache(assoc=2, sets=4)
         for addr in (0x000, 0x100, 0x040):
             cache.fill(addr)
-        cache.touch(0x000)
+        cache.fill(0x000)            # present: only moves to MRU
         dump = cache.snapshot()
         other = small_cache(assoc=2, sets=4)
         other.fill(0x0C0)

@@ -296,10 +296,11 @@ class TestSlotsPickling:
     def test_cache_and_tlb_round_trip(self):
         cache = Cache(CacheConfig("t", 1024, 2, 64, 1))
         cache.fill(0x40)
-        cache.touch(0x40)
+        cache.fill(0x80)
         clone = pickle.loads(pickle.dumps(cache))
         assert clone.contains(0x40)
-        assert clone.hits == cache.hits
+        assert clone.probe_set(0x40) == cache.probe_set(0x40)
+        assert clone.stats.as_dict() == cache.stats.as_dict()
         tlb = TLB(TLBConfig("t", 4))
         clone_tlb = pickle.loads(pickle.dumps(tlb))
         assert clone_tlb.occupancy() == 0

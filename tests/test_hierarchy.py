@@ -138,14 +138,13 @@ class TestPerSideL1Latency:
         assert split.level_latency("shadow", "i") == 2
 
     def test_shadow_i_hit_costs_l1i_latency(self, split):
-        from types import SimpleNamespace
         from repro.core.safespec import SafeSpecConfig, SafeSpecEngine
+        # The hierarchy holds its engine weakly: keep it alive here.
         engine = SafeSpecEngine(SafeSpecConfig(), split)
-        owner = SimpleNamespace(seq=1, promoted=False)
-        split.fetch_access(0x1000, privilege=PrivilegeLevel.USER,
-                           sink=engine.sink_for(owner))
+        split.fetch_access(0x1000, privilege=PrivilegeLevel.USER, owner=1)
         result = split.fetch_access(0x1000, privilege=PrivilegeLevel.USER,
-                                    sink=engine.sink_for(owner))
+                                    owner=1)
+        assert engine.shadow_icache.occupancy() == 1
         assert result.hit_level == "shadow"
         assert result.latency == split.config.itlb.hit_latency + 2
 

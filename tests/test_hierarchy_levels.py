@@ -1,13 +1,15 @@
-"""The hierarchy's bound level tuples against a Cache-method reference.
+"""The hierarchy's bound level tuples against a per-cache reference.
 
 :class:`MemoryHierarchy` walks L1(side)/L2/L3 through the per-set dicts
-it binds once (``MemoryHierarchy.levels``) instead of calling the
+it binds once (``MemoryHierarchy.levels``) instead of calling
 :class:`Cache` methods level by level.  Here two hierarchies of one
 geometry see the same fills, touches and flushes; on one every query
-runs through the hierarchy, on the other through a reference written
-with ``Cache.contains``/``Cache.refresh``/``Cache.touch``.  Every
-answer must agree, and so must the hit/miss counters and the contents
-(``Cache.snapshot()``, LRU order included) at the end.
+and installation runs through the hierarchy, on the other through a
+reference that goes one cache at a time: ``Cache.contains`` and
+``Cache.fill``, plus the per-cache lookup and recency refresh below
+(the reference model; ``Cache`` itself has no such methods).  Every
+answer must agree, and so must the hit/miss/fill/eviction counters and
+the contents (``Cache.snapshot()``, LRU order included) at the end.
 
 Geometries: the default (Table II), ``little-core``, whose levels have
 64/512/2048 sets, and the default with an L1I hit latency that differs
@@ -19,6 +21,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.safespec import SafeSpecConfig, SafeSpecEngine
 from repro.memory.hierarchy import (PAGE_TABLE_BASE, HierarchyConfig,
                                     MemoryHierarchy)
 from repro.memory.paging import PAGE_SHIFT, PAGE_SIZE, PageTable
@@ -62,21 +65,35 @@ ops = st.one_of(
 )
 
 
-class _EmptyShadow:
-    """A speculative sink holding nothing: lookups see committed state
-    without perturbing it."""
-
-    speculative = True
-
-    def lookup_line(self, side, line_addr):
-        return False
-
-
 def _pair(config):
+    """The hierarchy under test, with an engine whose shadow structures
+    stay empty (an owned lookup sees committed state without perturbing
+    it), and the reference hierarchy."""
     table = PageTable()
     table.map_range(0, MAPPED_BYTES)
-    return (MemoryHierarchy(config, page_table=table),
-            MemoryHierarchy(config, page_table=table))
+    hierarchy = MemoryHierarchy(config, page_table=table)
+    engine = SafeSpecEngine(SafeSpecConfig(), hierarchy)
+    return hierarchy, MemoryHierarchy(config, page_table=table), engine
+
+
+def _touch(cache, addr):
+    """Timing-path lookup of one cache: LRU update and hit/miss count."""
+    line = cache.line_address(addr)
+    cache_set = cache._sets[cache.set_index(addr)]
+    if line in cache_set:
+        cache_set.move_to_end(line)
+        cache._hits.value += 1
+        return True
+    cache._misses.value += 1
+    return False
+
+
+def _refresh(cache, addr):
+    """Move the line holding ``addr`` to MRU if present; no counts."""
+    cache_set = cache._sets.get(cache.set_index(addr), {})
+    line = cache.line_address(addr)
+    if line in cache_set:
+        cache_set.move_to_end(line)
 
 
 def _side_levels(hierarchy, side):
@@ -100,12 +117,17 @@ def _ref_hit_level(hierarchy, side, paddr):
 
 def _ref_refresh(hierarchy, side, addr):
     for _, cache in _side_levels(hierarchy, side):
-        cache.refresh(addr)
+        _refresh(cache, addr)
+
+
+def _ref_install(hierarchy, side, line):
+    for _, cache in _side_levels(hierarchy, side):
+        cache.fill(line)
 
 
 def _ref_lookup(hierarchy, side, line):
     for name, cache in _side_levels(hierarchy, side):
-        if cache.touch(line):
+        if _touch(cache, line):
             return name
     return "MEM"
 
@@ -133,9 +155,10 @@ def _ref_probe(hierarchy, side, vaddr):
 
 
 def _contents(hierarchy):
-    return {name: (getattr(hierarchy, name).snapshot(),
-                   getattr(hierarchy, name).hits,
-                   getattr(hierarchy, name).misses) for name in LEVELS}
+    return {name: (cache.snapshot(), cache.hits, cache.misses,
+                   cache.stats.as_dict())
+            for name, cache in ((name, getattr(hierarchy, name))
+                                for name in LEVELS)}
 
 
 @pytest.mark.parametrize("config", list(CONFIGS.values()), ids=list(CONFIGS))
@@ -143,33 +166,37 @@ def _contents(hierarchy):
 @given(st.permutations(_LINES), st.lists(vaddrs, min_size=1, max_size=12),
        st.lists(ops, min_size=10, max_size=50))
 def test_bound_levels_match_cache_methods(config, warm, walked, program):
-    hierarchy, reference = _pair(config)
+    hierarchy, reference, _engine = _pair(config)
     # Warm start: every set of every level holds several lines, in a
     # drawn LRU order, and so do the page-table lines of a few walks, so
     # each refresh or lookup below has an order to keep or to break.
     for index, line in enumerate(warm):
-        for h in (hierarchy, reference):
-            h.install_line("id"[index % 2], line)
+        hierarchy.install_line("id"[index % 2], line)
+        _ref_install(reference, "id"[index % 2], line)
     for vaddr in walked:
-        for h in (hierarchy, reference):
-            for line in _walk_lines(h, vaddr):
-                h.install_line("d", line)
+        for line in _walk_lines(reference, vaddr):
+            hierarchy.install_line("d", line)
+            _ref_install(reference, "d", line)
     for op, *args in program:
-        if op in ("fill", "touch"):
+        if op == "fill":
             level, addr = args
             for h in (hierarchy, reference):
-                getattr(getattr(h, level), op)(addr)
+                getattr(h, level).fill(addr)
+        elif op == "touch":
+            level, addr = args
+            for h in (hierarchy, reference):
+                _touch(getattr(h, level), addr)
         elif op == "install":
             side, addr = args
-            for h in (hierarchy, reference):
-                h.install_line(side, addr & ~63)
+            hierarchy.install_line(side, addr)
+            _ref_install(reference, side, addr)
         elif op == "flush":
             for h in (hierarchy, reference):
                 h.clflush(args[0])
         elif op == "fill_walk":
-            for h in (hierarchy, reference):
-                for line in _walk_lines(h, args[0]):
-                    h.install_line("d", line)
+            for line in _walk_lines(reference, args[0]):
+                hierarchy.install_line("d", line)
+                _ref_install(reference, "d", line)
         elif op == "fill_tlb":
             side, vaddr = args
             translation = hierarchy.page_table.lookup(vaddr)
@@ -190,14 +217,12 @@ def test_bound_levels_match_cache_methods(config, warm, walked, program):
         elif op == "lookup":
             side, addr = args
             line = addr & ~63
-            assert hierarchy._lookup_line_level(
-                side, line, hierarchy.default_sink()) == \
+            assert hierarchy._lookup_line_level(side, line, None) == \
                 _ref_lookup(reference, side, line)
         elif op == "spec_lookup":
             side, addr = args
             line = addr & ~63
-            assert hierarchy._lookup_line_level(
-                side, line, _EmptyShadow()) == \
+            assert hierarchy._lookup_line_level(side, line, 1) == \
                 (_ref_hit_level(reference, side, line) or "MEM")
         else:
             side, = args

@@ -3,9 +3,10 @@ counting alone.
 
 Every cell of the attack matrix and every verify case builds its own
 machine.  None of the objects a job creates — the machine, its memory
-hierarchy, its backend and the backend's lowered code, squashed
-micro-ops — may form a reference cycle, or each job would leave its
-whole machine to the cycle collector.  Each check runs with the
+hierarchy, its SafeSpec engine (which the hierarchy holds only weakly),
+its backend and the backend's lowered code, squashed micro-ops — may
+form a reference cycle, or each job would leave its whole machine to
+the cycle collector.  Each check runs with the
 collector disabled, so a cycle shows up as an object that outlives its
 last reference.
 
@@ -40,8 +41,9 @@ def no_collector():
         gc.enable()
 
 
-@pytest.mark.parametrize("policy", [CommitPolicy.BASELINE, CommitPolicy.WFC],
-                         ids=["baseline", "wfc"])
+@pytest.mark.parametrize("policy", [CommitPolicy.BASELINE, CommitPolicy.WFC,
+                                    CommitPolicy.WFB],
+                         ids=["baseline", "wfc", "wfb"])
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_machine_freed_when_dropped(backend, policy, no_collector):
     case = generate_fuzz_program(fuzz_profile("mixed"), 3)
@@ -50,10 +52,12 @@ def test_machine_freed_when_dropped(backend, policy, no_collector):
     result = machine.run(case.program,
                          fault_handler_pc=case.fault_handler_pc)
     assert result.instructions > 0
-    refs = [weakref.ref(machine), weakref.ref(machine.hierarchy),
-            weakref.ref(machine._backend_impl)]
+    assert (machine.engine is None) == (policy is CommitPolicy.BASELINE)
+    refs = [weakref.ref(obj) for obj in (
+        machine, machine.hierarchy, machine._backend_impl, machine.engine)
+        if obj is not None]
     del machine
-    assert [ref() is None for ref in refs] == [True, True, True]
+    assert [ref() is None for ref in refs] == [True] * len(refs)
 
 
 def _session_jobs(backend):

@@ -75,7 +75,7 @@ class TestShadowProperties:
         shadow = ShadowStructure("p", 8, FullPolicy.DROP)
         entries = []
         for i, (key, owner) in enumerate(fills):
-            entry = shadow.fill(key, owner, None, i)
+            entry = shadow.fill(key, owner, None)
             if entry is not None:
                 entries.append(entry)
             # retire roughly half of what is resident
@@ -95,7 +95,7 @@ class TestShadowProperties:
     def test_never_exceeds_capacity(self, capacity, keys):
         shadow = ShadowStructure("p", capacity, FullPolicy.DROP)
         for i, key in enumerate(keys):
-            shadow.fill(key, i, None, i)
+            shadow.fill(key, i, None)
         assert shadow.occupancy() <= capacity
 
 

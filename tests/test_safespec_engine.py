@@ -8,21 +8,18 @@ from repro.core.safespec import (PERFORMANCE_SIZES, SafeSpecConfig,
                                  SafeSpecEngine, SizingMode)
 from repro.core.shadow import FullPolicy
 from repro.errors import ConfigError
-from repro.isa.instructions import Instruction, Opcode
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.paging import PagePermissions, PageTable, Translation
-from repro.pipeline.uop import DynUop
+from repro.memory.paging import (PagePermissions, PageTable, PrivilegeLevel,
+                                 Translation)
 
 
 def make_engine(policy=CommitPolicy.WFC, sizing=SizingMode.SECURE,
                 **kwargs):
     config = SafeSpecConfig(policy=policy, sizing=sizing, **kwargs)
-    hierarchy = MemoryHierarchy(page_table=PageTable())
+    page_table = PageTable()
+    page_table.map_range(0x1000, 16 * 4096)
+    hierarchy = MemoryHierarchy(page_table=page_table)
     return SafeSpecEngine(config, hierarchy)
-
-
-def make_uop(seq=1):
-    return DynUop(seq, Instruction(Opcode.NOP), 0x1000, 0, 0)
 
 
 class TestSizing:
@@ -53,10 +50,9 @@ class TestSizing:
 class TestRecordPromoteAnnul:
     def test_line_promoted_to_committed_caches(self):
         engine = make_engine()
-        uop = make_uop()
-        engine.record_line("d", 0x4000, uop)
+        engine.record_line("d", 0x4000, 1)
         assert not engine.hierarchy.l1d.contains(0x4000)
-        moved = engine.promote(uop)
+        moved = engine.promote(1)
         assert moved == 1
         assert engine.hierarchy.l1d.contains(0x4000)
         assert engine.hierarchy.l3.contains(0x4000)
@@ -64,10 +60,9 @@ class TestRecordPromoteAnnul:
 
     def test_annul_leaves_no_trace(self):
         engine = make_engine()
-        uop = make_uop()
-        engine.record_line("d", 0x4000, uop)
-        engine.record_line("i", 0x5000, uop)
-        engine.annul(uop)
+        engine.record_line("d", 0x4000, 1)
+        engine.record_line("i", 0x5000, 1)
+        engine.annul(1)
         assert not engine.hierarchy.l1d.contains(0x4000)
         assert not engine.hierarchy.l1i.contains(0x5000)
         assert engine.shadow_dcache.occupancy() == 0
@@ -75,68 +70,84 @@ class TestRecordPromoteAnnul:
 
     def test_translation_promoted_to_tlb(self):
         engine = make_engine()
-        uop = make_uop()
         translation = Translation(vpn=5, ppn=5,
                                   permissions=PagePermissions())
-        engine.record_translation("d", translation, uop)
+        engine.record_translation("d", translation, 1)
         assert not engine.hierarchy.dtlb.contains(5)
-        engine.promote(uop)
+        engine.promote(1)
         assert engine.hierarchy.dtlb.contains(5)
 
     def test_promote_is_idempotent(self):
         engine = make_engine()
-        uop = make_uop()
-        engine.record_line("d", 0x4000, uop)
-        assert engine.promote(uop) == 1
-        assert engine.promote(uop) == 0
+        engine.record_line("d", 0x4000, 1)
+        assert engine.promote(1) == 1
+        assert engine.promote(1) == 0
 
     def test_sides_are_separate_structures(self):
         engine = make_engine()
-        uop = make_uop()
-        engine.record_line("i", 0x4000, uop)
+        engine.record_line("i", 0x4000, 1)
         assert engine.shadow_icache.occupancy() == 1
         assert engine.shadow_dcache.occupancy() == 0
 
     def test_wfb_promotes_on_branch_resolution(self):
         engine = make_engine(policy=CommitPolicy.WFB)
-        uop = make_uop()
-        engine.record_line("d", 0x4000, uop)
-        engine.on_branch_resolved(uop)
+        engine.record_line("d", 0x4000, 1)
+        engine.on_branch_resolved(1)
         assert engine.hierarchy.l1d.contains(0x4000)
-        assert uop.promoted
+        # A squash after the promotion cannot take the line back; the
+        # caller reports it as promoted, and the engine counts the hole.
+        engine.on_squash(1, promoted=True)
+        assert engine.hierarchy.l1d.contains(0x4000)
+        assert engine.promoted_then_squashed == 1
 
     def test_wfc_ignores_branch_resolution(self):
         engine = make_engine(policy=CommitPolicy.WFC)
-        uop = make_uop()
-        engine.record_line("d", 0x4000, uop)
-        engine.on_branch_resolved(uop)
+        engine.record_line("d", 0x4000, 1)
+        engine.on_branch_resolved(1)
         assert not engine.hierarchy.l1d.contains(0x4000)
-        engine.on_commit(uop)
+        engine.on_commit(1)
         assert engine.hierarchy.l1d.contains(0x4000)
 
 
-class TestShadowSink:
-    def test_sink_routes_fills_to_shadow(self):
-        engine = make_engine()
-        uop = make_uop()
-        sink = engine.sink_for(uop)
-        sink.fill_line("d", 0x4000)
-        assert sink.lookup_line("d", 0x4000)
-        assert not engine.hierarchy.l1d.contains(0x4000)
+class TestShadowOwner:
+    """An owned hierarchy access reads and fills the engine's shadow
+    structures; an unowned one only the committed state."""
 
-    def test_sink_translation_roundtrip(self):
+    def test_owned_fill_lands_in_shadow(self):
         engine = make_engine()
-        uop = make_uop()
-        sink = engine.sink_for(uop)
+        hierarchy = engine.hierarchy
+        first = hierarchy.data_access(0x4000, is_write=False,
+                                      privilege=PrivilegeLevel.USER, owner=1)
+        assert first.hit_level == "MEM"
+        assert not hierarchy.l1d.contains(0x4000)
+        assert not hierarchy.dtlb.contains(0x4)
+        # Another in-flight owner hits on the shadow line and entry.
+        second = hierarchy.data_access(0x4008, is_write=False,
+                                       privilege=PrivilegeLevel.USER, owner=2)
+        assert (second.hit_level, second.tlb_hit) == ("shadow", True)
+        engine.on_commit(1)
+        assert hierarchy.l1d.contains(0x4000)
+        assert hierarchy.dtlb.contains(0x4)
+
+    def test_owned_translation_roundtrip(self):
+        engine = make_engine()
         translation = Translation(vpn=3, ppn=9,
                                   permissions=PagePermissions())
-        sink.fill_translation("d", translation)
-        assert sink.lookup_translation("d", 3).ppn == 9
-        assert sink.lookup_translation("d", 4) is None
+        engine.record_translation("d", translation, 1)
+        assert engine.shadow_dtlb.lookup(3).payload.ppn == 9
+        assert engine.shadow_dtlb.lookup(4) is None
+        assert engine.annul(1) == 1
+        assert engine.shadow_dtlb.lookup(3) is None
 
-    def test_sink_is_speculative(self):
+    def test_unowned_access_fills_committed(self):
         engine = make_engine()
-        assert engine.sink_for(make_uop()).speculative
+        hierarchy = engine.hierarchy
+        hierarchy.data_access(0x4000, is_write=False,
+                              privilege=PrivilegeLevel.USER)
+        assert hierarchy.l1d.contains(0x4000)
+        assert hierarchy.dtlb.contains(0x4)
+        assert all(structure.occupancy() == 0
+                   for structure in engine.all_structures())
 
 
 class TestBlockPolicy:
@@ -146,7 +157,7 @@ class TestBlockPolicy:
             dcache_entries=1, icache_entries=4, itlb_entries=4,
             dtlb_entries=4)
         assert engine.can_accept_data_access()
-        engine.record_line("d", 0x4000, make_uop(1))
+        engine.record_line("d", 0x4000, 1)
         assert not engine.can_accept_data_access()
 
     def test_drop_policy_always_admits(self):
@@ -154,7 +165,7 @@ class TestBlockPolicy:
             sizing=SizingMode.CUSTOM, full_policy=FullPolicy.DROP,
             dcache_entries=1, icache_entries=4, itlb_entries=4,
             dtlb_entries=4)
-        engine.record_line("d", 0x4000, make_uop(1))
+        engine.record_line("d", 0x4000, 1)
         assert engine.can_accept_data_access()
 
 
@@ -168,12 +179,12 @@ class TestOccupancySampling:
     def test_bulk_sample_equals_single_samples(self):
         bulk, single = make_engine(), make_engine()
         for engine in (bulk, single):
-            engine.record_line("d", 0x4000, make_uop(1))
+            engine.record_line("d", 0x4000, 1)
         bulk.sample_occupancy(count=4)
         for _ in range(4):
             single.sample_occupancy()
         for engine in (bulk, single):
-            engine.record_line("d", 0x4040, make_uop(2))
+            engine.record_line("d", 0x4040, 2)
         bulk.sample_occupancy(count=3)
         for _ in range(3):
             single.sample_occupancy()
@@ -212,7 +223,7 @@ class TestOccupancySampling:
             kind = op[0]
             if kind == "fill":
                 _, which, key = op
-                entry = structures[which].fill(key, key, None, 0)
+                entry = structures[which].fill(key, key, None)
                 if entry is not None:
                     resident[which].append(entry)
             elif kind in ("release", "annul"):

@@ -82,12 +82,32 @@ class TestVerifyCase:
         assert any("survived" in f for f in verdict.invariant_failures)
 
 
+def _fault_hole_machine(policy, backend):
+    """A user load of a supervisor page (faults at commit) with an
+    independent transmit load behind it, run once."""
+    from repro import ProgramBuilder
+    from repro.machine import Machine
+
+    machine = Machine.from_spec(policy=policy, backend=backend)
+    machine.map_user_range(0x20000, 4096)
+    machine.map_kernel_range(0x80000, 4096)
+    b = ProgramBuilder()
+    b.li("r1", 0x80000)
+    b.load("r2", "r1", 0)         # faults at commit
+    b.li("r3", 0x20000)
+    b.load("r4", "r3", 256)       # dependent-window transmit access
+    b.halt()
+    machine.run(b.build())
+    return machine
+
+
+@pytest.mark.parametrize("backend", ["cycle", "fast"])
 class TestInvariantSurface:
-    def test_engine_stats_shape(self):
+    def test_engine_stats_shape(self, backend):
         case = generate_fuzz_program(fuzz_profile("mixed"), 0)
         from repro.machine import Machine
 
-        machine = Machine.from_spec(policy=CommitPolicy.WFC)
+        machine = Machine.from_spec(policy=CommitPolicy.WFC, backend=backend)
         case.apply_memory_image(machine)
         machine.run(case.program, fault_handler_pc=case.fault_handler_pc)
         stats = machine.engine.invariant_stats()
@@ -96,27 +116,25 @@ class TestInvariantSurface:
             row = stats[name]
             assert row["residual"] == 0
             assert row["fills"] == row["committed"] + row["annulled"]
+            assert row["fills"] > 0
         assert stats["engine"]["promoted_then_squashed"] == 0
 
-    def test_wfb_fault_hole_is_visible(self):
+    def test_wfb_fault_hole_is_visible(self, backend):
         """Under WFB a faulting load's dependents promote before the
         squash — the paper's Meltdown hole — and the new counter
         exposes exactly that."""
-        from repro import ProgramBuilder
-        from repro.machine import Machine
+        machine = _fault_hole_machine(CommitPolicy.WFB, backend)
+        # Everything the fault squashes was promoted first: on the cycle
+        # core the faulting load and the three micro-ops behind it; on
+        # the fast backend the faulting load and the window's three
+        # owned accesses (two instruction lines and the transmit load).
+        assert machine.engine.promoted_then_squashed == 4
 
-        machine = Machine.from_spec(policy=CommitPolicy.WFB)
-        machine.map_user_range(0x20000, 4096)
-        machine.map_kernel_range(0x80000, 4096)
-        b = ProgramBuilder()
-        b.li("r1", 0x80000)
-        b.load("r2", "r1", 0)         # faults at commit
-        b.li("r3", 0x20000)
-        b.load("r4", "r3", 256)       # dependent-window transmit access
-        b.halt()
-        program = b.build()
-        machine.run(program)
-        assert machine.engine.promoted_then_squashed > 0
+    def test_wfc_closes_the_fault_hole(self, backend):
+        """The same program under WFC promotes nothing it squashes."""
+        machine = _fault_hole_machine(CommitPolicy.WFC, backend)
+        assert machine.engine.promoted_then_squashed == 0
+        assert machine.engine.promotions > 0
 
 
 class TestVerifyJobs:
