@@ -21,7 +21,7 @@ def benign_run() -> None:
     machine = Machine(policy=CommitPolicy.WFC)
     workload = generate_program(profile_by_name("namd"))
     workload.apply_memory_image(machine)
-    detector = ShadowAnomalyDetector().attach(machine.engine)
+    detector = ShadowAnomalyDetector().attach(machine)
     machine.run(workload.program, max_instructions=5000)
     report = detector.detach()
     print("benign workload (namd):")
@@ -34,7 +34,7 @@ def bursty_run() -> None:
     machine = Machine(policy=CommitPolicy.WFC)
     machine.map_user_range(0x100_0000, 64 * 4096)
     detector = ShadowAnomalyDetector(
-        {"shadow_dtlb": 12}).attach(machine.engine)
+        {"shadow_dtlb": 12}).attach(machine)
     b = ProgramBuilder()
     b.li("r1", 0x100_0000)
     for page in range(32):        # trojan-like burst: 32 cold pages

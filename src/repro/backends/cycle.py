@@ -3,7 +3,7 @@
 Each run builds a fresh single-use :class:`~repro.pipeline.core.Core`
 over the machine's persistent state (hierarchy, predictor, BTB,
 SafeSpec engine) — exactly what ``Machine.run`` always did before
-backends became selectable.
+backends became selectable — and hands it the machine's observer.
 """
 
 from __future__ import annotations
@@ -38,5 +38,6 @@ class CycleBackend:
             fault_handler_pc=fault_handler_pc,
             initial_registers=initial_registers,
             start_pc=start_pc,
+            observer=machine.observer,
         )
         return core.run(max_instructions=max_instructions)

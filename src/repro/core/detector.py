@@ -16,10 +16,12 @@ window, far above the p99.99 occupancy of any benign workload
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.core.safespec import SafeSpecEngine
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:
+    from repro.machine import Machine
 
 # Default alert thresholds: comfortably above the suite's p99.99
 # occupancies (Figures 6-9 reproduction) and far below the Secure bounds.
@@ -58,14 +60,16 @@ class DetectorReport:
 
 
 class ShadowAnomalyDetector:
-    """Watches a SafeSpec engine's shadow occupancy for abnormal growth.
+    """Watches a machine's shadow occupancy for abnormal growth.
 
-    Attach with :meth:`attach`; the detector samples on every engine
-    cycle tick (piggybacking on ``set_cycle``) and records an
-    :class:`AnomalyEvent` whenever a structure exceeds its threshold.
-    The core ticks only the cycles it steps; the cycles its clock skips
-    cannot change occupancy, so no crossing is missed.  Detach restores
-    the engine.
+    :meth:`attach` makes the detector the observer
+    (``Machine.observer``) of a cycle-backend machine with a SafeSpec
+    engine.  At the start of every cycle the core steps, the detector
+    reads each shadow structure's occupancy and records an
+    :class:`AnomalyEvent` whenever one exceeds its threshold.  The
+    cycles the core's clock skips cannot change occupancy, so no
+    crossing is missed.  :meth:`detach` empties the slot and returns the
+    report.
     """
 
     def __init__(self, thresholds: Optional[Dict[str, int]] = None) -> None:
@@ -79,41 +83,43 @@ class ShadowAnomalyDetector:
                 self.thresholds[name] = value
         self.report = DetectorReport(
             peak_occupancy={name: 0 for name in self.thresholds})
-        self._engine: Optional[SafeSpecEngine] = None
-        self._original_set_cycle = None
+        self._machine: Optional[Machine] = None
         self._alarmed_cycles: Dict[str, int] = {}
+
+    def __call__(self, kind: str, cycle: int, _uop: object) -> None:
+        if kind == "cycle":
+            self._sample(cycle)
 
     # ------------------------------------------------------------------
 
-    def attach(self, engine: SafeSpecEngine) -> "ShadowAnomalyDetector":
-        """Start monitoring ``engine``; returns self for chaining."""
-        if self._engine is not None:
+    def attach(self, machine: Machine) -> "ShadowAnomalyDetector":
+        """Start monitoring ``machine``; returns self for chaining."""
+        if self._machine is not None:
             raise ConfigError("detector is already attached")
-        self._engine = engine
-        self._original_set_cycle = engine.set_cycle
-
-        def monitored_set_cycle(cycle: int) -> None:
-            self._original_set_cycle(cycle)
-            self._sample(cycle)
-
-        engine.set_cycle = monitored_set_cycle
+        if machine.observer is not None:
+            raise ConfigError("the machine already has an observer")
+        if machine.backend != "cycle":
+            raise ConfigError(f"the {machine.backend!r} backend has no "
+                              f"cycle events; monitor a cycle machine")
+        if machine.engine is None:
+            raise ConfigError(f"policy {machine.policy.name} has no "
+                              f"shadow structures to monitor")
+        machine.observer = self
+        self._machine = machine
         return self
 
     def detach(self) -> DetectorReport:
         """Stop monitoring and return the report."""
-        if self._engine is None:
+        if self._machine is None:
             raise ConfigError("detector is not attached")
-        # attach() shadowed the class method with an instance attribute;
-        # removing it restores the engine's own method.
-        del self._engine.set_cycle
-        self._engine = None
-        self._original_set_cycle = None
+        self._machine.observer = None
+        self._machine = None
         return self.report
 
     # ------------------------------------------------------------------
 
     def _sample(self, cycle: int) -> None:
-        for structure in self._engine.all_structures():
+        for structure in self._machine.engine.all_structures():
             name = structure.name
             occupancy = structure.occupancy()
             if occupancy > self.report.peak_occupancy.get(name, 0):

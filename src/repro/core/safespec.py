@@ -149,10 +149,11 @@ class SafeSpecEngine:
     # -- pipeline interface -------------------------------------------------
 
     def set_cycle(self, cycle: int) -> None:
-        """Per-cycle tick from the cycle core.  The engine keeps no clock
-        of its own (occupancy advances through :meth:`sample_occupancy`);
-        the tick is where observers such as the anomaly detector hook
-        in."""
+        """No-op with no caller in the simulator.  The engine keeps no
+        clock of its own (occupancy advances through
+        :meth:`sample_occupancy`), and per-cycle observers subscribe
+        through ``Machine.observer``.  Kept only because the benchmark's
+        layer table still names it."""
 
     def can_accept_data_access(self) -> bool:
         """BLOCK policy: whether a new data-side access may issue.

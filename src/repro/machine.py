@@ -15,7 +15,7 @@ core, which is the setting mistraining attacks (Spectre) require::
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.api.registry import PREDICTORS
 from repro.backends import DEFAULT_BACKEND, BACKENDS
@@ -51,6 +51,10 @@ class Machine(MappedWords):
         backend: execution backend name (``repro.backends``): ``"cycle"``
             for the cycle-accurate out-of-order core, ``"fast"`` for the
             lowered fast-functional core.
+
+    ``observer`` is the one event slot: ``None`` or the callable the
+    cycle backend hands to each ``Core`` it runs.  A tracer's or an
+    anomaly detector's ``attach``/``detach`` fills and empties it.
     """
 
     def __init__(self, policy: CommitPolicy = CommitPolicy.BASELINE,
@@ -91,6 +95,7 @@ class Machine(MappedWords):
         # names fail loudly, listing every registered backend.
         self.backend = backend
         self._backend_impl = BACKENDS.create(backend)
+        self.observer: Optional[Callable[..., None]] = None
 
     @classmethod
     def from_spec(cls, spec: MachineSpec = MachineSpec(), *,

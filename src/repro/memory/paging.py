@@ -130,13 +130,6 @@ class PageTable:
             out.append(base | (vaddr & _OFFSET_MASK))
         return out
 
-    def is_mapped(self, vaddr: int) -> bool:
-        return (vaddr >> PAGE_SHIFT) in self._entries
-
-    def mapped_pages(self) -> int:
-        """Number of installed page mappings."""
-        return len(self._entries)
-
     def snapshot(self) -> "tuple[Translation, ...]":
         """All installed translations, sorted by VPN (checkpoint dump)."""
         return tuple(self._entries[vpn] for vpn in sorted(self._entries))
@@ -175,13 +168,3 @@ class MappedWords:
         read = self.memory.read_word
         return [read(paddr)
                 for paddr in self.page_table.physical_addresses(vaddrs)]
-
-
-def vpn_of(vaddr: int) -> int:
-    """Virtual page number of an address."""
-    return vaddr >> PAGE_SHIFT
-
-
-def page_offset(vaddr: int) -> int:
-    """Offset of an address within its page."""
-    return vaddr & (PAGE_SIZE - 1)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.core.policy import CommitPolicy
 from repro.core.safespec import SafeSpecEngine
@@ -119,6 +119,11 @@ class Core:
     by the whole span at once.  Every simulated statistic — cycles,
     counters, occupancy histograms, fault cycles — is the same as
     stepping every cycle.
+
+    ``observer(kind, cycle, uop)``, when given, is called right after
+    each ``fetch``, ``dispatch``, ``issue``, ``commit``, ``squash`` and
+    ``fault`` event, and as ``("cycle", cycle, None)`` at the start of
+    every stepped cycle.  Without one, an event costs an ``is`` test.
     """
 
     def __init__(self, program: Program, hierarchy: MemoryHierarchy,
@@ -130,7 +135,8 @@ class Core:
                  privilege: PrivilegeLevel = PrivilegeLevel.USER,
                  fault_handler_pc: Optional[int] = None,
                  initial_registers: Optional[Dict[int, int]] = None,
-                 start_pc: Optional[int] = None) -> None:
+                 start_pc: Optional[int] = None,
+                 observer: Optional[Callable[..., None]] = None) -> None:
         self.program = program
         self.hierarchy = hierarchy
         self.config = config or CoreConfig()
@@ -142,6 +148,7 @@ class Core:
         self.policy = engine.config.policy if engine else CommitPolicy.BASELINE
         self.privilege = privilege
         self.fault_handler_pc = fault_handler_pc
+        self.observer = observer
 
         self.cycle = 0
         self.regfile: List[int] = [0] * NUM_REGISTERS
@@ -297,9 +304,9 @@ class Core:
         # Each stage's idle early-out is checked here, before the call:
         # on a stall cycle (waiting on memory) most stages have nothing
         # to do and the call overhead itself was the dominant cost.
-        engine = self.engine
-        if engine is not None:
-            engine.set_cycle(self.cycle)
+        observer = self.observer
+        if observer is not None:
+            observer("cycle", self.cycle, None)
         if self.fus._dirty:
             self.fus.new_cycle()
         acted = False
@@ -364,6 +371,7 @@ class Core:
     def _commit_stage(self) -> bool:
         entries = self.rob._entries
         cycle = self.cycle
+        observer = self.observer
         committed = False
         for _ in range(self._commit_width):
             if not entries:
@@ -373,8 +381,12 @@ class Core:
                 break
             if head.fault is not None:
                 self._raise_fault(head)
+                if observer is not None:
+                    observer("fault", cycle, head)
                 return True
             self._commit_uop(head)
+            if observer is not None:
+                observer("commit", cycle, head)
             committed = True
             if self._halted_reason:
                 break
@@ -622,6 +634,8 @@ class Core:
         # leave reference cycles for the collector.
         uop.waiters.clear()
         uop.producers.clear()
+        if self.observer is not None:
+            self.observer("squash", self.cycle, uop)
 
     def _squash_younger_than(self, seq: int) -> None:
         for squashed in self.rob.squash_younger_than(seq):
@@ -683,6 +697,7 @@ class Core:
         try_claim = self.fus.try_claim_index
         block_on_full = self._block_on_full
         rob_entries = self.rob._entries
+        observer = self.observer
         issued = 0
         for uop in ready:
             if issued >= issue_width:
@@ -698,6 +713,8 @@ class Core:
             if not try_claim(uop.fu_index):
                 continue
             self._execute(uop)
+            if observer is not None:
+                observer("issue", self.cycle, uop)
             issued += 1
         return issued > 0
 
@@ -856,6 +873,7 @@ class Core:
         front_end_depth = self._front_end_depth
         rob_entries, rob_capacity = self.rob._entries, self.rob.capacity
         iq_entries, iq_capacity = self.iq._entries, self.iq.capacity
+        observer = self.observer
         dispatched = 0
         while fetch_buffer and dispatched < self._issue_width:
             uop = fetch_buffer[0]
@@ -870,6 +888,8 @@ class Core:
                 break
             fetch_buffer.popleft()
             self._dispatch_uop(uop)
+            if observer is not None:
+                observer("dispatch", cycle, uop)
             dispatched += 1
         return dispatched > 0
 
@@ -915,6 +935,9 @@ class Core:
         instructions = self.program.instructions
         code_base = self.program.code_base
         fetch_buffer = self._fetch_buffer
+        iline_mask = self._iline_mask
+        cycle = self.cycle
+        observer = self.observer
         fetched = 0
         while (fetched < self._fetch_width
                and len(fetch_buffer) < _FETCH_BUFFER_CAP):
@@ -925,9 +948,14 @@ class Core:
                     or index >= len(instructions)):
                 break
             inst = instructions[index]
-            uop = DynUop(self._next_seq, inst, pc, index, self.cycle)
+            uop = DynUop(self._next_seq, inst, pc, index, cycle)
             self._next_seq += 1
-            stall = self._fetch_instruction_line(uop)
+            # Only the first micro-op of a line reaches the i-side.
+            line = pc & iline_mask
+            stall = (line != self._last_fetch_line
+                     and self._fetch_instruction_line(uop, line))
+            if observer is not None:
+                observer("fetch", cycle, uop)
             fetch_buffer.append(uop)
             fetched += 1
             if inst.opcode is _HALT:
@@ -945,16 +973,14 @@ class Core:
                     break
         return fetched > 0
 
-    def _fetch_instruction_line(self, uop: DynUop) -> bool:
-        """Access the i-side hierarchy for the line holding ``uop.pc``.
+    def _fetch_instruction_line(self, uop: DynUop, line: int) -> bool:
+        """Access the i-side hierarchy for ``line``, which holds
+        ``uop.pc`` and differs from the last line fetched.
 
         Returns True when the access missed L1/shadow, in which case fetch
         stalls for the remaining latency (the micro-op itself is kept and
         delivered when the line arrives).
         """
-        line = uop.pc & self._iline_mask
-        if line == self._last_fetch_line:
-            return False
         self._last_fetch_line = line
         result = self.hierarchy.fetch_access(
             uop.pc, privilege=self.privilege, owner=self._owner(uop))

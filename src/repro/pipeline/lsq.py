@@ -50,9 +50,6 @@ class LoadStoreQueue:
     def stq_full(self) -> bool:
         return len(self._stores) >= self.stq_capacity
 
-    def load_count(self) -> int:
-        return len(self._loads)
-
     # -- insertion / removal -------------------------------------------------
 
     def add_load(self, uop: DynUop) -> None:

@@ -6,7 +6,7 @@ from collections import deque
 from typing import Deque, Iterator, List, Optional
 
 from repro.errors import SimulationError
-from repro.pipeline.uop import COMMITTED, DONE, SQUASHED, DynUop
+from repro.pipeline.uop import SQUASHED, DynUop
 
 
 class ReorderBuffer:
@@ -46,12 +46,6 @@ class ReorderBuffer:
         """The oldest in-flight micro-op."""
         return self._entries[0] if self._entries else None
 
-    def pop_head(self) -> DynUop:
-        """Remove the oldest micro-op (at commit)."""
-        if not self._entries:
-            raise SimulationError("pop from an empty ROB")
-        return self._entries.popleft()
-
     def squash_younger_than(self, seq: int) -> List[DynUop]:
         """Remove and return every micro-op with ``uop.seq > seq``.
 
@@ -77,18 +71,3 @@ class ReorderBuffer:
             uop.state = SQUASHED
         self._entries.clear()
         return squashed
-
-    def unresolved_branches_older_than(self, seq: int) -> List[int]:
-        """Sequence numbers of control-flow micro-ops older than ``seq``
-        that have not yet produced their outcome.
-
-        This is the WFB dependence set: a micro-op's shadow state may be
-        promoted once this set empties (paper Section III).
-        """
-        deps = []
-        for uop in self._entries:
-            if uop.seq >= seq:
-                break
-            if uop.is_branch and uop.state not in (DONE, COMMITTED):
-                deps.append(uop.seq)
-        return deps

@@ -1,30 +1,35 @@
 """Pipeline event tracing.
 
-A :class:`PipelineTracer` hooks a :class:`~repro.pipeline.core.Core` and
-records one :class:`TraceEvent` per pipeline action (fetch, dispatch,
-issue, writeback, commit, squash, fault) — the standard debugging aid of
-every production simulator.  Events can be filtered by kind or sequence
-range and rendered as a per-instruction timeline.
+A :class:`PipelineTracer` subscribes to a cycle-backend
+:class:`~repro.machine.Machine` and records one :class:`TraceEvent` per
+pipeline action (fetch, dispatch, issue, commit, squash, fault) — the
+standard debugging aid of every production simulator.  Events can be
+filtered by kind or sequence range and rendered as a per-instruction
+timeline.
 
 Usage::
 
-    core = Core(program, hierarchy, ...)
-    tracer = PipelineTracer().attach(core)
-    core.run()
+    machine = Machine(policy=CommitPolicy.WFC)
+    tracer = PipelineTracer().attach(machine)
+    machine.run(program)
+    tracer.detach()
     print(tracer.render_timeline(limit=20))
+
+A hand-built core takes a tracer directly: ``Core(..., observer=tracer)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.errors import ConfigError
-from repro.pipeline.core import Core
 from repro.pipeline.uop import DynUop
 
-EVENT_KINDS = ("fetch", "dispatch", "issue", "writeback", "commit",
-               "squash", "fault")
+if TYPE_CHECKING:
+    from repro.machine import Machine
+
+EVENT_KINDS = ("fetch", "dispatch", "issue", "commit", "squash", "fault")
 
 
 @dataclass(frozen=True)
@@ -42,8 +47,18 @@ class TraceEvent:
                 f"{self.pc:#08x}  {self.text}")
 
 
+def _detail(kind: str, uop: DynUop) -> str:
+    if kind == "dispatch":
+        return f"deps={sorted(uop.producers)}"
+    if kind == "fault":
+        if uop.vaddr is None:
+            return str(uop.fault)
+        return f"{uop.fault} @ {uop.vaddr:#x}"
+    return str(uop.inst)
+
+
 class PipelineTracer:
-    """Records pipeline events by wrapping a core's stage methods."""
+    """Records the pipeline events of the runs on one machine."""
 
     def __init__(self, kinds: Optional[List[str]] = None,
                  max_events: int = 100_000) -> None:
@@ -53,55 +68,37 @@ class PipelineTracer:
         self._kinds = set(kinds) if kinds else set(EVENT_KINDS)
         self._max_events = max_events
         self.events: List[TraceEvent] = []
-        self._core: Optional[Core] = None
-        self._saved: Dict[str, Callable] = {}
+        self._machine: Optional[Machine] = None
+
+    def __call__(self, kind: str, cycle: int,
+                 uop: Optional[DynUop]) -> None:
+        if kind in self._kinds and len(self.events) < self._max_events:
+            self.events.append(TraceEvent(
+                cycle=cycle, kind=kind, seq=uop.seq, pc=uop.pc,
+                text=_detail(kind, uop)))
 
     # ------------------------------------------------------------------
 
-    def attach(self, core: Core) -> "PipelineTracer":
-        """Start recording events from ``core``."""
-        if self._core is not None:
+    def attach(self, machine: Machine) -> "PipelineTracer":
+        """Start recording the events of ``machine``'s runs."""
+        if self._machine is not None:
             raise ConfigError("tracer is already attached")
-        self._core = core
-        self._wrap("_fetch_instruction_line", "fetch",
-                   lambda uop, _r: str(uop.inst))
-        self._wrap("_dispatch_uop", "dispatch",
-                   lambda uop, _r: f"deps={sorted(uop.producers)}")
-        self._wrap("_execute", "issue", lambda uop, _r: str(uop.inst))
-        self._wrap("_commit_uop", "commit", lambda uop, _r: str(uop.inst))
-        self._wrap("_discard_uop", "squash", lambda uop, _r: str(uop.inst))
-        self._wrap("_raise_fault", "fault",
-                   lambda uop, _r: f"{uop.fault} @ {uop.vaddr:#x}"
-                   if uop.vaddr is not None else str(uop.fault))
+        if machine.observer is not None:
+            raise ConfigError("the machine already has an observer")
+        if machine.backend != "cycle":
+            raise ConfigError(f"the {machine.backend!r} backend has no "
+                              f"pipeline events; trace a cycle machine")
+        machine.observer = self
+        self._machine = machine
         return self
 
     def detach(self) -> List[TraceEvent]:
         """Stop recording; returns the captured events."""
-        if self._core is None:
+        if self._machine is None:
             raise ConfigError("tracer is not attached")
-        for name, original in self._saved.items():
-            delattr(self._core, name)
-        self._saved.clear()
-        self._core = None
+        self._machine.observer = None
+        self._machine = None
         return self.events
-
-    def _wrap(self, method_name: str, kind: str,
-              describe: Callable[[DynUop, object], str]) -> None:
-        core = self._core
-        original = getattr(core, method_name)
-        self._saved[method_name] = original
-        tracer = self
-
-        def wrapped(uop: DynUop, *args, **kwargs):
-            result = original(uop, *args, **kwargs)
-            if kind in tracer._kinds and \
-                    len(tracer.events) < tracer._max_events:
-                tracer.events.append(TraceEvent(
-                    cycle=core.cycle, kind=kind, seq=uop.seq, pc=uop.pc,
-                    text=describe(uop, result)))
-            return result
-
-        setattr(core, method_name, wrapped)
 
     # ------------------------------------------------------------------
 

@@ -373,7 +373,7 @@ class TestRunTermination:
         assert 0 < result.ipc < 6
 
 
-def _bare_core(build, policy, setup=None, **config):
+def _bare_core(build, policy, setup=None, observer=None, **config):
     """A :class:`Core` over a fresh user machine, so tests can read its
     clock after :meth:`Core.run` raises."""
     machine = make_user_machine(policy=policy)
@@ -385,7 +385,7 @@ def _bare_core(build, policy, setup=None, **config):
     machine.page_table.map_range(program.code_base, program.code_bytes)
     return Core(program, machine.hierarchy, config=CoreConfig(**config),
                 predictor=machine.predictor, btb=machine.btb,
-                rsb=machine.rsb, engine=machine.engine)
+                rsb=machine.rsb, engine=machine.engine, observer=observer)
 
 
 def _pointer_chain_setup(machine):
@@ -440,9 +440,8 @@ class TestClockBoundaries:
         def build(b):
             b.li("r1", 5)
             b.halt()
-        core = _bare_core(build, policy)
-        tracer = PipelineTracer().attach(core)
-        result = core.run()
+        tracer = PipelineTracer()
+        result = _bare_core(build, policy, observer=tracer).run()
         by_kind = {}
         for event in tracer.events:
             by_kind.setdefault(event.kind, []).append(event.cycle)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.memory.paging import (PAGE_SIZE, PagePermissions, PageTable,
-                                 PrivilegeLevel, page_offset, vpn_of)
+                                 PrivilegeLevel)
 
 
 class TestPagePermissions:
@@ -57,9 +57,9 @@ class TestPageTable:
     def test_map_range_covers_partial_pages(self):
         pt = PageTable()
         pt.map_range(100, PAGE_SIZE)  # straddles two pages
-        assert pt.is_mapped(100)
-        assert pt.is_mapped(PAGE_SIZE + 50)
-        assert pt.mapped_pages() == 2
+        assert pt.lookup(100) is not None
+        assert pt.lookup(PAGE_SIZE + 50) is not None
+        assert len(pt.snapshot()) == 2
 
     def test_map_range_rejects_empty(self):
         with pytest.raises(ConfigError):
@@ -82,11 +82,3 @@ class TestPageTable:
     def test_walk_levels_validated(self):
         with pytest.raises(ConfigError):
             PageTable(walk_levels=0)
-
-
-class TestHelpers:
-    def test_vpn_of(self):
-        assert vpn_of(PAGE_SIZE * 7 + 13) == 7
-
-    def test_page_offset(self):
-        assert page_offset(PAGE_SIZE * 7 + 13) == 13

@@ -1,10 +1,12 @@
 """Tests for the pipeline tracer."""
 
+import hashlib
+
 import pytest
 
 from repro import CommitPolicy, Machine, ProgramBuilder
+from repro.core.detector import ShadowAnomalyDetector
 from repro.errors import ConfigError
-from repro.pipeline.core import Core
 from repro.pipeline.trace import PipelineTracer
 
 
@@ -13,14 +15,9 @@ def traced_run(build, tracer=None, **machine_kwargs):
     machine.map_user_range(0x20000, 4096)
     b = ProgramBuilder()
     build(b)
-    program = b.build()
-    machine.page_table.map_range(program.code_base, program.code_bytes)
-    core = Core(program, machine.hierarchy, config=machine.core_config,
-                predictor=machine.predictor, btb=machine.btb,
-                engine=machine.engine)
-    tracer = tracer or PipelineTracer()
-    tracer.attach(core)
-    result = core.run()
+    tracer = (tracer or PipelineTracer()).attach(machine)
+    result = machine.run(b.build())
+    tracer.detach()
     return tracer, result
 
 
@@ -89,8 +86,32 @@ def mispredicting_loop(b):
 
 
 class TestEventContract:
-    """The tracer sees every pipeline event through the core methods it
-    wraps, so each must still run once per event."""
+    """The core reports every pipeline event to its observer once, in
+    the order the events happen."""
+
+    # The stream of ``mispredicting_loop`` as recorded when the tracer
+    # still wrapped the core's stage methods: (cycles, the first 16 hex
+    # digits of the sha256 of the ``str(event)`` lines).
+    PINNED_STREAMS = {
+        CommitPolicy.BASELINE: (1885, "b643c17e9c10ad15"),
+        CommitPolicy.WFB: (2171, "6da57b1d0a64bcc6"),
+        CommitPolicy.WFC: (2171, "6da57b1d0a64bcc6"),
+    }
+    PINNED_COUNTS = {"fetch": 247, "dispatch": 127, "issue": 106,
+                     "commit": 106, "squash": 141}
+
+    @pytest.mark.parametrize("policy", [CommitPolicy.BASELINE,
+                                        CommitPolicy.WFB, CommitPolicy.WFC])
+    def test_pinned_event_stream(self, policy):
+        tracer, result = traced_run(mispredicting_loop, policy=policy)
+        counts = {}
+        for event in tracer.events:
+            counts[event.kind] = counts.get(event.kind, 0) + 1
+        assert counts == self.PINNED_COUNTS
+        assert len(tracer.events) == 727
+        text = "\n".join(str(event) for event in tracer.events)
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert (result.cycles, digest) == self.PINNED_STREAMS[policy]
 
     @pytest.mark.parametrize("policy", [CommitPolicy.BASELINE,
                                         CommitPolicy.WFB, CommitPolicy.WFC])
@@ -128,6 +149,12 @@ class TestFiltering:
         with pytest.raises(ConfigError):
             PipelineTracer(kinds=["retire"])
 
+    def test_writeback_kind_rejected(self):
+        # Writeback is not a reported event: a filter on it would
+        # silently record nothing.
+        with pytest.raises(ConfigError):
+            PipelineTracer(kinds=["writeback"])
+
     def test_max_events_cap(self):
         tracer, _ = traced_run(simple_program,
                                tracer=PipelineTracer(max_events=2))
@@ -136,27 +163,33 @@ class TestFiltering:
 
 class TestAttachDetach:
     def test_double_attach_rejected(self):
-        tracer, _ = traced_run(simple_program)
-        machine = Machine()
-        b = ProgramBuilder()
-        b.halt()
-        program = b.build()
-        machine.page_table.map_range(program.code_base, program.code_bytes)
-        core = Core(program, machine.hierarchy)
+        tracer = PipelineTracer().attach(Machine())
         with pytest.raises(ConfigError):
-            tracer.attach(core)
+            tracer.attach(Machine())
 
-    def test_detach_restores_methods(self):
+    def test_detach_clears_the_observer_slot(self):
         machine = Machine()
-        b = ProgramBuilder()
-        b.halt()
-        program = b.build()
-        machine.page_table.map_range(program.code_base, program.code_bytes)
-        core = Core(program, machine.hierarchy)
-        tracer = PipelineTracer().attach(core)
-        assert "_commit_uop" in vars(core)
+        tracer = PipelineTracer().attach(machine)
+        assert machine.observer is tracer
         tracer.detach()
-        assert "_commit_uop" not in vars(core)
+        assert machine.observer is None
+        # The slot is free again for the next subscriber.
+        PipelineTracer().attach(machine).detach()
+
+    def test_second_observer_on_taken_slot_rejected(self):
+        machine = Machine(policy=CommitPolicy.WFC)
+        tracer = PipelineTracer().attach(machine)
+        with pytest.raises(ConfigError):
+            PipelineTracer().attach(machine)
+        with pytest.raises(ConfigError):
+            ShadowAnomalyDetector().attach(machine)
+        assert machine.observer is tracer
+
+    def test_fast_backend_rejected(self):
+        machine = Machine(backend="fast")
+        with pytest.raises(ConfigError, match="fast"):
+            PipelineTracer().attach(machine)
+        assert machine.observer is None
 
     def test_detach_without_attach_rejected(self):
         with pytest.raises(ConfigError):
