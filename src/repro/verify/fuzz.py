@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -166,8 +167,16 @@ class FuzzProgram:
     data_base: int
     data_bytes: int
     kernel_base: int
-    memory_words: List[Tuple[int, int]] = field(default_factory=list)
+    # The initial value of each word at :meth:`compare_addresses`: the
+    # data region's words in order, then the planted supervisor word.
+    # Packed, since the verify harness keeps recent cases alive.
+    initial_words: array = field(default_factory=lambda: array("Q"))
     fault_handler_label: Optional[str] = None
+
+    @property
+    def memory_words(self) -> List[Tuple[int, int]]:
+        """The initial memory image as ``(vaddr, value)`` pairs."""
+        return list(zip(self.compare_addresses(), self.initial_words))
 
     @property
     def fault_handler_pc(self) -> Optional[int]:
@@ -389,9 +398,9 @@ def generate_fuzz_program(profile: FuzzProfile, seed: int,
 
     # ---- initial data image: every word of the region, plus a planted
     # supervisor word the faulting load targets.
-    memory_words = [(data_base + i, rng.randrange(0, 1 << 64))
-                    for i in range(0, profile.data_bytes, 8)]
-    memory_words.append((kernel_base, rng.randrange(0, 1 << 64)))
+    initial_words = array("Q", [rng.randrange(0, 1 << 64)
+                                for _ in range(0, profile.data_bytes, 8)])
+    initial_words.append(rng.randrange(0, 1 << 64))
 
     return FuzzProgram(
         profile=profile,
@@ -400,6 +409,6 @@ def generate_fuzz_program(profile: FuzzProfile, seed: int,
         data_base=data_base,
         data_bytes=profile.data_bytes,
         kernel_base=kernel_base,
-        memory_words=memory_words,
+        initial_words=initial_words,
         fault_handler_label=fault_handler_label,
     )

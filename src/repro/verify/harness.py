@@ -35,6 +35,7 @@ from the on-disk result cache.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -66,17 +67,21 @@ CYCLE_TOLERANCE = 0.25
 # at least this long.
 TIMING_CONTRACT_MIN_INSTRUCTIONS = 1000
 
-# An oracle after its run, and the run's golden result.
-Reference = Tuple[ReferenceOracle, OracleResult]
+# A case's golden outcome: the oracle's result, and the words its run
+# left at the case's compare addresses (packed: the memo below keeps
+# these for many seeds, where the oracle's whole memory would cost more).
+Reference = Tuple[OracleResult, array]
 
 # Per-process memo of each seed's fuzz program and oracle run, keyed by
 # (profile name, seed, instruction budget): neither depends on the
 # policy, backend or machine spec of the job.  ``Session.verify``
-# submits a seed's policy jobs back to back and every worker takes jobs
-# in submission order, so once a worker moves past a seed it never sees
-# it again: one entry is enough.
+# submits a seed's policy jobs back to back, so one entry serves them
+# all; the memo keeps more than one so a second batch over the same
+# seeds (another backend's) is served too.  Oldest entries go first and
+# the cap keeps long-lived workers bounded.
 _REFERENCE_MEMO: Dict[Tuple[str, int, Optional[int]],
                       Tuple[FuzzProgram, Reference]] = {}
+_REFERENCE_MEMO_MAX = 32
 
 
 def _backend_names(backend: str) -> List[str]:
@@ -204,7 +209,8 @@ def _profile_from_params(params: Dict[str, Any]) -> FuzzProfile:
 # ---------------------------------------------------------------------------
 
 def run_reference(case: FuzzProgram,
-                  max_instructions: Optional[int] = None) -> Reference:
+                  max_instructions: Optional[int] = None
+                  ) -> Tuple[ReferenceOracle, OracleResult]:
     """Execute one fuzz case on a fresh oracle (the golden state).
 
     Returns the oracle too so callers (golden-state fixtures) can read
@@ -217,6 +223,13 @@ def run_reference(case: FuzzProgram,
     return oracle, golden
 
 
+def _golden(case: FuzzProgram,
+            max_instructions: Optional[int] = None) -> Reference:
+    """The case's :data:`Reference`: what every backend is held to."""
+    oracle, golden = run_reference(case, max_instructions=max_instructions)
+    return golden, array("Q", oracle.read_words(case.compare_addresses()))
+
+
 def verify_case(case: FuzzProgram, policy: CommitPolicy,
                 spec: MachineSpec = MachineSpec(),
                 max_instructions: Optional[int] = None,
@@ -226,7 +239,7 @@ def verify_case(case: FuzzProgram, policy: CommitPolicy,
 
     A comma-joined ``backend`` (``"cycle,fast"``) delegates to
     :func:`diff_backends_case` for a cross-backend differential.
-    ``reference`` is the case's :func:`run_reference` result at the same
+    ``reference`` is the case's :data:`Reference` at the same
     ``max_instructions``, when the caller already has it.
     """
     names = _backend_names(backend)
@@ -234,15 +247,15 @@ def verify_case(case: FuzzProgram, policy: CommitPolicy,
         return diff_backends_case(case, policy, spec=spec,
                                   max_instructions=max_instructions,
                                   backends=names, reference=reference)
-    oracle, golden = reference or run_reference(
-        case, max_instructions=max_instructions)
+    golden, expected_words = reference or _golden(case, max_instructions)
 
     machine = Machine.from_spec(spec, policy=policy, backend=names[0])
     case.apply_memory_image(machine)
     result = machine.run(case.program, max_instructions=max_instructions,
                          fault_handler_pc=case.fault_handler_pc)
 
-    mismatches = _compare_states(case, golden, result, oracle, machine)
+    mismatches = _compare_states(case, golden, expected_words, result,
+                                 machine)
     invariant_failures = _check_invariants(machine, policy, result)
     return VerifyVerdict(
         seed=case.seed,
@@ -279,8 +292,7 @@ def diff_backends_case(case: FuzzProgram, policy: CommitPolicy,
     ``cycle_tolerance`` (relative) of the first backend named.
     """
     names = backends if backends else [DEFAULT_BACKEND, "fast"]
-    oracle, golden = reference or run_reference(
-        case, max_instructions=max_instructions)
+    golden, expected_words = reference or _golden(case, max_instructions)
 
     mismatches: List[str] = []
     invariant_failures: List[str] = []
@@ -292,8 +304,8 @@ def diff_backends_case(case: FuzzProgram, policy: CommitPolicy,
                              max_instructions=max_instructions,
                              fault_handler_pc=case.fault_handler_pc)
         mismatches += [f"[{name}] {issue}" for issue in
-                       _compare_states(case, golden, result, oracle,
-                                       machine)]
+                       _compare_states(case, golden, expected_words,
+                                       result, machine)]
         invariant_failures += [f"[{name}] {issue}" for issue in
                                _check_invariants(machine, policy, result)]
         runs.append((name, result))
@@ -328,7 +340,8 @@ def diff_backends_case(case: FuzzProgram, policy: CommitPolicy,
     )
 
 
-def _compare_states(case: FuzzProgram, golden, result, oracle,
+def _compare_states(case: FuzzProgram, golden: OracleResult,
+                    expected_words: array, result,
                     machine) -> List[str]:
     mismatches: List[str] = []
     if result.halted_reason != golden.halted_reason:
@@ -352,7 +365,7 @@ def _compare_states(case: FuzzProgram, golden, result, oracle,
             f"oracle={oracle_faults}")
     addresses = case.compare_addresses()
     for vaddr, got, want in zip(addresses, machine.read_words(addresses),
-                                oracle.read_words(addresses)):
+                                expected_words):
         if got != want:
             mismatches.append(
                 f"mem[{vaddr:#x}]: machine={got:#x} oracle={want:#x}")
@@ -400,14 +413,15 @@ def _check_invariants(machine: Machine, policy: CommitPolicy,
 def _seed_reference(profile: FuzzProfile, seed: int,
                     max_instructions: Optional[int]
                     ) -> Tuple[FuzzProgram, Reference]:
-    """One seed's fuzz program and oracle run, generated once per run of
-    adjacent jobs (see :data:`_REFERENCE_MEMO`)."""
+    """One seed's fuzz program and oracle run, generated once per
+    process while the seed stays in :data:`_REFERENCE_MEMO`."""
     key = (profile.name, seed, max_instructions)
     hit = _REFERENCE_MEMO.get(key)
     if hit is None:
         case = generate_fuzz_program(profile, seed)
-        hit = (case, run_reference(case, max_instructions=max_instructions))
-        _REFERENCE_MEMO.clear()
+        hit = (case, _golden(case, max_instructions))
+        if len(_REFERENCE_MEMO) >= _REFERENCE_MEMO_MAX:
+            _REFERENCE_MEMO.pop(next(iter(_REFERENCE_MEMO)))
         _REFERENCE_MEMO[key] = hit
     return hit
 

@@ -21,22 +21,22 @@ Each workload is a self-contained program shaped by its
     misses).
 
 The generator is fully deterministic: ``(profile, code_base, data_base)``
-always yields the same program and chase table.
+always yields the same program and chase table.  Its draws come from
+:class:`~repro.workloads.pcg64.PCG64`, numpy's ``default_rng(seed)``
+stream reproduced in pure Python, so generating needs no numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Tuple
+from typing import List, Tuple
 
 from repro.errors import ConfigError
 from repro.isa.assembler import ProgramBuilder
-from repro.isa.instructions import INSTRUCTION_BYTES
+from repro.isa.instructions import INSTRUCTION_BYTES, AluOp
 from repro.isa.program import Program
+from repro.workloads.pcg64 import PCG64
 from repro.workloads.profiles import WorkloadProfile
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # LCG multiplier/increment (Knuth's MMIX constants).
 _LCG_MUL = 6364136223846793005
@@ -64,6 +64,8 @@ _R_COUNTER = 6
 _R_DISPATCH = 7
 _R_BLOCK_BASE = 12
 _BODY_REGS = (8, 9, 10, 11, 13, 14, 15)
+# Register-register ALU ops a block body draws from, in draw order.
+_BODY_ALU_OPS = (AluOp.ADD, AluOp.XOR, AluOp.SUB, AluOp.OR)
 
 
 def _round_up_pow2(value: int) -> int:
@@ -94,7 +96,7 @@ class _BlockBodyEmitter:
     """Emits one block's body instructions from the profile's mix."""
 
     def __init__(self, builder: ProgramBuilder, profile: WorkloadProfile,
-                 rng: np.random.Generator, data_base: int, ws_mask: int,
+                 rng: PCG64, data_base: int, ws_mask: int,
                  label_prefix: str) -> None:
         self._b = builder
         self._profile = profile
@@ -130,8 +132,7 @@ class _BlockBodyEmitter:
     def _emit_alu(self) -> int:
         rd = self._next_reg()
         rs = self._next_reg()
-        op = self._rng.choice(["add", "xor", "sub", "or"])
-        self._b.alu(str(op), rd, rd, rs)
+        self._b.alu(self._rng.choice(_BODY_ALU_OPS), rd, rd, rs)
         return 1
 
     def _address_mask(self) -> int:
@@ -151,7 +152,7 @@ class _BlockBodyEmitter:
             # hundreds of cycles deep.
             self._b.load(_R_CHASE, _R_CHASE, 0)
             return 1
-        shift = int(self._rng.integers(5, 24))
+        shift = self._rng.integers(5, 24)
         rd = self._next_reg()
         self._b.alu("shr", _R_SCRATCH, _R_LCG, imm=shift)
         self._b.alu("and", _R_SCRATCH, _R_SCRATCH,
@@ -162,7 +163,7 @@ class _BlockBodyEmitter:
         return 4
 
     def _emit_store(self) -> int:
-        shift = int(self._rng.integers(5, 24))
+        shift = self._rng.integers(5, 24)
         addr_reg = self._next_reg()
         data_reg = self._next_reg()
         self._b.alu("shr", _R_SCRATCH, _R_LCG, imm=shift)
@@ -183,7 +184,7 @@ class _BlockBodyEmitter:
         self._skip_counter += 1
         if self._rng.random() < 0.5:
             # LCG-biased branch: taken with controlled probability.
-            shift = int(self._rng.integers(0, 48))
+            shift = self._rng.integers(0, 48)
             self._b.alu("shr", _R_SCRATCH, _R_LCG, imm=shift)
             self._b.alu("and", _R_SCRATCH, _R_SCRATCH, imm=255)
             cost = 4
@@ -192,7 +193,7 @@ class _BlockBodyEmitter:
             # (speculation window), with the value mixed against LCG bits
             # so the taken probability stays at the profile's bias even
             # when the loaded data is degenerate (e.g. zero-filled).
-            shift = int(self._rng.integers(3, 40))
+            shift = self._rng.integers(3, 40)
             self._b.alu("xor", _R_SCRATCH, self._last_load_reg, _R_LCG)
             self._b.alu("shr", _R_SCRATCH, _R_SCRATCH, imm=shift)
             self._b.alu("and", _R_SCRATCH, _R_SCRATCH, imm=255)
@@ -231,10 +232,7 @@ def _generate_program(profile: WorkloadProfile,
     """Generate the synthetic program for one profile."""
     if code_base % INSTRUCTION_BYTES:
         raise ConfigError("code_base must be instruction-aligned")
-    # Imported here so runs that never generate a program (the attack
-    # matrix, verification) do not pay numpy's start-up time and memory.
-    import numpy as np
-    rng = np.random.default_rng(profile.seed)
+    rng = PCG64(profile.seed)
     ws_bytes = _round_up_pow2(profile.working_set_kb * 1024)
     ws_mask = ws_bytes - 1
     num_blocks = max(4, profile.code_kb * 1024 // _BLOCK_BYTES)
@@ -248,7 +246,7 @@ def _generate_program(profile: WorkloadProfile,
 
     b = ProgramBuilder(code_base=code_base)
     # ---- init
-    b.li(_R_LCG, int(rng.integers(1, 1 << 62)))
+    b.li(_R_LCG, rng.integers(1, 1 << 62))
     b.li(_R_DATA_BASE, data_base)
     b.li(_R_CHASE, data_base)        # chase cycle starts at the base
     b.li(_R_THRESHOLD, threshold)
@@ -256,7 +254,7 @@ def _generate_program(profile: WorkloadProfile,
     b.li(_R_BLOCK_BASE, 0)           # patched after layout (see below)
     block_base_fixup = b.here() - 1
     for reg in _BODY_REGS:
-        b.li(reg, int(rng.integers(0, 1 << 32)))
+        b.li(reg, rng.integers(0, 1 << 32))
     b.jmp("loop_head")
 
     # ---- loop head: counter + LCG advance, then into the hot chain.
@@ -337,7 +335,7 @@ def _generate_program(profile: WorkloadProfile,
     )
 
 
-def _build_chase_cycle(rng: np.random.Generator, data_base: int,
+def _build_chase_cycle(rng: PCG64, data_base: int,
                        ws_bytes: int) -> List[Tuple[int, int]]:
     """A random single-cycle permutation of chase slots across the
     working set; slot 0 (the chase entry point) is included.
@@ -347,7 +345,7 @@ def _build_chase_cycle(rng: np.random.Generator, data_base: int,
     entries = min(_MAX_CHASE_ENTRIES, ws_bytes // 16)
     stride = ws_bytes // entries
     slots = [data_base + i * stride for i in range(entries)]
-    order = list(rng.permutation(entries))
+    order = rng.permutation(entries)
     # Rotate so the cycle starts at slot 0 (register init points there).
     zero_pos = order.index(0)
     order = order[zero_pos:] + order[:zero_pos]

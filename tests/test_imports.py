@@ -1,9 +1,10 @@
 """Start-up cost: a run loads only the heavy modules it uses.
 
-numpy is needed only to generate a workload program and
-``multiprocessing`` only to fan jobs out, so importing the CLI, the
-API session or the sampling planner must load neither.  Checked in a
-fresh interpreter, the only place the import state is controlled.
+``multiprocessing`` is needed only to fan jobs out, so importing the
+CLI, the API session or the sampling planner must not load it.  numpy
+is needed by nothing at run time: programs are generated from the
+in-repo PCG64 stream, so not even a sampled run may load it.  Checked
+in a fresh interpreter, the only place the import state is controlled.
 """
 
 import os
@@ -29,10 +30,16 @@ def test_entry_points_load_neither_numpy_nor_multiprocessing():
          "assert not loaded, sorted(loaded)\n")
 
 
-def test_generating_a_program_loads_numpy():
+def test_generating_a_program_and_sampling_load_no_numpy():
     _run("import sys\n"
+         "from repro.api.session import Session\n"
+         "from repro.core.policy import CommitPolicy\n"
          "from repro.workloads.generator import generate_program\n"
          "from repro.workloads.profiles import profile_by_name\n"
-         "assert 'numpy' not in sys.modules\n"
          "generate_program(profile_by_name('namd'))\n"
-         "assert 'numpy' in sys.modules\n")
+         "assert 'numpy' not in sys.modules\n"
+         "report = Session(cache=False).sample(\n"
+         "    'mcf', CommitPolicy.WFC, instructions=4000, interval=1000,\n"
+         "    warmup=100, windows=2, window=300)\n"
+         "assert report.measured_windows == 2, report.measured_windows\n"
+         "assert 'numpy' not in sys.modules\n")

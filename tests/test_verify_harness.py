@@ -18,6 +18,16 @@ from repro.verify import (FUZZ_FORMAT_VERSION, ReferenceOracle,
                           verify_job)
 
 
+@pytest.fixture(autouse=True)
+def _fresh_reference_memo(monkeypatch):
+    """Each test starts with an empty per-process seed memo, so a test
+    that patches the oracle is never served a reference another test
+    memoised."""
+    import repro.verify.harness as harness
+
+    monkeypatch.setattr(harness, "_REFERENCE_MEMO", {})
+
+
 class TestVerifyCase:
     def test_single_case_passes_under_all_policies(self):
         case = generate_fuzz_program(fuzz_profile("mixed"), 0)
@@ -211,9 +221,12 @@ class TestSessionVerify:
 
 class TestSeedReferenceMemo:
     """A seed's fuzz program and oracle run are shared by its policy
-    jobs; the memo changes no verdict."""
+    jobs and by a later batch over the same seeds; the memo changes no
+    verdict."""
 
-    def test_one_generation_and_oracle_run_per_seed(self, monkeypatch):
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts fuzz-program generations and oracle runs."""
         import repro.verify.harness as harness
 
         calls = {"generate": 0, "oracle": 0}
@@ -231,10 +244,32 @@ class TestSeedReferenceMemo:
         monkeypatch.setattr(harness, "generate_fuzz_program",
                             counting_generate)
         monkeypatch.setattr(ReferenceOracle, "run", counting_run)
-        harness._REFERENCE_MEMO.clear()
+        return calls
+
+    def test_one_generation_and_oracle_run_per_seed(self, calls):
         for policy in POLICIES:
             assert run_verify_job(verify_job(11, policy)).details["ok"]
         assert calls == {"generate": 1, "oracle": 1}
+
+    def test_two_backend_batches_generate_each_seed_once(self, calls):
+        session = Session(cache=False)
+        for backend in ("cycle", "fast"):
+            report = session.verify(count=4, seed=20, backend=backend)
+            assert len(report.verdicts) == 4 * len(POLICIES)
+            assert all(v.ok for v in report.verdicts)
+        assert calls == {"generate": 4, "oracle": 4}
+
+    def test_memo_is_bounded(self, calls):
+        import repro.verify.harness as harness
+
+        cap = harness._REFERENCE_MEMO_MAX
+        for seed in range(cap + 2):
+            run_verify_job(verify_job(seed, CommitPolicy.WFC,
+                                      instructions=200))
+        assert len(harness._REFERENCE_MEMO) == cap
+        # The oldest seeds went first: seed 0 is generated again.
+        run_verify_job(verify_job(0, CommitPolicy.WFC, instructions=200))
+        assert calls["generate"] == cap + 3
 
     def test_payload_unchanged_with_memo_cleared_per_job(self, monkeypatch):
         import repro.verify.harness as harness
