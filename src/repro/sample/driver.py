@@ -107,8 +107,15 @@ def run_sample_job(job: SimJob) -> SimResult:
     measured window only.
     """
     plan = SamplePlan.from_params(job.params)
+    return measure_window(job, _checkpoint_for(job, plan))
+
+
+def measure_window(job: SimJob, checkpoint: Checkpoint) -> SimResult:
+    """Measure ``job``'s window from ``checkpoint``, the checkpoint
+    opening its slice (what :func:`run_sample_job` does once it has
+    the checkpoint)."""
+    plan = SamplePlan.from_params(job.params)
     backend = str(job.params.get("backend", "cycle"))
-    checkpoint = _checkpoint_for(job, plan)
     wl = resolve_workload(job.target)
     warmup, window = plan.window_span(int(job.params["window_index"]),
                                       int(job.params["total"]))

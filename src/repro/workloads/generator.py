@@ -154,8 +154,8 @@ class _BlockBodyEmitter:
             return 1
         shift = self._rng.integers(5, 24)
         rd = self._next_reg()
-        self._b.alu("shr", _R_SCRATCH, _R_LCG, imm=shift)
-        self._b.alu("and", _R_SCRATCH, _R_SCRATCH,
+        self._b.alu(AluOp.SHR, _R_SCRATCH, _R_LCG, imm=shift)
+        self._b.alu(AluOp.AND, _R_SCRATCH, _R_SCRATCH,
                     imm=self._address_mask() & ~7)
         self._b.add(rd, _R_DATA_BASE, _R_SCRATCH)
         self._b.load(rd, rd, 0)
@@ -166,14 +166,14 @@ class _BlockBodyEmitter:
         shift = self._rng.integers(5, 24)
         addr_reg = self._next_reg()
         data_reg = self._next_reg()
-        self._b.alu("shr", _R_SCRATCH, _R_LCG, imm=shift)
+        self._b.alu(AluOp.SHR, _R_SCRATCH, _R_LCG, imm=shift)
         # Stores stay off the chase slots: slots sit at multiples of the
         # chase stride (a power of two >= 16), so a 16-aligned base plus
         # a fixed +8 displacement can never land on one.  Without this,
         # a store eventually overwrites a chase pointer and the chase
         # load walks off the map — which capped every chasing workload
         # at a few thousand instructions.
-        self._b.alu("and", _R_SCRATCH, _R_SCRATCH,
+        self._b.alu(AluOp.AND, _R_SCRATCH, _R_SCRATCH,
                     imm=self._address_mask() & ~15)
         self._b.add(addr_reg, _R_DATA_BASE, _R_SCRATCH)
         self._b.store(addr_reg, data_reg, 8)
@@ -185,8 +185,8 @@ class _BlockBodyEmitter:
         if self._rng.random() < 0.5:
             # LCG-biased branch: taken with controlled probability.
             shift = self._rng.integers(0, 48)
-            self._b.alu("shr", _R_SCRATCH, _R_LCG, imm=shift)
-            self._b.alu("and", _R_SCRATCH, _R_SCRATCH, imm=255)
+            self._b.alu(AluOp.SHR, _R_SCRATCH, _R_LCG, imm=shift)
+            self._b.alu(AluOp.AND, _R_SCRATCH, _R_SCRATCH, imm=255)
             cost = 4
         else:
             # Load-dependent branch: resolves only after the feeding load
@@ -194,13 +194,13 @@ class _BlockBodyEmitter:
             # so the taken probability stays at the profile's bias even
             # when the loaded data is degenerate (e.g. zero-filled).
             shift = self._rng.integers(3, 40)
-            self._b.alu("xor", _R_SCRATCH, self._last_load_reg, _R_LCG)
-            self._b.alu("shr", _R_SCRATCH, _R_SCRATCH, imm=shift)
-            self._b.alu("and", _R_SCRATCH, _R_SCRATCH, imm=255)
+            self._b.alu(AluOp.XOR, _R_SCRATCH, self._last_load_reg, _R_LCG)
+            self._b.alu(AluOp.SHR, _R_SCRATCH, _R_SCRATCH, imm=shift)
+            self._b.alu(AluOp.AND, _R_SCRATCH, _R_SCRATCH, imm=255)
             cost = 5
         self._b.branch("lt", _R_SCRATCH, _R_THRESHOLD, skip_label)
         filler = self._next_reg()
-        self._b.alu("xor", filler, filler, imm=1)
+        self._b.alu(AluOp.XOR, filler, filler, imm=1)
         self._b.label(skip_label)
         return cost
 
@@ -259,10 +259,10 @@ def _generate_program(profile: WorkloadProfile,
 
     # ---- loop head: counter + LCG advance, then into the hot chain.
     b.label("loop_head")
-    b.alu("sub", _R_COUNTER, _R_COUNTER, imm=1)
+    b.alu(AluOp.SUB, _R_COUNTER, _R_COUNTER, imm=1)
     b.branch("eq", _R_COUNTER, _R_ZERO, "done")
-    b.alu("mul", _R_LCG, _R_LCG, imm=_LCG_MUL)
-    b.alu("add", _R_LCG, _R_LCG, imm=_LCG_ADD)
+    b.alu(AluOp.MUL, _R_LCG, _R_LCG, imm=_LCG_MUL)
+    b.alu(AluOp.ADD, _R_LCG, _R_LCG, imm=_LCG_ADD)
     b.jmp("hot0")
     b.label("done")
     b.halt()
@@ -271,9 +271,9 @@ def _generate_program(profile: WorkloadProfile,
     # indirect jump into one LCG-selected cold block (i-cache pressure
     # plus a realistic, occasionally mispredicting indirect branch).
     b.label("dispatch")
-    b.alu("shr", _R_SCRATCH, _R_LCG, imm=29)
-    b.alu("and", _R_SCRATCH, _R_SCRATCH, imm=cold_pow2 - 1)
-    b.alu("shl", _R_SCRATCH, _R_SCRATCH, imm=block_shift)
+    b.alu(AluOp.SHR, _R_SCRATCH, _R_LCG, imm=29)
+    b.alu(AluOp.AND, _R_SCRATCH, _R_SCRATCH, imm=cold_pow2 - 1)
+    b.alu(AluOp.SHL, _R_SCRATCH, _R_SCRATCH, imm=block_shift)
     b.add(_R_DISPATCH, _R_BLOCK_BASE, _R_SCRATCH)
     b.jmpi(_R_DISPATCH)
 
