@@ -12,9 +12,13 @@ need it:
 
 * **Committed memory accesses** go through the real
   :class:`~repro.memory.hierarchy.MemoryHierarchy` (TLBs, caches, page
-  walker) — on the SafeSpec policies owned by a fresh sequence number,
-  whose shadow fills are promoted immediately, mirroring what the cycle
-  core's access-at-execute + promote-at-commit sequence leaves behind.
+  walker).  On the SafeSpec policies such an access commits as soon as
+  it is made, so its slow path calls
+  :meth:`~repro.memory.hierarchy.MemoryHierarchy.retire_access`, which
+  leaves what the cycle core's access-at-execute + promote-at-commit
+  sequence leaves behind without making shadow entries.  Only a
+  faulting access is owned by a sequence number, because its fault
+  window reads (and WFB promotes) its shadow state.
 * **Branches** consult and train the real direction predictor and BTB
   (property P3), and a misprediction *emulates the wrong path*: the
   predicted-path instructions are interpreted against a scratch register
@@ -202,6 +206,7 @@ class FastBackend:
         self._itlb_lookup = hier.itlb.lookup
         self._itlb_refresh = hier.itlb.refresh
         self._fetch_access = hier.fetch_access
+        self._retire_access = hier.retire_access
         # Raw structure views for the committed hit paths.  The lookups
         # and recency refreshes there reduce to "if present, move to
         # MRU" on the underlying per-set OrderedDicts; a method call per
@@ -1182,6 +1187,7 @@ class FastBackend:
                     return
                 self._l1i_misses.value += 1
             result = self._fetch_access(pc, privilege=self.privilege)
+            latency, level = result.latency, result.hit_level
         else:
             # Same page as the last committed fetch: the translation is
             # the cached one, and the cycle core's commit-time iTLB
@@ -1220,22 +1226,28 @@ class FastBackend:
                         st.move_to_end(ln)
                     return
             il[1] = -1
-            seq = self._next_seq()
-            result = self._fetch_access(pc, privilege=self.privilege,
-                                        owner=seq)
-            engine.on_commit(seq)
-            hier.refresh_committed_translation("i", pc)
-            if not result.tlb_hit:
-                hier.refresh_walk_lines(pc)
-            if result.hit_level in ("L1", "L2", "L3"):
-                hier.refresh_line_recency("i", line)
-        if result.hit_level == "shadow":
+            retired = self._retire_access("i", pc, privilege=self.privilege)
+            if retired is None:
+                # A faulting fetch: owned, and promoted at once.
+                seq = self._next_seq()
+                result = self._fetch_access(pc, privilege=self.privilege,
+                                            owner=seq)
+                engine.on_commit(seq)
+                hier.refresh_committed_translation("i", pc)
+                if not result.tlb_hit:
+                    hier.refresh_walk_lines(pc)
+                if result.hit_level in ("L1", "L2", "L3"):
+                    hier.refresh_line_recency("i", result.line_addr)
+                latency, level = result.latency, result.hit_level
+            else:
+                latency, level, _ = retired
+        if level == "shadow":
             cn[_ISH] += 1
-        elif result.hit_level == "L1":
+        elif level == "L1":
             cn[_IL1] += 1
         else:
             cn[_IM] += 1
-        extra = result.latency - self._i_hit
+        extra = latency - self._i_hit
         if extra > 0:
             self.tm[0] += extra     # fetch stalls for the miss
 
@@ -1246,32 +1258,35 @@ class FastBackend:
     def _load_slow(self, nxt: int, pc: int, rd: int, va: int,
                    s: float) -> int:
         hier = self.hier
-        engine = self.engine
         cn = self.cn
-        seq = None if engine is None else self._next_seq()
-        result = hier.data_access(va, is_write=False,
-                                  privilege=self.privilege, owner=seq)
+        retired = None
+        if self.engine is not None:
+            retired = self._retire_access("d", va, privilege=self.privilege)
+        if retired is None:
+            # Baseline, or a faulting access: the fault window reads its
+            # shadow state, so under SafeSpec it is owned.
+            seq = None if self.engine is None else self._next_seq()
+            result = hier.data_access(va, is_write=False,
+                                      privilege=self.privilege, owner=seq)
+            latency, level, paddr = (result.latency, result.hit_level,
+                                     result.paddr)
+        else:
+            latency, level, paddr = retired
+            result = None
         cn[_DA] += 1
-        if result.hit_level == "shadow":
+        if level == "shadow":
             cn[_DSH] += 1
-        elif result.hit_level == "L1":
+        elif level == "L1":
             cn[_DL1] += 1
         else:
             cn[_DM] += 1
-        if result.fault is not None:
+        if result is not None and result.fault is not None:
             p1 = 0 if result.fault == "unmapped" \
-                else hier.memory.read_word(result.paddr)
+                else hier.memory.read_word(paddr)
             return self._raise_fault(nxt, pc, va, result.fault, seq,
-                                     rd, p1, s + max(result.latency, 1))
-        if engine is not None:
-            engine.on_commit(seq)
-            hier.refresh_committed_translation("d", va)
-            if not result.tlb_hit:
-                hier.refresh_walk_lines(va)
-            if result.hit_level in ("L1", "L2", "L3"):
-                hier.refresh_line_recency("d", result.line_addr)
-        self.regs[rd] = hier.memory.read_word(result.paddr)
-        d = s + max(result.latency, 1)
+                                     rd, p1, s + max(latency, 1))
+        self.regs[rd] = hier.memory.read_word(paddr)
+        d = s + max(latency, 1)
         self.rt[rd] = d
         tm = self.tm
         c = tm[1] + self._cs
@@ -1284,26 +1299,29 @@ class FastBackend:
     def _store_slow(self, nxt: int, pc: int, va: int, value: int,
                     s: float) -> int:
         hier = self.hier
-        engine = self.engine
-        result = AccessResult(latency=0)
-        seq = None if engine is None else self._next_seq()
-        trans = hier.translate("d", va, seq, result)
-        fault = None
-        if trans is None:
-            fault = "unmapped"
-        elif not trans.permissions.allows(write=True, execute=False,
-                                          privilege=self.privilege):
-            fault = "permission"
-        if fault is not None:
-            return self._raise_fault(nxt, pc, va, fault, seq,
-                                     None, 0, s + max(result.latency, 1))
-        if engine is not None:
-            engine.on_commit(seq)
-            hier.refresh_committed_translation("d", va)
-            if not result.tlb_hit:
-                hier.refresh_walk_lines(va)
-        hier.commit_store(trans.physical(va), value)
-        d = s + max(result.latency, 1)
+        retired = None
+        if self.engine is not None:
+            retired = self._retire_access("d", va, privilege=self.privilege,
+                                          write=True, line=False)
+        if retired is None:
+            # Baseline, or a faulting access (owned under SafeSpec).
+            result = AccessResult(latency=0)
+            seq = None if self.engine is None else self._next_seq()
+            trans = hier.translate("d", va, seq, result)
+            fault = None
+            if trans is None:
+                fault = "unmapped"
+            elif not trans.permissions.allows(write=True, execute=False,
+                                              privilege=self.privilege):
+                fault = "permission"
+            if fault is not None:
+                return self._raise_fault(nxt, pc, va, fault, seq,
+                                         None, 0, s + max(result.latency, 1))
+            latency, paddr = result.latency, trans.physical(va)
+        else:
+            latency, _, paddr = retired
+        hier.commit_store(paddr, value)
+        d = s + max(latency, 1)
         tm = self.tm
         c = tm[1] + self._cs
         if d + 1.0 > c:

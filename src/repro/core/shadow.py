@@ -163,6 +163,25 @@ class ShadowStructure:
         self._remove(entry)
         self._committed.value += 1
 
+    def count_committed(self, fills: int) -> int:
+        """Count ``fills`` fills whose owner commits at once, as
+        :meth:`fill` then :meth:`release_committed` would, without
+        making entries (the memory hierarchy's retire path).
+
+        Returns how many fit; the rest count as drops (or blocks).  The
+        count is unchanged, so occupancy is not charged.
+        """
+        room = self.capacity - self._count
+        filled = fills if fills <= room else room
+        if filled < fills:
+            if self._is_drop:
+                self._drops.value += fills - filled
+            else:
+                self._blocks.value += fills - filled
+        self._fills.value += filled
+        self._committed.value += filled
+        return filled
+
     def annul(self, entry: ShadowEntry) -> None:
         """Remove an entry whose owner was squashed (leaves no trace)."""
         self._remove(entry)

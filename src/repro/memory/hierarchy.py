@@ -171,6 +171,13 @@ class MemoryHierarchy:
         self._engine: Optional["SafeSpecEngine"] = None
         self._shadow_lines: Optional[_BySide] = None
         self._shadow_tlbs: Optional[_BySide] = None
+        # Per side, the (shadow cache, shadow TLB) structures themselves.
+        self._shadow_structures: Optional[_BySide] = None
+        # Per side, the committed TLB's entries and its hit latency.
+        self._tlb_entries = _BySide(i=self.itlb._entries,
+                                    d=self.dtlb._entries)
+        self._tlb_hit_latency = _BySide(
+            i=self.config.itlb.hit_latency, d=self.config.dtlb.hit_latency)
         # Hit latency by level name, per side.  Shadow hits are charged
         # the L1 hit latency of their side, the paper's conservative
         # assumption (Section VI-A).
@@ -199,6 +206,9 @@ class MemoryHierarchy:
                                      d=engine.shadow_dcache._by_key)
         self._shadow_tlbs = _BySide(i=engine.shadow_itlb._by_key,
                                     d=engine.shadow_dtlb._by_key)
+        self._shadow_structures = _BySide(
+            i=(engine.shadow_icache, engine.shadow_itlb),
+            d=(engine.shadow_dcache, engine.shadow_dtlb))
 
     # ------------------------------------------------------------------
     # committed-state installation (unowned fills, and the SafeSpec
@@ -460,6 +470,143 @@ class MemoryHierarchy:
             self._engine.record_line("i", line, owner)
             result.filled = True
         return result
+
+    # ------------------------------------------------------------------
+    # an owned access whose owner commits at once
+    # ------------------------------------------------------------------
+
+    def retire_access(self, side: str, vaddr: int, *,
+                      privilege: PrivilegeLevel, write: bool = False,
+                      line: bool = True) -> Optional[Tuple[int, str, int]]:
+        """An owned access that commits at once, applied without shadow
+        entries (SafeSpec machines only).
+
+        Makes the net transition of an owned :meth:`data_access`
+        (:meth:`fetch_access` on the i-side; :meth:`translate` alone
+        when ``line`` is false), then the engine's promotion of its
+        fills and the commit-time refreshes of its TLB entry, walk lines
+        and line — in that order:
+
+        1. presence lookups that change no LRU state and no hit/miss
+           counter (shadow state first, as an owned lookup reads it);
+        2. the walk counter and the walk lines' latencies;
+        3. the shadow structures' fill and commit counters, a fill past
+           capacity counting as a drop (or block) and never installing;
+        4. installs in fill order: walk lines, the translation, the line;
+        5. the engine's ``promotions``;
+        6. the TLB, walk-line and line recency refreshes.
+
+        Occupancy is not charged: each structure's count is the same
+        before and after, so its histogram is too.  Returns ``(latency,
+        hit_level, paddr)``, or ``None``, with no state changed, when
+        the access would fault: a fault window reads the faulting
+        access's shadow state (and WFB promotes it), so the caller makes
+        that access owned.
+        """
+        vpn = vaddr >> PAGE_SHIFT
+        tlb_entries = self._tlb_entries[side]
+        shadowed = self._shadow_tlbs[side].get(vpn)
+        entry = shadowed[-1].payload if shadowed else tlb_entries.get(vpn)
+        translation = (self.page_table.lookup(vaddr) if entry is None
+                       else entry)
+        if translation is None or not translation.permissions.allows(
+                write=write, execute=side == "i", privilege=privilege):
+            return None
+        shadow_cache, shadow_tlb = self._shadow_structures[side]
+        d_shadow = self._shadow_lines["d"]
+        set_shift = self.set_shift
+        # The d-side line fills this access makes, in fill order: the
+        # walk's missing lines, then (d-side) the line's.
+        d_fills: List[int] = []
+        if entry is None:
+            self._walks.value += 1
+            d_latency = self._latency["d"]
+            walk_lines = self._page_walk_lines.get(vpn) \
+                or self._walk_lines(vaddr)
+            latency = 0
+            for walk_line in walk_lines:
+                if walk_line in d_shadow or (
+                        walk_line in d_fills
+                        and self._fill_fitted(d_fills, walk_line)):
+                    level = "shadow"
+                else:
+                    index = walk_line >> set_shift
+                    for level, sets, set_mask, _, _ in self.levels["d"]:
+                        if walk_line in sets.get(index & set_mask, ()):
+                            break
+                    else:
+                        level = "MEM"
+                latency += d_latency[level]
+                if level == "MEM":
+                    d_fills.append(walk_line)
+            walked = len(d_fills)
+            translated = shadow_tlb.count_committed(1)
+        else:
+            latency = self._tlb_hit_latency[side]
+            walked = translated = 0
+        paddr = (translation.ppn << PAGE_SHIFT) | (vaddr & (PAGE_SIZE - 1))
+        level = ""
+        filled = 0
+        if line:
+            line_addr = paddr & self.line_mask
+            if line_addr in self._shadow_lines[side] or (
+                    side == "d" and line_addr in d_fills
+                    and self._fill_fitted(d_fills, line_addr)):
+                level = "shadow"
+            else:
+                index = line_addr >> set_shift
+                for level, sets, set_mask, _, _ in self.levels[side]:
+                    if line_addr in sets.get(index & set_mask, ()):
+                        break
+                else:
+                    level = "MEM"
+            latency += self._latency[side][level]
+            if level != "L1" and level != "shadow":
+                if side == "d":
+                    d_fills.append(line_addr)
+                else:
+                    filled = shadow_cache.count_committed(1)
+        if d_fills:
+            d_filled = self._shadow_structures["d"][0].count_committed(
+                len(d_fills))
+            if d_filled > walked:
+                filled = 1
+            walked = min(walked, d_filled)
+        for walk_line in d_fills[:walked]:
+            self.install_line("d", walk_line)
+        if translated:
+            (self.itlb if side == "i" else self.dtlb).fill(translation)
+        if filled:
+            self.install_line(side, line_addr)
+        installed = walked + translated + filled
+        if installed:
+            self._engine.promotions += installed
+        if vpn in tlb_entries:
+            tlb_entries.move_to_end(vpn)
+        if entry is None:
+            levels = self.levels["d"]
+            for walk_line in walk_lines:
+                index = walk_line >> set_shift
+                for _, sets, set_mask, _, _ in levels:
+                    cache_set = sets[index & set_mask]
+                    if walk_line in cache_set:
+                        cache_set.move_to_end(walk_line)
+        if level == "L1" or level == "L2" or level == "L3":
+            index = line_addr >> set_shift
+            for _, sets, set_mask, _, _ in self.levels[side]:
+                cache_set = sets[index & set_mask]
+                if line_addr in cache_set:
+                    cache_set.move_to_end(line_addr)
+        return latency, level, paddr
+
+    def _fill_fitted(self, fills: List[int], line_addr: int) -> bool:
+        """Whether ``line_addr``, one of the d-side ``fills`` a retiring
+        access made, fitted in the shadow d-cache (so a later lookup of
+        the same access hits it there).  A line filled twice in one
+        access is a page-walk line aliasing another, or the access's own
+        line; no workload makes one."""
+        shadow = self._shadow_structures["d"][0]
+        return fills.index(line_addr) < shadow.capacity - shadow.occupancy()
 
     # ------------------------------------------------------------------
     # store commit (TSO: stores update memory state only at commit)

@@ -985,7 +985,9 @@ class Core:
         result = self.hierarchy.fetch_access(
             uop.pc, privilege=self.privilege, owner=self._owner(uop))
         uop.ifetch_level = result.hit_level
-        uop.ifetch_line = line
+        # Commit refreshes the physical caches, so the leader keeps the
+        # physical line; a faulting fetch has none and keeps ``line``.
+        uop.ifetch_line = line if result.line_addr < 0 else result.line_addr
         uop.iwalked = not result.tlb_hit
         self._n_i_access += 1
         if result.hit_level == "shadow":

@@ -21,7 +21,9 @@ Contract:
   architectural results.  ``warm=False`` drops them for smaller values.
 * **Stable identity.**  :meth:`Checkpoint.digest` hashes the canonical
   JSON form (the :class:`~repro.spec.MachineSpec` idiom), so equal
-  checkpoints hash identically across processes and platforms.
+  checkpoints hash identically across processes and platforms.  The
+  text is streamed into the hash in bounded pieces, straight from the
+  packed fields: the wire form is never built to digest it.
 * **Packed.**  Memory words, written masks, page mappings and warm
   TLB/cache contents are held as immutable ``bytes`` of unsigned 64-bit
   words, not as Python tuples; :meth:`Checkpoint.to_dict` unpacks them
@@ -45,6 +47,9 @@ from repro.isa.registers import NUM_REGISTERS
 from repro.memory.paging import PagePermissions, Translation
 
 CHECKPOINT_SCHEMA_VERSION = 1
+
+# Rows (or sparse cache sets) written into the digest per hash update.
+_DIGEST_BATCH = 4096
 
 # Cache levels / TLBs captured by a warm checkpoint, in a fixed order so
 # the serialized form (and therefore the digest) is deterministic.
@@ -107,6 +112,79 @@ def _sparse_sets(packed: bytes) -> Iterator[List[Any]]:
         index, count = flat[at], flat[at + 1]
         yield [index, flat[at + 2:at + 2 + count].tolist()]
         at += 2 + count
+
+
+def _canonical(value: Any) -> str:
+    """``value``'s canonical JSON text (sorted keys, no whitespace)."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+class _RowsText:
+    """A packed field whose wire form is its ``width``-integer rows."""
+
+    __slots__ = ("packed", "width")
+
+    def __init__(self, packed: bytes, width: int) -> None:
+        self.packed = packed
+        self.width = width
+
+    def chunks(self) -> Iterator[str]:
+        """The canonical JSON text of ``_rows(packed, width)``, a
+        bounded batch of rows at a time."""
+        flat = array("Q", self.packed)
+        width = self.width
+        row = "[" + ",".join(("%d",) * width) + "]"
+        total = len(flat) // width
+        yield "["
+        for at in range(0, total, _DIGEST_BATCH):
+            count = min(_DIGEST_BATCH, total - at)
+            text = ",".join((row,) * count) % tuple(
+                flat[at * width:(at + count) * width])
+            yield "," + text if at else text
+        yield "]"
+
+
+class _SetsText:
+    """A packed sparse-cache field, whose wire form is its
+    :func:`_sparse_sets` pairs."""
+
+    __slots__ = ("packed",)
+
+    def __init__(self, packed: bytes) -> None:
+        self.packed = packed
+
+    def chunks(self) -> Iterator[str]:
+        """The canonical JSON text of ``list(_sparse_sets(packed))``, a
+        bounded batch of sets at a time."""
+        yield "["
+        batch: List[str] = []
+        first = True
+        for index, lines in _sparse_sets(self.packed):
+            batch.append("[%d,[%s]]" % (index, ",".join(map(str, lines))))
+            if len(batch) == _DIGEST_BATCH:
+                yield ",".join(batch) if first else "," + ",".join(batch)
+                first = False
+                batch = []
+        if batch:
+            yield ",".join(batch) if first else "," + ",".join(batch)
+        yield "]"
+
+
+def _text_chunks(value: Any) -> Iterator[str]:
+    """The canonical JSON text of ``value`` in pieces, where packed
+    fields stand as :class:`_RowsText` / :class:`_SetsText`.  Their
+    text equals :func:`_canonical` of the unpacked value."""
+    if isinstance(value, (_RowsText, _SetsText)):
+        yield from value.chunks()
+    elif isinstance(value, dict) and all(isinstance(key, str)
+                                         for key in value):
+        yield "{"
+        for n, key in enumerate(sorted(value)):
+            yield ("," if n else "") + _canonical(key) + ":"
+            yield from _text_chunks(value[key])
+        yield "}"
+    else:
+        yield _canonical(value)
 
 
 def _convert_warm(warm: Dict[str, Any], tlbs: Callable[[Any], Any],
@@ -275,18 +353,25 @@ class Checkpoint:
 
     def to_dict(self) -> Dict[str, Any]:
         """This checkpoint as nested JSON-representable primitives."""
+        return self._wire_form(_rows, lambda packed: list(
+            _sparse_sets(packed)))
+
+    def _wire_form(self, rows: Callable[[bytes, int], Any],
+                   sets: Callable[[bytes], Any]) -> Dict[str, Any]:
+        """The wire form, with each packed field of rows mapped through
+        ``rows(packed, width)`` and each packed cache through
+        ``sets(packed)``."""
         return {
             "checkpoint_schema": CHECKPOINT_SCHEMA_VERSION,
             "instructions": self.instructions,
             "next_pc": self.next_pc,
             "registers": list(self.registers),
-            "memory": _rows(self.memory, 2),
-            "written": _rows(self.written, 2),
-            "pages": _rows(self.pages, 3),
+            "memory": rows(self.memory, 2),
+            "written": rows(self.written, 2),
+            "pages": rows(self.pages, 3),
             "faults": self.faults,
             "warm": None if self.warm is None else _convert_warm(
-                self.warm, lambda packed: _rows(packed, 3),
-                lambda packed: list(_sparse_sets(packed))),
+                self.warm, lambda packed: rows(packed, 3), sets),
         }
 
     @classmethod
@@ -311,14 +396,17 @@ class Checkpoint:
         )
 
     def digest(self) -> str:
-        """Stable content hash (hex SHA-256) of the canonical JSON form.
+        """Stable content hash (hex SHA-256) of the canonical JSON form:
+        ``json.dumps(self.to_dict(), sort_keys=True, separators=(",",
+        ":"))``, streamed into the hash from the packed fields.
 
         Identical across processes, interpreter restarts and platforms
         for equal checkpoints — the property the sampling cache relies on.
         """
-        canonical = json.dumps(self.to_dict(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        sha = hashlib.sha256()
+        for chunk in _text_chunks(self._wire_form(_RowsText, _SetsText)):
+            sha.update(chunk.encode("utf-8"))
+        return sha.hexdigest()
 
     def short_digest(self) -> str:
         """The first 12 hex chars of :meth:`digest` (display use)."""

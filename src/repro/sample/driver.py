@@ -34,7 +34,9 @@ from repro.workloads.profiles import WorkloadProfile
 
 # Per-process memo of fast-forward scans, keyed by everything that can
 # change the produced checkpoints.  A worker measuring several windows
-# of one plan scans once; the cap keeps long-lived workers bounded.
+# of one plan scans once; each window takes its checkpoint out of the
+# memo, so a checkpoint is freed once its window is measured, and the
+# cap keeps long-lived workers bounded.
 _SCAN_MEMO: Dict[Tuple, Dict[int, Checkpoint]] = {}
 _SCAN_MEMO_MAX = 4
 
@@ -73,7 +75,13 @@ def sample_job(benchmark: str, policy: CommitPolicy, index: int,
 
 
 def _checkpoint_for(job: SimJob, plan: SamplePlan) -> Checkpoint:
-    """The checkpoint opening this job's slice (memoized per process)."""
+    """The checkpoint opening this job's slice, taken out of the
+    per-process memo.
+
+    Each selected slice is one job, so nothing reads a checkpoint after
+    its window; a later request for a slice already taken rescans, as
+    one for a slice the memo never held does.
+    """
     index = int(job.params["window_index"])
     total = int(job.params["total"])
     ff_backend = str(job.params.get("ff_backend", "fast"))
@@ -93,7 +101,10 @@ def _checkpoint_for(job: SimJob, plan: SamplePlan) -> Checkpoint:
         if len(_SCAN_MEMO) >= _SCAN_MEMO_MAX:
             _SCAN_MEMO.pop(next(iter(_SCAN_MEMO)))
         _SCAN_MEMO[memo_key] = checkpoints
-    return checkpoints[index]
+    checkpoint = checkpoints.pop(index)
+    if not checkpoints:
+        del _SCAN_MEMO[memo_key]
+    return checkpoint
 
 
 def run_sample_job(job: SimJob) -> SimResult:

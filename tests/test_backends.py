@@ -24,6 +24,7 @@ from repro.backends import (BACKENDS, DEFAULT_BACKEND, backend_names,
 from repro.api.scenario import Scenario
 from repro.core.policy import CommitPolicy
 from repro.errors import ConfigError
+from repro.isa.assembler import ProgramBuilder
 from repro.machine import Machine
 from repro.verify import fuzz_profile, generate_fuzz_program
 from repro.verify.harness import CYCLE_TOLERANCE
@@ -161,3 +162,36 @@ class TestCycleTolerance:
             / cycle.result.cycles
         assert drift <= CYCLE_TOLERANCE, \
             f"{bench}/{policy.value}: {drift:.1%} cycle drift"
+
+
+class TestCommitRefreshPhysicalLine:
+    """A committed fetch refreshes the physical i-line's recency.
+
+    Code at vpn 0x40 runs from ppn 0x77.  Its line starts LRU in a full
+    8-way L1I set; the fetch hits it.  Baseline's access-time lookup
+    moves it to MRU, and SafeSpec's commit-time refresh must do the
+    same, on the physical line (the virtual line is in no cache).
+    """
+
+    CODE_BASE = 0x40 << 12
+    PPN = 0x77
+
+    @pytest.mark.parametrize("backend", backend_names())
+    @pytest.mark.parametrize("policy", list(CommitPolicy),
+                             ids=lambda p: p.value)
+    def test_code_line_moves_to_mru(self, backend, policy):
+        machine = Machine(policy=policy, backend=backend)
+        machine.page_table.map_page(self.CODE_BASE >> 12, self.PPN)
+        l1i = machine.hierarchy.l1i
+        code_line = self.PPN << 12
+        stride = l1i.config.num_sets * l1i.config.line_bytes
+        for way in range(l1i.config.associativity):
+            l1i.fill(code_line + way * stride)
+        index = (code_line // l1i.config.line_bytes) % l1i.config.num_sets
+        assert l1i.snapshot()[index][0] == code_line
+        b = ProgramBuilder(code_base=self.CODE_BASE)
+        b.nop(2)
+        b.halt()
+        result = machine.run(b.build(), map_code=False)
+        assert result.halted_reason == "halt"
+        assert l1i.snapshot()[index][-1] == code_line
