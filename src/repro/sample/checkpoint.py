@@ -38,7 +38,7 @@ import dataclasses
 import hashlib
 import json
 from array import array
-from itertools import chain
+from itertools import chain, islice
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
                     Optional, Tuple)
 
@@ -119,63 +119,40 @@ def _canonical(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-class _RowsText:
-    """A packed field whose wire form is its ``width``-integer rows."""
-
-    __slots__ = ("packed", "width")
-
-    def __init__(self, packed: bytes, width: int) -> None:
-        self.packed = packed
-        self.width = width
-
-    def chunks(self) -> Iterator[str]:
-        """The canonical JSON text of ``_rows(packed, width)``, a
-        bounded batch of rows at a time."""
-        flat = array("Q", self.packed)
-        width = self.width
-        row = "[" + ",".join(("%d",) * width) + "]"
-        total = len(flat) // width
-        yield "["
-        for at in range(0, total, _DIGEST_BATCH):
-            count = min(_DIGEST_BATCH, total - at)
-            text = ",".join((row,) * count) % tuple(
-                flat[at * width:(at + count) * width])
-            yield "," + text if at else text
-        yield "]"
+def _joined(pieces: Iterable[str]) -> Iterator[str]:
+    """The text of a JSON list whose items come as comma-joined runs."""
+    yield "["
+    for n, piece in enumerate(pieces):
+        yield "," + piece if n else piece
+    yield "]"
 
 
-class _SetsText:
-    """A packed sparse-cache field, whose wire form is its
-    :func:`_sparse_sets` pairs."""
+def _rows_text(packed: bytes, width: int) -> Iterator[str]:
+    """:func:`_canonical` of ``_rows(packed, width)``, written a bounded
+    batch of rows at a time."""
+    flat = memoryview(packed).cast("Q")
+    row = "[" + ",".join(("%d",) * width) + "]"
+    step = _DIGEST_BATCH * width
+    return _joined(",".join((row,) * (len(batch) // width)) % tuple(batch)
+                   for batch in (flat[at:at + step]
+                                 for at in range(0, len(flat), step)))
 
-    __slots__ = ("packed",)
 
-    def __init__(self, packed: bytes) -> None:
-        self.packed = packed
-
-    def chunks(self) -> Iterator[str]:
-        """The canonical JSON text of ``list(_sparse_sets(packed))``, a
-        bounded batch of sets at a time."""
-        yield "["
-        batch: List[str] = []
-        first = True
-        for index, lines in _sparse_sets(self.packed):
-            batch.append("[%d,[%s]]" % (index, ",".join(map(str, lines))))
-            if len(batch) == _DIGEST_BATCH:
-                yield ",".join(batch) if first else "," + ",".join(batch)
-                first = False
-                batch = []
-        if batch:
-            yield ",".join(batch) if first else "," + ",".join(batch)
-        yield "]"
+def _sets_text(packed: bytes) -> Iterator[str]:
+    """:func:`_canonical` of ``list(_sparse_sets(packed))``, written a
+    bounded batch of sets at a time."""
+    sets = ("[%d,[%s]]" % (index, ",".join(map(str, lines)))
+            for index, lines in _sparse_sets(packed))
+    return _joined(",".join(batch) for batch in iter(
+        lambda: list(islice(sets, _DIGEST_BATCH)), []))
 
 
 def _text_chunks(value: Any) -> Iterator[str]:
-    """The canonical JSON text of ``value`` in pieces, where packed
-    fields stand as :class:`_RowsText` / :class:`_SetsText`.  Their
-    text equals :func:`_canonical` of the unpacked value."""
-    if isinstance(value, (_RowsText, _SetsText)):
-        yield from value.chunks()
+    """:func:`_canonical` of ``value`` in pieces, where a packed field
+    stands as the iterator of its text (:func:`_rows_text`,
+    :func:`_sets_text`)."""
+    if isinstance(value, Iterator):
+        yield from value
     elif isinstance(value, dict) and all(isinstance(key, str)
                                          for key in value):
         yield "{"
@@ -404,7 +381,7 @@ class Checkpoint:
         for equal checkpoints — the property the sampling cache relies on.
         """
         sha = hashlib.sha256()
-        for chunk in _text_chunks(self._wire_form(_RowsText, _SetsText)):
+        for chunk in _text_chunks(self._wire_form(_rows_text, _sets_text)):
             sha.update(chunk.encode("utf-8"))
         return sha.hexdigest()
 

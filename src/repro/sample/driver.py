@@ -122,9 +122,8 @@ def run_sample_job(job: SimJob) -> SimResult:
 
 
 def measure_window(job: SimJob, checkpoint: Checkpoint) -> SimResult:
-    """Measure ``job``'s window from ``checkpoint``, the checkpoint
-    opening its slice (what :func:`run_sample_job` does once it has
-    the checkpoint)."""
+    """Measure ``job``'s window, restored from ``checkpoint`` (the
+    checkpoint opening its slice)."""
     plan = SamplePlan.from_params(job.params)
     backend = str(job.params.get("backend", "cycle"))
     wl = resolve_workload(job.target)

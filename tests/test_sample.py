@@ -13,6 +13,7 @@ The load-bearing properties of sampled simulation:
 
 import dataclasses
 import gc
+import hashlib
 import json
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -27,6 +28,8 @@ from repro.exec.job import SAMPLE
 from repro.machine import Machine
 from repro.sample import (CHECKPOINT_SCHEMA_VERSION, Checkpoint, SamplePlan,
                           run_sample, sample_jobs, scan_checkpoints)
+from repro.sample import checkpoint as checkpoint_module
+from repro.sample import driver
 from repro.sample.plan import resolve_workload
 from repro.spec import MachineSpec
 
@@ -157,6 +160,23 @@ class TestCheckpointValue:
         # Warm state is micro-architectural only: same committed state.
         assert dataclasses.replace(warm, warm=None).digest() == cold.digest()
 
+    @pytest.mark.parametrize("batch", [1, 3, None])
+    def test_digest_hashes_the_canonical_json(self, checkpoint, batch,
+                                              monkeypatch):
+        # The digest streams the canonical JSON of the wire form into the
+        # hash batch by batch; any batch size gives the same text.
+        if batch is not None:
+            monkeypatch.setattr(checkpoint_module, "_DIGEST_BATCH", batch)
+        tage = MachineSpec().derive(predictor="tage")
+        for value in (checkpoint,
+                      scan_checkpoints("namd", PLAN, [0, 1], warm=False)[1],
+                      scan_checkpoints("namd", PLAN, [0])[0],
+                      scan_checkpoints("namd", PLAN, [1], spec=tage)[1]):
+            canonical = json.dumps(value.to_dict(), sort_keys=True,
+                                   separators=(",", ":"))
+            assert value.digest() == hashlib.sha256(
+                canonical.encode("utf-8")).hexdigest()
+
     def test_initial_checkpoint_is_start_of_program(self):
         workload = resolve_workload("namd")
         checkpoint = scan_checkpoints(workload, PLAN, [0])[0]
@@ -216,6 +236,23 @@ class TestPackedCheckpoint:
             tracemalloc.stop()
         assert retained <= 320_000, retained
         assert hash(checkpoint) == hash(dataclasses.replace(checkpoint))
+
+    def test_digest_streams_in_bounded_memory(self, mcf_wfc):
+        checkpoint = self._capture(*mcf_wfc)
+
+        def traced_peak(fn):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        streamed = traced_peak(checkpoint.digest)
+        whole = traced_peak(lambda: json.dumps(
+            checkpoint.to_dict(), sort_keys=True, separators=(",", ":")))
+        assert streamed * 4 < whole, (streamed, whole)
 
     def test_restore_rejects_over_full_cache_sets(self, mcf_wfc):
         # Same 64 L1D sets as the default, but 4-way instead of 8-way.
@@ -304,6 +341,29 @@ class TestSampledRun:
         # Every job was answered by the store: zero re-executions.
         assert session.cache_stats["hits"] == len(second.windows)
         assert second.stitched_ipc == first.stitched_ipc
+
+    def test_window_takes_its_checkpoint_from_the_memo(self, monkeypatch):
+        scans = []
+
+        def counting_scan(*args, **kwargs):
+            scans.append(args[2])
+            return scan_checkpoints(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "scan_checkpoints", counting_scan)
+        monkeypatch.setattr(driver, "_SCAN_MEMO", {})
+        first, second = sample_jobs("namd", CommitPolicy.BASELINE, PLAN,
+                                    TOTAL)
+        measured = driver.run_sample_job(first)
+        # One scan serves both windows; the first took its checkpoint.
+        assert len(scans) == 1
+        assert [sorted(c) for c in driver._SCAN_MEMO.values()] == [[1]]
+        driver.run_sample_job(second)
+        assert len(scans) == 1
+        assert driver._SCAN_MEMO == {}
+        # A slice already taken is scanned again, to the same checkpoint.
+        again = driver.run_sample_job(first)
+        assert len(scans) == 2
+        assert again.details == measured.details
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_windows_measure_on_either_backend(self, backend):
