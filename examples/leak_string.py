@@ -12,7 +12,7 @@ Usage::
 
 import sys
 
-from repro import CommitPolicy, Machine, ProgramBuilder
+from repro import CommitPolicy, Machine
 from repro.attacks.channels import FlushReloadChannel
 from repro.attacks.gadgets import AttackLayout, warm_lines
 from repro.attacks.spectre_v1 import build_victim
@@ -44,7 +44,7 @@ def leak_buffer(policy: CommitPolicy, message: bytes) -> bytes:
         channel.flush()
         offset = (layout.secret_addr + index * 8) - layout.array1
         machine.run(victim, initial_registers={1: offset})
-        outcome = channel.reload()
+        outcome = channel.probe()
         recovered.append(outcome.value if outcome.value is not None else 0)
     return bytes(recovered)
 

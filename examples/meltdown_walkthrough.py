@@ -55,7 +55,7 @@ def run_walkthrough(policy: CommitPolicy) -> None:
           f"cycle {fault.cycle} (commit time), long after the dependent "
           f"transmit load executed")
 
-    outcome = channel.reload()
+    outcome = channel.probe()
     if outcome.value is not None:
         print(f"6. flush+reload recovered {outcome.value:#x} -> "
               f"{'SECRET LEAKED' if outcome.value == SECRET else 'noise'}")

@@ -1,33 +1,37 @@
 """Proof-of-concept speculation attacks run against the simulated CPU.
 
-Each attack module exposes one entry point that takes a commit policy
-and returns an :class:`~repro.attacks.runner.AttackResult` saying what was
-leaked.  Together they regenerate Tables III and IV of the paper:
+Each attack module states what is its own — programs, memory image,
+training, trigger, receiver and benign slots — as an
+:class:`~repro.attacks.runner.Attack`; :func:`~repro.attacks.runner.run_attack`
+does every shared step and returns an
+:class:`~repro.attacks.runner.AttackResult` saying what was leaked.
+Together they regenerate Tables III and IV of the paper:
 
-==============  =====================  ========  =====  =====
-Attack          Module                 BASELINE  WFB    WFC
-==============  =====================  ========  =====  =====
-Spectre v1      ``spectre_v1``         leaks     safe   safe
-Spectre v2      ``spectre_v2``         leaks     safe   safe
-Meltdown        ``meltdown``           leaks     LEAKS  safe
-I-cache         ``icache_variant``     leaks     safe   safe
-iTLB            ``tlb_variant``        leaks     safe   safe
-dTLB            ``tlb_variant``        leaks     safe   safe
-Transient       ``tsa``                n/a       (small shadow leaks;
-                                                 SECURE sizing safe)
-ret2spec        ``ret2spec``           leaks     safe   safe
-SpectreRSB      ``spectre_rsb``        leaks     safe   safe
-Spectre v2 BHB  ``spectre_v2_bhb``     leaks     safe   safe
-Spectre v4      ``ssb_v4``             leaks     LEAKS  safe
-==============  =====================  ========  =====  =====
+================  =====================  ========  =====  =====
+Attack            Module                 BASELINE  WFB    WFC
+================  =====================  ========  =====  =====
+Spectre v1        ``spectre_v1``         leaks     safe   safe
+Spectre v1 (P+P)  ``spectre_pp``         leaks     safe   safe
+Spectre v2        ``spectre_v2``         leaks     safe   safe
+Meltdown          ``meltdown``           leaks     LEAKS  safe
+Meltdown+Spectre  ``meltdown_spectre``   leaks     safe   safe
+I-cache           ``icache_variant``     leaks     safe   safe
+iTLB              ``tlb_variant``        leaks     safe   safe
+dTLB              ``tlb_variant``        leaks     safe   safe
+Transient         ``tsa``                n/a       (small shadow leaks;
+                                                   SECURE sizing safe)
+ret2spec          ``ret2spec``           leaks     safe   safe
+SpectreRSB        ``spectre_rsb``        leaks     safe   safe
+Spectre v2 BHB    ``spectre_v2_bhb``     leaks     safe   safe
+Spectre v4        ``ssb_v4``             leaks     LEAKS  safe
+================  =====================  ========  =====  =====
 
 Each entry point registers itself with
-:data:`repro.api.registry.ATTACKS` (``@register_attack``), which is
-where the catalogue — CLI choices, matrix rows and the
-expected-closed metadata — derives from.  This ``__init__`` is the one
-place the attack modules are imported, so registration (and hence
-table) order is fixed here no matter which entry point touches the
-package first.
+:data:`repro.api.registry.ATTACKS`, which is where the catalogue — CLI
+choices, matrix rows and the expected-closed metadata — derives from.
+This ``__init__`` is the one place the attack modules are imported, so
+registration (and hence table) order is fixed here no matter which
+entry point touches the package first.
 """
 
 from repro.api.registry import expected_closed

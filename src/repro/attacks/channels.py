@@ -1,18 +1,24 @@
-"""Side-channel receivers: flush+reload and prime+probe.
+"""Side-channel receivers: flush+reload, TLB probing and prime+probe.
 
 The receivers model the attacker's *committed* measurement loop
 (``rdtsc; access; rdtsc``) using the machine's non-perturbing probe
 interface, which returns exactly the latency such a timed access would
 observe against current committed state.  Speculative/shadow state is
 invisible to them by construction — which is the point of SafeSpec.
+
+Every receiver has the two steps the attack runner drives: ``flush()``
+before the trigger and ``probe()`` after it.  A receiver returns only an
+observation (its hot slots); :func:`leaked_value` alone turns that into
+what leaked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Collection, List, Optional, Sequence
 
 from repro.machine import Machine
+from repro.memory.paging import PAGE_SIZE
 
 # A committed L1/L2 hit is < ~60 cycles in the Table II configuration; a
 # miss to memory is >= 191.  Anything under this threshold counts as
@@ -22,6 +28,26 @@ DEFAULT_HIT_THRESHOLD = 100
 # TLB receiver: a TLB hit costs 1 cycle; the cheapest possible walk is
 # walk_levels (4) L1 hits = 16 cycles.
 DEFAULT_TLB_THRESHOLD = 8
+
+
+def leaked_value(hot_slots: Sequence[int], benign: Collection[int] = (),
+                 secret: Optional[int] = None,
+                 secret_slot: Optional[int] = None) -> Optional[int]:
+    """What leaked, read from a receiver's hot slots: the one hot slot no
+    ``benign`` access explains, else None.
+
+    A receiver coarser than one slot per value names only a class of
+    values (Prime+Probe sees an L1 set, four byte values per set).  For
+    one, the attack passes ``secret_slot``, the slot the ``secret``'s
+    access lands in, and the secret counts as recovered when that slot
+    is the one hot slot.
+    """
+    hot = [slot for slot in hot_slots if slot not in benign]
+    if len(hot) != 1:
+        return None
+    if secret_slot is None:
+        return hot[0]
+    return secret if hot[0] == secret_slot else None
 
 
 @dataclass
@@ -34,9 +60,7 @@ class ProbeOutcome:
     @property
     def value(self) -> Optional[int]:
         """The leaked value: the unique hot slot, else None."""
-        if len(self.hot_slots) == 1:
-            return self.hot_slots[0]
-        return None
+        return leaked_value(self.hot_slots)
 
 
 class FlushReloadChannel:
@@ -44,17 +68,21 @@ class FlushReloadChannel:
 
     The probe array has ``slots`` cache-line-aligned entries spaced
     ``stride`` bytes apart; the victim's secret-dependent access touches
-    slot ``secret`` and the receiver finds the hot line.
+    slot ``secret`` and the receiver finds the hot line.  With
+    ``side="i"`` the receiver times a committed *fetch* of each slot
+    instead of a load (the paper's I-cache variant).
     """
 
     def __init__(self, machine: Machine, base: int, slots: int = 256,
                  stride: int = 64,
-                 threshold: int = DEFAULT_HIT_THRESHOLD) -> None:
+                 threshold: int = DEFAULT_HIT_THRESHOLD,
+                 side: str = "d") -> None:
         self.machine = machine
         self.base = base
         self.slots = slots
         self.stride = stride
         self.threshold = threshold
+        self.side = side
 
     def slot_address(self, slot: int) -> int:
         return self.base + slot * self.stride
@@ -68,43 +96,14 @@ class FlushReloadChannel:
         for slot in range(self.slots):
             self.machine.flush_address(self.slot_address(slot))
 
-    def reload(self) -> ProbeOutcome:
-        """Time a committed load of every slot; hot slots are hits."""
+    def probe(self) -> ProbeOutcome:
+        """Time a committed access to every slot; hot slots are hits."""
         return _outcome(self.machine.probe_latencies(
-            [self.slot_address(s) for s in range(self.slots)]),
-            self.threshold)
+            [self.slot_address(s) for s in range(self.slots)],
+            side=self.side), self.threshold)
 
 
-class IcacheReloadChannel:
-    """Flush+reload against the instruction cache: the receiver times a
-    committed fetch of each probe slot (the paper's I-cache variant)."""
-
-    def __init__(self, machine: Machine, base: int, slots: int = 256,
-                 stride: int = 256,
-                 threshold: int = DEFAULT_HIT_THRESHOLD) -> None:
-        self.machine = machine
-        self.base = base
-        self.slots = slots
-        self.stride = stride
-        self.threshold = threshold
-
-    def slot_address(self, slot: int) -> int:
-        return self.base + slot * self.stride
-
-    def flush(self) -> None:
-        for slot in range(self.slots):
-            addr = self.slot_address(slot)
-            translation = self.machine.page_table.lookup(addr)
-            if translation is not None:
-                self.machine.hierarchy.clflush(translation.physical(addr))
-
-    def reload(self) -> ProbeOutcome:
-        return _outcome(self.machine.probe_latencies(
-            [self.slot_address(s) for s in range(self.slots)], side="i"),
-            self.threshold)
-
-
-class TlbProbeChannel:
+class TlbProbeChannel(FlushReloadChannel):
     """Receiver for the TLB variants: times the *translation* of one page
     per probe slot.  A speculatively installed TLB entry makes the
     translation a 1-cycle hit; otherwise a multi-access page walk runs."""
@@ -112,17 +111,13 @@ class TlbProbeChannel:
     def __init__(self, machine: Machine, base: int, slots: int = 256,
                  side: str = "d",
                  threshold: int = DEFAULT_TLB_THRESHOLD) -> None:
-        self.machine = machine
-        self.base = base
-        self.slots = slots
-        self.side = side
-        self.threshold = threshold
-        self.page_stride = 4096
+        super().__init__(machine, base, slots, PAGE_SIZE, threshold, side)
 
-    def slot_address(self, slot: int) -> int:
-        return self.base + slot * self.page_stride
+    def flush(self) -> None:
+        """Nothing to flush: a translation cannot be clflushed, so the
+        attack never touches the probe pages on its committed path."""
 
-    def reload(self) -> ProbeOutcome:
+    def probe(self) -> ProbeOutcome:
         return _outcome([self.machine.probe_translation_latency(
             self.slot_address(s), side=self.side)
             for s in range(self.slots)], self.threshold)
@@ -194,6 +189,11 @@ class PrimeProbeChannel:
         self._noise_sets = self._evicted_sets()
         return set(self._noise_sets)
 
+    def flush(self) -> None:
+        """Nothing to flush: :meth:`prime` resets this receiver, and the
+        attack primes before its own flushes so the prime run cannot
+        bring a flushed line back."""
+
     def probe(self) -> ProbeOutcome:
         """Sets newly evicted relative to the calibration run."""
         signal = sorted(self._evicted_sets() - self._noise_sets)
@@ -204,9 +204,3 @@ def _outcome(latencies: List[int], threshold: int) -> ProbeOutcome:
     """The hot slots of one scan: those faster than ``threshold``."""
     hot = [slot for slot, lat in enumerate(latencies) if lat < threshold]
     return ProbeOutcome(latencies=latencies, hot_slots=hot)
-
-
-def classify_hit(latency: int,
-                 threshold: int = DEFAULT_HIT_THRESHOLD) -> bool:
-    """Whether a measured latency indicates a cache hit."""
-    return latency < threshold

@@ -23,16 +23,11 @@ Table III); WFC holds the line in shadow until commit, which never comes.
 
 from __future__ import annotations
 
-
-from repro.attacks.channels import FlushReloadChannel
 from repro.attacks.gadgets import AttackLayout, PAGE, warm_lines
-from repro.api.registry import register_attack
-from repro.attacks.runner import AttackResult
-from repro.core.policy import CommitPolicy
+from repro.attacks.runner import Attack, Receiver, register
 from repro.isa.assembler import ProgramBuilder
 from repro.isa.program import Program
 from repro.machine import Machine
-from repro.spec import MachineSpec
 from repro.memory.paging import PrivilegeLevel
 
 
@@ -60,48 +55,33 @@ def build_attacker(layout: AttackLayout) -> Program:
     return b.build()
 
 
-@register_attack("meltdown", branch_free=True)
-def run_meltdown(policy: CommitPolicy, secret: int = 42,
-                 spec: MachineSpec = MachineSpec(),
-                 backend: str = "cycle") -> AttackResult:
-    """Run the full Meltdown attack under the given commit policy."""
-    if not 0 <= secret <= 255:
-        raise ValueError(f"secret must be a byte, got {secret}")
-    layout = AttackLayout()
-    machine = Machine.from_spec(spec, policy=policy, backend=backend)
-    layout.map_user_memory(machine)
-    layout.map_kernel_memory(machine)
-    machine.hierarchy.memory.write_word(layout.kernel, secret)
-
+def _attack(machine: Machine, layout: AttackLayout, secret: int) -> Attack:
     attacker = build_attacker(layout)
     handler_pc = attacker.label_pc("handler")
-    channel = FlushReloadChannel(machine, layout.probe)
 
-    # The kernel touched the secret recently (supervisor-mode access).
-    warm_lines(machine, [layout.kernel], code_base=layout.helper_code,
-               privilege=PrivilegeLevel.SUPERVISOR)
+    def train(machine: Machine, receiver: Receiver) -> None:
+        # First iteration of the attack loop: warms the attacker's own
+        # code lines, delay translations and probe translations.
+        machine.run(attacker, fault_handler_pc=handler_pc)
+        probe_pages = [layout.probe + page * PAGE for page in range(4)]
+        warm_lines(machine, probe_pages, code_base=layout.helper_code)
 
-    # First iteration of the attack loop: warms the attacker's own code
-    # lines, delay translations and probe translations.
-    machine.run(attacker, fault_handler_pc=handler_pc)
-    probe_pages = [layout.probe + page * PAGE for page in range(4)]
-    warm_lines(machine, probe_pages, code_base=layout.helper_code)
-
-    # Flush the delay words and the probe array, then attack.
-    machine.flush_address(layout.delay1)
-    machine.flush_address(layout.delay2)
-    channel.flush()
-    run = machine.run(attacker, fault_handler_pc=handler_pc)
-
-    outcome = channel.reload()
-    return AttackResult(
-        attack="meltdown",
-        policy=policy,
-        secret=secret,
-        leaked=outcome.value,
-        details={
-            "hot_slots": outcome.hot_slots,
+    return Attack(
+        program=attacker,
+        kernel=True,
+        words=[(layout.kernel, secret)],
+        # The kernel touched the secret recently (supervisor-mode access).
+        warm=[layout.kernel],
+        warm_privilege=PrivilegeLevel.SUPERVISOR,
+        train=train,
+        # Flush the delay words (and the receiver its probe array).
+        flush=[layout.delay1, layout.delay2],
+        fault_handler_pc=handler_pc,
+        details=lambda run, hot: {
+            "hot_slots": hot,
             "faults": [event.kind for event in run.fault_events],
             "attacker_cycles": run.cycles,
-        },
-    )
+        })
+
+
+run_meltdown = register("meltdown", _attack, branch_free=True)

@@ -16,16 +16,11 @@ branch, WFC additionally stops fault-deferred leaks.
 
 from __future__ import annotations
 
-
-from repro.attacks.channels import FlushReloadChannel
-from repro.attacks.gadgets import AttackLayout, warm_lines
-from repro.api.registry import register_attack
-from repro.attacks.runner import AttackResult
-from repro.core.policy import CommitPolicy
+from repro.attacks.gadgets import AttackLayout
+from repro.attacks.runner import Attack, mistrain, register
 from repro.isa.assembler import ProgramBuilder
 from repro.isa.program import Program
 from repro.machine import Machine
-from repro.spec import MachineSpec
 from repro.memory.paging import PrivilegeLevel
 
 _TRAINING_RUNS = 6
@@ -49,54 +44,34 @@ def build_attacker(layout: AttackLayout) -> Program:
     return b.build()
 
 
-@register_attack("meltdown_spectre")
-def run_meltdown_spectre(policy: CommitPolicy, secret: int = 42,
-                         spec: MachineSpec = MachineSpec(),
-                         backend: str = "cycle") -> AttackResult:
-    """Run the combined Meltdown+Spectre attack under ``policy``."""
-    if not 0 <= secret <= 255:
-        raise ValueError(f"secret must be a byte, got {secret}")
-    layout = AttackLayout()
-    machine = Machine.from_spec(spec, policy=policy, backend=backend)
-    layout.map_user_memory(machine)
-    layout.map_kernel_memory(machine)
-    machine.write_word(layout.size_addr, 16)
-    machine.hierarchy.memory.write_word(layout.kernel, secret)
-
+def _attack(machine: Machine, layout: AttackLayout, secret: int) -> Attack:
     attacker = build_attacker(layout)
-    channel = FlushReloadChannel(machine, layout.probe)
-
-    # The kernel recently used the secret (supervisor access warms it).
-    warm_lines(machine, [layout.kernel], code_base=layout.helper_code,
-               privilege=PrivilegeLevel.SUPERVISOR)
-
-    # Mistrain the bounds check toward not-taken.  With an in-bounds
-    # offset the gadget body executes architecturally, so each training
-    # run faults on the kernel read and recovers through the handler —
-    # exactly how real Meltdown attack loops behave (and also how the
-    # attacker's code lines get warm).
-    for _ in range(_TRAINING_RUNS):
-        machine.run(attacker, initial_registers={1: 0},
-                    fault_handler_pc=attacker.label_pc("skip"))
-
-    machine.flush_address(layout.size_addr)
-    channel.flush()
-
-    # Attack run: offset >= bound, so the branch is *actually* taken and
-    # the gadget runs purely speculatively; the stale not-taken
-    # prediction opens the window, the squash swallows the fault.
-    run = machine.run(attacker, initial_registers={1: 64},
-                      fault_handler_pc=attacker.label_pc("skip"))
-
-    outcome = channel.reload()
-    return AttackResult(
-        attack="meltdown_spectre",
-        policy=policy,
-        secret=secret,
-        leaked=outcome.value,
-        details={
-            "hot_slots": outcome.hot_slots,
+    handler_pc = attacker.label_pc("skip")
+    return Attack(
+        program=attacker,
+        kernel=True,
+        words=[(layout.size_addr, 16), (layout.kernel, secret)],
+        # The kernel recently used the secret (supervisor access warms it).
+        warm=[layout.kernel],
+        warm_privilege=PrivilegeLevel.SUPERVISOR,
+        # Mistrain the bounds check toward not-taken.  With an in-bounds
+        # offset the gadget body executes architecturally, so each
+        # training run faults on the kernel read and recovers through the
+        # handler — exactly how real Meltdown attack loops behave (and
+        # also how the attacker's code lines get warm).
+        train=mistrain(attacker, _TRAINING_RUNS, initial_registers={1: 0},
+                       fault_handler_pc=handler_pc),
+        flush=[layout.size_addr],
+        # Attack run: offset >= bound, so the branch is *actually* taken
+        # and the gadget runs purely speculatively; the stale not-taken
+        # prediction opens the window, the squash swallows the fault.
+        registers={1: 64},
+        fault_handler_pc=handler_pc,
+        details=lambda run, hot: {
+            "hot_slots": hot,
             "attack_run_faults": [e.kind for e in run.fault_events],
             "victim_cycles": run.cycles,
-        },
-    )
+        })
+
+
+run_meltdown_spectre = register("meltdown_spectre", _attack)

@@ -19,16 +19,11 @@ c) the ``ret``'s fall-through is the gadget: speculative fetch runs it,
 
 from __future__ import annotations
 
-
-from repro.attacks.channels import FlushReloadChannel
-from repro.attacks.gadgets import AttackLayout, warm_lines
-from repro.api.registry import register_attack
-from repro.attacks.runner import AttackResult
-from repro.core.policy import CommitPolicy
+from repro.attacks.gadgets import AttackLayout
+from repro.attacks.runner import Attack, mistrain, register
 from repro.isa.assembler import ProgramBuilder
 from repro.isa.program import Program
 from repro.machine import Machine
-from repro.spec import MachineSpec
 
 _RSB_DEPTH = 4          # the victim's call nest is 5 deep
 
@@ -75,48 +70,25 @@ def build_victim(layout: AttackLayout) -> Program:
     return b.build()
 
 
-@register_attack("ret2spec")
-def run_ret2spec(policy: CommitPolicy, secret: int = 42,
-                 spec: MachineSpec = MachineSpec(),
-                 backend: str = "cycle") -> AttackResult:
-    """Run the full ret2spec attack under the given commit policy."""
-    if not 0 <= secret <= 255:
-        raise ValueError(f"secret must be a byte, got {secret}")
-    spec = spec.derive(**{"rsb.depth": _RSB_DEPTH})
-    layout = AttackLayout()
-    machine = Machine.from_spec(spec, policy=policy, backend=backend)
-    layout.map_user_memory(machine)
-    machine.write_word(layout.secret_addr, secret)
-
+def _attack(machine: Machine, layout: AttackLayout, secret: int) -> Attack:
     victim = build_victim(layout)
-    channel = FlushReloadChannel(machine, layout.probe)
-
-    # The victim has touched its secret and delay word recently.
-    warm_lines(machine, [layout.secret_addr, layout.delay1],
-               code_base=layout.helper_code)
-
-    # Warm victim code and translations (the call nest is balanced, so
-    # every run leaves the RSB empty again).
-    for _ in range(2):
-        machine.run(victim)
-
-    # Flush the delay word (stretches the underflowing ret's window)
-    # and the probe array.
-    machine.flush_address(layout.delay1)
-    channel.flush()
-
-    run = machine.run(victim)
-
-    outcome = channel.reload()
-    return AttackResult(
-        attack="ret2spec",
-        policy=policy,
-        secret=secret,
-        leaked=outcome.value,
-        details={
-            "hot_slots": outcome.hot_slots,
+    return Attack(
+        program=victim,
+        words=[(layout.secret_addr, secret)],
+        # The victim has touched its secret and delay word recently.
+        warm=[layout.secret_addr, layout.delay1],
+        # Warm victim code and translations (the call nest is balanced,
+        # so every run leaves the RSB empty again).
+        train=mistrain(victim, 2),
+        # Flush the delay word (stretches the underflowing ret's window).
+        flush=[layout.delay1],
+        details=lambda run, hot: {
+            "hot_slots": hot,
             "rsb_depth": _RSB_DEPTH,
             "gadget_pc": victim.label_pc("gadget"),
             "victim_cycles": run.cycles,
-        },
-    )
+        })
+
+
+run_ret2spec = register("ret2spec", _attack,
+                        spec_overrides={"rsb.depth": _RSB_DEPTH})

@@ -1,23 +1,40 @@
-"""Attack orchestration: results, job plumbing, and the security matrix.
+"""Attack orchestration: the one attack runner, results, job plumbing,
+and the security matrix.
+
+An attack module states what is its own as an :class:`Attack` — its
+programs, memory image, training, trigger and receiver — and
+:func:`run_attack` performs the steps every attack shares, in one order.
+Like a Revizor or Spectector test case, an attack is a program, its
+inputs and one observation.
 
 The attack catalogue itself lives in the component registry
 (:data:`repro.api.registry.ATTACKS`): each attack module registers its
-entry point with ``@register_attack``, carrying the paper's
-expected-closed metadata.  This module keeps the classic
-:class:`AttackResult` type, the job-spec worker entry point, the matrix
-renderer.  Batch runs go through
+entry point (through :func:`register`), carrying the paper's
+expected-closed metadata.  This module also keeps the classic
+:class:`AttackResult` type, the job-spec worker entry point and the
+matrix renderer.  Batch runs go through
 :meth:`repro.api.session.Session.matrix`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import (Callable, Collection, Dict, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.api import registry as api_registry
+from repro.attacks.channels import (FlushReloadChannel, PrimeProbeChannel,
+                                    leaked_value)
+from repro.attacks.gadgets import AttackLayout, warm_lines
 from repro.core.policy import CommitPolicy
 from repro.exec.job import SimJob, SimResult, json_clean_details
+from repro.isa.program import Program
+from repro.machine import Machine
+from repro.memory.paging import PrivilegeLevel
 from repro.spec import MachineSpec
+
+# TlbProbeChannel is a FlushReloadChannel.
+Receiver = Union[FlushReloadChannel, PrimeProbeChannel]
 
 
 @dataclass
@@ -48,6 +65,112 @@ class AttackResult:
         verdict = "LEAKED" if self.success else "closed"
         return (f"{self.attack:12s} under {self.policy.value:8s}: {verdict} "
                 f"(secret={self.secret}, recovered={self.leaked})")
+
+
+@dataclass(frozen=True)
+class Attack:
+    """What one attack states; :func:`run_attack` does the rest.
+
+    ``train`` gets the machine and the receiver and may return facts,
+    which ``details`` gets as keywords after the trigger run and the hot
+    slots.  A secret among the ``benign`` slots is refused.
+    """
+
+    program: Program                      # the trigger runs it
+    words: Sequence[Tuple[int, int]]      # memory image, secret included
+    train: Callable[[Machine, Receiver], Optional[Dict[str, object]]]
+    details: Callable[..., Dict[str, object]]
+    # Built once the image is written; flush+reload over the layout's
+    # probe array when None.
+    receiver: Optional[Callable[[Machine], Receiver]] = None
+    maps: Sequence[Tuple[int, int]] = ()  # user ranges beyond the layout's
+    kernel: bool = False                  # map the layout's kernel page
+    warm: Sequence[int] = ()              # lines the victim used recently
+    warm_privilege: PrivilegeLevel = PrivilegeLevel.USER
+    flush: Sequence[int] = ()             # flushed before the receiver's
+    registers: Optional[Dict[int, int]] = None      # the trigger's inputs
+    fault_handler_pc: Optional[int] = None
+    benign: Collection[int] = ()          # slots hot by construction
+    # The slot the secret lands in, for a receiver coarser than one slot
+    # per value (see repro.attacks.channels.leaked_value).
+    secret_slot: Optional[int] = None
+
+
+def prepare(machine: Machine, layout: AttackLayout,
+            words: Sequence[Tuple[int, int]],
+            maps: Sequence[Tuple[int, int]] = (),
+            kernel: bool = False) -> None:
+    """The shared setup step: map the layout's user pages, ``maps`` and,
+    with ``kernel``, its kernel page, then write ``words`` in order."""
+    layout.map_user_memory(machine)
+    for start, size in maps:
+        machine.map_user_range(start, size)
+    if kernel:
+        layout.map_kernel_memory(machine)
+    machine.write_words(words)
+
+
+def mistrain(program: Program, runs: int,
+             **options: object) -> Callable[[Machine, Receiver], None]:
+    """Training that runs ``program`` ``runs`` times with the
+    :meth:`Machine.run` ``options`` (benign inputs)."""
+    def train(machine: Machine, receiver: Receiver) -> None:
+        for _ in range(runs):
+            machine.run(program, **options)
+    return train
+
+
+def run_attack(name: str,
+               describe: Callable[[Machine, AttackLayout, int], Attack],
+               policy: CommitPolicy, secret: int, spec: MachineSpec,
+               backend: str,
+               spec_overrides: Mapping[str, object] = {}) -> AttackResult:
+    """Run attack ``name``: every step but the attack's own, in order.
+
+    ``describe(machine, layout, secret)`` states the attack; it may read
+    the machine's geometry but makes no call on it.
+    """
+    if not 0 <= secret <= 255:
+        raise ValueError(f"secret must be a byte, got {secret}")
+    layout = AttackLayout()
+    machine = Machine.from_spec(spec.derive(**spec_overrides),
+                                policy=policy, backend=backend)
+    attack = describe(machine, layout, secret)
+    if secret in attack.benign:
+        raise ValueError(f"secret {secret} is a benign slot of {name}")
+    prepare(machine, layout, attack.words, attack.maps, attack.kernel)
+    receiver = (attack.receiver(machine) if attack.receiver is not None
+                else FlushReloadChannel(machine, layout.probe))
+    if attack.warm:
+        warm_lines(machine, attack.warm, code_base=layout.helper_code,
+                   privilege=attack.warm_privilege)
+    trained = attack.train(machine, receiver) or {}
+    for address in attack.flush:
+        machine.flush_address(address)
+    receiver.flush()
+    run = machine.run(attack.program, initial_registers=attack.registers,
+                      fault_handler_pc=attack.fault_handler_pc)
+    hot = receiver.probe().hot_slots
+    return AttackResult(
+        attack=name, policy=policy, secret=secret,
+        leaked=leaked_value(hot, attack.benign, secret, attack.secret_slot),
+        details=attack.details(run, hot, **trained))
+
+
+def register(name: str,
+             describe: Callable[[Machine, AttackLayout, int], Attack], *,
+             branch_free: bool = False,
+             spec_overrides: Mapping[str, object] = {}
+             ) -> Callable[..., AttackResult]:
+    """Register attack ``name``, stated by ``describe``, with the
+    registry's ``branch_free`` metadata, and return its entry point."""
+    def entry(policy: CommitPolicy, secret: int = 42,
+              spec: MachineSpec = MachineSpec(),
+              backend: str = "cycle") -> AttackResult:
+        return run_attack(name, describe, policy, secret, spec, backend,
+                          spec_overrides)
+    entry.__doc__ = f"Run the {name} attack under the given commit policy."
+    return api_registry.register_attack(name, branch_free=branch_free)(entry)
 
 
 def run_attack_by_name(name: str, policy: CommitPolicy,

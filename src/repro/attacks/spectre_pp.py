@@ -8,93 +8,45 @@ protection is channel-agnostic: the defense removes the *transmitter*
 
 The prime+probe receiver recovers the L1 *set index* of the transmitting
 access (6 bits on the Table II L1), not the full byte — matching the
-real granularity of prime+probe on a 64-set cache.  The victim's probe
-array therefore strides by one line per value, and the secret is
-recovered modulo the set count.
+real granularity of prime+probe on a 64-set cache.  The victim is the
+Spectre v1 gadget, whose probe array strides by one line (one L1 set)
+per value, so the secret is recovered modulo the set count.
 """
 
 from __future__ import annotations
 
+import dataclasses
 
 from repro.attacks.channels import PrimeProbeChannel
-from repro.attacks.gadgets import AttackLayout, warm_lines
-from repro.api.registry import register_attack
-from repro.attacks.runner import AttackResult
-from repro.core.policy import CommitPolicy
-from repro.isa.assembler import ProgramBuilder
-from repro.isa.program import Program
+from repro.attacks.gadgets import AttackLayout, bounds_check_victim
+from repro.attacks.runner import Attack, register
+from repro.attacks.spectre_v1 import bounds_check_attack
 from repro.machine import Machine
-from repro.spec import MachineSpec
 
-_TRAINING_RUNS = 6
-
-
-def build_victim(layout: AttackLayout) -> Program:
-    """The standard bounds-check-bypass gadget (offset in r1)."""
-    b = ProgramBuilder(code_base=layout.victim_code)
-    b.li("r2", layout.size_addr)
-    b.load("r3", "r2", 0)
-    b.li("r8", layout.array1)
-    b.li("r9", layout.probe)
-    b.branch("ge", "r1", "r3", "skip")
-    b.add("r10", "r8", "r1")
-    b.load("r4", "r10", 0)
-    b.alu("shl", "r5", "r4", imm=6)     # one line (= one L1 set) per value
-    b.add("r11", "r9", "r5")
-    b.load("r6", "r11", 0)
-    b.label("skip")
-    b.halt()
-    return b.build()
-
-
-@register_attack("spectre_v1_pp")
-def run_spectre_v1_prime_probe(policy: CommitPolicy, secret: int = 42,
-                               spec: MachineSpec = MachineSpec(),
-                               backend: str = "cycle") -> AttackResult:
-    """Run Spectre v1 with a prime+probe receiver under ``policy``."""
-    if not 0 <= secret <= 255:
-        raise ValueError(f"secret must be a byte, got {secret}")
-    layout = AttackLayout()
-    machine = Machine.from_spec(spec, policy=policy, backend=backend)
-    layout.map_user_memory(machine)
-    machine.write_word(layout.size_addr, 16)
-    machine.write_word(layout.secret_addr, secret)
-
-    victim = build_victim(layout)
-    channel = PrimeProbeChannel(machine)
-    warm_lines(machine, [layout.secret_addr], code_base=layout.helper_code)
-
-    for _ in range(_TRAINING_RUNS):
-        machine.run(victim, initial_registers={1: 1})
-
-    # Calibration: prime, run the victim benignly, record noise sets.
-    channel.prime()
-    machine.flush_address(layout.size_addr)
-    machine.run(victim, initial_registers={1: 1})
-    channel.calibrate()
-
-    # Attack: re-prime, flush the bound, malicious offset, probe.
-    channel.prime()
-    machine.flush_address(layout.size_addr)
-    malicious_offset = layout.secret_addr - layout.array1
-    run = machine.run(victim, initial_registers={1: malicious_offset})
-    outcome = channel.probe()
-
-    expected_set = channel.set_of(layout.probe + secret * 64)
-    recovered_set = (outcome.hot_slots[0]
-                     if len(outcome.hot_slots) == 1 else None)
-    # Prime+probe resolves the secret modulo the set count: report the
-    # secret-candidate value consistent with the planted byte when the
-    # observed set matches, else nothing.
-    leaked = secret if recovered_set == expected_set else None
-    return AttackResult(
-        attack="spectre_v1_pp",
-        policy=policy,
-        secret=secret,
-        leaked=leaked,
-        details={
-            "hot_sets": outcome.hot_slots,
+def _attack(machine: Machine, layout: AttackLayout, secret: int) -> Attack:
+    victim = bounds_check_victim(layout)
+    expected_set = machine.hierarchy.l1d.set_index(layout.probe + secret * 64)
+    script = bounds_check_attack(
+        layout, secret, victim,
+        receiver=PrimeProbeChannel,
+        secret_slot=expected_set,
+        details=lambda run, hot: {
+            "hot_sets": hot,
             "expected_set": expected_set,
             "victim_cycles": run.cycles,
-        },
-    )
+        })
+
+    def train(machine: Machine, channel: PrimeProbeChannel) -> None:
+        script.train(machine, channel)
+        # Calibration: prime, run the victim benignly, record noise sets.
+        channel.prime()
+        machine.flush_address(layout.size_addr)
+        machine.run(victim, initial_registers={1: 1})
+        channel.calibrate()
+        # Re-prime for the attack round, before the bound is flushed.
+        channel.prime()
+
+    return dataclasses.replace(script, train=train)
+
+
+run_spectre_v1_prime_probe = register("spectre_v1_pp", _attack)

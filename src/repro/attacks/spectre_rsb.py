@@ -20,17 +20,13 @@ This is the cross-context variant of Koruyeh et al.'s "Spectre Returns"
 
 from __future__ import annotations
 
-
-from repro.attacks.channels import FlushReloadChannel
-from repro.attacks.gadgets import AttackLayout, warm_lines
-from repro.api.registry import register_attack
-from repro.attacks.runner import AttackResult
-from repro.core.policy import CommitPolicy
+from repro.attacks.gadgets import AttackLayout, read_and_transmit
+from repro.attacks.runner import Attack, Receiver, mistrain, register
+from repro.attacks.spectre_v2 import hijack_attack
 from repro.isa.assembler import ProgramBuilder
 from repro.isa.instructions import INSTRUCTION_BYTES
 from repro.isa.program import Program
 from repro.machine import Machine
-from repro.spec import MachineSpec
 
 _RETPTR_ADDR_OFFSET = 0x808  # return pointer lives in the size page
 
@@ -52,11 +48,7 @@ def build_victim(layout: AttackLayout) -> Program:
     b.label("benign")
     b.halt()
     b.label("gadget")
-    b.load("r4", "r10", 0)             # secret
-    b.alu("shl", "r5", "r4", imm=6)
-    b.add("r11", "r9", "r5")
-    b.load("r6", "r11", 0)             # transmit
-    b.halt()
+    read_and_transmit(b)
     return b.build()
 
 
@@ -75,53 +67,21 @@ def build_pusher(gadget_pc: int) -> Program:
     return b.build()
 
 
-@register_attack("spectre_rsb")
-def run_spectre_rsb(policy: CommitPolicy, secret: int = 42,
-                    spec: MachineSpec = MachineSpec(),
-                    backend: str = "cycle") -> AttackResult:
-    """Run the full SpectreRSB attack under the given commit policy."""
-    if not 0 <= secret <= 255:
-        raise ValueError(f"secret must be a byte, got {secret}")
-    layout = AttackLayout()
-    machine = Machine.from_spec(spec, policy=policy, backend=backend)
-    layout.map_user_memory(machine)
-    machine.write_word(layout.secret_addr, secret)
-
+def _attack(machine: Machine, layout: AttackLayout, secret: int) -> Attack:
     victim = build_victim(layout)
-    retptr_addr = layout.size_addr + _RETPTR_ADDR_OFFSET
-    machine.write_word(retptr_addr, victim.label_pc("benign"))
-    channel = FlushReloadChannel(machine, layout.probe)
-
-    # Victim working set is warm (it uses its secret and pointer).
-    warm_lines(machine, [layout.secret_addr, retptr_addr],
-               code_base=layout.helper_code)
-
-    # Warm victim code and translations with legitimate executions.
-    for _ in range(2):
-        machine.run(victim)
-
-    # a) plant: the attacker's call pushes the gadget address.
     gadget_pc = victim.label_pc("gadget")
-    machine.run(build_pusher(gadget_pc))
-    planted = machine.rsb.peek()
 
-    # b) flush the return pointer and the probe array.
-    machine.flush_address(retptr_addr)
-    channel.flush()
+    def train(machine: Machine, receiver: Receiver) -> dict:
+        # Warm victim code and translations with legitimate executions.
+        mistrain(victim, 2)(machine, receiver)
+        # a) plant: the attacker's call pushes the gadget address.
+        machine.run(build_pusher(gadget_pc))
+        return {"planted_return": machine.rsb.peek()}
 
-    # c) trigger the victim.
-    run = machine.run(victim)
+    return hijack_attack(
+        layout, secret, victim,
+        [(layout.size_addr + _RETPTR_ADDR_OFFSET, victim.label_pc("benign"))],
+        train)
 
-    outcome = channel.reload()
-    return AttackResult(
-        attack="spectre_rsb",
-        policy=policy,
-        secret=secret,
-        leaked=outcome.value,
-        details={
-            "hot_slots": outcome.hot_slots,
-            "planted_return": planted,
-            "gadget_pc": gadget_pc,
-            "victim_cycles": run.cycles,
-        },
-    )
+
+run_spectre_rsb = register("spectre_rsb", _attack)

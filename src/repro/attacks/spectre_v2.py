@@ -20,18 +20,14 @@ the paper's reference [5].
 
 from __future__ import annotations
 
+from typing import Callable, Sequence, Tuple
 
-from repro.attacks.channels import FlushReloadChannel
-from repro.attacks.gadgets import AttackLayout, warm_lines
-from repro.api.registry import register_attack
-from repro.attacks.runner import AttackResult
-from repro.core.policy import CommitPolicy
-from repro.errors import SimulationError
+from repro.attacks.gadgets import (AttackLayout, build_poisoner,
+                                   indirect_jump_pc, read_and_transmit)
+from repro.attacks.runner import Attack, Receiver, mistrain, register
 from repro.isa.assembler import ProgramBuilder
-from repro.isa.instructions import INSTRUCTION_BYTES
 from repro.isa.program import Program
 from repro.machine import Machine
-from repro.spec import MachineSpec
 
 _FNPTR_ADDR_OFFSET = 0x800  # function pointer lives in the size page
 
@@ -52,98 +48,52 @@ def build_victim(layout: AttackLayout) -> Program:
     b.label("benign")
     b.halt()
     b.label("gadget")
-    b.load("r4", "r10", 0)             # secret
-    b.alu("shl", "r5", "r4", imm=6)
-    b.add("r11", "r9", "r5")
-    b.load("r6", "r11", 0)             # transmit
-    b.halt()
+    read_and_transmit(b)
     return b.build()
 
 
-def _victim_jmpi_pc(victim: Program) -> int:
-    for index, inst in enumerate(victim.instructions):
-        if inst.is_indirect:
-            return victim.pc_of(index)
-    raise SimulationError("victim has no indirect jump")
-
-
-def build_poisoner(layout: AttackLayout, victim: Program,
-                   btb_entries: int, btb_shift: int) -> Program:
-    """Attacker program whose indirect jump aliases the victim's.
-
-    The attacker pads with NOPs so its ``jmpi`` lands at a PC that
-    collides with the victim's ``jmpi`` in the BTB index.
-    """
-    victim_pc = _victim_jmpi_pc(victim)
-    period = btb_entries << btb_shift  # PCs repeat BTB indices with this
-    base = layout.attacker_code - (layout.attacker_code % period)
-    base += victim_pc - (victim_pc % period)
-    while base <= layout.victim_code + victim.code_bytes:
-        base += period
-    # Place the jmpi at exactly the same offset-within-period.
-    jmpi_pc = base + (victim_pc % period)
-    b = ProgramBuilder(code_base=base)
-    pad_instructions = (jmpi_pc - base) // INSTRUCTION_BYTES - 1
-    b.li("r1", victim.label_pc("gadget"))  # poisoned target
-    b.nop(max(pad_instructions, 0))
-    b.jmpi("r1")
-    b.halt()
-    program = b.build()
-    if program.pc_of(pad_instructions + 1) != jmpi_pc:
-        raise SimulationError("poisoner jmpi misaligned")
-    return program
-
-
-@register_attack("spectre_v2")
-def run_spectre_v2(policy: CommitPolicy, secret: int = 42,
-                   spec: MachineSpec = MachineSpec(),
-                   backend: str = "cycle") -> AttackResult:
-    """Run the full Spectre v2 attack under the given commit policy."""
-    if not 0 <= secret <= 255:
-        raise ValueError(f"secret must be a byte, got {secret}")
-    layout = AttackLayout()
-    machine = Machine.from_spec(spec, policy=policy, backend=backend)
-    layout.map_user_memory(machine)
-    machine.write_word(layout.secret_addr, secret)
-
-    victim = build_victim(layout)
-    fnptr_addr = layout.size_addr + _FNPTR_ADDR_OFFSET
-    machine.write_word(fnptr_addr, victim.label_pc("benign"))
-    channel = FlushReloadChannel(machine, layout.probe)
-
-    # Victim working set is warm (it uses its secret and pointer).
-    warm_lines(machine, [layout.secret_addr, fnptr_addr],
-               code_base=layout.helper_code)
-
-    # Warm victim code/BTB with legitimate executions.
-    for _ in range(2):
-        machine.run(victim)
-
-    # b) poison: the attacker's colliding jmpi installs the gadget target.
-    poisoner = build_poisoner(layout, victim,
-                              machine.btb.config.entries,
-                              machine.btb.config.shift)
-    machine.run(poisoner)
-    victim_pc = _victim_jmpi_pc(victim)
-    poisoned_target = machine.btb.predict_target(victim_pc)
-
-    # c) flush the function pointer and the probe array.
-    machine.flush_address(fnptr_addr)
-    channel.flush()
-
-    # d) trigger the victim.
-    run = machine.run(victim)
-
-    outcome = channel.reload()
-    return AttackResult(
-        attack="spectre_v2",
-        policy=policy,
-        secret=secret,
-        leaked=outcome.value,
-        details={
-            "hot_slots": outcome.hot_slots,
-            "poisoned_target": poisoned_target,
-            "gadget_pc": victim.label_pc("gadget"),
+def hijack_attack(layout: AttackLayout, secret: int, victim: Program,
+                  cells: Sequence[Tuple[int, int]],
+                  train: Callable[[Machine, Receiver], object],
+                  **facts: object) -> Attack:
+    """The steps around a ``victim`` whose indirect jump or return
+    resolves through the pointer ``cells`` (address, value; the last
+    holds the ``benign`` target) and is poisoned by ``train``: the cells
+    are warm, then flushed to open the window in which speculation runs
+    the ``gadget``.  ``facts`` join the details."""
+    gadget_pc = victim.label_pc("gadget")
+    return Attack(
+        program=victim,
+        words=[(layout.secret_addr, secret), *cells],
+        warm=[layout.secret_addr, *(address for address, _ in cells)],
+        train=train,
+        flush=[address for address, _ in cells],
+        details=lambda run, hot, **trained: {
+            "hot_slots": hot,
+            **trained,
+            **facts,
+            "gadget_pc": gadget_pc,
             "victim_cycles": run.cycles,
-        },
-    )
+        })
+
+
+def _attack(machine: Machine, layout: AttackLayout, secret: int) -> Attack:
+    victim = build_victim(layout)
+
+    def train(machine: Machine, receiver: Receiver) -> dict:
+        mistrain(victim, 2)(machine, receiver)  # warm victim code/BTB
+        # b) poison: the attacker's colliding jmpi installs the gadget
+        # target.
+        machine.run(build_poisoner(layout, victim,
+                                   machine.btb.config.entries,
+                                   machine.btb.config.shift))
+        return {"poisoned_target":
+                machine.btb.predict_target(indirect_jump_pc(victim))}
+
+    return hijack_attack(
+        layout, secret, victim,
+        [(layout.size_addr + _FNPTR_ADDR_OFFSET, victim.label_pc("benign"))],
+        train)
+
+
+run_spectre_v2 = register("spectre_v2", _attack)

@@ -22,16 +22,11 @@ promote-at-commit closes the channel.
 
 from __future__ import annotations
 
-
-from repro.attacks.channels import FlushReloadChannel
-from repro.attacks.gadgets import AttackLayout, warm_lines
-from repro.api.registry import register_attack
-from repro.attacks.runner import AttackResult
-from repro.core.policy import CommitPolicy
+from repro.attacks.gadgets import AttackLayout, read_and_transmit, warm_lines
+from repro.attacks.runner import Attack, Receiver, register
 from repro.isa.assembler import ProgramBuilder
 from repro.isa.program import Program
 from repro.machine import Machine
-from repro.spec import MachineSpec
 
 
 def build_victim(layout: AttackLayout, overwrite: int) -> Program:
@@ -43,70 +38,49 @@ def build_victim(layout: AttackLayout, overwrite: int) -> Program:
     b.load("r2", "r1", 0)              # pointer (flushed) -> secret_addr
     b.li("r3", overwrite)
     b.store("r2", "r3", 0)             # address unresolved for ~DRAM latency
-    b.load("r4", "r10", 0)             # bypasses the store: reads the SECRET
-    b.alu("shl", "r5", "r4", imm=6)
-    b.add("r11", "r9", "r5")
-    b.load("r6", "r11", 0)             # transmit
-    b.halt()
+    read_and_transmit(b)               # its load bypasses the store
     return b.build()
 
 
-@register_attack("ssb_v4", branch_free=True)
-def run_ssb_v4(policy: CommitPolicy, secret: int = 42,
-               spec: MachineSpec = MachineSpec(),
-               backend: str = "cycle") -> AttackResult:
-    """Run the full Spectre v4 attack under the given commit policy."""
-    if not 0 <= secret <= 255:
-        raise ValueError(f"secret must be a byte, got {secret}")
-    spec = spec.derive(**{"core.mem_dep_speculation": True})
-    layout = AttackLayout()
-    machine = Machine.from_spec(spec, policy=policy, backend=backend)
-    layout.map_user_memory(machine)
-    machine.write_word(layout.secret_addr, secret)
-    # The pointer cell the store's address depends on.
-    machine.write_word(layout.delay1, layout.secret_addr)
-
+def _attack(machine: Machine, layout: AttackLayout, secret: int) -> Attack:
     # The architectural replay re-reads the overwritten value and probes
     # its slot too, so the receiver must tell the two hot lines apart.
     overwrite = (secret + 1) & 0xFF
-
     victim = build_victim(layout, overwrite)
-    channel = FlushReloadChannel(machine, layout.probe)
 
-    # Warm victim code and translations.  Without this the bypassing
-    # load dispatches behind ~200 cycles of cold instruction fetch and
-    # the store address resolves before the transmit chain exists.
-    for _ in range(2):
-        machine.run(victim)
+    def train(machine: Machine, receiver: Receiver) -> None:
+        # Warm victim code and translations.  Without this the bypassing
+        # load dispatches behind ~200 cycles of cold instruction fetch
+        # and the store address resolves before the transmit chain
+        # exists.
+        for _ in range(2):
+            machine.run(victim)
+        # Each warm run's store architecturally clobbered the secret
+        # cell: restore it in backing memory (flushing first so the stale
+        # cached line does not shadow the restore) and re-warm the line.
+        machine.flush_address(layout.secret_addr)
+        machine.write_word(layout.secret_addr, secret)
+        warm_lines(machine, [layout.secret_addr, layout.delay1],
+                   code_base=layout.helper_code)
 
-    # Each warm run's store architecturally clobbered the secret cell:
-    # restore it in backing memory (flushing first so the stale cached
-    # line does not shadow the restore) and re-warm the line.
-    machine.flush_address(layout.secret_addr)
-    machine.write_word(layout.secret_addr, secret)
-    warm_lines(machine, [layout.secret_addr, layout.delay1],
-               code_base=layout.helper_code)
-
-    # Flush the pointer (delays the store address) and the probe array.
-    machine.flush_address(layout.delay1)
-    channel.flush()
-
-    run = machine.run(victim)
-
-    # The committed (replayed) stream always probes the overwrite slot;
-    # any *other* hot slot is the transient bypass leak.
-    outcome = channel.reload()
-    leak_slots = [s for s in outcome.hot_slots if s != overwrite]
-    leaked = leak_slots[0] if len(leak_slots) == 1 else None
-    return AttackResult(
-        attack="ssb_v4",
-        policy=policy,
-        secret=secret,
-        leaked=leaked,
-        details={
-            "hot_slots": leak_slots,
+    return Attack(
+        program=victim,
+        # The pointer cell the store's address depends on.
+        words=[(layout.secret_addr, secret),
+               (layout.delay1, layout.secret_addr)],
+        train=train,
+        # Flush the pointer (delays the store address).
+        flush=[layout.delay1],
+        # The committed (replayed) stream always probes the overwrite
+        # slot; any *other* hot slot is the transient bypass leak.
+        benign={overwrite},
+        details=lambda run, hot: {
+            "hot_slots": [slot for slot in hot if slot != overwrite],
             "overwrite_slot": overwrite,
             "replayed_value": run.reg("r4"),
             "victim_cycles": run.cycles,
-        },
-    )
+        })
+
+
+run_ssb_v4 = register("ssb_v4", _attack, branch_free=True,
+                      spec_overrides={"core.mem_dep_speculation": True})

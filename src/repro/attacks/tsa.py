@@ -32,10 +32,11 @@ paper's chosen configuration, Table IV's "Transient" row);
 
 from __future__ import annotations
 
+from typing import Dict
 
 from repro.attacks.gadgets import AttackLayout, PAGE, warm_lines
 from repro.api.registry import register_attack
-from repro.attacks.runner import AttackResult
+from repro.attacks.runner import AttackResult, prepare
 from repro.core.policy import CommitPolicy
 from repro.core.safespec import SafeSpecConfig, SizingMode
 from repro.core.shadow import FullPolicy
@@ -101,25 +102,21 @@ def _prime_dtlb(machine: Machine, round_index: int) -> None:
     warm_lines(machine, pages, code_base=0x72_000, serialized=True)
 
 
-def _run_tsa(policy: CommitPolicy, secret_bit: int,
-             spec: MachineSpec,
-             backend: str = "cycle") -> AttackResult:
-    layout = AttackLayout()
-    if policy is CommitPolicy.BASELINE:
-        # TSAs attack the shadow structures; without SafeSpec there is no
-        # shadow state to contend on (classic Spectre applies instead).
-        return AttackResult(
-            attack="transient", policy=policy, secret=secret_bit,
-            leaked=None,
-            details={"note": "no shadow structures under the baseline"})
+def _setup(policy: CommitPolicy, secret_bit: int, spec: MachineSpec,
+           backend: str, layout: AttackLayout) -> Machine:
+    """The machine after the shared setup step: mappings and memory."""
     machine = Machine.from_spec(spec, policy=policy, backend=backend)
-    layout.map_user_memory(machine)
-    machine.map_user_range(_SPY_PAGE_A, PAGE)
-    machine.map_user_range(_SPY_PAGE_B, PAGE)
-    machine.map_user_range(_TROJAN_BASE, _TROJAN_PAGES * PAGE)
-    machine.write_word(layout.secret_addr, secret_bit)
-    machine.write_word(layout.delay2, 0)    # training value: branch taken
+    prepare(machine, layout,
+            # delay2 == 0 is the training value: the branch is taken.
+            [(layout.secret_addr, secret_bit), (layout.delay2, 0)],
+            maps=[(_SPY_PAGE_A, PAGE), (_SPY_PAGE_B, PAGE),
+                  (_TROJAN_BASE, _TROJAN_PAGES * PAGE)])
+    return machine
 
+
+def _transmit(machine: Machine, layout: AttackLayout,
+              secret_bit: int) -> AttackResult:
+    """Train, attack and receive on a machine after :func:`_setup`."""
     program = build_program(layout)
 
     # Mistrain the trojan branch to predicted-taken (delay2 == 0 runs).
@@ -148,7 +145,7 @@ def _run_tsa(policy: CommitPolicy, secret_bit: int,
     leaked = 0 if spy_entries_present else 1
     return AttackResult(
         attack="transient",
-        policy=policy,
+        policy=machine.policy,
         secret=secret_bit,
         leaked=leaked,
         details={
@@ -163,32 +160,53 @@ def _run_tsa(policy: CommitPolicy, secret_bit: int,
     )
 
 
+def _run_tsa(policy: CommitPolicy, secret_bit: int,
+             spec: MachineSpec,
+             backend: str = "cycle") -> AttackResult:
+    if policy is CommitPolicy.BASELINE:
+        # TSAs attack the shadow structures; without SafeSpec there is no
+        # shadow state to contend on (classic Spectre applies instead).
+        return AttackResult(
+            attack="transient", policy=policy, secret=secret_bit,
+            leaked=None,
+            details={"note": "no shadow structures under the baseline"})
+    layout = AttackLayout()
+    return _transmit(_setup(policy, secret_bit, spec, backend, layout),
+                     layout, secret_bit)
+
+
+def _verdict(attack: str, policy: CommitPolicy, secret: int,
+             reads: Dict[int, int], **details: object) -> AttackResult:
+    """The covert-channel verdict from the bit each value's run read.
+
+    A covert channel only exists if the receiver can distinguish a 0 from
+    a 1, so the PoC transmits *both* values; the attack counts as a leak
+    only when both are read back correctly, and then what leaked is the
+    read of the secret's bit.
+    """
+    channel_works = all(reads[bit] == bit for bit in (0, 1))
+    return AttackResult(
+        attack=attack,
+        policy=policy,
+        secret=secret & 1,
+        leaked=reads[secret & 1] if channel_works else None,
+        details={"channel_works": channel_works, **details},
+    )
+
+
 def _run_tsa_channel(policy: CommitPolicy, secret: int,
                      spec: MachineSpec,
                      backend: str = "cycle") -> AttackResult:
     """Run the TSA channel for both bit values and report honestly.
 
-    A covert channel only exists if the receiver can distinguish a 0 from
-    a 1, so the PoC transmits *both* values; the attack counts as a leak
-    only when both are recovered correctly.  (With worst-case sizing the
-    receiver reads 0 regardless of the bit — zero information.)
+    (With worst-case sizing the receiver reads 0 regardless of the bit —
+    zero information.)
     """
-    secret_bit = secret & 1
     results = {bit: _run_tsa(policy, bit, spec, backend)
                for bit in (0, 1)}
-    channel_works = all(results[bit].leaked == bit for bit in (0, 1))
-    observed = results[secret_bit]
-    return AttackResult(
-        attack="transient",
-        policy=policy,
-        secret=secret_bit,
-        leaked=observed.leaked if channel_works else None,
-        details={
-            "channel_works": channel_works,
-            "bit0": results[0].details,
-            "bit1": results[1].details,
-        },
-    )
+    return _verdict("transient", policy, secret,
+                    {bit: results[bit].leaked for bit in (0, 1)},
+                    bit0=results[0].details, bit1=results[1].details)
 
 
 @register_attack("transient")
@@ -211,6 +229,14 @@ def run_tsa(policy: CommitPolicy, secret: int = 1,
     return _run_tsa_channel(policy, secret, spec, backend)
 
 
+def _undersized(policy: CommitPolicy, full_policy: FullPolicy) -> MachineSpec:
+    """The default machine with a 4-entry shadow dTLB."""
+    return MachineSpec().derive(safespec=SafeSpecConfig(
+        policy=policy, sizing=SizingMode.CUSTOM, full_policy=full_policy,
+        dcache_entries=256, icache_entries=256,
+        itlb_entries=64, dtlb_entries=_SHADOW_DTLB_SMALL))
+
+
 def run_tsa_vulnerable(policy: CommitPolicy = CommitPolicy.WFC,
                        secret: int = 1) -> AttackResult:
     """TSA against an *undersized* shadow dTLB (the channel works).
@@ -220,13 +246,8 @@ def run_tsa_vulnerable(policy: CommitPolicy = CommitPolicy.WFC,
     Spy's fills are dropped, and the bit crosses from the doomed path to
     the committed path.
     """
-    config = SafeSpecConfig(
-        policy=policy, sizing=SizingMode.CUSTOM,
-        full_policy=FullPolicy.DROP,
-        dcache_entries=256, icache_entries=256,
-        itlb_entries=64, dtlb_entries=_SHADOW_DTLB_SMALL)
     return _run_tsa_channel(policy, secret,
-                            MachineSpec().derive(safespec=config))
+                            _undersized(policy, FullPolicy.DROP))
 
 
 def run_tsa_block_policy(policy: CommitPolicy = CommitPolicy.WFC,
@@ -240,29 +261,13 @@ def run_tsa_block_policy(policy: CommitPolicy = CommitPolicy.WFC,
     receiver compares the transmitted-1 run's cycle count against the
     transmitted-0 run's.
     """
-    secret_bit = secret & 1
-    config = SafeSpecConfig(
-        policy=policy, sizing=SizingMode.CUSTOM,
-        full_policy=FullPolicy.BLOCK,
-        dcache_entries=256, icache_entries=256,
-        itlb_entries=64, dtlb_entries=_SHADOW_DTLB_SMALL)
-    spec = MachineSpec().derive(safespec=config)
-    cycles = {}
-    for bit in (0, 1):
-        result = _run_tsa(policy, bit, spec)
-        cycles[bit] = result.details.get("victim_cycles", 0)
+    spec = _undersized(policy, FullPolicy.BLOCK)
+    cycles = {bit: _run_tsa(policy, bit, spec).details.get("victim_cycles", 0)
+              for bit in (0, 1)}
     # Timing receiver: a transmitted 1 stalls the spy behind the full
-    # shadow until the trojan is annulled (~hundreds of cycles).
-    channel_works = cycles[1] > cycles[0] + 50
-    leaked = secret_bit if channel_works else None
-    return AttackResult(
-        attack="transient_block",
-        policy=policy,
-        secret=secret_bit,
-        leaked=leaked,
-        details={
-            "channel_works": channel_works,
-            "cycles_bit0": cycles[0],
-            "cycles_bit1": cycles[1],
-        },
-    )
+    # shadow until the trojan is annulled (~hundreds of cycles), so a
+    # run at least 50 cycles slower than the transmitted-0 run reads 1.
+    return _verdict("transient_block", policy, secret,
+                    {bit: int(cycles[bit] > cycles[0] + 50)
+                     for bit in (0, 1)},
+                    cycles_bit0=cycles[0], cycles_bit1=cycles[1])

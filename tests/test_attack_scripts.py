@@ -75,12 +75,18 @@ def _source_digest(program) -> str:
     return digest
 
 
+@functools.lru_cache(maxsize=None)
+def _signature(function):
+    return inspect.signature(function)
+
+
 class _Recorder:
     """Wraps the machine's entry points at class level for one attack."""
 
     def __init__(self, monkeypatch):
         self.script = []
         self._depth = 0                 # > 0 while a program runs
+        self._programs = {}             # id(program) -> (program, digest)
         self._wrap(monkeypatch, Machine, "run", self._on_run)
         for name in ("map_user_range", "map_kernel_range", *_PROBES):
             self._wrap(monkeypatch, Machine, name, self._on_call)
@@ -99,7 +105,7 @@ class _Recorder:
 
     def _wrap(self, monkeypatch, cls, name, on_call):
         original = getattr(cls, name)
-        signature = inspect.signature(original)
+        signature = _signature(original)
 
         @functools.wraps(original)
         def wrapper(*args, **kwargs):
@@ -109,6 +115,15 @@ class _Recorder:
 
         monkeypatch.setattr(cls, name, wrapper)
 
+    def _source_digest(self, program) -> str:
+        # A victim runs several times per attack: look it up by identity
+        # first (the entry keeps the program, hence its id, alive).
+        entry = self._programs.get(id(program))
+        if entry is None:
+            entry = self._programs[id(program)] = (
+                program, _source_digest(program))
+        return entry[1]
+
     def _on_run(self, name, original, bound):
         self._depth += 1
         try:
@@ -117,7 +132,7 @@ class _Recorder:
             self._depth -= 1
         arguments = bound.arguments
         self.script.append([
-            "run", _source_digest(arguments["program"]),
+            "run", self._source_digest(arguments["program"]),
             sorted((arguments["initial_registers"] or {}).items()),
             arguments["privilege"].name, arguments["fault_handler_pc"],
             arguments["max_instructions"], arguments["start_pc"],

@@ -5,7 +5,7 @@ import pytest
 from repro import CommitPolicy, Machine
 from repro.attacks.channels import (DEFAULT_HIT_THRESHOLD,
                                     FlushReloadChannel, ProbeOutcome,
-                                    classify_hit)
+                                    _outcome, leaked_value)
 from repro.attacks.gadgets import AttackLayout, warm_lines
 from repro.attacks.meltdown_spectre import run_meltdown_spectre
 from repro.attacks.runner import run_attack_by_name
@@ -57,8 +57,10 @@ class TestBlockPolicyTsa:
 
 class TestChannels:
     def test_probe_outcome_unique_hot_slot(self):
-        outcome = ProbeOutcome(latencies=[200, 5, 200],
-                               hot_slots=[1])
+        # A latency at the threshold is a miss; one below it is a hit.
+        outcome = _outcome([200, DEFAULT_HIT_THRESHOLD - 1,
+                            DEFAULT_HIT_THRESHOLD], DEFAULT_HIT_THRESHOLD)
+        assert outcome.hot_slots == [1]
         assert outcome.value == 1
 
     def test_probe_outcome_ambiguous(self):
@@ -68,9 +70,18 @@ class TestChannels:
     def test_probe_outcome_empty(self):
         assert ProbeOutcome(latencies=[200], hot_slots=[]).value is None
 
-    def test_classify_hit(self):
-        assert classify_hit(DEFAULT_HIT_THRESHOLD - 1)
-        assert not classify_hit(DEFAULT_HIT_THRESHOLD)
+    def test_leaked_value_ignores_benign_slots(self):
+        assert leaked_value([0, 42]) is None
+        assert leaked_value([0, 42], benign={0}) == 42
+        # A single wrong hot slot is still what the receiver recovered.
+        assert leaked_value([7], benign={0}, secret=42) == 7
+
+    def test_leaked_value_coarse_receiver(self):
+        """Prime+Probe sees a set: the secret is recovered when the one
+        hot set is the secret's, and nothing else is reported."""
+        assert leaked_value([42], secret=106, secret_slot=42) == 106
+        assert leaked_value([41], secret=106, secret_slot=42) is None
+        assert leaked_value([41, 42], secret=106, secret_slot=42) is None
 
     def test_flush_reload_roundtrip(self):
         machine = Machine()
@@ -78,10 +89,10 @@ class TestChannels:
         channel = FlushReloadChannel(machine, base, slots=8)
         channel.map()
         warm_lines(machine, [channel.slot_address(3)])
-        outcome = channel.reload()
+        outcome = channel.probe()
         assert outcome.value == 3
         channel.flush()
-        assert channel.reload().value is None
+        assert channel.probe().value is None
 
     def test_slot_addresses_stride(self):
         channel = FlushReloadChannel(Machine(), 0x40000, stride=64)
@@ -163,7 +174,7 @@ class TestPredictorChoice:
         channel.flush()
         machine.run(victim, initial_registers={
             1: layout.secret_addr - layout.array1})
-        assert channel.reload().value == 99
+        assert channel.probe().value == 99
 
 
 class TestFunctionTableVictims:

@@ -4,6 +4,7 @@ import pytest
 
 from repro import CommitPolicy, Machine, ProgramBuilder
 from repro.core.detector import (DEFAULT_THRESHOLDS, ShadowAnomalyDetector)
+from repro.core.shadow import FullPolicy
 from repro.errors import ConfigError
 from repro.pipeline.trace import PipelineTracer
 
@@ -135,34 +136,18 @@ class TestDetectsTsaTrojan:
     def test_tsa_trojan_trips_the_detector(self):
         """The TSA Trojan must fill a shadow structure to capacity inside
         one window — the exact anomaly the paper suggests detecting."""
-        from repro.attacks.tsa import _run_tsa
-        from repro.core.safespec import SafeSpecConfig, SizingMode
-        from repro.core.shadow import FullPolicy
-        import repro.attacks.tsa as tsa_module
+        from repro.attacks import tsa
+        from repro.attacks.gadgets import AttackLayout
 
-        events = []
-        original_machine_cls = tsa_module.Machine
-
-        class MonitoredMachine(original_machine_cls):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                if self.engine is not None:
-                    detector = ShadowAnomalyDetector({"shadow_dtlb": 3})
-                    detector.attach(self)
-                    self._detector = detector
-                    events.append(detector.report.events)
-
-        tsa_module.Machine = MonitoredMachine
-        try:
-            config = SafeSpecConfig(
-                policy=CommitPolicy.WFC, sizing=SizingMode.CUSTOM,
-                full_policy=FullPolicy.DROP,
-                dcache_entries=256, icache_entries=256,
-                itlb_entries=64, dtlb_entries=4)
-            from repro.spec import MachineSpec
-            _run_tsa(CommitPolicy.WFC, 1,
-                     MachineSpec().derive(safespec=config))
-        finally:
-            tsa_module.Machine = original_machine_cls
-        assert any(event_list for event_list in events), \
+        layout = AttackLayout()
+        machine = tsa._setup(CommitPolicy.WFC, 1,
+                             tsa._undersized(CommitPolicy.WFC,
+                                             FullPolicy.DROP),
+                             "cycle", layout)
+        detector = ShadowAnomalyDetector({"shadow_dtlb": 3})
+        detector.attach(machine)
+        result = tsa._transmit(machine, layout, 1)
+        report = detector.detach()
+        assert result.leaked == 1
+        assert report.events, \
             "the trojan's shadow-dTLB burst should trip the detector"

@@ -11,8 +11,7 @@ import pytest
 
 from repro import CommitPolicy, Machine
 from repro.attacks import gadgets
-from repro.attacks.channels import (FlushReloadChannel, IcacheReloadChannel,
-                                    PrimeProbeChannel)
+from repro.attacks.channels import FlushReloadChannel, PrimeProbeChannel
 from repro.attacks.gadgets import warm_lines
 from repro.memory.paging import PAGE_SHIFT, PrivilegeLevel
 
@@ -56,7 +55,7 @@ class TestScans:
         channel = FlushReloadChannel(machine, PROBE)
         addresses = [channel.slot_address(s) for s in range(256)]
         before = _state(machine)
-        outcome = channel.reload()
+        outcome = channel.probe()
         assert _state(machine) == before
         assert outcome.latencies == [machine.probe_latency(a)
                                      for a in addresses]
@@ -66,13 +65,13 @@ class TestScans:
 
     def test_fetch_scan_equals_per_slot_probes(self, policy):
         machine = _scanned_machine(policy)
-        channel = IcacheReloadChannel(machine, CODE, stride=64)
+        channel = FlushReloadChannel(machine, CODE, stride=64, side="i")
         addresses = [channel.slot_address(s) for s in range(256)]
         itlb = machine.hierarchy.itlb
         assert itlb.contains(CODE >> PAGE_SHIFT)
         assert not itlb.contains((CODE >> PAGE_SHIFT) + 1)
         before = _state(machine)
-        outcome = channel.reload()
+        outcome = channel.probe()
         assert _state(machine) == before
         assert outcome.latencies == [machine.probe_fetch_latency(a)
                                      for a in addresses]
