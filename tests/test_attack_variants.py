@@ -70,6 +70,13 @@ class TestChannels:
     def test_probe_outcome_empty(self):
         assert ProbeOutcome(latencies=[200], hot_slots=[]).value is None
 
+    def test_classify_hit(self):
+        # A scan counts a slot hot only strictly below the threshold.
+        assert _outcome([DEFAULT_HIT_THRESHOLD - 1],
+                        DEFAULT_HIT_THRESHOLD).hot_slots == [0]
+        assert _outcome([DEFAULT_HIT_THRESHOLD],
+                        DEFAULT_HIT_THRESHOLD).hot_slots == []
+
     def test_leaked_value_ignores_benign_slots(self):
         assert leaked_value([0, 42]) is None
         assert leaked_value([0, 42], benign={0}) == 42
