@@ -4,24 +4,25 @@ figures.
 Every performance figure in the paper (Figures 6-9 and 11-16) is a
 per-benchmark series derived from the same simulations, so the runner
 describes each (workload, policy) pair as a
-:class:`~repro.exec.job.SimJob`, submits it through an executor (serial
-or ``multiprocessing``-parallel, optionally backed by the persistent
-on-disk result cache), and memoizes the resulting
+:class:`~repro.exec.job.SimJob`, runs it through a
+:class:`~repro.api.session.Session` (whose executor and result cache
+decide how), and memoizes the resulting
 :class:`~repro.exec.job.SimResult` for the figure derivations.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.policy import CommitPolicy
-from repro.exec.cache import ResultCache
-from repro.exec.executor import make_executor
 from repro.exec.job import SimJob, SimResult, workload_job
 from repro.spec import MachineSpec
 from repro.statistics import geometric_mean
 from repro.workloads.profiles import suite_names
 from repro.workloads.suite import DEFAULT_INSTRUCTION_BUDGET
+
+if TYPE_CHECKING:
+    from repro.api.session import Session
 
 AVERAGE = "Average"
 
@@ -38,35 +39,21 @@ class FigureRunner:
     with an ``Average`` entry appended (arithmetic mean for rates/sizes,
     geometric mean for normalized IPC — matching the paper).
 
-    Simulations run through a :class:`~repro.api.session.Session`
-    (prefer :meth:`Session.experiment` to construct a runner).
-    ``session`` supplies the wiring directly; ``executor`` overrides the
-    execution strategy; otherwise ``jobs``/``cache``/``progress`` pick
-    one (``jobs > 1`` fans simulations out over a process pool,
-    ``cache`` persists results across invocations).
+    Simulations run through ``session`` (a
+    :class:`~repro.api.session.Session`; :meth:`Session.experiment`
+    builds a runner on itself).
     """
 
-    def __init__(self, benchmarks: Optional[List[str]] = None,
+    def __init__(self, session: Session,
+                 benchmarks: Optional[List[str]] = None,
                  instructions: int = DEFAULT_INSTRUCTION_BUDGET,
-                 executor=None, jobs: int = 1,
-                 cache: Optional[ResultCache] = None,
-                 progress=None, session=None,
                  spec: MachineSpec = MachineSpec(),
                  backend: str = "cycle") -> None:
-        # Imported here: repro.api.session itself builds runners.
-        from repro.api.session import Session
-
+        self.session = session
         self.benchmarks = benchmarks or suite_names()
         self.instructions = instructions
         self.spec = spec
         self.backend = backend
-        if session is None:
-            if executor is None:
-                executor = make_executor(workers=jobs, cache=cache,
-                                         progress=progress)
-            session = Session(executor=executor)
-        self.session = session
-        self.executor = session.executor
         self._memo: Dict[Tuple[str, CommitPolicy], SimResult] = {}
 
     def job_for(self, benchmark: str, policy: CommitPolicy) -> SimJob:
@@ -80,14 +67,14 @@ class FigureRunner:
         key = (benchmark, policy)
         if key not in self._memo:
             job = self.job_for(benchmark, policy)
-            self._memo[key] = self.executor.run([job])[0]
+            self._memo[key] = self.session.run([job])[0]
         return self._memo[key]
 
     def _ensure(self, policies: Sequence[CommitPolicy]) -> None:
-        """Memoize every (benchmark, policy) pair, as one executor batch.
+        """Memoize every (benchmark, policy) pair, as one session batch.
 
         Every figure method calls this before deriving its series, so a
-        parallel executor always sees the figure's whole sweep at once
+        parallel session always sees the figure's whole sweep at once
         instead of one job at a time.
         """
         missing = [(name, policy) for policy in policies
@@ -96,7 +83,7 @@ class FigureRunner:
         if not missing:
             return
         jobs = [self.job_for(name, policy) for name, policy in missing]
-        for key, result in zip(missing, self.executor.run(jobs)):
+        for key, result in zip(missing, self.session.run(jobs)):
             self._memo[key] = result
 
     def run_all(self, policies: Sequence[CommitPolicy] = FIGURE_POLICIES

@@ -7,12 +7,14 @@ Three layers, each usable on its own:
   :data:`~repro.api.registry.WORKLOADS`,
   :data:`~repro.api.registry.PREDICTORS`); adding a scenario is one
   decorated function in one module.
-* :mod:`repro.api.scenario` — declarative :class:`Scenario` specs and
-  :class:`Sweep` grids over benchmarks x policies x machine specs x
-  spec variants.
+* :mod:`repro.api.sweep` — declarative :class:`Sweep` grids over
+  benchmarks x policies x machine specs x spec variants, expanded to
+  :class:`~repro.exec.job.SimJob` batches.
 * :mod:`repro.api.session` — the :class:`Session` facade owning
-  executor + cache wiring, with ``run`` / ``matrix`` / ``figures`` /
-  ``sweep``.
+  executor + cache wiring: ``run`` takes a batch of jobs (built with
+  :func:`~repro.exec.job.workload_job` and
+  :func:`~repro.exec.job.attack_job`); ``matrix`` / ``figures`` /
+  ``sweep`` / ``verify`` / ``sample`` build and run the paper's batches.
 
 Quickstart::
 
@@ -25,7 +27,7 @@ Quickstart::
         benchmarks=["mcf"], policies=[CommitPolicy.WFC],
         variants={f"rob{n}": {"core.rob_entries": n} for n in (96, 224)}))
 
-The scenario and session layers import lazily so that low-level modules
+The sweep and session layers import lazily so that low-level modules
 (attacks, workload profiles, predictors) can register themselves via
 ``repro.api.registry`` without dragging the whole API — and its
 analysis-layer dependencies — into their import graph.
@@ -37,9 +39,8 @@ from repro.api.registry import (ATTACKS, PREDICTORS, WORKLOADS, Registry,
                                 register_predictor, register_workload)
 
 _LAZY = {
-    "Scenario": "repro.api.scenario",
-    "Sweep": "repro.api.scenario",
-    "SweepPoint": "repro.api.scenario",
+    "Sweep": "repro.api.sweep",
+    "SweepPoint": "repro.api.sweep",
     "MATRIX_POLICIES": "repro.api.session",
     "Session": "repro.api.session",
     "SweepResult": "repro.api.session",
@@ -51,7 +52,6 @@ __all__ = [
     "PREDICTORS",
     "Registry",
     "RegistryEntry",
-    "Scenario",
     "Session",
     "Sweep",
     "SweepPoint",

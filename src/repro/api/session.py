@@ -1,11 +1,12 @@
 """The :class:`Session` facade: one object owning execution wiring.
 
-Every entry point used to hand-wire its own cache and executor (the CLI,
-:class:`~repro.analysis.experiment.FigureRunner`, the benchmark
-harness, the examples) — and ``repro attack`` bypassed the exec layer
-entirely.  A session owns that wiring once::
+A session owns one :class:`~repro.exec.executor.Executor` and its
+result cache; every batch product — the CLI commands,
+:class:`~repro.analysis.experiment.FigureRunner`, the examples — runs
+its :class:`~repro.exec.job.SimJob` batches through it::
 
     session = Session(jobs=4, cache_dir="~/.cache/repro")
+    results = session.run([workload_job("mcf", CommitPolicy.WFC)])
     matrix = session.matrix()                       # Tables III & IV
     figures = session.figures(benchmarks=["mcf"])   # Figures 6-9, 11-16
     result = session.sweep(Sweep(...))              # ablation grids
@@ -15,22 +16,22 @@ entirely.  A session owns that wiring once::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
-from repro.api.scenario import Scenario, Sweep, SweepPoint
+from repro.api.sweep import Sweep, SweepPoint
 from repro.core.policy import CommitPolicy
 from repro.errors import ConfigError
 from repro.exec.cache import NullCache, ResultCache
-from repro.exec.executor import ProgressFn, make_executor
-from repro.exec.job import DEFAULT_INSTRUCTION_BUDGET, SimJob, SimResult
+from repro.exec.executor import Executor, ProgressFn
+from repro.exec.job import (DEFAULT_INSTRUCTION_BUDGET, SimJob, SimResult,
+                            attack_job)
 from repro.spec import MachineSpec
 
 # The matrix default: the paper's protected variants plus the insecure
 # baseline they are compared against.
 MATRIX_POLICIES = (CommitPolicy.BASELINE, CommitPolicy.WFB,
                    CommitPolicy.WFC)
-
-Runnable = Union[Scenario, SimJob]
 
 
 @dataclass
@@ -68,37 +69,28 @@ class Session:
 
     Arguments:
         jobs: worker processes (``> 1`` fans batches out over a
-            ``multiprocessing`` pool with bit-identical results).
+            ``multiprocessing`` pool with bit-identical results;
+            ``< 1`` raises :class:`~repro.errors.ConfigError`).
         cache: back the session with the persistent result cache
             (default); ``False`` simulates everything fresh.
         cache_dir: cache location (default ``$REPRO_CACHE_DIR`` or
             ``~/.cache/repro``).
         progress: per-completed-job callback (see
             :data:`~repro.exec.executor.ProgressFn`).
-        executor: bring-your-own executor; overrides every other
-            argument and supplies its own cache.
     """
 
     def __init__(self, jobs: int = 1, cache: bool = True,
                  cache_dir: Optional[str] = None,
-                 progress: Optional[ProgressFn] = None,
-                 executor: Any = None) -> None:
-        if executor is not None:
-            self.executor = executor
-            attached = getattr(executor, "cache", None)
-            self.cache = attached if attached is not None else NullCache()
-        else:
-            self.cache = ResultCache(cache_dir) if cache else NullCache()
-            self.executor = make_executor(workers=jobs, cache=self.cache,
-                                          progress=progress)
+                 progress: Optional[ProgressFn] = None) -> None:
+        self.cache = ResultCache(cache_dir) if cache else NullCache()
+        self.executor = Executor(workers=jobs, cache=self.cache,
+                                 progress=progress)
 
     # -- generic execution -------------------------------------------------
 
-    def run(self, scenarios: Iterable[Runnable]) -> List[SimResult]:
-        """Run a batch of scenarios (or raw jobs), in submission order."""
-        jobs = [item.job() if isinstance(item, Scenario) else item
-                for item in scenarios]
-        return self.executor.run(jobs)
+    def run(self, jobs: Iterable[SimJob]) -> List[SimResult]:
+        """Run a batch of jobs, results in submission order."""
+        return self.executor.run(list(jobs))
 
     # -- the batch products ------------------------------------------------
 
@@ -120,13 +112,12 @@ class Session:
 
         names = list(attacks) if attacks is not None else ATTACKS.names()
         chosen = list(policies) if policies else list(MATRIX_POLICIES)
-        scenarios = [Scenario.attack(name, policy, secret=secret, spec=spec,
-                                     backend=backend)
-                     for name in names for policy in chosen]
-        results = self.run(scenarios)
+        results = self.run([attack_job(name, policy, secret=secret,
+                                       spec=spec, backend=backend)
+                            for name in names for policy in chosen])
         matrix: Dict[str, Dict[str, Any]] = {name: {} for name in names}
-        for scenario, result in zip(scenarios, results):
-            matrix[scenario.target][scenario.policy.value] = \
+        for result in results:
+            matrix[result.target][result.policy.value] = \
                 attack_result_from_sim(result)
         return matrix
 
@@ -138,9 +129,9 @@ class Session:
         simulations run through this session."""
         from repro.analysis.experiment import FigureRunner
 
-        return FigureRunner(benchmarks=benchmarks,
-                            instructions=instructions, session=self,
-                            spec=spec, backend=backend)
+        return FigureRunner(self, benchmarks=benchmarks,
+                            instructions=instructions, spec=spec,
+                            backend=backend)
 
     def figures(self, benchmarks: Optional[List[str]] = None,
                 instructions: int = DEFAULT_INSTRUCTION_BUDGET,
@@ -163,10 +154,9 @@ class Session:
         return figures_data(runner)
 
     def sweep(self, sweep: Sweep) -> SweepResult:
-        """Expand and run a :class:`~repro.api.scenario.Sweep` grid."""
-        points = sweep.points()
-        results = self.run(sweep.scenarios())
-        return SweepResult(points=points, results=results)
+        """Expand and run a :class:`~repro.api.sweep.Sweep` grid."""
+        return SweepResult(points=sweep.points(),
+                           results=self.run(sweep.jobs()))
 
     def verify(self, count: int = 10, seed: int = 0,
                policies: Optional[Sequence[CommitPolicy]] = None,
@@ -198,7 +188,7 @@ class Session:
                            backend=backend)
                 for s in range(seed, seed + count)
                 for policy in chosen]
-        results = self.executor.run(jobs)
+        results = self.run(jobs)
         return VerifyReport(
             verdicts=[verdict_from_sim(result) for result in results])
 

@@ -1,17 +1,10 @@
-"""Declarative scenarios and parameter-sweep grids.
-
-A :class:`Scenario` is the user-facing description of one simulation —
-what to run (a registered workload or attack), under which commit
-policy, on which :class:`~repro.spec.MachineSpec`, with free-form
-``params`` — validated
-against the component registries at construction and lowered to a
-content-hashable :class:`~repro.exec.job.SimJob` with :meth:`Scenario.job`.
+"""Declarative parameter-sweep grids.
 
 A :class:`Sweep` expands a cartesian grid of benchmarks x policies x
 hardware specs x named spec variants (e.g. ROB/LDQ/shadow-sizing
-ablations) into a deterministic batch of scenarios, making
-parameter-sweep studies a first-class, cacheable API instead of bespoke
-scripts::
+ablations) into a deterministic batch of
+:func:`~repro.exec.job.workload_job` jobs, making parameter-sweep
+studies a first-class, cacheable API instead of bespoke scripts::
 
     sweep = Sweep(benchmarks=["mcf", "xz"],
                   policies=[CommitPolicy.WFC],
@@ -33,86 +26,18 @@ keys, progress lines and result rows — are stable across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (Any, Dict, List, Mapping, Optional, Sequence, Union)
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.api.registry import ATTACKS, WORKLOADS
+from repro.api.registry import WORKLOADS
 from repro.backends import BACKENDS
 from repro.core.policy import CommitPolicy
 from repro.errors import ConfigError
-from repro.exec.job import ATTACK, DEFAULT_INSTRUCTION_BUDGET, WORKLOAD, SimJob
+from repro.exec.job import (DEFAULT_INSTRUCTION_BUDGET, SimJob,
+                            workload_job)
 from repro.spec import MachineSpec, get_spec
 
 DEFAULT_VARIANT = "default"
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One declarative simulation spec.
-
-    Prefer the validating constructors :meth:`workload` and
-    :meth:`attack`; ``params`` carries scenario-kind-specific knobs (an
-    attack's planted ``secret``, future workload parameters) and flows
-    into the job hash.  ``label`` is a human-readable tag for sweep
-    points and progress reporting; it never affects the job hash.
-    """
-
-    kind: str
-    target: str
-    policy: CommitPolicy = CommitPolicy.BASELINE
-    instructions: int = DEFAULT_INSTRUCTION_BUDGET
-    # hash=False: a dict value would break the generated __hash__
-    # (same treatment as SimJob.params); equality still compares it.
-    params: Mapping[str, Any] = field(default_factory=dict, hash=False)
-    spec: MachineSpec = MachineSpec()
-    backend: str = "cycle"
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        BACKENDS.entry(self.backend)    # unknown backends fail here
-
-    @classmethod
-    def workload(cls, benchmark: str,
-                 policy: CommitPolicy = CommitPolicy.BASELINE, *,
-                 instructions: int = DEFAULT_INSTRUCTION_BUDGET,
-                 spec: MachineSpec = MachineSpec(),
-                 backend: str = "cycle",
-                 label: str = "", **params: Any) -> "Scenario":
-        """A scenario running one registered suite benchmark."""
-        WORKLOADS.entry(benchmark)      # unknown names fail here, loudly
-        return cls(kind=WORKLOAD, target=benchmark, policy=policy,
-                   instructions=instructions, params=params, spec=spec,
-                   backend=backend, label=label)
-
-    @classmethod
-    def attack(cls, name: str,
-               policy: CommitPolicy = CommitPolicy.BASELINE, *,
-               secret: int = 42,
-               instructions: int = DEFAULT_INSTRUCTION_BUDGET,
-               spec: MachineSpec = MachineSpec(),
-               backend: str = "cycle",
-               label: str = "", **params: Any) -> "Scenario":
-        """A scenario running one registered attack PoC.
-
-        The planted ``secret`` is ordinary scenario data: it lands in
-        ``params`` next to any attack-specific extras.
-        """
-        ATTACKS.entry(name)
-        return cls(kind=ATTACK, target=name, policy=policy,
-                   instructions=instructions,
-                   params={"secret": secret, **params},
-                   spec=spec, backend=backend, label=label)
-
-    def job(self) -> SimJob:
-        """Lower this scenario to its content-hashable job (the
-        execution backend lands in the job's ``params``)."""
-        return SimJob(kind=self.kind, target=self.target, policy=self.policy,
-                      instructions=self.instructions,
-                      params={**self.params, "backend": self.backend},
-                      spec=self.spec)
-
-    def describe(self) -> str:
-        return self.label or self.job().describe()
 
 
 @dataclass(frozen=True)
@@ -206,7 +131,7 @@ class Sweep:
         for name, overrides in variants.items():
             for key in overrides:
                 # Paths validate structurally here; value errors
-                # surface when scenarios are built.
+                # surface when jobs are built.
                 MachineSpec.resolve_path(key)
             self.variants[name] = dict(overrides)
 
@@ -220,20 +145,12 @@ class Sweep:
                 for variant in self.variants
                 for backend in self.backends]
 
-    def _scenario_for(self, point: SweepPoint) -> Scenario:
-        spec = self.specs[point.spec].derive(**self.variants[point.variant])
-        return Scenario.workload(point.benchmark, point.policy,
-                                 instructions=self.instructions,
-                                 backend=point.backend,
-                                 label=point.describe(), spec=spec)
-
-    def scenarios(self) -> List[Scenario]:
-        """One workload scenario per grid cell, in :meth:`points` order."""
-        return [self._scenario_for(point) for point in self.points()]
-
     def jobs(self) -> List[SimJob]:
-        """The deterministic job batch this sweep expands to."""
-        return [scenario.job() for scenario in self.scenarios()]
+        """One workload job per grid cell, in :meth:`points` order."""
+        return [workload_job(
+            point.benchmark, point.policy, instructions=self.instructions,
+            spec=self.specs[point.spec].derive(**self.variants[point.variant]),
+            backend=point.backend) for point in self.points()]
 
     def __len__(self) -> int:
         return (len(self.benchmarks) * len(self.policies)

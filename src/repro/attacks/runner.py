@@ -27,6 +27,7 @@ from repro.attacks.channels import (FlushReloadChannel, PrimeProbeChannel,
                                     leaked_value)
 from repro.attacks.gadgets import AttackLayout, warm_lines
 from repro.core.policy import CommitPolicy
+from repro.errors import ConfigError
 from repro.exec.job import SimJob, SimResult, json_clean_details
 from repro.isa.program import Program
 from repro.machine import Machine
@@ -131,13 +132,13 @@ def run_attack(name: str,
     the machine's geometry but makes no call on it.
     """
     if not 0 <= secret <= 255:
-        raise ValueError(f"secret must be a byte, got {secret}")
+        raise ConfigError(f"secret must be a byte, got {secret}")
     layout = AttackLayout()
     machine = Machine.from_spec(spec.derive(**spec_overrides),
                                 policy=policy, backend=backend)
     attack = describe(machine, layout, secret)
     if secret in attack.benign:
-        raise ValueError(f"secret {secret} is a benign slot of {name}")
+        raise ConfigError(f"secret {secret} is a benign slot of {name}")
     prepare(machine, layout, attack.words, attack.maps, attack.kernel)
     receiver = (attack.receiver(machine) if attack.receiver is not None
                 else FlushReloadChannel(machine, layout.probe))

@@ -66,14 +66,13 @@ from typing import List, Optional
 
 from repro.analysis.report import render_figures_text
 from repro.api.registry import attack_names, expected_closed
-from repro.api.scenario import Scenario
 from repro.api.session import MATRIX_POLICIES, Session
 from repro.attacks.runner import attack_result_from_sim, render_matrix
 from repro.core.policy import CommitPolicy
 from repro.errors import ReproError
 from repro.exec.cache import ResultCache
 from repro.exec.executor import stderr_progress
-from repro.exec.job import SCHEMA_VERSION
+from repro.exec.job import SCHEMA_VERSION, attack_job, workload_job
 from repro.hwmodel.overhead import render_table5
 from repro.spec import (DEFAULT_SPEC, MachineSpec, derive_from_strings,
                         get_spec, spec_description, spec_names)
@@ -352,7 +351,7 @@ def _report_cache(session: Session) -> None:
 def _cmd_attack(args: argparse.Namespace) -> int:
     policies = args.policy or list(MATRIX_POLICIES)
     names = attack_names() if args.name == "all" else [args.name]
-    # A serial text run streams each verdict as it completes (the
+    # A one-worker text run streams each verdict as it completes (the
     # executor reports in submission order); parallel runs keep the
     # stderr progress lines and print the ordered verdicts at the end.
     stream = args.format == "text" and args.jobs == 1
@@ -363,15 +362,14 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     else:
         session = _make_session(args)
     spec = _resolve_spec(args)
-    scenarios = [Scenario.attack(name, policy, secret=args.secret,
-                                 spec=spec, backend=args.backend)
-                 for name in names for policy in policies]
-    results = session.run(scenarios)
+    results = session.run([attack_job(name, policy, secret=args.secret,
+                                      spec=spec, backend=args.backend)
+                           for name in names for policy in policies])
     failures = 0
     records = []
-    for scenario, sim in zip(scenarios, results):
+    for sim in results:
         result = attack_result_from_sim(sim)
-        expected = expected_closed(scenario.target, scenario.policy)
+        expected = expected_closed(sim.target, sim.policy)
         # A leak under a policy the paper says closes this attack is a
         # reproduction failure; baseline leaks (and WFB's expected
         # Meltdown leak) are the vulnerable behaviour being reproduced.
@@ -380,8 +378,8 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         if args.format == "text" and not stream:
             print(result)
         records.append({
-            "attack": scenario.target,
-            "policy": scenario.policy.value,
+            "attack": sim.target,
+            "policy": sim.policy.value,
             "secret": result.secret,
             "leaked": result.leaked,
             "closed": result.closed,
@@ -419,9 +417,8 @@ def _cmd_workload(args: argparse.Namespace) -> int:
     session = _make_session(args)
     spec = _resolve_spec(args)
     results = session.run(
-        [Scenario.workload(name, args.policy,
-                           instructions=args.instructions, spec=spec,
-                           backend=args.backend)
+        [workload_job(name, args.policy, instructions=args.instructions,
+                      spec=spec, backend=args.backend)
          for name in names])
     if args.format == "json":
         _emit_json(args.command, {

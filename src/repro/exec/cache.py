@@ -216,8 +216,6 @@ class ResultCache:
 class NullCache:
     """Cache stand-in used by ``--no-cache``: never hits, never stores."""
 
-    directory = None
-
     def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
@@ -230,24 +228,8 @@ class NullCache:
     def put(self, job: SimJob, result: SimResult) -> None:
         pass
 
-    def clear(self) -> int:
-        return 0
-
-    def __len__(self) -> int:
-        return 0
-
     def describe(self) -> str:
         return "cache disabled"
-
-    def stats(self) -> Dict[str, Any]:
-        return {"backend": "null", "location": None,
-                "schema": SCHEMA_VERSION, "entries": 0, "payload_bytes": 0}
-
-    def gc(self, max_age_days: Optional[float] = None,
-           max_entries: Optional[int] = None,
-           max_bytes: Optional[int] = None,
-           all_schemas: bool = False) -> int:
-        return 0
 
 
 def _unlink_quiet(path: Path) -> int:

@@ -1,13 +1,14 @@
-"""Executors: run a batch of :class:`SimJob` serially or in parallel.
+"""The executor: run a batch of :class:`SimJob` values.
 
-Both executors share the same contract: ``run(jobs)`` returns one
-:class:`SimResult` per job, in submission order, consulting the attached
-cache before simulating and persisting every fresh result afterwards.
+``Executor.run(jobs)`` returns one :class:`SimResult` per job, in
+submission order, consulting the attached cache before simulating and
+persisting every fresh result afterwards.
 
-The :class:`ParallelExecutor` fans uncached jobs out over a
+With one worker each job is looked up, run and reported in submission
+order, in this process.  With more, uncached jobs fan out over a
 ``multiprocessing`` pool.  Workers rebuild the whole machine state from
 the job spec (the simulator is deterministic given a spec), so results
-are bit-identical to a serial run.
+are bit-identical to a one-worker run.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import sys
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.errors import ConfigError
 from repro.exec.cache import NullCache, ResultCache
 from repro.exec.job import ATTACK, SAMPLE, VERIFY, SimJob, SimResult
 
@@ -53,40 +55,19 @@ def stderr_progress(done: int, total: int, job: SimJob,
           file=sys.stderr, flush=True)
 
 
-class SerialExecutor:
-    """Runs every job in this process, in submission order."""
+class Executor:
+    """Runs job batches on ``workers`` processes through ``cache``.
 
-    def __init__(self, cache: Optional[ResultCache] = None,
-                 progress: Optional[ProgressFn] = None) -> None:
-        self.cache = cache if cache is not None else NullCache()
-        self.progress = progress
-
-    def run(self, jobs: Sequence[SimJob]) -> List[SimResult]:
-        results: List[Optional[SimResult]] = [None] * len(jobs)
-        for index, job in enumerate(jobs):
-            result = self.cache.get(job)
-            if result is None:
-                result = execute_job(job)
-                self.cache.put(job, result)
-            results[index] = result
-            if self.progress:
-                self.progress(index + 1, len(jobs), job, result)
-        return results  # type: ignore[return-value]
-
-
-class ParallelExecutor:
-    """Fans uncached jobs out over a ``multiprocessing`` pool.
-
-    ``workers`` bounds the pool size.  With one worker (or one runnable
-    task) the batch degrades to in-process serial execution, so the
-    executor is always safe to use.
+    ``progress`` is called once per completed job, cached or fresh.
+    Only a batch with two or more uncached jobs on two or more workers
+    starts a pool (and imports ``multiprocessing``).
     """
 
-    def __init__(self, workers: int = 2,
+    def __init__(self, workers: int = 1,
                  cache: Optional[ResultCache] = None,
                  progress: Optional[ProgressFn] = None) -> None:
         if workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise ConfigError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.cache = cache if cache is not None else NullCache()
         self.progress = progress
@@ -96,48 +77,39 @@ class ParallelExecutor:
         results: List[Optional[SimResult]] = [None] * total
         done = 0
 
-        pending: _IndexedJobs = []
-        for index, job in enumerate(jobs):
-            cached = self.cache.get(job)
-            if cached is not None:
-                results[index] = cached
-                done += 1
-                if self.progress:
-                    self.progress(done, total, job, cached)
-            else:
-                pending.append((index, job))
-
-        for index, result in self._dispatch(pending):
-            self.cache.put(jobs[index], result)
+        def finish(index: int, result: SimResult) -> None:
+            nonlocal done
             results[index] = result
             done += 1
             if self.progress:
                 self.progress(done, total, jobs[index], result)
+
+        pending: _IndexedJobs = []
+        for index, job in enumerate(jobs):
+            result = self.cache.get(job)
+            if result is None and self.workers > 1:
+                pending.append((index, job))
+                continue
+            if result is None:
+                result = execute_job(job)
+                self.cache.put(job, result)
+            finish(index, result)
+
+        for index, result in self._fan_out(pending):
+            self.cache.put(jobs[index], result)
+            finish(index, result)
         return results  # type: ignore[return-value]
 
-    def _dispatch(self, pending: _IndexedJobs
-                  ) -> Iterator[Tuple[int, SimResult]]:
-        if not pending:
+    def _fan_out(self, pending: _IndexedJobs
+                 ) -> Iterator[Tuple[int, SimResult]]:
+        if len(pending) < 2:
+            yield from map(_run_indexed, pending)
             return
-        workers = min(self.workers, len(pending))
-        if workers <= 1:
-            for indexed_job in pending:
-                yield _run_indexed(indexed_job)
-            return
-        import multiprocessing  # only parallel runs pay for the import
+        import multiprocessing
         context = multiprocessing.get_context()
-        with context.Pool(processes=workers) as pool:
+        with context.Pool(processes=min(self.workers, len(pending))) as pool:
             # Streamed so progress lines appear as jobs complete.
             yield from pool.imap_unordered(_run_indexed, pending)
-
-
-def make_executor(workers: int = 1, cache: Optional[ResultCache] = None,
-                  progress: Optional[ProgressFn] = None):
-    """The executor the CLI flags describe: parallel iff ``workers > 1``."""
-    if workers > 1:
-        return ParallelExecutor(workers=workers, cache=cache,
-                                progress=progress)
-    return SerialExecutor(cache=cache, progress=progress)
 
 
 def _run_indexed(indexed_job: Tuple[int, SimJob]

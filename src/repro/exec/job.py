@@ -4,13 +4,12 @@ A :class:`SimJob` fully describes one simulation — a suite workload or an
 attack, the commit policy, the machine (a :class:`~repro.spec.MachineSpec`)
 and the instruction budget — independent of the process that will run
 it.  Two jobs with the same content have the same :meth:`SimJob.key`,
-which is what the on-disk cache and the executors key on.
+which is what the on-disk cache and the executor key on.
 
 A :class:`SimResult` carries everything the figures and tables derive
 their series from (counters, shadow-occupancy histograms, commit rates,
-attack outcome) as plain JSON-serializable data, and exposes the same
-derived-metric API as :class:`~repro.workloads.suite.WorkloadRun` so the
-analysis layer can consume either interchangeably.
+attack outcome) as plain JSON-serializable data, and derives the
+figure metrics from it, for fresh and cached results alike.
 """
 
 from __future__ import annotations
@@ -21,6 +20,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
+from repro.api.registry import ATTACKS, WORKLOADS
+from repro.backends import BACKENDS
 from repro.core.policy import CommitPolicy
 from repro.errors import ConfigError
 from repro.spec import MachineSpec
@@ -126,21 +127,41 @@ class SimJob:
         return f"{self.kind}:{self.target}/{self.policy.value}"
 
 
-class FigureMetrics:
-    """The per-figure derived metrics, shared by every result type.
+@dataclass
+class SimResult:
+    """The JSON-serializable outcome of one :class:`SimJob`.
 
-    A subclass provides ``_counter(name)`` (simulation counter lookup)
-    and a ``shadow_commit_rates`` mapping; the formulas that turn those
-    into the paper's figure series live only here, so cached
-    :class:`SimResult` values and fresh
-    :class:`~repro.workloads.suite.WorkloadRun` values can never derive
-    a figure differently.
+    Carries the derived per-figure metrics (IPC, miss rates, shadow hit
+    fractions, occupancy percentiles, commit rates) plus the attack
+    verdict; every consumer, fresh or cached, reads this one type.
     """
 
-    shadow_commit_rates: Dict[str, float]
+    job_key: str
+    kind: str
+    target: str
+    policy: CommitPolicy
+    cycles: int = 0
+    instructions: int = 0
+    halted_reason: str = ""
+    counters: Dict[str, int] = field(default_factory=dict)
+    # structure name -> {occupancy value -> cycle count}
+    shadow_occupancy: Dict[str, Dict[int, int]] = field(default_factory=dict)
+    shadow_commit_rates: Dict[str, float] = field(default_factory=dict)
+    # attack outcome (kind == "attack" only)
+    secret: Optional[int] = None
+    leaked: Optional[int] = None
+    details: Dict[str, Any] = field(default_factory=dict)
+    # transport metadata, never serialized
+    from_cache: bool = False
+
+    # -- derived per-figure metrics ----------------------------------------
+
+    @property
+    def ipc(self) -> float:
+        return self.instructions / self.cycles if self.cycles else 0.0
 
     def _counter(self, name: str) -> int:
-        raise NotImplementedError
+        return self.counters.get(name, 0)
 
     @property
     def dcache_read_miss_rate(self) -> float:
@@ -171,44 +192,6 @@ class FigureMetrics:
     def shadow_commit_rate(self, structure: str) -> float:
         """Figure 16: committed fraction of retired shadow entries."""
         return self.shadow_commit_rates.get(structure, 0.0)
-
-
-@dataclass
-class SimResult(FigureMetrics):
-    """The JSON-serializable outcome of one :class:`SimJob`.
-
-    Exposes the derived per-figure metrics of
-    :class:`~repro.workloads.suite.WorkloadRun` (IPC, miss rates, shadow
-    hit fractions, occupancy percentiles, commit rates) plus the attack
-    verdict, so every consumer reads one result type.
-    """
-
-    job_key: str
-    kind: str
-    target: str
-    policy: CommitPolicy
-    cycles: int = 0
-    instructions: int = 0
-    halted_reason: str = ""
-    counters: Dict[str, int] = field(default_factory=dict)
-    # structure name -> {occupancy value -> cycle count}
-    shadow_occupancy: Dict[str, Dict[int, int]] = field(default_factory=dict)
-    shadow_commit_rates: Dict[str, float] = field(default_factory=dict)
-    # attack outcome (kind == "attack" only)
-    secret: Optional[int] = None
-    leaked: Optional[int] = None
-    details: Dict[str, Any] = field(default_factory=dict)
-    # transport metadata, never serialized
-    from_cache: bool = False
-
-    # -- derived workload metrics (same API as WorkloadRun) ---------------
-
-    @property
-    def ipc(self) -> float:
-        return self.instructions / self.cycles if self.cycles else 0.0
-
-    def _counter(self, name: str) -> int:
-        return self.counters.get(name, 0)
 
     def shadow_size_percentile(self, structure: str,
                                fraction: float = 0.9999) -> int:
@@ -288,7 +271,11 @@ def workload_job(benchmark: str, policy: CommitPolicy,
 
     ``backend`` selects the execution backend and always lands in
     ``params`` so the two backends' results never collide in the cache.
+    An unknown benchmark or backend raises :class:`ConfigError` here,
+    before any simulation runs.
     """
+    WORKLOADS.entry(benchmark)
+    BACKENDS.entry(backend)
     return SimJob(kind=WORKLOAD, target=benchmark, policy=policy,
                   instructions=instructions, params={"backend": backend},
                   spec=spec)
@@ -297,7 +284,10 @@ def workload_job(benchmark: str, policy: CommitPolicy,
 def attack_job(name: str, policy: CommitPolicy, secret: int = 42,
                spec: MachineSpec = MachineSpec(),
                backend: str = "cycle") -> SimJob:
-    """A job running one attack PoC under one policy."""
+    """A job running one attack PoC under one policy; an unknown attack
+    or backend raises :class:`ConfigError` here."""
+    ATTACKS.entry(name)
+    BACKENDS.entry(backend)
     return SimJob(kind=ATTACK, target=name, policy=policy,
                   params={"secret": secret, "backend": backend}, spec=spec)
 

@@ -6,7 +6,7 @@ Each (checkpoint, window) pair is one independent ``sample``
 the checkpoint itself — workers re-derive checkpoints deterministically
 with a per-process memoized fast-forward scan.  That keeps sample jobs
 content-hashable exactly like every other kind, so they flow through the
-serial/parallel executors and the on-disk result cache unchanged, and
+executor and the on-disk result cache unchanged, and
 a repeated sampled run is all cache hits.
 
 Stitching (:func:`stitch_windows`) turns the measured windows back into

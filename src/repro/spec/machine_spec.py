@@ -13,8 +13,8 @@ Because the spec is a *value*, every machine shape becomes first-class:
   :meth:`MachineSpec.from_dict` round-trip through plain JSON types;
 * cacheable — :meth:`MachineSpec.digest` is a stable content hash, so
   the on-disk result cache distinguishes hardware shapes;
-* sweepable — a :class:`~repro.api.scenario.Sweep` takes a ``specs``
-  axis and runs sensitivity curves through the parallel executor;
+* sweepable — a :class:`~repro.api.sweep.Sweep` takes a ``specs``
+  axis and runs sensitivity curves through the executor's worker pool;
 * derivable — :meth:`MachineSpec.derive` produces a variant by dotted
   path without mutating the base::
 

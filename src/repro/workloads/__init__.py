@@ -11,14 +11,12 @@ substitution rationale.
 from repro.workloads.profiles import (WorkloadProfile, SUITE_PROFILES,
                                       profile_by_name, suite_names)
 from repro.workloads.generator import generate_program, WorkloadProgram
-from repro.workloads.suite import (run_workload, run_workload_job,
-                                   WorkloadRun)
+from repro.workloads.suite import run_workload, run_workload_job
 
 __all__ = [
     "SUITE_PROFILES",
     "WorkloadProfile",
     "WorkloadProgram",
-    "WorkloadRun",
     "generate_program",
     "profile_by_name",
     "run_workload",

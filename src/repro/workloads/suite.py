@@ -2,49 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Union
 
 from repro.core.policy import CommitPolicy
-from repro.exec.job import (DEFAULT_INSTRUCTION_BUDGET, FigureMetrics,
-                            SimJob, SimResult)
+from repro.exec.job import (DEFAULT_INSTRUCTION_BUDGET, WORKLOAD, SimJob,
+                            SimResult)
 from repro.machine import Machine
-from repro.pipeline.core import RunResult
 from repro.spec import MachineSpec
-from repro.statistics import Histogram
 from repro.workloads.generator import generate_program, WorkloadProgram
 from repro.workloads.profiles import WorkloadProfile, profile_by_name
-
-
-@dataclass
-class WorkloadRun(FigureMetrics):
-    """One workload execution plus the derived per-figure metrics.
-
-    The figure formulas themselves live in
-    :class:`~repro.exec.job.FigureMetrics`, shared with the
-    serializable :class:`~repro.exec.job.SimResult`.
-    """
-
-    workload: str
-    policy: CommitPolicy
-    result: RunResult
-    shadow_occupancy: Dict[str, Histogram] = field(default_factory=dict)
-    shadow_commit_rates: Dict[str, float] = field(default_factory=dict)
-
-    # -- derived metrics ---------------------------------------------------
-
-    @property
-    def ipc(self) -> float:
-        return self.result.ipc
-
-    def _counter(self, name: str) -> int:
-        return self.result.counters.get(name, 0)
-
-    def shadow_size_percentile(self, structure: str,
-                               fraction: float = 0.9999) -> int:
-        """Figures 6-9: shadow size covering ``fraction`` of cycles."""
-        histogram = self.shadow_occupancy.get(structure)
-        return histogram.percentile(fraction) if histogram else 0
 
 
 def run_workload(workload: Union[str, WorkloadProfile, WorkloadProgram],
@@ -52,12 +18,13 @@ def run_workload(workload: Union[str, WorkloadProfile, WorkloadProgram],
                  instructions: int = DEFAULT_INSTRUCTION_BUDGET,
                  spec: MachineSpec = MachineSpec(),
                  backend: str = "cycle",
-                 ) -> WorkloadRun:
+                 ) -> SimResult:
     """Run one workload on a fresh ``spec`` machine under ``policy``.
 
     ``workload`` may be a suite benchmark name, a profile, or an
     already-generated :class:`WorkloadProgram`.  ``backend`` selects
-    the execution backend (``repro.backends``).
+    the execution backend (``repro.backends``).  The result is keyed
+    like the workload job of the same content.
     """
     if isinstance(workload, str):
         workload = profile_by_name(workload)
@@ -67,16 +34,25 @@ def run_workload(workload: Union[str, WorkloadProfile, WorkloadProgram],
     workload.apply_memory_image(machine)
     result = machine.run(workload.program, max_instructions=instructions)
 
-    occupancy: Dict[str, Histogram] = {}
+    occupancy: Dict[str, Dict[int, int]] = {}
     commit_rates: Dict[str, float] = {}
     if machine.engine is not None:
         for structure in machine.engine.all_structures():
-            occupancy[structure.name] = structure.occupancy_histogram
+            occupancy[structure.name] = dict(
+                structure.occupancy_histogram.items())
             commit_rates[structure.name] = structure.commit_rate()
-    return WorkloadRun(
-        workload=workload.profile.name,
+    job = SimJob(kind=WORKLOAD, target=workload.profile.name, policy=policy,
+                 instructions=instructions, params={"backend": backend},
+                 spec=spec)
+    return SimResult(
+        job_key=job.key(),
+        kind=WORKLOAD,
+        target=job.target,
         policy=policy,
-        result=result,
+        cycles=result.cycles,
+        instructions=result.instructions,
+        halted_reason=result.halted_reason,
+        counters=dict(result.counters),
         shadow_occupancy=occupancy,
         shadow_commit_rates=commit_rates,
     )
@@ -85,26 +61,8 @@ def run_workload(workload: Union[str, WorkloadProfile, WorkloadProgram],
 def run_workload_job(job: SimJob) -> SimResult:
     """Pure job-spec entry point: rebuild all machine state from ``job``.
 
-    This is what executor workers call; everything the figures need is
-    folded into the returned (serializable) :class:`SimResult`.
+    This is what executor workers call.
     """
-    run = run_workload(
-        job.target, job.policy,
-        instructions=job.instructions,
-        spec=job.spec,
-        backend=str(job.params.get("backend", "cycle")),
-    )
-    return SimResult(
-        job_key=job.key(),
-        kind=job.kind,
-        target=job.target,
-        policy=job.policy,
-        cycles=run.result.cycles,
-        instructions=run.result.instructions,
-        halted_reason=run.result.halted_reason,
-        counters=dict(run.result.counters),
-        shadow_occupancy={
-            name: dict(histogram.items())
-            for name, histogram in run.shadow_occupancy.items()},
-        shadow_commit_rates=dict(run.shadow_commit_rates),
-    )
+    return run_workload(job.target, job.policy,
+                        instructions=job.instructions, spec=job.spec,
+                        backend=str(job.params.get("backend", "cycle")))

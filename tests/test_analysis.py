@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.experiment import AVERAGE, FigureRunner
+from repro.api.session import Session
 from repro.analysis.report import (render_figure_series, render_ipc_figure,
                                    render_sizing_figure, render_two_series)
 from repro.core.policy import CommitPolicy
@@ -12,8 +13,8 @@ from repro.core.policy import CommitPolicy
 def runner():
     # Two small benchmarks with a modest budget keep the suite fast while
     # still exercising every figure pipeline end to end.
-    return FigureRunner(benchmarks=["namd", "povray"],
-                        instructions=3000)
+    return FigureRunner(Session(cache=False),
+                        benchmarks=["namd", "povray"], instructions=3000)
 
 
 class TestRunnerCaching:

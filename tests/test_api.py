@@ -1,8 +1,8 @@
 """Tests for the unified public API (repro.api).
 
 Covers the component registries (registration, lookup, duplicate and
-unknown-name errors, expected-closed metadata), declarative scenarios
-and sweep grids (stable expansion order, deterministic job keys), the
+unknown-name errors, expected-closed metadata), the validating job
+constructors and sweep grids (stable expansion order, deterministic job keys), the
 Session facade (cache-hit accounting over a spec-variant sweep), the
 schema-v2 params migration, and the ``attack --format json`` schema.
 """
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import Scenario, Session, Sweep
+from repro.api import Session, Sweep
 from repro.api.registry import (ATTACKS, PREDICTORS, WORKLOADS, Registry,
                                 attack_names, expected_closed)
 from repro.cli import main
@@ -167,35 +167,21 @@ class TestRegistry:
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
-class TestScenario:
+class TestJobConstructors:
     def test_attack_folds_secret_into_params(self):
-        scenario = Scenario.attack("meltdown", WFC, secret=7)
-        assert scenario.params == {"secret": 7}
-        job = scenario.job()
+        job = attack_job("meltdown", WFC, secret=7)
         assert job.params == {"secret": 7, "backend": "cycle"}
         assert job.canonical()["params"] == {"secret": 7, "backend": "cycle"}
 
-    def test_attack_scenario_matches_legacy_job(self):
-        scenario = Scenario.attack("spectre_v1", WFC, secret=9)
-        assert scenario.job().key() == attack_job("spectre_v1", WFC,
-                                                  secret=9).key()
-
-    def test_workload_scenario_matches_legacy_job(self):
-        scenario = Scenario.workload("namd", WFC, instructions=BUDGET)
-        assert scenario.job().key() == workload_job(
-            "namd", WFC, instructions=BUDGET).key()
-
     def test_unknown_targets_fail_at_construction(self):
         with pytest.raises(ConfigError, match="unknown workload"):
-            Scenario.workload("spacetruck")
+            workload_job("spacetruck", WFC)
         with pytest.raises(ConfigError, match="unknown attack"):
-            Scenario.attack("rowhammer")
-
-    def test_scenarios_stay_hashable(self):
-        first = Scenario.attack("meltdown", WFC, secret=7)
-        twin = Scenario.attack("meltdown", WFC, secret=7)
-        assert hash(first) == hash(twin)
-        assert len({first, twin}) == 1
+            attack_job("rowhammer", WFC)
+        with pytest.raises(ConfigError, match="unknown backend"):
+            workload_job("namd", WFC, backend="warp")
+        with pytest.raises(ConfigError, match="unknown backend"):
+            attack_job("meltdown", WFC, backend="warp")
 
 
 class TestSchemaV6:
@@ -287,9 +273,9 @@ class TestSweep:
     def test_dotted_cell_matches_derived_scenario(self):
         sweep = Sweep(benchmarks=["namd"], policies=[WFC],
                       instructions=BUDGET, variants=self.variants())
-        derived = [Scenario.workload(
+        derived = [workload_job(
             "namd", WFC, instructions=BUDGET,
-            spec=MachineSpec().derive(**{"core.rob_entries": n})).job()
+            spec=MachineSpec().derive(**{"core.rob_entries": n}))
             for n in (96, 128)]
         assert [job.key() for job in sweep.jobs()] == \
             [job.key() for job in derived]

@@ -8,6 +8,7 @@ from repro.attacks.channels import (DEFAULT_HIT_THRESHOLD,
                                     _outcome, leaked_value)
 from repro.attacks.gadgets import AttackLayout, warm_lines
 from repro.attacks.meltdown_spectre import run_meltdown_spectre
+from repro.errors import ConfigError
 from repro.attacks.runner import run_attack_by_name
 from repro.attacks.tsa import run_tsa_block_policy
 
@@ -36,7 +37,7 @@ class TestMeltdownSpectreCombo:
         assert run_attack_by_name("meltdown_spectre", BASELINE, 42).success
 
     def test_rejects_non_byte_secret(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="secret must be a byte"):
             run_meltdown_spectre(BASELINE, secret=1000)
 
 

@@ -37,7 +37,7 @@ class TestSpectreV1:
             assert run_spectre_v1(BASELINE, secret=secret).leaked == secret
 
     def test_rejects_non_byte_secret(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="secret must be a byte"):
             run_spectre_v1(BASELINE, secret=300)
 
 
@@ -89,7 +89,7 @@ class TestIcacheVariant:
         assert run_icache_variant(WFC, secret=42).closed
 
     def test_rejects_slot_zero_secret(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="benign slot"):
             run_icache_variant(BASELINE, secret=0)
 
 

@@ -21,9 +21,9 @@ import pytest
 from repro.attacks import run_attack_by_name
 from repro.backends import (BACKENDS, DEFAULT_BACKEND, backend_names,
                             create_backend)
-from repro.api.scenario import Scenario
 from repro.core.policy import CommitPolicy
 from repro.errors import ConfigError
+from repro.exec.job import attack_job, workload_job
 from repro.isa.assembler import ProgramBuilder
 from repro.machine import Machine
 from repro.verify import fuzz_profile, generate_fuzz_program
@@ -76,26 +76,23 @@ class TestCacheKeys:
     backend param) and cross-backend entries must never be served."""
 
     def test_backend_separates_workload_job_keys(self):
-        cycle = Scenario.workload("namd", CommitPolicy.WFC,
-                                  instructions=1000).job()
-        fast = Scenario.workload("namd", CommitPolicy.WFC,
-                                 instructions=1000, backend="fast").job()
+        cycle = workload_job("namd", CommitPolicy.WFC, instructions=1000)
+        fast = workload_job("namd", CommitPolicy.WFC, instructions=1000,
+                            backend="fast")
         assert cycle.params["backend"] == "cycle"
         assert fast.params["backend"] == "fast"
         assert cycle.key() != fast.key()
 
     def test_backend_separates_attack_job_keys(self):
-        cycle = Scenario.attack("spectre_v1", CommitPolicy.WFC).job()
-        fast = Scenario.attack("spectre_v1", CommitPolicy.WFC,
-                               backend="fast").job()
+        cycle = attack_job("spectre_v1", CommitPolicy.WFC)
+        fast = attack_job("spectre_v1", CommitPolicy.WFC, backend="fast")
         assert cycle.key() != fast.key()
 
     def test_backendless_params_yield_a_different_key(self):
         # A schema-v4 job (no backend param) must not collide with any
         # v5 key — SCHEMA_VERSION 5 plus the params difference sees to
         # the former; this pins the latter directly.
-        job = Scenario.workload("namd", CommitPolicy.WFC,
-                                instructions=1000).job()
+        job = workload_job("namd", CommitPolicy.WFC, instructions=1000)
         stripped = {k: v for k, v in job.params.items() if k != "backend"}
         assert stripped != job.params
 
@@ -157,9 +154,8 @@ class TestCycleTolerance:
         cycle = run_workload(bench, policy, instructions=4000)
         fast = run_workload(bench, policy, instructions=4000,
                             backend="fast")
-        assert fast.result.instructions == cycle.result.instructions
-        drift = abs(fast.result.cycles - cycle.result.cycles) \
-            / cycle.result.cycles
+        assert fast.instructions == cycle.instructions
+        drift = abs(fast.cycles - cycle.cycles) / cycle.cycles
         assert drift <= CYCLE_TOLERANCE, \
             f"{bench}/{policy.value}: {drift:.1%} cycle drift"
 

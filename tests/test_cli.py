@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.registry import attack_names
 from repro.cli import build_parser, main
 
 
@@ -80,6 +81,34 @@ class TestCommands:
         assert main(["attack", "spectre_v1", "--policy", "wfc"]) == 0
         out = capsys.readouterr().out
         assert "spectre_v1" in out and "closed" in out
+
+    def test_attack_streams_verdicts_in_registry_order(self, capsys,
+                                                       tmp_path):
+        # One cached cell among fresh ones: the one-worker path still
+        # prints every verdict in submission (registry) order.
+        names = attack_names()
+        cache = ["--cache-dir", str(tmp_path)]
+        assert main(["attack", names[len(names) // 2], "--policy", "wfc",
+                     *cache]) == 0
+        capsys.readouterr()
+        assert main(["attack", "all", "--policy", "wfc", "--jobs", "1",
+                     "--format", "text", *cache]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == names
+        assert all(" under wfc" in line for line in lines)
+
+    def test_attack_rejects_non_byte_secret(self, capsys):
+        assert main(["attack", "spectre_v1", "--secret", "300",
+                     "--no-cache"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: secret must be a byte, got 300\n"
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_rejects_fewer_than_one_job(self, capsys, jobs):
+        assert main(["workload", "namd", "--instructions", "1000",
+                     "--no-cache", "--jobs", jobs]) == 1
+        assert capsys.readouterr().err == \
+            f"error: workers must be >= 1, got {jobs}\n"
 
     def test_figures_small(self, capsys):
         assert main(["figures", "--benchmarks", "namd",

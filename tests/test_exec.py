@@ -10,8 +10,9 @@ from repro.cli import main
 from repro.core.policy import CommitPolicy
 from repro.core.safespec import SafeSpecConfig, SizingMode
 from repro.errors import ConfigError
-from repro.exec import (NullCache, ParallelExecutor, ResultCache,
-                        SerialExecutor, SimJob, attack_job, workload_job)
+from repro.api.session import Session
+from repro.exec import (Executor, NullCache, ResultCache, SimJob,
+                        attack_job, workload_job)
 from repro.isa.instructions import AluOp, Instruction, Opcode
 from repro.memory.cache import Cache, CacheConfig
 from repro.memory.tlb import TLB, TLBConfig
@@ -65,7 +66,7 @@ class TestJobHashing:
 class TestResultCache:
     def test_round_trip_skips_resimulation(self, tmp_path):
         cache = ResultCache(tmp_path)
-        executor = SerialExecutor(cache=cache)
+        executor = Executor(cache=cache)
         job = workload_job("namd", CommitPolicy.WFC, instructions=BUDGET)
 
         first = executor.run([job])[0]
@@ -87,7 +88,7 @@ class TestResultCache:
 
     def test_changed_config_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
-        executor = SerialExecutor(cache=cache)
+        executor = Executor(cache=cache)
         executor.run([workload_job("namd", CommitPolicy.WFC,
                                    instructions=BUDGET)])
         rerun = executor.run([workload_job("namd", CommitPolicy.WFC,
@@ -101,13 +102,13 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         job = workload_job("namd", CommitPolicy.BASELINE,
                            instructions=BUDGET)
-        SerialExecutor(cache=cache).run([job])
+        Executor(cache=cache).run([job])
         cache.path_for(job).write_text(garbage)
         assert cache.get(job) is None
 
     def test_clear_and_len(self, tmp_path):
         cache = ResultCache(tmp_path)
-        SerialExecutor(cache=cache).run(
+        Executor(cache=cache).run(
             [workload_job("namd", CommitPolicy.BASELINE,
                           instructions=BUDGET)])
         assert len(cache) == 1
@@ -119,7 +120,7 @@ class TestResultCache:
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
         cache = ResultCache(blocker)
-        result = SerialExecutor(cache=cache).run(
+        result = Executor(cache=cache).run(
             [workload_job("namd", CommitPolicy.BASELINE,
                           instructions=BUDGET)])[0]
         assert result.cycles > 0          # the simulation still completed
@@ -128,7 +129,7 @@ class TestResultCache:
 
     def test_null_cache_never_hits(self):
         cache = NullCache()
-        executor = SerialExecutor(cache=cache)
+        executor = Executor(cache=cache)
         job = workload_job("namd", CommitPolicy.BASELINE,
                            instructions=BUDGET)
         assert not executor.run([job])[0].from_cache
@@ -141,8 +142,8 @@ class TestParallelExecutor:
         jobs = [workload_job(name, policy, instructions=BUDGET)
                 for name in ("namd", "povray")
                 for policy in (CommitPolicy.BASELINE, CommitPolicy.WFC)]
-        serial = SerialExecutor().run(jobs)
-        parallel = ParallelExecutor(workers=4).run(jobs)
+        serial = Executor().run(jobs)
+        parallel = Executor(workers=4).run(jobs)
         assert len(parallel) == len(jobs)
         for expected, got in zip(serial, parallel):
             assert got.to_dict() == expected.to_dict()
@@ -150,7 +151,7 @@ class TestParallelExecutor:
     def test_attack_jobs_fan_out(self):
         jobs = [attack_job("spectre_v1", policy)
                 for policy in (CommitPolicy.BASELINE, CommitPolicy.WFC)]
-        results = ParallelExecutor(workers=2).run(jobs)
+        results = Executor(workers=2).run(jobs)
         assert results[0].success and results[1].closed
 
     def test_progress_reports_every_job(self, tmp_path):
@@ -158,7 +159,7 @@ class TestParallelExecutor:
         cache = ResultCache(tmp_path)
         job = workload_job("namd", CommitPolicy.BASELINE,
                            instructions=BUDGET)
-        executor = ParallelExecutor(
+        executor = Executor(
             workers=2, cache=cache,
             progress=lambda done, total, j, r: seen.append(
                 (done, total, r.from_cache)))
@@ -167,22 +168,39 @@ class TestParallelExecutor:
         assert seen == [(1, 1, False), (1, 1, True)]
 
     def test_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(workers=0)
+        for workers in (0, -1):
+            with pytest.raises(ConfigError, match="workers must be >= 1"):
+                Executor(workers=workers)
+
+
+class TestOneWorker:
+    def test_reports_each_job_in_submission_order(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        jobs = [workload_job(name, CommitPolicy.BASELINE,
+                             instructions=BUDGET)
+                for name in ("namd", "povray", "mcf")]
+        Executor(cache=cache).run(jobs[1:2])
+        seen = []
+        Executor(cache=cache, progress=lambda done, total, job, result:
+                 seen.append((done, job.target, result.from_cache))
+                 ).run(jobs)
+        assert seen == [(1, "namd", False), (2, "povray", True),
+                        (3, "mcf", False)]
 
 
 class TestFigureRunnerBatching:
-    def test_figure_methods_batch_their_sweep(self):
+    def test_figure_methods_batch_their_sweep(self, monkeypatch):
         calls = []
+        session = Session(cache=False)
+        run = session.executor.run
 
-        class RecordingExecutor(SerialExecutor):
-            def run(self, jobs):
-                calls.append(len(jobs))
-                return super().run(jobs)
+        def recording_run(jobs):
+            calls.append(len(jobs))
+            return run(jobs)
 
-        runner = FigureRunner(benchmarks=["namd", "povray"],
-                              instructions=BUDGET,
-                              executor=RecordingExecutor())
+        monkeypatch.setattr(session.executor, "run", recording_run)
+        runner = FigureRunner(session, benchmarks=["namd", "povray"],
+                              instructions=BUDGET)
         series = runner.normalized_ipc(CommitPolicy.WFC)
         assert set(series) == {"namd", "povray", "Average"}
         # Both policies x both benchmarks arrive as one 4-job batch,
@@ -192,25 +210,12 @@ class TestFigureRunnerBatching:
         runner.run_all([CommitPolicy.BASELINE, CommitPolicy.WFC])
         assert calls == [4]
 
-    def test_simresult_matches_workloadrun_metrics(self):
-        from repro.workloads.suite import run_workload, run_workload_job
+    def test_workload_job_result_carries_the_job_key(self):
+        from repro.workloads.suite import run_workload_job
 
-        job = workload_job("povray", CommitPolicy.WFC,
-                           instructions=BUDGET)
-        sim = run_workload_job(job)
-        direct = run_workload("povray", CommitPolicy.WFC,
-                              instructions=BUDGET)
-        assert sim.ipc == direct.ipc
-        for metric in ("dcache_read_miss_rate",
-                       "dcache_shadow_hit_fraction", "icache_miss_rate",
-                       "icache_shadow_hit_fraction"):
-            assert getattr(sim, metric) == getattr(direct, metric)
-        for structure in ("shadow_dcache", "shadow_icache",
-                          "shadow_itlb", "shadow_dtlb"):
-            assert (sim.shadow_size_percentile(structure)
-                    == direct.shadow_size_percentile(structure))
-            assert (sim.shadow_commit_rate(structure)
-                    == direct.shadow_commit_rate(structure))
+        job = workload_job("povray", CommitPolicy.WFC, instructions=BUDGET,
+                           backend="fast")
+        assert run_workload_job(job).job_key == job.key()
 
 
 class TestFiguresJson:
@@ -277,8 +282,8 @@ class TestAttackExitCode:
 
 class TestSlotsPickling:
     """The __slots__ additions must stay picklable: results (and any
-    state they reference) cross the multiprocessing boundary in the
-    parallel executor."""
+    state they reference) cross the multiprocessing boundary when the
+    executor runs more than one worker."""
 
     def test_dynuop_round_trips(self):
         inst = Instruction(opcode=Opcode.ALU, rd=1, rs1=2, rs2=3,
@@ -311,7 +316,7 @@ class TestSlotsPickling:
         jobs = [workload_job("namd", CommitPolicy.WFC, instructions=300),
                 workload_job("povray", CommitPolicy.BASELINE,
                              instructions=300)]
-        serial = SerialExecutor().run(jobs)
-        parallel = ParallelExecutor(workers=2).run(jobs)
+        serial = Executor().run(jobs)
+        parallel = Executor(workers=2).run(jobs)
         for s, p in zip(serial, parallel):
             assert s.to_dict() == p.to_dict()

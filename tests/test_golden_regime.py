@@ -88,10 +88,10 @@ def test_little_core_run_matches_golden(backend):
                        instructions=LITTLE_CORE_INSTRUCTIONS,
                        spec=get_spec("little-core"), backend=backend)
     _check(f"little-core/mcf/wfc/{backend}", {
-        "cycles": run.result.cycles,
-        "instructions": run.result.instructions,
-        "counters": dict(run.result.counters),
+        "cycles": run.cycles,
+        "instructions": run.instructions,
+        "counters": run.counters,
         "shadow_occupancy": {
-            structure: sorted(histogram.items())
-            for structure, histogram in run.shadow_occupancy.items()},
+            structure: sorted(buckets.items())
+            for structure, buckets in run.shadow_occupancy.items()},
     })

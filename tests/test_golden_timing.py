@@ -44,13 +44,13 @@ def _workload_timing(name: str, policy: CommitPolicy, backend: str) -> dict:
     run = run_workload(name, policy, instructions=INSTRUCTIONS,
                        backend=backend)
     return {
-        "cycles": run.result.cycles,
-        "instructions": run.result.instructions,
-        "counters": dict(run.result.counters),
+        "cycles": run.cycles,
+        "instructions": run.instructions,
+        "counters": run.counters,
         # JSON object keys are strings: store (value, count) pairs.
         "shadow_occupancy": {
-            structure: [list(item) for item in histogram.items()]
-            for structure, histogram in run.shadow_occupancy.items()},
+            structure: [list(item) for item in buckets.items()]
+            for structure, buckets in run.shadow_occupancy.items()},
     }
 
 

@@ -1,7 +1,8 @@
 """Start-up cost: a run loads only the heavy modules it uses.
 
 ``multiprocessing`` is needed only to fan jobs out, so importing the
-CLI, the API session or the sampling planner must not load it.  numpy
+CLI, the API session or the sampling planner must not load it, nor may
+a one-worker run.  numpy
 is needed by nothing at run time: programs are generated from the
 in-repo PCG64 stream, so not even a sampled run may load it.  Checked
 in a fresh interpreter, the only place the import state is controlled.
@@ -42,4 +43,5 @@ def test_generating_a_program_and_sampling_load_no_numpy():
          "    'mcf', CommitPolicy.WFC, instructions=4000, interval=1000,\n"
          "    warmup=100, windows=2, window=300)\n"
          "assert report.measured_windows == 2, report.measured_windows\n"
-         "assert 'numpy' not in sys.modules\n")
+         "assert 'numpy' not in sys.modules\n"
+         "assert 'multiprocessing' not in sys.modules\n")

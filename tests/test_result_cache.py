@@ -1,7 +1,7 @@
 """Tests for the directory result cache's maintenance surface.
 
-Covers ``stats`` / ``gc`` / ``clear`` on :class:`ResultCache` and
-:class:`NullCache`, and the concurrency guarantee: multiple processes
+Covers ``stats`` / ``gc`` / ``clear`` on :class:`ResultCache`, and
+the concurrency guarantee: multiple processes
 hammering one directory cache (racing ``put`` against ``clear``) must
 never lose a write or surface a torn entry.
 """
@@ -15,7 +15,7 @@ import pytest
 from repro.cli import main
 from repro.core.policy import CommitPolicy
 from repro.errors import ConfigError
-from repro.exec.cache import NullCache, ResultCache
+from repro.exec.cache import ResultCache
 from repro.exec.job import SCHEMA_VERSION, SimResult, workload_job
 
 BUDGET = 400
@@ -148,13 +148,6 @@ class TestGcBudgets:
                 os.utime(path, (0, 0))
         assert cache.gc(**{keyword: 0}) == 2
         assert len(cache) == 0
-
-
-class TestNullCache:
-    def test_null_cache_maintenance_surface(self):
-        cache = NullCache()
-        assert cache.stats()["entries"] == 0
-        assert cache.gc(max_entries=0, all_schemas=True) == 0
 
 
 # ---------------------------------------------------------------------------

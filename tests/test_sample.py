@@ -23,7 +23,7 @@ import pytest
 from repro.api.session import Session
 from repro.core.policy import CommitPolicy
 from repro.errors import ConfigError
-from repro.exec import NullCache, SerialExecutor
+from repro.exec import Executor
 from repro.exec.job import SAMPLE
 from repro.machine import Machine
 from repro.sample import (CHECKPOINT_SCHEMA_VERSION, Checkpoint, SamplePlan,
@@ -310,9 +310,8 @@ class TestSampledRun:
         assert all(len(json.dumps(job.params)) < 1_000 for job in first)
 
     def test_stitched_report_sanity(self):
-        report = run_sample(SerialExecutor(cache=NullCache()), "namd",
-                            CommitPolicy.BASELINE, plan=PLAN,
-                            total_instructions=TOTAL)
+        report = run_sample(Executor(), "namd", CommitPolicy.BASELINE,
+                            plan=PLAN, total_instructions=TOTAL)
         assert report.ok
         assert report.num_intervals == TOTAL // INTERVAL
         assert report.measured_windows == len(report.windows) == 2
@@ -367,9 +366,9 @@ class TestSampledRun:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_windows_measure_on_either_backend(self, backend):
-        report = run_sample(SerialExecutor(cache=NullCache()), "namd",
-                            CommitPolicy.BASELINE, plan=PLAN,
-                            total_instructions=TOTAL, backend=backend)
+        report = run_sample(Executor(), "namd", CommitPolicy.BASELINE,
+                            plan=PLAN, total_instructions=TOTAL,
+                            backend=backend)
         assert report.ok
         assert report.backend == backend
 

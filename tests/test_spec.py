@@ -242,7 +242,7 @@ class TestDeriveFromStrings:
             MachineSpec.from_dict(payload)
         with pytest.raises(ConfigError, match="integer"):
             Sweep(benchmarks=["namd"], instructions=BUDGET,
-                  variants={"bad": {"core.rob_entries": "96"}}).scenarios()
+                  variants={"bad": {"core.rob_entries": "96"}}).jobs()
 
 
 class TestDiff:

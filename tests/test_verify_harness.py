@@ -10,7 +10,7 @@ from repro.cli import main
 from repro.core.policy import CommitPolicy
 from repro.errors import ConfigError
 from repro.exec.cache import ResultCache
-from repro.exec.executor import SerialExecutor, execute_job
+from repro.exec.executor import Executor, execute_job
 from repro.exec.job import SimJob
 from repro.verify import (FUZZ_FORMAT_VERSION, ReferenceOracle,
                           fuzz_profile, generate_fuzz_program,
@@ -180,7 +180,7 @@ class TestVerifyJobs:
 
     def test_results_cache_and_replay(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
-        executor = SerialExecutor(cache=cache)
+        executor = Executor(cache=cache)
         jobs = [verify_job(s, CommitPolicy.WFC) for s in range(2)]
         first = executor.run(jobs)
         second = executor.run(jobs)

@@ -88,7 +88,7 @@ class TestRunWorkload:
     def test_run_produces_metrics(self):
         run = run_workload("namd", CommitPolicy.BASELINE,
                            instructions=2000)
-        assert run.result.instructions >= 2000
+        assert run.instructions >= 2000
         assert 0 < run.ipc < 6
         assert 0 <= run.dcache_read_miss_rate <= 1
         assert 0 <= run.icache_miss_rate <= 1
@@ -107,9 +107,9 @@ class TestRunWorkload:
         workload = generate_program(profile)
         assert isinstance(workload, WorkloadProgram)
         run2 = run_workload(workload, instructions=500)
-        assert run1.workload == run2.workload == "povray"
+        assert run1.target == run2.target == "povray"
 
     def test_same_workload_same_cycles(self):
         a = run_workload("nab", CommitPolicy.BASELINE, instructions=1500)
         b = run_workload("nab", CommitPolicy.BASELINE, instructions=1500)
-        assert a.result.cycles == b.result.cycles
+        assert a.cycles == b.cycles
