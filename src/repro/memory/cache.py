@@ -10,9 +10,10 @@ Design notes mapping to the paper:
 * ``fill`` is the leaky operation SafeSpec intercepts: in the baseline it
   is called during speculative execution, in SafeSpec only when shadow
   state is committed.
-* ``flush_line`` models ``clflush`` (paper Section IV: "with the
-  availability of instructions such as clflush on x86, an attacker is able
-  to evict data").
+* ``flush_line`` models ``clflush`` on one cache (paper Section IV:
+  "with the availability of instructions such as clflush on x86, an
+  attacker is able to evict data"); the hierarchy's ``clflush`` does the
+  same on every level's bound sets.
 * ``probe_set``/``contains`` are non-perturbing inspection used by the
   attack receivers and by tests.  The timing-path lookup, which updates
   replacement state and the hit/miss counters, is the memory hierarchy's

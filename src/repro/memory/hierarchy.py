@@ -162,6 +162,10 @@ class MemoryHierarchy:
             (side, (_fill_level(l1), _fill_level(self.l2),
                     _fill_level(self.l3)))
             for side, l1 in (("i", self.l1i), ("d", self.l1d)))
+        # Every cache's sets, set mask and flush counter, for clflush.
+        self._flush_levels = tuple(
+            (cache._sets, cache._set_mask, cache._flushes)
+            for cache in (self.l1d, self.l1i, self.l2, self.l3))
         # Shadow state beside the committed levels, bound by
         # :meth:`bind_shadow`: per side, the shadow cache's and shadow
         # TLB's key -> entries dicts.  Owned fills are recorded through
@@ -624,11 +628,13 @@ class MemoryHierarchy:
 
     def clflush(self, paddr: int) -> None:
         """Flush a line from every level (the x86 ``clflush``)."""
-        line = self.l1d.line_address(paddr)
-        self.l1d.flush_line(line)
-        self.l1i.flush_line(line)
-        self.l2.flush_line(line)
-        self.l3.flush_line(line)
+        line = paddr & self.line_mask
+        index = line >> self.set_shift
+        for sets, set_mask, flushes in self._flush_levels:
+            cache_set = sets.get(index & set_mask, ())
+            if line in cache_set:
+                del cache_set[line]
+                flushes.value += 1
 
     def probe_data_latency(self, vaddr: int) -> int:
         """Latency an attacker's timed *committed* load would observe now.
@@ -654,6 +660,8 @@ class MemoryHierarchy:
         """
         memory_latency = self.config.memory_latency
         level_latency = self._latency[side]
+        levels = self.levels[side]
+        line_mask, set_shift = self.line_mask, self.set_shift
         lookup = self.page_table.lookup
         pages: Dict[int, Tuple[Optional[int], int]] = {}
         latencies = []
@@ -670,9 +678,14 @@ class MemoryHierarchy:
                 pages[vpn] = page
             base, latency = page
             if base is not None:
-                level = self.committed_hit_level(
-                    side, base | (vaddr & (PAGE_SIZE - 1)))
-                latency += level_latency[level or "MEM"]
+                line = (base | (vaddr & (PAGE_SIZE - 1))) & line_mask
+                index = line >> set_shift
+                for name, sets, set_mask, _, _ in levels:
+                    if line in sets.get(index & set_mask, ()):
+                        latency += level_latency[name]
+                        break
+                else:
+                    latency += memory_latency
             latencies.append(latency)
         return latencies
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 
@@ -141,9 +141,12 @@ class MappedWords:
     Mixed into :class:`~repro.machine.Machine` and
     :class:`~repro.verify.oracle.ReferenceOracle`, which both provide a
     ``page_table`` and a ``memory``.  These accesses are for setup and
-    result inspection: they bypass caches and TLBs entirely.  The bulk
-    forms translate each page once; they raise ``KeyError`` on an
-    unmapped address before touching memory.
+    result inspection: they bypass caches and TLBs entirely.  The word
+    forms go one word at a time (an attack's setup writes are recorded
+    per word) and translate each page once; the block forms move a run
+    of consecutive words from a word-aligned base, one memory block
+    per page.  Both translate every page first and raise ``KeyError``
+    naming an unmapped address before touching memory.
     """
 
     def write_word(self, vaddr: int, value: int) -> None:
@@ -168,3 +171,38 @@ class MappedWords:
         read = self.memory.read_word
         return [read(paddr)
                 for paddr in self.page_table.physical_addresses(vaddrs)]
+
+    def write_block(self, vaddr: int, values: Sequence[int]) -> None:
+        """Write ``values`` to consecutive words from ``vaddr``."""
+        write = self.memory.write_block
+        for paddr, start, stop in self._page_runs(vaddr, len(values)):
+            write(paddr, values[start:stop])
+
+    def read_block(self, vaddr: int, count: int) -> List[int]:
+        """The ``count`` consecutive words from ``vaddr``."""
+        read = self.memory.read_block
+        words: List[int] = []
+        for paddr, start, stop in self._page_runs(vaddr, count):
+            words += read(paddr, stop - start)
+        return words
+
+    def _page_runs(self, vaddr: int,
+                   count: int) -> List[Tuple[int, int, int]]:
+        """``(paddr, start, stop)`` per page the ``count`` words from
+        ``vaddr`` reach: words ``start:stop`` of the block start at
+        ``paddr``."""
+        if vaddr & 7:
+            raise ConfigError(f"block base {vaddr:#x} is not word-aligned")
+        lookup = self.page_table.lookup
+        runs = []
+        start = 0
+        while start < count:
+            addr = vaddr + 8 * start
+            translation = lookup(addr)
+            if translation is None:
+                raise KeyError(f"vaddr {addr:#x} is not mapped")
+            stop = min(count,
+                       start + ((PAGE_SIZE - (addr & _OFFSET_MASK)) >> 3))
+            runs.append((translation.physical(addr), start, stop))
+            start = stop
+        return runs

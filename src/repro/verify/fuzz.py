@@ -34,7 +34,7 @@ import dataclasses
 import random
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigError
 from repro.isa.assembler import ProgramBuilder
@@ -174,11 +174,6 @@ class FuzzProgram:
     fault_handler_label: Optional[str] = None
 
     @property
-    def memory_words(self) -> List[Tuple[int, int]]:
-        """The initial memory image as ``(vaddr, value)`` pairs."""
-        return list(zip(self.compare_addresses(), self.initial_words))
-
-    @property
     def fault_handler_pc(self) -> Optional[int]:
         if self.fault_handler_label is None:
             return None
@@ -193,7 +188,16 @@ class FuzzProgram:
         """
         machine.map_user_range(self.data_base, self.data_bytes)
         machine.map_kernel_range(self.kernel_base, 4096)
-        machine.write_words(self.memory_words)
+        machine.write_block(self.data_base, self.initial_words[:-1])
+        machine.write_block(self.kernel_base, self.initial_words[-1:])
+
+    def read_image(self, target) -> array:
+        """The words at :meth:`compare_addresses` in ``target`` now,
+        laid out like :attr:`initial_words`."""
+        image = array("Q", target.read_block(
+            self.data_base, len(self.initial_words) - 1))
+        image.extend(target.read_block(self.kernel_base, 1))
+        return image
 
     def compare_addresses(self) -> List[int]:
         """Word addresses the differential harness checks after a run."""

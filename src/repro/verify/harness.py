@@ -227,7 +227,7 @@ def _golden(case: FuzzProgram,
             max_instructions: Optional[int] = None) -> Reference:
     """The case's :data:`Reference`: what every backend is held to."""
     oracle, golden = run_reference(case, max_instructions=max_instructions)
-    return golden, array("Q", oracle.read_words(case.compare_addresses()))
+    return golden, case.read_image(oracle)
 
 
 def verify_case(case: FuzzProgram, policy: CommitPolicy,
@@ -363,12 +363,13 @@ def _compare_states(case: FuzzProgram, golden: OracleResult,
         mismatches.append(
             f"fault events: machine={machine_faults} "
             f"oracle={oracle_faults}")
-    addresses = case.compare_addresses()
-    for vaddr, got, want in zip(addresses, machine.read_words(addresses),
-                                expected_words):
-        if got != want:
-            mismatches.append(
-                f"mem[{vaddr:#x}]: machine={got:#x} oracle={want:#x}")
+    image = case.read_image(machine)
+    if image != expected_words:
+        for vaddr, got, want in zip(case.compare_addresses(), image,
+                                    expected_words):
+            if got != want:
+                mismatches.append(
+                    f"mem[{vaddr:#x}]: machine={got:#x} oracle={want:#x}")
     return mismatches
 
 

@@ -5,11 +5,12 @@ it binds once (``MemoryHierarchy.levels``) instead of calling
 :class:`Cache` methods level by level.  Here two hierarchies of one
 geometry see the same fills, touches and flushes; on one every query
 and installation runs through the hierarchy, on the other through a
-reference that goes one cache at a time: ``Cache.contains`` and
-``Cache.fill``, plus the per-cache lookup and recency refresh below
-(the reference model; ``Cache`` itself has no such methods).  Every
-answer must agree, and so must the hit/miss/fill/eviction counters and
-the contents (``Cache.snapshot()``, LRU order included) at the end.
+reference that goes one cache at a time: ``Cache.contains``,
+``Cache.fill`` and ``Cache.flush_line``, plus the per-cache lookup and
+recency refresh below (the reference model; ``Cache`` itself has no
+such methods).  Every answer must agree, and so must the
+hit/miss/fill/eviction/flush counters and the contents
+(``Cache.snapshot()``, LRU order included) at the end.
 
 Geometries: the default (Table II), ``little-core``, whose levels have
 64/512/2048 sets, and the default with an L1I hit latency that differs
@@ -156,6 +157,7 @@ def _ref_probe(hierarchy, side, vaddr):
 
 def _contents(hierarchy):
     return {name: (cache.snapshot(), cache.hits, cache.misses,
+                   cache.stats.counter("flushes").value,
                    cache.stats.as_dict())
             for name, cache in ((name, getattr(hierarchy, name))
                                 for name in LEVELS)}
@@ -191,8 +193,9 @@ def test_bound_levels_match_cache_methods(config, warm, walked, program):
             hierarchy.install_line(side, addr)
             _ref_install(reference, side, addr)
         elif op == "flush":
-            for h in (hierarchy, reference):
-                h.clflush(args[0])
+            hierarchy.clflush(args[0])
+            for name in LEVELS:
+                getattr(reference, name).flush_line(args[0])
         elif op == "fill_walk":
             for line in _walk_lines(reference, args[0]):
                 hierarchy.install_line("d", line)

@@ -9,6 +9,7 @@ import pytest
 from repro_testlib import KERNEL_BASE
 from repro import (CommitPolicy, FullPolicy, Machine, ProgramBuilder,
                    SafeSpecConfig, SizingMode)
+from repro.errors import ConfigError
 from repro.verify.oracle import ReferenceOracle
 
 
@@ -67,6 +68,49 @@ class TestMemoryHelpers:
         assert bulk.read_words(addresses) == expected
         assert single.read_words(addresses) == expected
         assert [bulk.read_word(a) for a in addresses] == expected
+
+    @pytest.mark.parametrize("make", [Machine, ReferenceOracle],
+                             ids=["machine", "oracle"])
+    def test_block_equals_bulk_words_across_frames(self, make):
+        # The block crosses from an identity-mapped page into one mapped
+        # to another frame.
+        values = [3000 + i for i in range(10)]
+        vaddrs = [0x10fe8 + 8 * i for i in range(10)]
+        block, bulk = make(), make()
+        for target in (block, bulk):
+            target.page_table.map_page(0x10)
+            target.page_table.map_page(0x11, ppn=0x40)
+        block.write_block(0x10fe8, values)
+        bulk.write_words(zip(vaddrs, values))
+        assert block.read_block(0x10fe8, 10) == bulk.read_words(vaddrs) \
+            == values
+        assert bulk.read_block(0x10fe8, 10) == block.read_words(vaddrs)
+        assert block.memory.read_word(0x40000) == values[3]
+        assert block.memory.read_word(0x11000) == 0
+        assert block.memory.footprint() == bulk.memory.footprint() == 80
+
+    @pytest.mark.parametrize("make", [Machine, ReferenceOracle],
+                             ids=["machine", "oracle"])
+    def test_block_unmapped_raises_before_writing(self, make):
+        target = make()
+        target.map_user_range(0x10000, 4096)
+        with pytest.raises(KeyError, match="0x11000"):
+            target.write_block(0x10ff0, [1, 2, 3, 4])
+        with pytest.raises(KeyError, match="0x11000"):
+            target.read_block(0x10ff0, 4)
+        assert target.read_words([0x10ff0, 0x10ff8]) == [0, 0]
+        assert target.memory.footprint() == 0
+
+    @pytest.mark.parametrize("make", [Machine, ReferenceOracle],
+                             ids=["machine", "oracle"])
+    def test_block_base_must_be_word_aligned(self, make):
+        target = make()
+        target.map_user_range(0x10000, 4096)
+        with pytest.raises(ConfigError, match="0x10004"):
+            target.write_block(0x10004, [1])
+        with pytest.raises(ConfigError, match="0x10004"):
+            target.read_block(0x10004, 1)
+        assert target.memory.footprint() == 0
 
     @pytest.mark.parametrize("make", [Machine, ReferenceOracle],
                              ids=["machine", "oracle"])

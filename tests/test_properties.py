@@ -152,3 +152,38 @@ class TestMemoryProperties:
         composed = sum(mem.read_byte(addr + i) << (8 * i)
                        for i in range(8))
         assert composed == value
+
+    # Word writes at every byte offset of a four-word window, mixed with
+    # byte writes, against a byte-at-a-time reference: the bytes, the
+    # words at every offset, the footprint and the written-byte masks
+    # (insertion order included) must agree after every step.
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("word"), st.integers(0, 24), words),
+        st.tuples(st.just("byte"), st.integers(0, 31),
+                  st.integers(0, 255))), min_size=1, max_size=20))
+    def test_unaligned_words_match_byte_reference(self, writes):
+        base = 0x1000
+        mem = MainMemory()
+        ref_bytes, ref_written = {}, {}
+        for kind, offset, value in writes:
+            if kind == "word":
+                mem.write_word(base + offset, value)
+                stored = [(offset + i, (value >> (8 * i)) & 0xFF)
+                          for i in range(8)]
+            else:
+                mem.write_byte(base + offset, value)
+                stored = [(offset, value)]
+            for byte_offset, byte in stored:
+                paddr = base + byte_offset
+                ref_bytes[paddr] = byte
+                ref_written[paddr >> 3] = (ref_written.get(paddr >> 3, 0)
+                                           | 1 << (paddr & 7))
+            window = range(base - 8, base + 40)
+            assert [mem.read_byte(a) for a in window] == \
+                [ref_bytes.get(a, 0) for a in window]
+            assert [mem.read_word(a) for a in window[:-7]] == \
+                [sum(ref_bytes.get(a + i, 0) << (8 * i) for i in range(8))
+                 for a in window[:-7]]
+            assert mem.footprint() == len(ref_bytes)
+            assert list(mem._written.items()) == list(ref_written.items())
+            assert list(mem._words) == list(ref_written)

@@ -42,7 +42,7 @@ class TestGeneration:
         a = generate_fuzz_program(FUZZ_PROFILES["mixed"], 5)
         b = generate_fuzz_program(FUZZ_PROFILES["mixed"], 5)
         assert a.program.instructions == b.program.instructions
-        assert a.memory_words == b.memory_words
+        assert a.initial_words == b.initial_words
         assert a.fault_handler_pc == b.fault_handler_pc
 
     def test_seeds_differ(self):
