@@ -18,7 +18,11 @@ need it:
   leaves what the cycle core's access-at-execute + promote-at-commit
   sequence leaves behind without making shadow entries.  Only a
   faulting access is owned by a sequence number, because its fault
-  window reads (and WFB promotes) its shadow state.
+  window reads (and WFB promotes) its shadow state.  The hits skip
+  the hierarchy's methods: the load and store closures read the dTLB
+  and cache sets directly, and so does, on SafeSpec, the i-fetch
+  closure built per machine, which caches the translation of the last
+  fetch's page.
 * **Branches** consult and train the real direction predictor and BTB
   (property P3), and a misprediction *emulates the wrong path*: the
   predicted-path instructions are interpreted against a scratch register
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 import re
 import weakref
+from itertools import repeat
 from typing import Dict, List, Optional
 
 from repro.backends import register_backend
@@ -97,7 +102,7 @@ def _compile_alu_steps():
 def factory(backend, rd, a, rhs, lat, LN, PC, nxt):
     def step(rd=rd, a=a, rhs=rhs, lat=lat, LN=LN, PC=PC, nxt=nxt,
              regs=backend.regs, rt=backend.rt, tm=backend.tm,
-             cn=backend.cn, il=backend.il, ifetch=backend._ifetch,
+             cn=backend.cn, il=backend.il, ifetch=backend._line_fetch(),
              fs=backend._fs, cs=backend._cs, depth=backend._depth):
         if il[0] != LN:
             ifetch(LN, PC)
@@ -221,6 +226,56 @@ class FastBackend:
             (sets, hier.line_mask, hier.set_shift, set_mask)
             for _, sets, set_mask, _, _ in (l1i, l1d, l2, l3))
         self._l1i_hits, self._l1i_misses = l1i[3], l1i[4]
+        if self.engine is not None:
+            self._committed_ifetch = self._bind_committed_ifetch()
+
+    def _bind_committed_ifetch(self):
+        """A SafeSpec machine's committed i-fetch that hits the iTLB and
+        L1I, falling back to :meth:`_ifetch` otherwise.  ``il[1:]``
+        caches the last fetch's page translation: the cycle core
+        refreshes the iTLB once per page.  The backend is held through
+        a proxy, as a strong reference would make a cycle."""
+        backend = weakref.proxy(self)
+        il, cn = self.il, self.cn
+        itlb, itlb_refresh = self._itlb_entries, self._itlb_refresh
+        s1, mask, shift, k1 = self._l1i_geo
+        s2, _, _, k2 = self._l2_geo
+        s3, _, _, k3 = self._l3_geo
+
+        def ifetch(line: int, pc: int) -> None:
+            vpn = pc >> 12
+            if il[1] == vpn:
+                paddr = il[2] | (pc & 4095)
+            else:
+                trans = itlb.get(vpn)
+                if trans is None:
+                    return backend._ifetch(line, pc)
+                paddr = (trans.ppn << 12) | (pc & 4095)
+            ln = paddr & mask
+            index = paddr >> shift
+            st = s1[index & k1]
+            if ln not in st:
+                return backend._ifetch(line, pc)
+            st.move_to_end(ln)
+            il[0] = line
+            cn[_IA] += 1
+            cn[_IL1] += 1
+            if il[1] != vpn:
+                itlb_refresh(vpn)
+                il[1] = vpn
+                il[2] = paddr & ~4095
+            st = s2[index & k2]
+            if ln in st:
+                st.move_to_end(ln)
+            st = s3[index & k3]
+            if ln in st:
+                st.move_to_end(ln)
+        return ifetch
+
+    def _line_fetch(self):
+        """What a lowered closure calls on reaching a new fetch line."""
+        return self._ifetch if self.engine is None \
+            else self._committed_ifetch
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -239,7 +294,6 @@ class FastBackend:
             ) -> RunResult:
         self._bind(machine)
         steps, _ = self._lowered(program)
-        n = len(steps)
         self._program = program
         regs = self.regs
         rt = self.rt
@@ -260,21 +314,25 @@ class FastBackend:
         self.reason = ""
         self.fault_events = []
         self._handler_idx = self._index_or_end(program, fault_handler_pc)
-        budget = max_instructions if max_instructions is not None \
-            else float("inf")
 
         start = self._index_or_end(program, start_pc)
         i = 0 if start is None else start
         instructions = program.instructions
         lower_one = self._lower_one
+        budget = max_instructions
         while True:
-            if i >= n:
-                self.reason = "ran_off_code"
-                break
-            step = steps[i]
-            if step is None:
-                step = steps[i] = lower_one(program, i, instructions[i])
-            i = step()
+            # A step retires at most one instruction, so only the last of
+            # ``budget - committed`` steps can reach the budget (and a
+            # spent budget still runs one step).
+            ticks = repeat(None) if budget is None \
+                else repeat(None, max(budget - cn[_R], 1))
+            for _ in ticks:
+                step = steps[i]
+                if step is None:
+                    step = steps[i] = lower_one(program, i, instructions[i])
+                i = step()
+                if i < 0:
+                    break
             if i < 0:
                 break
             if cn[_R] >= budget:
@@ -298,6 +356,10 @@ class FastBackend:
             counters=counters,
             next_pc=next_pc,
         )
+
+    def _ran_off_code(self) -> int:
+        self.reason = "ran_off_code"
+        return -1
 
     def _index_or_end(self, program: Program,
                       pc: Optional[int]) -> Optional[int]:
@@ -323,6 +385,10 @@ class FastBackend:
         of their static instructions, so eager lowering would dominate
         short runs.  ``win`` records fill in on first speculative-window
         visit.  Lowered code lives as long as its machine.
+
+        ``steps`` has one slot more than the program: index ``n``, past
+        its last instruction, is a step that stops the run as
+        ``ran_off_code``.
         """
         key = id(program)
         hit = self._cache.get(key)
@@ -331,7 +397,7 @@ class FastBackend:
         if len(self._cache) >= self._CACHE_CAP:
             self._cache.pop(next(iter(self._cache)))
         n = len(program.instructions)
-        steps: list = [None] * n
+        steps: list = [None] * n + [self._ran_off_code]
         win: list = [None] * n
         self._cache[key] = (program, steps, win)
         return steps, win
@@ -373,7 +439,7 @@ class FastBackend:
         nxt = idx + 1
         regs, rt, tm, cn, il = self.regs, self.rt, self.tm, self.cn, self.il
         fs, cs, depth = self._fs, self._cs, self._depth
-        ifetch = self._ifetch
+        ifetch = self._line_fetch()
         op = inst.opcode
 
         if op is Opcode.ALU:
@@ -515,7 +581,7 @@ class FastBackend:
     def _lower_load(self, inst, idx, pc, line, nxt):
         regs, rt, tm, cn, il = self.regs, self.rt, self.tm, self.cn, self.il
         fs, cs, depth = self._fs, self._cs, self._depth
-        ifetch = self._ifetch
+        ifetch = self._line_fetch()
         rd, a = inst.rd, inst.rs1
         imm = inst.imm or 0
         hier = self.hier
@@ -577,10 +643,11 @@ class FastBackend:
         # The committed L1-hit path inlines the peek/refresh chain onto
         # the raw cache sets — same state transitions as
         # dtlb.peek/refresh + Cache.refresh, without five calls per load.
+        # Every level shares the line mask and set shift.
         dtlb = self._dtlb_entries
         s1, m1, h1, k1 = self._l1d_geo
-        s2, m2, h2, k2 = self._l2_geo
-        s3, m3, h3, k3 = self._l3_geo
+        s2, _, _, k2 = self._l2_geo
+        s3, _, _, k3 = self._l3_geo
         words = hier.memory._words
         def step(rd=rd, a=a, imm=imm, LN=line, PC=pc):
             if il[0] != LN:
@@ -599,18 +666,17 @@ class FastBackend:
                 if p.readable and not p.supervisor_only:
                     paddr = (trans.ppn << 12) | (va & 4095)
                     ln = paddr & m1
-                    st = s1[(paddr >> h1) & k1]
+                    index = paddr >> h1
+                    st = s1[index & k1]
                     if ln in st:
                         st.move_to_end(ln)
                         cn[5] += 1
                         cn[7] += 1
                         dtlb.move_to_end(vpn)
-                        ln = paddr & m2
-                        st = s2[(paddr >> h2) & k2]
+                        st = s2[index & k2]
                         if ln in st:
                             st.move_to_end(ln)
-                        ln = paddr & m3
-                        st = s3[(paddr >> h3) & k3]
+                        st = s3[index & k3]
                         if ln in st:
                             st.move_to_end(ln)
                         regs[rd] = words.get(paddr >> 3, 0) \
@@ -631,7 +697,7 @@ class FastBackend:
             return self._lower_store_memdep(inst, idx, pc, line, nxt)
         regs, rt, tm, cn, il = self.regs, self.rt, self.tm, self.cn, self.il
         fs, cs, depth = self._fs, self._cs, self._depth
-        ifetch = self._ifetch
+        ifetch = self._line_fetch()
         a, b = inst.rs1, inst.rs2
         imm = inst.imm or 0
         hier = self.hier
@@ -726,7 +792,7 @@ class FastBackend:
         regs, rt, tm, cn, il = self.regs, self.rt, self.tm, self.cn, self.il
         fs, cs, depth = self._fs, self._cs, self._depth
         pen, fwid, rob, maxc = self._pen, self._fwid, self._rob, self._maxc
-        ifetch = self._ifetch
+        ifetch = self._line_fetch()
         a, b = inst.rs1, inst.rs2
         imm = inst.imm or 0
         slow = self._store_slow
@@ -771,10 +837,13 @@ class FastBackend:
         regs, rt, tm, cn, il = self.regs, self.rt, self.tm, self.cn, self.il
         fs, cs, depth = self._fs, self._cs, self._depth
         pen, fwid, rob, maxc = self._pen, self._fwid, self._rob, self._maxc
-        ifetch = self._ifetch
+        ifetch = self._line_fetch()
         window = self._window
         backend = self
         op = inst.opcode
+        # A direct target past the code image runs off it: the dispatch
+        # list's last slot.
+        end = len(program.instructions)
 
         # The BTB index of a static branch never changes, so every
         # lookup/update below is inlined onto the raw target dict with
@@ -788,8 +857,8 @@ class FastBackend:
         btb_updates = btb._updates
 
         if op is Opcode.JMP:
-            tgt_idx = inst.target
-            tgt_pc = program.pc_of(tgt_idx)
+            tgt_pc = program.pc_of(inst.target)
+            tgt_idx = min(inst.target, end)
             if not self._plain_btb:
                 btb_update = btb.update
                 def step(LN=line, PC=pc, tgt_pc=tgt_pc, tgt_idx=tgt_idx,
@@ -941,8 +1010,8 @@ class FastBackend:
             # construction, as in the cycle core).  Pushes the return
             # address onto the RSB and installs the target in the BTB.
             rd = inst.rd
-            tgt_idx = inst.target
-            tgt_pc = program.pc_of(tgt_idx)
+            tgt_pc = program.pc_of(inst.target)
+            tgt_idx = min(inst.target, end)
             link = pc + 16
             rsb_push = self.rsb.push
             plain = self._plain_btb
@@ -1030,8 +1099,8 @@ class FastBackend:
         # conditional BRANCH
         a, b = inst.rs1, inst.rs2
         test = BRANCH[inst.cond].fn
-        tgt_idx = inst.target
-        tgt_pc = program.pc_of(tgt_idx)
+        tgt_pc = program.pc_of(inst.target)
+        tgt_idx = min(inst.target, end)
         predictor = self.predictor
         if type(predictor) is BimodalPredictor and self._plain_btb:
             # Same specialization as the BTB above: the 2-bit counter a
@@ -1189,42 +1258,7 @@ class FastBackend:
             result = self._fetch_access(pc, privilege=self.privilege)
             latency, level = result.latency, result.hit_level
         else:
-            # Same page as the last committed fetch: the translation is
-            # the cached one, and the cycle core's commit-time iTLB
-            # refresh is gated per page — only the line recency remains.
-            if il[1] == vpn:
-                paddr = il[2] | (pc & 4095)
-                hit = True
-            else:
-                trans = self._itlb_entries.get(vpn)
-                if trans is not None:
-                    paddr = (trans.ppn << 12) | (pc & 4095)
-                    hit = True
-                else:
-                    paddr = 0
-                    hit = False
-            if hit:
-                sets, lmask, shift, smask = self._l1i_geo
-                ln = paddr & lmask
-                st = sets[(paddr >> shift) & smask]
-                if ln in st:
-                    st.move_to_end(ln)
-                    cn[_IL1] += 1
-                    if il[1] != vpn:
-                        self._itlb_refresh(vpn)
-                        il[1] = vpn
-                        il[2] = paddr & ~4095
-                    sets, lmask, shift, smask = self._l2_geo
-                    ln = paddr & lmask
-                    st = sets[(paddr >> shift) & smask]
-                    if ln in st:
-                        st.move_to_end(ln)
-                    sets, lmask, shift, smask = self._l3_geo
-                    ln = paddr & lmask
-                    st = sets[(paddr >> shift) & smask]
-                    if ln in st:
-                        st.move_to_end(ln)
-                    return
+            # Past the committed hit path (see _bind_committed_ifetch).
             il[1] = -1
             retired = self._retire_access("i", pc, privilege=self.privilege)
             if retired is None:

@@ -158,6 +158,12 @@ class MemoryHierarchy:
         l3 = _cache_level("L3", self.l3)
         self.levels = _BySide(i=(_cache_level("L1", self.l1i), l2, l3),
                               d=(_cache_level("L1", self.l1d), l2, l3))
+        # Per side, each level's sets and set mask, flat: the presence
+        # lookups and recency refreshes unroll the three levels on them.
+        self._level_sets = _BySide(
+            (side, tuple(x for _, sets, set_mask, _, _ in self.levels[side]
+                         for x in (sets, set_mask)))
+            for side in "id")
         self._fill_levels = _BySide(
             (side, (_fill_level(l1), _fill_level(self.l2),
                     _fill_level(self.l3)))
@@ -255,8 +261,8 @@ class MemoryHierarchy:
         whichever committed levels currently hold it (no installation)."""
         line = addr & self.line_mask
         index = line >> self.set_shift
-        for _, sets, set_mask, _, _ in self.levels[side]:
-            cache_set = sets[index & set_mask]
+        s1, k1, s2, k2, s3, k3 = self._level_sets[side]
+        for cache_set in s1[index & k1], s2[index & k2], s3[index & k3]:
             if line in cache_set:
                 cache_set.move_to_end(line)
 
@@ -264,11 +270,10 @@ class MemoryHierarchy:
         """Refresh cache recency of the page-table lines a committing
         access's page walk read (they went through the d-cache path)."""
         shift = self.set_shift
-        levels = self.levels["d"]
+        s1, k1, s2, k2, s3, k3 = self._level_sets["d"]
         for line in self._walk_lines(vaddr):
             index = line >> shift
-            for _, sets, set_mask, _, _ in levels:
-                cache_set = sets[index & set_mask]
+            for cache_set in s1[index & k1], s2[index & k2], s3[index & k3]:
                 if line in cache_set:
                     cache_set.move_to_end(line)
 
@@ -519,6 +524,9 @@ class MemoryHierarchy:
         shadow_cache, shadow_tlb = self._shadow_structures[side]
         d_shadow = self._shadow_lines["d"]
         set_shift = self.set_shift
+        # L1D's sets and mask (the walk's), L1(side)'s, L2's and L3's.
+        d1, dk1, s2, k2, s3, k3 = self._level_sets["d"]
+        s1, k1 = self._level_sets[side][:2]
         # The d-side line fills this access makes, in fill order: the
         # walk's missing lines, then (d-side) the line's.
         d_fills: List[int] = []
@@ -529,19 +537,19 @@ class MemoryHierarchy:
                 or self._walk_lines(vaddr)
             latency = 0
             for walk_line in walk_lines:
+                index = walk_line >> set_shift
                 if walk_line in d_shadow or (
                         walk_line in d_fills
                         and self._fill_fitted(d_fills, walk_line)):
-                    level = "shadow"
+                    latency += d_latency["shadow"]
+                elif walk_line in d1.get(index & dk1, ()):
+                    latency += d_latency["L1"]
+                elif walk_line in s2.get(index & k2, ()):
+                    latency += d_latency["L2"]
+                elif walk_line in s3.get(index & k3, ()):
+                    latency += d_latency["L3"]
                 else:
-                    index = walk_line >> set_shift
-                    for level, sets, set_mask, _, _ in self.levels["d"]:
-                        if walk_line in sets.get(index & set_mask, ()):
-                            break
-                    else:
-                        level = "MEM"
-                latency += d_latency[level]
-                if level == "MEM":
+                    latency += d_latency["MEM"]
                     d_fills.append(walk_line)
             walked = len(d_fills)
             translated = shadow_tlb.count_committed(1)
@@ -553,17 +561,19 @@ class MemoryHierarchy:
         filled = 0
         if line:
             line_addr = paddr & self.line_mask
+            index = line_addr >> set_shift
             if line_addr in self._shadow_lines[side] or (
                     side == "d" and line_addr in d_fills
                     and self._fill_fitted(d_fills, line_addr)):
                 level = "shadow"
+            elif line_addr in s1.get(index & k1, ()):
+                level = "L1"
+            elif line_addr in s2.get(index & k2, ()):
+                level = "L2"
+            elif line_addr in s3.get(index & k3, ()):
+                level = "L3"
             else:
-                index = line_addr >> set_shift
-                for level, sets, set_mask, _, _ in self.levels[side]:
-                    if line_addr in sets.get(index & set_mask, ()):
-                        break
-                else:
-                    level = "MEM"
+                level = "MEM"
             latency += self._latency[side][level]
             if level != "L1" and level != "shadow":
                 if side == "d":
@@ -588,17 +598,15 @@ class MemoryHierarchy:
         if vpn in tlb_entries:
             tlb_entries.move_to_end(vpn)
         if entry is None:
-            levels = self.levels["d"]
             for walk_line in walk_lines:
                 index = walk_line >> set_shift
-                for _, sets, set_mask, _, _ in levels:
-                    cache_set = sets[index & set_mask]
+                for cache_set in (d1[index & dk1], s2[index & k2],
+                                  s3[index & k3]):
                     if walk_line in cache_set:
                         cache_set.move_to_end(walk_line)
         if level == "L1" or level == "L2" or level == "L3":
             index = line_addr >> set_shift
-            for _, sets, set_mask, _, _ in self.levels[side]:
-                cache_set = sets[index & set_mask]
+            for cache_set in s1[index & k1], s2[index & k2], s3[index & k3]:
                 if line_addr in cache_set:
                     cache_set.move_to_end(line_addr)
         return latency, level, paddr

@@ -43,7 +43,7 @@ from repro.memory.hierarchy import AccessResult, MemoryHierarchy
 from repro.memory.paging import PrivilegeLevel
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.issue import FunctionalUnits, IssueQueue
-from repro.pipeline.lsq import LoadStoreQueue
+from repro.pipeline.lsq import BLOCKED, LoadStoreQueue
 from repro.pipeline.rob import ReorderBuffer
 from repro.pipeline.uop import (COMMITTED, DISPATCHED, DONE, ISSUED,
                                 SQUASHED, DynUop)
@@ -184,7 +184,11 @@ class Core:
 
         self._rename: Dict[int, DynUop] = {}
         self._fetch_buffer: Deque[DynUop] = deque()
-        self._executing: List[DynUop] = []
+        # The in-flight calendar: done cycle -> the micro-ops executing
+        # until then.  Only ISSUED micro-ops are in it, and no bucket is
+        # empty: writeback pops the current cycle's bucket, and a squash
+        # filters every bucket.
+        self._executing: Dict[int, List[DynUop]] = {}
         self._unresolved_branches: List[int] = []   # seqs, program order
         self._inflight_fences = 0
         self._last_refreshed_iline = -1
@@ -198,7 +202,6 @@ class Core:
         self._next_pc: Optional[int] = None
         self._fault_events: List[FaultEvent] = []
         self._last_commit_cycle = 0
-        self._committed = 0
         self._max_instructions: Optional[int] = None
 
         # Hot-path statistics are plain integer attributes, batched into
@@ -268,7 +271,7 @@ class Core:
     # (registry counter name, batched int attribute) — registration
     # order is the historical ``counters`` dict key order.
     _STAT_FIELDS = (
-        ("committed", "_n_committed"),
+        ("committed", "_committed"),
         ("squashed", "_n_squashed"),
         ("branches", "_n_branches"),
         ("mispredicts", "_n_mispredicts"),
@@ -314,7 +317,8 @@ class Core:
             acted = self._commit_stage()
             if self._halted_reason:
                 return True
-        if self._executing and self._writeback_stage():
+        if self.cycle in self._executing:
+            self._writeback_stage()
             acted = True
         if self.iq._ready and self._issue_stage():
             acted = True
@@ -333,7 +337,8 @@ class Core:
         cycle stays idle until one of these events:
 
         * the ROB head is done: it commits the cycle after;
-        * an executing micro-op completes: writeback on that cycle;
+        * an executing micro-op completes: writeback on the calendar's
+          first cycle;
         * the fetch-buffer head has waited out the front-end depth;
         * the fetch stall ends (unless fetch is halted at a HALT).
 
@@ -352,9 +357,8 @@ class Core:
             head = entries[0]
             if head.state is DONE:
                 horizon = min(horizon, head.done_cycle + 1)
-        for uop in self._executing:
-            if uop.state is ISSUED and uop.done_cycle < horizon:
-                horizon = uop.done_cycle
+        if self._executing:
+            horizon = min(horizon, min(self._executing))
         if self._fetch_buffer:
             ready = self._fetch_buffer[0].fetch_cycle + self._front_end_depth
             if following <= ready < horizon:
@@ -372,69 +376,78 @@ class Core:
         entries = self.rob._entries
         cycle = self.cycle
         observer = self.observer
-        committed = False
+        engine = self.engine
+        regfile = self.regfile
+        rename = self._rename
+        lsq = self.lsq
+        budget = self._max_instructions
+        committed = start = self._committed
         for _ in range(self._commit_width):
             if not entries:
                 break
-            head = entries[0]
-            if head.state is not DONE or head.done_cycle >= cycle:
+            uop = entries[0]
+            if uop.state is not DONE or uop.done_cycle >= cycle:
                 break
-            if head.fault is not None:
-                self._raise_fault(head)
+            if uop.fault is not None:
+                self._raise_fault(uop)
                 if observer is not None:
-                    observer("fault", cycle, head)
+                    observer("fault", cycle, uop)
                 return True
-            self._commit_uop(head)
+            entries.popleft()
+            uop.state = COMMITTED
+            is_load = uop.is_load
+            is_store = uop.is_store
+            # Only a fetch-line leader or a memory access made owned
+            # accesses: it alone has recency to restore and shadow state
+            # to promote.
+            accessed = engine is not None and (is_load or is_store
+                                               or uop.ifetch_line >= 0)
+            if accessed:
+                self._refresh_recency(uop)
+            inst = uop.inst
+            if inst.writes_register:
+                rd = inst.rd
+                if uop.result is not None:
+                    regfile[rd] = uop.result & WORD_MASK
+                if rename.get(rd) is uop:
+                    del rename[rd]
+            # The committing micro-op is the oldest in flight, so it
+            # heads its queue.
+            if is_store:
+                if uop.paddr is None:
+                    raise SimulationError(
+                        f"store committed w/o address: {uop!r}")
+                self.hierarchy.commit_store(uop.paddr, uop.store_value or 0)
+                del lsq._stores[0]
+            elif is_load:
+                del lsq._loads[0]
+            elif uop.opcode is _CLFLUSH:
+                self._commit_clflush(uop)
+            if accessed:
+                engine.on_commit(uop.seq)
+            committed += 1
+            self._committed = committed
+            if uop.opcode is _HALT:
+                self._halt("halt")
+            elif budget is not None and committed >= budget:
+                # The budget stop is artificial: record where the next
+                # instruction would have retired so a checkpointed run
+                # can resume exactly here (the budget _halt squashes
+                # everything in flight, so architectural state is the
+                # committed state).
+                self._next_pc = (uop.actual_target
+                                 if uop.actual_taken
+                                 and uop.actual_target is not None
+                                 else uop.pc + INSTRUCTION_BYTES)
+                self._halt("budget")
             if observer is not None:
-                observer("commit", cycle, head)
-            committed = True
+                observer("commit", cycle, uop)
             if self._halted_reason:
                 break
-        return committed
-
-    def _commit_uop(self, uop: DynUop) -> None:
-        self.rob._entries.popleft()
-        uop.state = COMMITTED
-        self._last_commit_cycle = self.cycle
-        is_mem = uop.is_load or uop.is_store
-        # Only a fetch-line leader or a memory access made owned
-        # accesses: it alone has recency to restore and shadow state to
-        # promote.
-        accessed = self.engine is not None and (is_mem
-                                                or uop.ifetch_line >= 0)
-        if accessed:
-            self._refresh_recency(uop)
-        inst = uop.inst
-        if inst.writes_register:
-            if uop.result is not None:
-                self.regfile[inst.rd] = uop.result & WORD_MASK
-            if self._rename.get(inst.rd) is uop:
-                del self._rename[inst.rd]
-        if uop.is_store:
-            if uop.paddr is None:
-                raise SimulationError(f"store committed w/o address: {uop!r}")
-            self.hierarchy.commit_store(uop.paddr, uop.store_value or 0)
-        elif uop.opcode is _CLFLUSH:
-            self._commit_clflush(uop)
-        if accessed:
-            self.engine.on_commit(uop.seq)
-        if is_mem:
-            self.lsq.remove(uop)
-        self._committed += 1
-        self._n_committed += 1
-        if uop.opcode is _HALT:
-            self._halt("halt")
-        elif (self._max_instructions is not None
-              and self._committed >= self._max_instructions):
-            # The budget stop is artificial: record where the next
-            # instruction would have retired so a checkpointed run can
-            # resume exactly here (the budget _halt squashes everything
-            # in flight, so architectural state is the committed state).
-            self._next_pc = (uop.actual_target
-                             if uop.actual_taken
-                             and uop.actual_target is not None
-                             else uop.pc + INSTRUCTION_BYTES)
-            self._halt("budget")
+        if committed == start:
+            return False
+        self._last_commit_cycle = cycle
+        return True
 
     def _refresh_recency(self, uop: DynUop) -> None:
         """Restore the architectural cache touch of a committing micro-op.
@@ -484,8 +497,8 @@ class Core:
         self._fetch_buffer.clear()
         self.iq.drop_squashed()
         self.lsq.drop_squashed()
-        self._executing = [u for u in self._executing
-                           if u.state is not SQUASHED]
+        # Everything executing was in the ROB, so all of it is squashed.
+        self._executing.clear()
 
     def _raise_fault(self, uop: DynUop) -> None:
         """Architectural fault at the head of the ROB.
@@ -513,24 +526,14 @@ class Core:
     # writeback / branch resolution
     # ------------------------------------------------------------------
 
-    def _writeback_stage(self) -> bool:
-        cycle = self.cycle
-        executing = self._executing
-        # Everything in flight is ISSUED or SQUASHED.
-        finishing = [u for u in executing
-                     if u.done_cycle <= cycle and u.state is ISSUED]
-        if not finishing:
-            return False
-        finished = len(finishing)
-        if finished == len(executing):
-            self._executing = []
-        else:
-            self._executing = [u for u in executing
-                               if u.done_cycle > cycle
-                               and u.state is ISSUED]
-        if finished > 1:
+    def _writeback_stage(self) -> None:
+        """Finish this cycle's calendar bucket, oldest first."""
+        finishing = self._executing.pop(self.cycle)
+        if len(finishing) > 1:
             finishing.sort(key=_BY_SEQ)
         wfb = self._wfb
+        mem_dep_spec = self._mem_dep_spec
+        iq = self.iq
         for uop in finishing:
             if uop.state is not ISSUED:
                 # Squashed mid-batch by an older mispredicting branch:
@@ -542,20 +545,13 @@ class Core:
             if uop.opcode is _FENCE:
                 self._inflight_fences -= 1
             if uop.waiters:
-                for waiter in uop.waiters:
-                    if waiter.state is DISPATCHED:
-                        waiter.pending -= 1
-                        if waiter.pending == 0:
-                            self.iq.wake(waiter)
-                uop.waiters.clear()
+                iq.wake_waiters(uop)
             if wfb and not uop.branch_deps:
                 self._promote_branch_free(uop)
-            if self._mem_dep_spec and uop.is_store \
-                    and uop.vaddr is not None:
+            if mem_dep_spec and uop.is_store and uop.vaddr is not None:
                 self._check_memory_order(uop)
             if uop.is_branch:
                 self._resolve_branch(uop)
-        return True
 
     def _resolve_branch(self, uop: DynUop) -> None:
         self._n_branches += 1
@@ -568,7 +564,6 @@ class Core:
         predicted_target = uop.pred_target if uop.pred_taken else fallthrough
         mispredicted = (uop.actual_taken != uop.pred_taken
                         or actual_target != predicted_target)
-        uop.mispredicted = mispredicted
         # Train the shared structures (P3: no privilege checks, trainable
         # by wrong-path execution contexts too).
         if uop.inst.is_conditional:
@@ -646,8 +641,12 @@ class Core:
         self._flush_front_end()
         self.iq.drop_squashed()
         self.lsq.drop_squashed()
-        self._executing = [u for u in self._executing
-                           if u.state is not SQUASHED]
+        calendar = {}
+        for done_cycle, bucket in self._executing.items():
+            kept = [u for u in bucket if u.state is not SQUASHED]
+            if kept:
+                calendar[done_cycle] = kept
+        self._executing = calendar
         self._rebuild_rename_table()
 
     def _recount_fences(self) -> None:
@@ -694,9 +693,12 @@ class Core:
         barrier = (self._oldest_pending_fence() if self._inflight_fences
                    else None)
         issue_width = self._issue_width
-        try_claim = self.fus.try_claim_index
+        used, capacity = self.fus._used, self.fus._capacity
         block_on_full = self._block_on_full
         rob_entries = self.rob._entries
+        stores = self.lsq._stores
+        older_store_blocks = self.lsq.older_store_blocks
+        iq_entries, iq_ready = self.iq._entries, self.iq._ready
         observer = self.observer
         issued = 0
         for uop in ready:
@@ -706,17 +708,24 @@ class Core:
                 continue
             if uop.is_serialising and rob_entries[0] is not uop:
                 continue
-            if uop.is_load and self.lsq.older_store_blocks(uop):
+            if uop.is_load and stores and older_store_blocks(uop):
                 continue
             if block_on_full and not self._shadow_admits(uop):
                 continue
-            if not try_claim(uop.fu_index):
+            fu_index = uop.fu_index
+            if used[fu_index] >= capacity[fu_index]:
                 continue
+            used[fu_index] += 1
+            iq_entries.remove(uop)
+            iq_ready.remove(uop)
             self._execute(uop)
             if observer is not None:
                 observer("issue", self.cycle, uop)
             issued += 1
-        return issued > 0
+        if not issued:
+            return False
+        self.fus._dirty = True
+        return True
 
     def _shadow_admits(self, uop: DynUop) -> bool:
         """BLOCK full-policy: memory micro-ops stall while the d-side
@@ -742,7 +751,7 @@ class Core:
         return uop.seq
 
     def _execute(self, uop: DynUop) -> None:
-        self.iq.remove(uop)
+        """Execute an issued micro-op, just taken out of the IQ."""
         uop.state = ISSUED
         op = uop.opcode
         if op is _ALU:
@@ -771,7 +780,7 @@ class Core:
             uop.done_cycle = self.cycle + 1
         else:  # FENCE, NOP, HALT
             uop.done_cycle = self.cycle + 1
-        self._executing.append(uop)
+        self._executing.setdefault(uop.done_cycle, []).append(uop)
 
     def _execute_alu(self, uop: DynUop) -> None:
         inst = uop.inst
@@ -789,18 +798,17 @@ class Core:
         """Execute a load; returns False when it must be replayed."""
         base = uop.source_value(uop.inst.rs1)
         uop.vaddr = (base + uop.inst.imm) & WORD_MASK
-        if self.lsq.older_store_blocks(uop):
-            # Only detectable now that the address is known: a resolved
-            # older store partially overlaps this word.
-            return False
-        forwarded = self.lsq.forward_from_store(uop)
-        if forwarded is not None:
-            value, _store = forwarded
-            uop.result = value & WORD_MASK
-            uop.forwarded = True
-            uop.done_cycle = self.cycle + self._store_forward_latency
-            self._n_forwards += 1
-            return True
+        if self.lsq._stores:
+            forwarded = self.lsq.forward_or_block(uop)
+            if forwarded is BLOCKED:
+                # Only detectable now that the address is known: a
+                # resolved older store partially overlaps this word.
+                return False
+            if forwarded is not None:
+                uop.result = forwarded & WORD_MASK
+                uop.done_cycle = self.cycle + self._store_forward_latency
+                self._n_forwards += 1
+                return True
         result = self.hierarchy.data_access(
             uop.vaddr, is_write=False, privilege=self.privilege,
             owner=self._owner(uop))
@@ -870,62 +878,77 @@ class Core:
     def _dispatch_stage(self) -> bool:
         fetch_buffer = self._fetch_buffer
         cycle = self.cycle
-        front_end_depth = self._front_end_depth
-        rob_entries, rob_capacity = self.rob._entries, self.rob.capacity
-        iq_entries, iq_capacity = self.iq._entries, self.iq.capacity
+        # The fetch-buffer head is dispatchable once it has spent the
+        # front-end depth in flight.
+        fetched_by = cycle - self._front_end_depth
+        rob_entries = self.rob._entries
+        iq = self.iq
+        iq_entries, iq_ready = iq._entries, iq._ready
+        lsq = self.lsq
+        loads, stores = lsq._loads, lsq._stores
+        rename = self._rename
+        regfile = self.regfile
+        unresolved = self._unresolved_branches
+        wfb = self._wfb
         observer = self.observer
+        # Every dispatch takes a ROB and an IQ entry, so their free space
+        # bounds the group as the issue width does; the LSQ is checked
+        # per micro-op.
+        room = min(self._issue_width,
+                   self.rob.capacity - len(rob_entries),
+                   iq.capacity - len(iq_entries))
         dispatched = 0
-        while fetch_buffer and dispatched < self._issue_width:
+        while dispatched < room and fetch_buffer:
             uop = fetch_buffer[0]
-            if uop.fetch_cycle + front_end_depth > cycle:
+            if uop.fetch_cycle > fetched_by:
                 break
-            if (len(rob_entries) >= rob_capacity
-                    or len(iq_entries) >= iq_capacity):
-                break
-            if uop.is_load and self.lsq.ldq_full:
-                break
-            if uop.is_store and self.lsq.stq_full:
-                break
+            if uop.is_load:
+                if len(loads) >= lsq.ldq_capacity:
+                    break
+                loads.append(uop)
+            elif uop.is_store:
+                if len(stores) >= lsq.stq_capacity:
+                    break
+                stores.append(uop)
             fetch_buffer.popleft()
-            self._dispatch_uop(uop)
+            uop.state = DISPATCHED
+            inst = uop.inst
+            # Sources: the architectural value, a finished producer's
+            # result, or a wait on the producer in flight (the rename
+            # table holds no committed micro-op).
+            pending = 0
+            for reg in inst.sources:
+                producer = rename.get(reg)
+                if producer is None:
+                    uop.operands[reg] = regfile[reg]
+                elif producer.state is DONE and producer.result is not None:
+                    uop.operands[reg] = producer.result
+                else:
+                    uop.producers[reg] = producer
+                    pending += 1
+                    producer.waiters.append(uop)
+            rob_entries.append(uop)
+            iq_entries.append(uop)
+            if pending:
+                uop.pending = pending
+            else:
+                iq_ready.append(uop)
+            if uop.is_branch:
+                unresolved.append(uop.seq)
+            elif uop.opcode is _FENCE:
+                self._inflight_fences += 1
+            if inst.writes_register:
+                rename[inst.rd] = uop
+            if wfb:
+                deps = set(unresolved)
+                deps.discard(uop.seq)
+                uop.branch_deps = deps
+                if not deps:
+                    self._promote_branch_free(uop)
             if observer is not None:
                 observer("dispatch", cycle, uop)
             dispatched += 1
         return dispatched > 0
-
-    def _dispatch_uop(self, uop: DynUop) -> None:
-        uop.state = DISPATCHED
-        inst = uop.inst
-        rename = self._rename
-        for reg in inst.sources:
-            producer = rename.get(reg)
-            if producer is None:
-                uop.operands[reg] = self.regfile[reg]
-            elif ((producer.state is DONE or producer.state is COMMITTED)
-                    and producer.result is not None):
-                uop.operands[reg] = producer.result
-            else:
-                uop.producers[reg] = producer
-                uop.pending += 1
-                producer.waiters.append(uop)
-        self.rob._entries.append(uop)   # dispatch checked capacity
-        if uop.is_branch:
-            self._unresolved_branches.append(uop.seq)
-        if uop.opcode is _FENCE:
-            self._inflight_fences += 1
-        if inst.writes_register:
-            rename[inst.rd] = uop
-        self.iq.add(uop)
-        if uop.is_load:
-            self.lsq.add_load(uop)
-        elif uop.is_store:
-            self.lsq.add_store(uop)
-        if self._wfb:
-            deps = set(self._unresolved_branches)
-            deps.discard(uop.seq)
-            uop.branch_deps = deps
-            if not deps:
-                self._promote_branch_free(uop)
 
     # ------------------------------------------------------------------
     # fetch
@@ -933,23 +956,23 @@ class Core:
 
     def _fetch_stage(self) -> bool:
         instructions = self.program.instructions
-        code_base = self.program.code_base
+        pc = self._fetch_pc
+        offset = pc - self.program.code_base
+        if offset < 0 or offset % INSTRUCTION_BYTES:
+            return False
+        index = offset // INSTRUCTION_BYTES
+        end = len(instructions)
         fetch_buffer = self._fetch_buffer
         iline_mask = self._iline_mask
         cycle = self.cycle
         observer = self.observer
+        seq = self._next_seq
+        room = min(self._fetch_width, _FETCH_BUFFER_CAP - len(fetch_buffer))
         fetched = 0
-        while (fetched < self._fetch_width
-               and len(fetch_buffer) < _FETCH_BUFFER_CAP):
-            pc = self._fetch_pc
-            offset = pc - code_base
-            index = offset // INSTRUCTION_BYTES
-            if (offset < 0 or offset % INSTRUCTION_BYTES
-                    or index >= len(instructions)):
-                break
+        while fetched < room and index < end:
             inst = instructions[index]
-            uop = DynUop(self._next_seq, inst, pc, index, cycle)
-            self._next_seq += 1
+            uop = DynUop(seq, inst, pc, cycle)
+            seq += 1
             # Only the first micro-op of a line reaches the i-side.
             line = pc & iline_mask
             stall = (line != self._last_fetch_line
@@ -958,19 +981,22 @@ class Core:
                 observer("fetch", cycle, uop)
             fetch_buffer.append(uop)
             fetched += 1
-            if inst.opcode is _HALT:
+            if inst.is_control_flow:
+                pc = self._predict_and_advance(uop)
+                if stall or uop.pred_taken:
+                    break
+            elif inst.opcode is _HALT:
                 # HALT serialises the front end: nothing is fetched past
                 # it until a squash or fault redirects fetch elsewhere.
                 self._fetch_halted = True
                 break
-            if inst.is_control_flow:
-                self._predict_and_advance(uop)
-                if stall or uop.pred_taken:
-                    break
             else:
-                self._fetch_pc = pc + INSTRUCTION_BYTES
+                pc += INSTRUCTION_BYTES
                 if stall:
                     break
+            index += 1
+        self._fetch_pc = pc
+        self._next_seq = seq
         return fetched > 0
 
     def _fetch_instruction_line(self, uop: DynUop, line: int) -> bool:
@@ -1004,8 +1030,9 @@ class Core:
             return True
         return False
 
-    def _predict_and_advance(self, uop: DynUop) -> None:
-        """Predict a control-flow micro-op and steer fetch after it."""
+    def _predict_and_advance(self, uop: DynUop) -> int:
+        """Predict a control-flow micro-op; returns the PC fetch steers
+        to after it."""
         inst = uop.inst
         op = inst.opcode
         if op is _BRANCH:
@@ -1045,7 +1072,6 @@ class Core:
                 uop.pred_taken = False
                 uop.pred_target = None
         if uop.pred_taken and uop.pred_target is not None:
-            self._fetch_pc = uop.pred_target
             self._last_fetch_line = None
-        else:
-            self._fetch_pc = uop.pc + INSTRUCTION_BYTES
+            return uop.pred_target
+        return uop.pc + INSTRUCTION_BYTES

@@ -19,6 +19,8 @@ class FunctionalUnits:
     Capacity and usage are dense lists indexed by the instruction-class
     ``fu_index`` decoded at assembly time — the per-cycle reset and the
     per-issue claim are plain list operations with no enum hashing.
+    The core's issue stage claims on the two lists itself (and marks
+    them dirty); usage is reset in place, never rebound.
     """
 
     __slots__ = ("_capacity", "_used", "_zeros", "_dirty")
@@ -42,21 +44,17 @@ class FunctionalUnits:
     def new_cycle(self) -> None:
         """Release every unit for the next cycle (fully pipelined units)."""
         if self._dirty:
-            self._used = list(self._zeros)
+            self._used[:] = self._zeros
             self._dirty = False
-
-    def try_claim_index(self, fu_index: int) -> bool:
-        """Claim an issue slot of the indexed class if one remains."""
-        used = self._used
-        if used[fu_index] >= self._capacity[fu_index]:
-            return False
-        used[fu_index] += 1
-        self._dirty = True
-        return True
 
     def try_claim(self, inst_class: InstructionClass) -> bool:
         """Claim an issue slot of the given class if one remains."""
-        return self.try_claim_index(FU_CLASS_INDEX[inst_class])
+        fu_index = FU_CLASS_INDEX[inst_class]
+        if self._used[fu_index] >= self._capacity[fu_index]:
+            return False
+        self._used[fu_index] += 1
+        self._dirty = True
+        return True
 
 
 class IssueQueue:
@@ -66,6 +64,10 @@ class IssueQueue:
     pending producer count reaches zero (at dispatch, or when the last
     producer's writeback wakes them), so the scheduler never polls
     waiting entries.
+
+    Both lists are mutated in place, never rebound, so the core may
+    bind them for a stage: it appends to them at dispatch and removes
+    an issued micro-op from both itself.
     """
 
     __slots__ = ("capacity", "_entries", "_ready")
@@ -88,23 +90,22 @@ class IssueQueue:
         if uop.pending == 0:
             self._ready.append(uop)
 
-    def wake(self, uop: DynUop) -> None:
-        """A producer finished: move the micro-op to the ready list."""
-        if uop.state is DISPATCHED and uop.pending == 0:
-            self._ready.append(uop)
-
-    def remove(self, uop: DynUop) -> None:
-        self._entries.remove(uop)
-        try:
-            self._ready.remove(uop)
-        except ValueError:
-            pass
+    def wake_waiters(self, producer: DynUop) -> None:
+        """``producer`` finished: each dispatched consumer waits on one
+        producer fewer, and moves to the ready list at none."""
+        ready = self._ready
+        for uop in producer.waiters:
+            if uop.state is DISPATCHED:
+                uop.pending -= 1
+                if not uop.pending:
+                    ready.append(uop)
+        producer.waiters.clear()
 
     def drop_squashed(self) -> None:
-        self._entries = [u for u in self._entries
-                         if u.state is not SQUASHED]
-        self._ready = [u for u in self._ready
-                       if u.state is not SQUASHED]
+        self._entries[:] = [u for u in self._entries
+                            if u.state is not SQUASHED]
+        self._ready[:] = [u for u in self._ready
+                          if u.state is not SQUASHED]
 
     def ready_uops(self) -> List[DynUop]:
         """Micro-ops whose operands are all available, oldest first.

@@ -15,13 +15,25 @@ wrong).  With ``mem_dep_speculation`` enabled, loads bypass unresolved
 older stores instead, and :meth:`conflicting_load` lets the core detect
 the memory-order violation when the store address finally resolves —
 the Spectre v4 (speculative store bypass) surface.
+
+Both queues hold their micro-ops in program order: the core appends at
+dispatch, deletes the head at commit and drops squashed entries, which
+are always a suffix.  So a scan for the stores older than a load stops
+at the first store that is not older: :meth:`older_store_blocks` at
+issue, and at execute, once the load's address is known, the single
+pass of :meth:`forward_or_block`, which either blocks the load or
+names the value it forwards.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.pipeline.uop import DONE, ISSUED, SQUASHED, DynUop
+
+# What :meth:`LoadStoreQueue.forward_or_block` returns for a load that
+# an older store blocks.
+BLOCKED = object()
 
 
 class LoadStoreQueue:
@@ -40,44 +52,16 @@ class LoadStoreQueue:
         self._loads: List[DynUop] = []
         self._stores: List[DynUop] = []
 
-    # -- occupancy ---------------------------------------------------------
-
-    @property
-    def ldq_full(self) -> bool:
-        return len(self._loads) >= self.ldq_capacity
-
-    @property
-    def stq_full(self) -> bool:
-        return len(self._stores) >= self.stq_capacity
-
-    # -- insertion / removal -------------------------------------------------
-
-    def add_load(self, uop: DynUop) -> None:
-        self._loads.append(uop)
-
-    def add_store(self, uop: DynUop) -> None:
-        self._stores.append(uop)
-
-    def remove(self, uop: DynUop) -> None:
-        """Remove a committed or squashed micro-op from its queue."""
-        if uop.is_load:
-            if uop in self._loads:
-                self._loads.remove(uop)
-        elif uop in self._stores:
-            self._stores.remove(uop)
-
     def drop_squashed(self) -> None:
-        """Purge every squashed entry (called after a pipeline squash)."""
-        self._loads = [u for u in self._loads
-                       if u.state is not SQUASHED]
-        self._stores = [u for u in self._stores
-                        if u.state is not SQUASHED]
+        """Purge every squashed entry (called after a pipeline squash).
+
+        In place: the core binds both lists for a stage."""
+        self._loads[:] = [u for u in self._loads
+                          if u.state is not SQUASHED]
+        self._stores[:] = [u for u in self._stores
+                           if u.state is not SQUASHED]
 
     # -- disambiguation ---------------------------------------------------
-
-    def _overlaps(self, addr_a: int, addr_b: int) -> bool:
-        """Whether two word accesses overlap."""
-        return abs(addr_a - addr_b) < self._word_bytes
 
     def older_store_blocks(self, load: DynUop) -> bool:
         """True while an older store makes the load unissueable.
@@ -90,45 +74,49 @@ class LoadStoreQueue:
         word forwarding cannot shift/merge bytes, only the memory
         system can.
         """
-        if not self._stores:
-            return False
         load_seq = load.seq
         load_vaddr = load.vaddr
         for store in self._stores:
             if store.seq >= load_seq:
-                continue
+                break
             if store.state is SQUASHED:
                 continue
-            if store.vaddr is None:
+            vaddr = store.vaddr
+            if vaddr is None:
                 if not self._mem_dep_speculation:
                     return True
-                continue
-            if (load_vaddr is not None and store.vaddr != load_vaddr
-                    and self._overlaps(store.vaddr, load_vaddr)):
+            elif (load_vaddr is not None and vaddr != load_vaddr
+                    and abs(vaddr - load_vaddr) < self._word_bytes):
                 return True
         return False
 
-    def forward_from_store(self, load: DynUop) -> Optional[Tuple[int, DynUop]]:
-        """Value forwarded by the youngest older store to the *same* word.
+    def forward_or_block(self, load: DynUop) -> object:
+        """One pass over the older stores of a load whose address is
+        known: :data:`BLOCKED` when one of them makes it unissueable
+        (as :meth:`older_store_blocks` decides), else the value of the
+        youngest one that writes the *same* word, or ``None`` when no
+        such store has its value (the load reads memory).
 
-        Returns ``(value, store)`` or ``None``.  Only an exact word
-        match forwards; partial overlaps never reach here (the load is
-        stalled by :meth:`older_store_blocks` until the store drains).
+        Only an exact word match forwards; a partial overlap blocks.
         """
-        if not self._stores:
-            return None
+        load_seq = load.seq
+        load_vaddr = load.vaddr
+        word_bytes = self._word_bytes
         best: Optional[DynUop] = None
         for store in self._stores:
-            if store.seq >= load.seq or store.state is SQUASHED:
+            if store.seq >= load_seq:
+                break
+            if store.state is SQUASHED:
                 continue
-            if store.vaddr is None or load.vaddr is None:
-                continue
-            if store.vaddr == load.vaddr:
-                if best is None or store.seq > best.seq:
-                    best = store
-        if best is None or best.store_value is None:
-            return None
-        return best.store_value, best
+            vaddr = store.vaddr
+            if vaddr is None:
+                if not self._mem_dep_speculation:
+                    return BLOCKED
+            elif vaddr == load_vaddr:
+                best = store
+            elif abs(vaddr - load_vaddr) < word_bytes:
+                return BLOCKED
+        return None if best is None else best.store_value
 
     def conflicting_load(self, store: DynUop) -> Optional[DynUop]:
         """Oldest younger load that already read past this store.
@@ -149,7 +137,7 @@ class LoadStoreQueue:
                 continue
             if load.vaddr is None:
                 continue
-            if self._overlaps(store.vaddr, load.vaddr):
+            if abs(store.vaddr - load.vaddr) < self._word_bytes:
                 if victim is None or load.seq < victim.seq:
                     victim = load
         return victim

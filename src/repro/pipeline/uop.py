@@ -43,25 +43,23 @@ class DynUop:
     """
 
     __slots__ = (
-        "seq", "inst", "pc", "index", "state",
+        "seq", "inst", "pc", "state",
         "opcode", "is_load", "is_store", "is_branch", "is_serialising",
         "fu_index",
         "fetch_cycle", "done_cycle",
         "pred_taken", "pred_target", "actual_taken", "actual_target",
-        "mispredicted",
         "operands", "producers", "result", "pending", "waiters",
         "vaddr", "paddr", "store_value", "fault",
-        "hit_level", "forwarded", "ifetch_level", "ifetch_line",
+        "hit_level", "ifetch_level", "ifetch_line",
         "dwalked", "iwalked",
         "branch_deps", "promoted",
     )
 
-    def __init__(self, seq: int, inst: Instruction, pc: int, index: int,
+    def __init__(self, seq: int, inst: Instruction, pc: int,
                  fetch_cycle: int) -> None:
         self.seq = seq
         self.inst = inst
         self.pc = pc
-        self.index = index
         self.state = FETCHED
 
         # Decoded classification, copied from the (assembly-time decoded)
@@ -82,7 +80,6 @@ class DynUop:
         self.pred_target: Optional[int] = None
         self.actual_taken = False
         self.actual_target: Optional[int] = None
-        self.mispredicted = False
 
         # data flow: register -> resolved value, or register -> producer
         self.operands: Dict[int, int] = {}
@@ -97,7 +94,6 @@ class DynUop:
         self.store_value: Optional[int] = None
         self.fault: Optional[str] = None
         self.hit_level = ""
-        self.forwarded = False
         self.ifetch_level = ""
         self.ifetch_line = -1
         self.dwalked = False

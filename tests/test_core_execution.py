@@ -13,8 +13,9 @@ from repro import CommitPolicy, ProgramBuilder
 from repro.errors import SimulationError
 from repro.memory.paging import PrivilegeLevel
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.core import Core
+from repro.pipeline.core import _PROGRESS_GUARD_CYCLES, Core
 from repro.pipeline.trace import PipelineTracer
+from repro.pipeline.uop import UopState
 from repro.verify.oracle import ReferenceOracle
 
 
@@ -451,6 +452,91 @@ class TestClockBoundaries:
         assert by_kind["dispatch"] == [956, 956]
         assert by_kind["commit"] == [959, 959]
         assert result.cycles == 959
+
+
+def _reference_cycles_to_next_event(core, max_cycles):
+    """The clock skip, with the completing micro-ops found by scanning
+    the ROB for ISSUED ones instead of reading the calendar."""
+    following = core.cycle + 1
+    horizon = max_cycles
+    entries = core.rob._entries
+    if entries:
+        horizon = min(horizon,
+                      core._last_commit_cycle + _PROGRESS_GUARD_CYCLES + 1)
+        if entries[0].state is UopState.DONE:
+            horizon = min(horizon, entries[0].done_cycle + 1)
+    for uop in entries:
+        if uop.state is UopState.ISSUED and uop.done_cycle < horizon:
+            horizon = uop.done_cycle
+    if core._fetch_buffer:
+        ready = core._fetch_buffer[0].fetch_cycle + core._front_end_depth
+        if following <= ready < horizon:
+            horizon = ready
+    stall_until = core._fetch_stall_until
+    if not core._fetch_halted and following <= stall_until < horizon:
+        horizon = stall_until
+    return max(horizon - core.cycle, 1)
+
+
+def _mispredicting_loop(b):
+    """A hash loop whose branches follow the hash's bits, with loads and
+    stores of its values: many mispredicts, squashes mid-execution."""
+    b.li("r1", DATA)
+    b.li("r2", 17)
+    b.li("r6", 0)
+    b.li("r8", 60)
+    b.label("loop")
+    b.alu("mul", "r2", "r2", imm=1103515245)
+    b.alu("add", "r2", "r2", imm=12345)
+    b.alu("shr", "r3", "r2", imm=33)
+    b.alu("and", "r4", "r3", imm=0x1F8)
+    b.add("r4", "r4", "r1")
+    b.store("r4", "r2", 0)
+    b.alu("and", "r5", "r3", imm=1)
+    b.branch("eq", "r5", "r0", "skip")
+    b.load("r7", "r4", 0)
+    b.alu("xor", "r2", "r2", "r7")
+    b.label("skip")
+    b.alu("add", "r6", "r6", imm=1)
+    b.branch("lt", "r6", "r8", "loop")
+    b.halt()
+
+
+class TestExecutingCalendar:
+    """The in-flight calendar (done cycle -> executing micro-ops) that
+    writeback pops and the clock skip reads."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_buckets_and_clock_skip_match_in_flight_scan(self, policy):
+        checked = []
+
+        def check(kind, _cycle, _uop):
+            if kind != "cycle":
+                return
+            issued = [u for u in core.rob if u.state is UopState.ISSUED]
+            calendar = core._executing
+            assert all(calendar.values())
+            assert sorted(id(u) for bucket in calendar.values()
+                          for u in bucket) == sorted(map(id, issued))
+            for done_cycle, bucket in calendar.items():
+                assert all(u.state is UopState.ISSUED
+                           and u.done_cycle == done_cycle for u in bucket)
+
+        core = _bare_core(_mispredicting_loop, policy, observer=check)
+        skip = core._cycles_to_next_event
+
+        def checked_skip(max_cycles):
+            span = skip(max_cycles)
+            assert span == _reference_cycles_to_next_event(core, max_cycles)
+            checked.append(span)
+            return span
+
+        core._cycles_to_next_event = checked_skip
+        result = core.run()
+        assert result.halted_reason == "halt"
+        assert result.counters["mispredicts"] >= 20
+        assert len(checked) >= 20 and max(checked) > 1
+        assert not core._executing
 
 
 class TestArchitecturalEquivalence:

@@ -288,7 +288,7 @@ class TestSlotsPickling:
     def test_dynuop_round_trips(self):
         inst = Instruction(opcode=Opcode.ALU, rd=1, rs1=2, rs2=3,
                            alu_op=AluOp.ADD)
-        uop = DynUop(7, inst, 0x1000, 0, 3)
+        uop = DynUop(7, inst, 0x1000, 3)
         uop.vaddr = 0x2000
         clone = pickle.loads(pickle.dumps(uop))
         assert clone.seq == 7

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro_testlib import DATA_BASE, make_user_machine
+from repro import ProgramBuilder
 from repro.errors import ConfigError, SimulationError
 from repro.isa.instructions import Instruction, InstructionClass, Opcode
 from repro.pipeline.config import CoreConfig
+from repro.pipeline.core import Core
 from repro.pipeline.issue import FunctionalUnits, IssueQueue
-from repro.pipeline.lsq import LoadStoreQueue
+from repro.pipeline.lsq import BLOCKED, LoadStoreQueue
 from repro.pipeline.rob import ReorderBuffer
 from repro.pipeline.uop import DynUop, UopState
 
@@ -18,7 +21,7 @@ def make_uop(seq, opcode=Opcode.NOP, **kwargs):
         inst = Instruction(Opcode.STORE, rs1=2, rs2=3)
     else:
         inst = Instruction(opcode)
-    uop = DynUop(seq, inst, 0x1000 + seq * 16, seq, 0)
+    uop = DynUop(seq, inst, 0x1000 + seq * 16, 0)
     for key, value in kwargs.items():
         setattr(uop, key, value)
     return uop
@@ -75,64 +78,80 @@ class TestReorderBuffer:
         assert rob.empty
 
 
+def enqueue(lsq, *uops):
+    """Append micro-ops to their queue in program order, as dispatch
+    does."""
+    for uop in uops:
+        (lsq._loads if uop.is_load else lsq._stores).append(uop)
+
+
 class TestLoadStoreQueue:
     def test_capacity_flags(self):
-        lsq = LoadStoreQueue(1, 1)
-        lsq.add_load(make_uop(0, Opcode.LOAD))
-        assert lsq.ldq_full and not lsq.stq_full
+        # Dispatch stops at a full LDQ: with one entry, a run of loads
+        # never has two in flight.
+        machine = make_user_machine()
+        b = ProgramBuilder()
+        b.li("r1", DATA_BASE)
+        for offset in range(0, 64, 8):
+            b.load("r2", "r1", offset)
+        b.halt()
+        program = b.build()
+        machine.page_table.map_range(program.code_base, program.code_bytes)
+        peak = []
+        core = Core(program, machine.hierarchy,
+                    config=CoreConfig(ldq_entries=1),
+                    observer=lambda *_: peak.append(len(core.lsq._loads)))
+        assert core.run().halted_reason == "halt"
+        assert max(peak) == core.lsq.ldq_capacity == 1
 
     def test_older_store_with_unknown_address_blocks(self):
         lsq = LoadStoreQueue(4, 4)
         store = make_uop(0, Opcode.STORE)
         load = make_uop(1, Opcode.LOAD, vaddr=0x100)
-        lsq.add_store(store)
-        lsq.add_load(load)
+        enqueue(lsq, store, load)
         assert lsq.older_store_blocks(load)
+        assert lsq.forward_or_block(load) is BLOCKED
         store.vaddr = 0x200
         assert not lsq.older_store_blocks(load)
+        assert lsq.forward_or_block(load) is None
 
     def test_forwarding_from_matching_store(self):
         lsq = LoadStoreQueue(4, 4)
         store = make_uop(0, Opcode.STORE, vaddr=0x100, store_value=42)
         load = make_uop(1, Opcode.LOAD, vaddr=0x100)
-        lsq.add_store(store)
-        lsq.add_load(load)
-        value, source = lsq.forward_from_store(load)
-        assert value == 42 and source is store
+        enqueue(lsq, store, load)
+        assert lsq.forward_or_block(load) == 42
 
     def test_youngest_matching_store_wins(self):
         lsq = LoadStoreQueue(4, 4)
         s1 = make_uop(0, Opcode.STORE, vaddr=0x100, store_value=1)
         s2 = make_uop(1, Opcode.STORE, vaddr=0x100, store_value=2)
         load = make_uop(2, Opcode.LOAD, vaddr=0x100)
-        lsq.add_store(s1)
-        lsq.add_store(s2)
-        lsq.add_load(load)
-        assert lsq.forward_from_store(load)[0] == 2
+        enqueue(lsq, s1, s2, load)
+        assert lsq.forward_or_block(load) == 2
 
     def test_younger_store_does_not_forward(self):
         lsq = LoadStoreQueue(4, 4)
         load = make_uop(0, Opcode.LOAD, vaddr=0x100)
         store = make_uop(1, Opcode.STORE, vaddr=0x100, store_value=9)
-        lsq.add_load(load)
-        lsq.add_store(store)
-        assert lsq.forward_from_store(load) is None
+        enqueue(lsq, load, store)
+        assert lsq.forward_or_block(load) is None
 
     def test_non_overlapping_store_does_not_forward(self):
         lsq = LoadStoreQueue(4, 4)
         store = make_uop(0, Opcode.STORE, vaddr=0x100, store_value=9)
         load = make_uop(1, Opcode.LOAD, vaddr=0x200)
-        lsq.add_store(store)
-        lsq.add_load(load)
-        assert lsq.forward_from_store(load) is None
+        enqueue(lsq, store, load)
+        assert lsq.forward_or_block(load) is None
 
     def test_drop_squashed(self):
         lsq = LoadStoreQueue(1, 1)
         load = make_uop(0, Opcode.LOAD)
-        lsq.add_load(load)
+        enqueue(lsq, load)
+        loads = lsq._loads
         load.state = UopState.SQUASHED
         lsq.drop_squashed()
-        assert not lsq.ldq_full
+        assert not lsq._loads and lsq._loads is loads
 
 
 class TestIssueQueue:
@@ -145,13 +164,17 @@ class TestIssueQueue:
 
     def test_not_ready_until_woken(self):
         iq = IssueQueue(4)
-        uop = make_uop(0)
+        first, second = make_uop(0), make_uop(1)
+        uop = make_uop(2)
         uop.state = UopState.DISPATCHED
-        uop.pending = 1
+        uop.pending = 2
+        first.waiters.append(uop)
+        second.waiters.append(uop)
         iq.add(uop)
         assert uop not in iq.ready_uops()
-        uop.pending = 0
-        iq.wake(uop)
+        iq.wake_waiters(first)
+        assert uop not in iq.ready_uops() and not first.waiters
+        iq.wake_waiters(second)
         assert uop in iq.ready_uops()
 
     def test_ready_is_oldest_first(self):

@@ -1,13 +1,20 @@
 """Property-based tests (hypothesis) on core data structures/invariants."""
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro_testlib import DATA_BASE, POLICIES, make_user_machine
+from repro import ProgramBuilder
 from repro.core.shadow import FullPolicy, ShadowStructure
+from repro.isa.instructions import Instruction, Opcode
 from repro.isa.registers import to_unsigned
 from repro.memory.cache import Cache, CacheConfig
 from repro.memory.dram import MainMemory
 from repro.memory.paging import PagePermissions, Translation
 from repro.memory.tlb import TLB, TLBConfig
+from repro.pipeline.config import CoreConfig
+from repro.pipeline.core import Core
+from repro.pipeline.lsq import BLOCKED, LoadStoreQueue
+from repro.pipeline.uop import DynUop, UopState
 from repro.statistics import Histogram
 
 addresses = st.integers(min_value=0, max_value=1 << 30)
@@ -187,3 +194,112 @@ class TestMemoryProperties:
             assert mem.footprint() == len(ref_bytes)
             assert list(mem._written.items()) == list(ref_written.items())
             assert list(mem._words) == list(ref_written)
+
+
+def _forward_from_store(lsq, load):
+    """The store-to-load forwarding scan as a second pass once
+    ``older_store_blocks`` has let the load through: the value of the
+    youngest older store to the same word, or None."""
+    best = None
+    for store in lsq._stores:
+        if store.seq >= load.seq or store.state is UopState.SQUASHED:
+            continue
+        if store.vaddr is None or load.vaddr is None:
+            continue
+        if store.vaddr == load.vaddr:
+            if best is None or store.seq > best.seq:
+                best = store
+    if best is None or best.store_value is None:
+        return None
+    return best.store_value
+
+
+# Older and younger stores around one load: resolved or not, squashed
+# or not, to the load's word, partly over it or clear of it, with a
+# value of 0, of None (not yet executed) or any word.
+_store_queues = st.tuples(
+    st.lists(st.tuples(
+        st.sampled_from([None, 0x100, 0x100, 0x100 - 4, 0x100 + 1,
+                         0x100 - 8, 0x100 + 8, 0x140]),
+        st.sampled_from([UopState.DISPATCHED, UopState.ISSUED,
+                         UopState.DONE, UopState.SQUASHED]),
+        st.one_of(st.none(), st.just(0), words)), max_size=8),
+    st.integers(0, 8), st.booleans())
+
+
+class TestStoreQueueProperties:
+    @settings(max_examples=300)
+    @given(_store_queues)
+    def test_one_pass_equals_block_then_forward(self, queue):
+        stores, load_at, mem_dep_speculation = queue
+        lsq = LoadStoreQueue(8, 8, mem_dep_speculation=mem_dep_speculation)
+        load = DynUop(load_at, Instruction(Opcode.LOAD, rd=1, rs1=2),
+                      0x1000, 0)
+        load.vaddr = 0x100
+        seqs = [seq for seq in range(len(stores) + 1) if seq != load_at]
+        for seq, (vaddr, state, value) in zip(seqs, stores):
+            store = DynUop(seq, Instruction(Opcode.STORE, rs1=2, rs2=3),
+                           0x1000, 0)
+            store.vaddr, store.state, store.store_value = vaddr, state, value
+            lsq._stores.append(store)
+        expected = (BLOCKED if lsq.older_store_blocks(load)
+                    else _forward_from_store(lsq, load))
+        assert lsq.forward_or_block(load) == expected
+
+
+def _queue_order_program(ops):
+    """Loads, stores whose address hangs on a load (partly overlapping
+    a loaded word when ``skew`` is set) and branches on loaded data."""
+    b = ProgramBuilder()
+    b.li("r1", DATA_BASE)
+    b.li("r2", 0)
+    for n, (kind, slot, skew) in enumerate(ops):
+        if kind == "load":
+            b.load("r2", "r1", slot * 8)
+        elif kind == "store":
+            b.alu("and", "r5", "r2", imm=0x38)
+            b.add("r5", "r5", "r1")
+            b.store("r5", "r2", slot * 8 + skew)
+        else:
+            b.alu("and", "r3", "r2", imm=1 << skew)
+            b.branch("eq", "r3", "r0", f"skip{n}")
+            b.load("r2", "r1", slot * 8)
+            b.label(f"skip{n}")
+    b.halt()
+    return b.build()
+
+
+class TestQueueOrderProperties:
+    """The store-queue scans stop at the first store that is not older
+    than the load, which holds only while both queues are in program
+    (seq) order: dispatch appends, commit deletes the head, and a squash
+    drops a suffix."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["load", "store", "branch"]),
+                              st.integers(0, 7), st.integers(0, 3)),
+                    min_size=1, max_size=16),
+           st.lists(words, min_size=8, max_size=8),
+           st.sampled_from(POLICIES), st.booleans())
+    def test_queues_stay_in_seq_order(self, ops, data, policy,
+                                      mem_dep_speculation):
+        machine = make_user_machine(policy=policy)
+        for slot, value in enumerate(data):
+            machine.write_word(DATA_BASE + slot * 8, value)
+        program = _queue_order_program(ops)
+        machine.page_table.map_range(program.code_base, program.code_bytes)
+        events = []
+
+        def check(kind, _cycle, _uop):
+            events.append(kind)
+            for queue in (core.lsq._loads, core.lsq._stores):
+                seqs = [uop.seq for uop in queue]
+                assert seqs == sorted(set(seqs))
+
+        core = Core(program, machine.hierarchy,
+                    config=CoreConfig(
+                        mem_dep_speculation=mem_dep_speculation),
+                    predictor=machine.predictor, btb=machine.btb,
+                    rsb=machine.rsb, engine=machine.engine, observer=check)
+        assert core.run().halted_reason == "halt"
+        assert "dispatch" in events and "commit" in events
