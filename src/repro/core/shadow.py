@@ -57,7 +57,7 @@ class ShadowStructure:
     __slots__ = ("name", "capacity", "full_policy", "stats",
                  "_fills", "_drops", "_blocks", "_committed",
                  "_annulled", "_occupancy_hist", "_clock", "_occ_mark",
-                 "_by_key", "_count", "_is_drop")
+                 "_by_key", "_count", "_lost")
 
     def __init__(self, name: str, capacity: int,
                  full_policy: FullPolicy = FullPolicy.DROP,
@@ -67,11 +67,13 @@ class ShadowStructure:
         self.name = name
         self.capacity = capacity
         self.full_policy = full_policy
-        self._is_drop = full_policy is FullPolicy.DROP
         self.stats = StatRegistry(name)
         self._fills = self.stats.counter("fills")
         self._drops = self.stats.counter("drops")
         self._blocks = self.stats.counter("blocks")
+        # Where a fill past capacity is counted under this policy.
+        self._lost = (self._drops if full_policy is FullPolicy.DROP
+                      else self._blocks)
         self._committed = self.stats.counter("committed_entries")
         self._annulled = self.stats.counter("annulled_entries")
         self._occupancy_hist = self.stats.histogram("occupancy")
@@ -131,10 +133,7 @@ class ShadowStructure:
         counted as a block event.
         """
         if self._count >= self.capacity:
-            if self._is_drop:
-                self._drops.value += 1
-            else:
-                self._blocks.value += 1
+            self._lost.value += 1
             return None
         entry = ShadowEntry(key, owner_seq, payload)
         self._by_key.setdefault(key, []).append(entry)
@@ -162,25 +161,6 @@ class ShadowStructure:
         """Remove an entry whose state moved to the committed structures."""
         self._remove(entry)
         self._committed.value += 1
-
-    def count_committed(self, fills: int) -> int:
-        """Count ``fills`` fills whose owner commits at once, as
-        :meth:`fill` then :meth:`release_committed` would, without
-        making entries (the memory hierarchy's retire path).
-
-        Returns how many fit; the rest count as drops (or blocks).  The
-        count is unchanged, so occupancy is not charged.
-        """
-        room = self.capacity - self._count
-        filled = fills if fills <= room else room
-        if filled < fills:
-            if self._is_drop:
-                self._drops.value += fills - filled
-            else:
-                self._blocks.value += fills - filled
-        self._fills.value += filled
-        self._committed.value += filled
-        return filled
 
     def annul(self, entry: ShadowEntry) -> None:
         """Remove an entry whose owner was squashed (leaves no trace)."""

@@ -81,6 +81,8 @@ class _LazySets(dict):
     """Set index -> that set's lines, created the first time the timing
     path indexes it.  Most of an L2/L3's sets are never touched by a
     short job, so building them eagerly dominated machine construction.
+    A set, once made, is never replaced (restore and flush empty it in
+    place), so the memory hierarchy may hold on to it.
     """
 
     __slots__ = ()
@@ -183,8 +185,9 @@ class Cache:
         return False
 
     def flush_all(self) -> None:
-        """Invalidate the entire cache."""
-        self._sets.clear()
+        """Invalidate the entire cache (each set emptied in place)."""
+        for cache_set in self._sets.values():
+            cache_set.clear()
 
     # -- checkpointing ------------------------------------------------------
 
@@ -210,10 +213,11 @@ class Cache:
                     f"{self.config.name}: snapshot set {index} holds "
                     f"{len(lines)} lines, cache is "
                     f"{self._associativity}-way")
-        self._sets.clear()
+        for cache_set in self._sets.values():
+            cache_set.clear()
         for index, lines in enumerate(sets):
             if lines:
-                self._sets[index] = OrderedDict.fromkeys(lines, True)
+                self._sets[index].update(dict.fromkeys(lines, True))
 
     # -- statistics ---------------------------------------------------------
 

@@ -77,10 +77,19 @@ def _cache_level(name: str, cache: Cache) -> CacheLevel:
 # sets, set mask, associativity, and fill and eviction counters.
 FillLevel = Tuple[Dict[int, Dict[int, bool]], int, int, Counter, Counter]
 
+# One page-table line a page walk reads, with the L1D, L2 and L3 sets it
+# maps to.  A cache's sets are never replaced once made (see
+# ``cache._LazySets``), so an entry stays valid for the hierarchy's life.
+WalkLine = Tuple[int, Dict[int, bool], Dict[int, bool], Dict[int, bool]]
+
 
 def _fill_level(cache: Cache) -> FillLevel:
     return (cache._sets, cache._set_mask, cache._associativity,
             cache._fills, cache._evictions)
+
+
+# The hit levels of a line present in a committed cache.
+_PRESENT = frozenset(("L1", "L2", "L3"))
 
 
 class _BySide(dict):
@@ -143,7 +152,11 @@ class MemoryHierarchy:
         self.dtlb = TLB(self.config.dtlb)
         self.stats = StatRegistry("hierarchy")
         self._walks = self.stats.counter("page_walks")
-        self._page_walk_lines: Dict[int, Tuple[int, ...]] = {}
+        # Page walks' lines and the sets they map to: vpn -> its walk,
+        # and line -> that line's entry (pages share their upper levels'
+        # lines).  See _page_walk.
+        self._page_walks: Dict[int, Tuple[WalkLine, ...]] = {}
+        self._walk_line_entries: Dict[int, WalkLine] = {}
         # The raw cache layout, bound once.  Each side reaches L1(side),
         # L2 and L3, in that order; every level shares one line size
         # (HierarchyConfig checks it), so one line mask and set shift
@@ -164,9 +177,11 @@ class MemoryHierarchy:
             (side, tuple(x for _, sets, set_mask, _, _ in self.levels[side]
                          for x in (sets, set_mask)))
             for side in "id")
-        self._fill_levels = _BySide(
-            (side, (_fill_level(l1), _fill_level(self.l2),
-                    _fill_level(self.l3)))
+        # The same per side for installation, with each level's
+        # associativity and fill and eviction counters.
+        self._fill_sets = _BySide(
+            (side, _fill_level(l1) + _fill_level(self.l2)
+             + _fill_level(self.l3))
             for side, l1 in (("i", self.l1i), ("d", self.l1d)))
         # Every cache's sets, set mask and flush counter, for clflush.
         self._flush_levels = tuple(
@@ -181,13 +196,9 @@ class MemoryHierarchy:
         self._engine: Optional["SafeSpecEngine"] = None
         self._shadow_lines: Optional[_BySide] = None
         self._shadow_tlbs: Optional[_BySide] = None
-        # Per side, the (shadow cache, shadow TLB) structures themselves.
-        self._shadow_structures: Optional[_BySide] = None
-        # Per side, the committed TLB's entries and its hit latency.
-        self._tlb_entries = _BySide(i=self.itlb._entries,
-                                    d=self.dtlb._entries)
-        self._tlb_hit_latency = _BySide(
-            i=self.config.itlb.hit_latency, d=self.config.dtlb.hit_latency)
+        self._retiring: Optional[_BySide] = None
+        # The page table's vpn -> translation dict (mutated in place).
+        self._mappings = page_table._entries
         # Hit latency by level name, per side.  Shadow hits are charged
         # the L1 hit latency of their side, the paper's conservative
         # assumption (Section VI-A).
@@ -210,15 +221,29 @@ class MemoryHierarchy:
         return self.itlb if side == "i" else self.dtlb
 
     def bind_shadow(self, engine: "SafeSpecEngine") -> None:
-        """Route owned accesses through ``engine``'s shadow structures."""
+        """Route owned accesses through ``engine``'s shadow structures,
+        and bind per side what :meth:`retire_access` reads."""
         self._engine = weakref.proxy(engine)
         self._shadow_lines = _BySide(i=engine.shadow_icache._by_key,
                                      d=engine.shadow_dcache._by_key)
         self._shadow_tlbs = _BySide(i=engine.shadow_itlb._by_key,
                                     d=engine.shadow_dtlb._by_key)
-        self._shadow_structures = _BySide(
-            i=(engine.shadow_icache, engine.shadow_itlb),
-            d=(engine.shadow_dcache, engine.shadow_dtlb))
+        d_cache = engine.shadow_dcache
+        latency = self._latency["d"]
+        # What both sides share: the shadow d-cache (the walk's), L2's
+        # and L3's fill bindings, and the L1D, L2, L3 and memory
+        # latencies.
+        shared = (d_cache._by_key, d_cache, *self._fill_sets["d"][5:],
+                  latency["L1"], latency["L2"], latency["L3"],
+                  latency["MEM"])
+        self._retiring = _BySide(
+            (side, (tlb, tlb._entries, tlb_shadow._by_key, tlb_shadow,
+                    tlb.config.hit_latency, side == "i", line_shadow._by_key,
+                    line_shadow, *self._fill_sets[side][:5],
+                    self._latency[side]["L1"], *shared))
+            for side, tlb, line_shadow, tlb_shadow in (
+                ("i", self.itlb, engine.shadow_icache, engine.shadow_itlb),
+                ("d", self.dtlb, d_cache, engine.shadow_dtlb)))
 
     # ------------------------------------------------------------------
     # committed-state installation (unowned fills, and the SafeSpec
@@ -230,15 +255,34 @@ class MemoryHierarchy:
         a line already present only moves to MRU."""
         line = line_addr & self.line_mask
         index = line >> self.set_shift
-        for sets, set_mask, ways, fills, evictions in self._fill_levels[side]:
-            cache_set = sets[index & set_mask]
-            if line in cache_set:
-                cache_set.move_to_end(line)
-                continue
-            fills.value += 1
-            if len(cache_set) >= ways:
-                cache_set.popitem(last=False)
-                evictions.value += 1
+        (s1, k1, w1, f1, e1, s2, k2, w2, f2, e2,
+         s3, k3, w3, f3, e3) = self._fill_sets[side]
+        cache_set = s1[index & k1]
+        if line in cache_set:
+            cache_set.move_to_end(line)
+        else:
+            f1.value += 1
+            if len(cache_set) >= w1:
+                cache_set.popitem(False)
+                e1.value += 1
+            cache_set[line] = True
+        cache_set = s2[index & k2]
+        if line in cache_set:
+            cache_set.move_to_end(line)
+        else:
+            f2.value += 1
+            if len(cache_set) >= w2:
+                cache_set.popitem(False)
+                e2.value += 1
+            cache_set[line] = True
+        cache_set = s3[index & k3]
+        if line in cache_set:
+            cache_set.move_to_end(line)
+        else:
+            f3.value += 1
+            if len(cache_set) >= w3:
+                cache_set.popitem(False)
+                e3.value += 1
             cache_set[line] = True
 
     def install_translation(self, side: str, translation: Translation) -> None:
@@ -269,13 +313,13 @@ class MemoryHierarchy:
     def refresh_walk_lines(self, vaddr: int) -> None:
         """Refresh cache recency of the page-table lines a committing
         access's page walk read (they went through the d-cache path)."""
-        shift = self.set_shift
-        s1, k1, s2, k2, s3, k3 = self._level_sets["d"]
-        for line in self._walk_lines(vaddr):
-            index = line >> shift
-            for cache_set in s1[index & k1], s2[index & k2], s3[index & k3]:
-                if line in cache_set:
-                    cache_set.move_to_end(line)
+        for line, l1, l2, l3 in self._page_walk(vaddr >> PAGE_SHIFT):
+            if line in l1:
+                l1.move_to_end(line)
+            if line in l2:
+                l2.move_to_end(line)
+            if line in l3:
+                l3.move_to_end(line)
 
     # ------------------------------------------------------------------
     # non-perturbing presence checks (speculative path + attack receivers)
@@ -303,20 +347,27 @@ class MemoryHierarchy:
     # page walking
     # ------------------------------------------------------------------
 
-    def _walk_lines(self, vaddr: int) -> Tuple[int, ...]:
-        """Lines of the page-table entries a walk for ``vaddr`` reads,
-        one per walk level.  Each entry has a synthetic physical address
-        per (walk level, vpn), which gives walker accesses realistic
-        locality.  A page's lines are computed once: its walk and every
-        commit-time refresh of that walk read them."""
-        vpn = vaddr >> PAGE_SHIFT
-        lines = self._page_walk_lines.get(vpn)
-        if lines is None:
-            line_mask = self.line_mask
-            lines = self._page_walk_lines[vpn] = tuple(
-                (PAGE_TABLE_BASE + (level << 36) + (vpn >> (9 * level)) * 8)
-                & line_mask for level in range(self.page_table.walk_levels))
-        return lines
+    def _page_walk(self, vpn: int) -> Tuple[WalkLine, ...]:
+        """The page-table lines a walk for page ``vpn`` reads, one per
+        walk level, each with the L1D, L2 and L3 sets it maps to.  Each
+        entry has a synthetic physical address per (walk level, vpn),
+        which gives walker accesses realistic locality.  A page's walk
+        is computed once: its walk and every commit-time refresh of that
+        walk read it."""
+        walk = self._page_walks.get(vpn)
+        if walk is None:
+            line_mask, shift = self.line_mask, self.set_shift
+            s1, k1, s2, k2, s3, k3 = self._level_sets["d"]
+            entries = self._walk_line_entries
+            lines = ((PAGE_TABLE_BASE + (level << 36)
+                      + (vpn >> (9 * level)) * 8) & line_mask
+                     for level in range(self.page_table.walk_levels))
+            walk = self._page_walks[vpn] = tuple(
+                entries.get(line) or entries.setdefault(line, (
+                    line, s1[(line >> shift) & k1],
+                    s2[(line >> shift) & k2], s3[(line >> shift) & k3]))
+                for line in lines)
+        return walk
 
     def _walk(self, side: str, vaddr: int, owner: Optional[int],
               result: AccessResult) -> Optional[Translation]:
@@ -330,7 +381,7 @@ class MemoryHierarchy:
         self._walks.increment()
         latency = self._latency["d"]
         walk_latency = 0
-        for line in self._walk_lines(vaddr):
+        for line, _, _, _ in self._page_walk(vaddr >> PAGE_SHIFT):
             level_name = self._lookup_line_level("d", line, owner)
             walk_latency += latency[level_name]
             if level_name == "MEM":
@@ -505,120 +556,166 @@ class MemoryHierarchy:
         5. the engine's ``promotions``;
         6. the TLB, walk-line and line recency refreshes.
 
-        Occupancy is not charged: each structure's count is the same
-        before and after, so its histogram is too.  Returns ``(latency,
-        hit_level, paddr)``, or ``None``, with no state changed, when
-        the access would fault: a fault window reads the faulting
-        access's shadow state (and WFB promotes it), so the caller makes
-        that access owned.
+        Everything is resolved in one pass over the per-side binding
+        :meth:`bind_shadow` made: the cache sets the access's line maps
+        to are looked up once for its lookup, install and refresh, and
+        only a walk line that missed every level is installed through
+        :meth:`install_line`.  Occupancy is not charged: each
+        structure's count is the same before and after, so its
+        histogram is too.  Returns ``(latency, hit_level, paddr)``, or
+        ``None``, with no state changed, when the access would fault: a
+        fault window reads the faulting access's shadow state (and WFB
+        promotes it), so the caller makes that access owned.
         """
+        (tlb, tlb_entries, tlb_shadow, shadow_tlb, tlb_latency, execute,
+         line_shadow, shadow_cache, s1, k1, w1, f1, e1, l1_latency,
+         d_shadow, d_cache, s2, k2, w2, f2, e2, s3, k3, w3, f3, e3,
+         d_latency, l2_latency, l3_latency,
+         mem_latency) = self._retiring[side]
         vpn = vaddr >> PAGE_SHIFT
-        tlb_entries = self._tlb_entries[side]
-        shadowed = self._shadow_tlbs[side].get(vpn)
+        shadowed = tlb_shadow.get(vpn)
         entry = shadowed[-1].payload if shadowed else tlb_entries.get(vpn)
-        translation = (self.page_table.lookup(vaddr) if entry is None
-                       else entry)
+        translation = entry or self._mappings.get(vpn)
         if translation is None or not translation.permissions.allows(
-                write=write, execute=side == "i", privilege=privilege):
+                write=write, execute=execute, privilege=privilege):
             return None
-        shadow_cache, shadow_tlb = self._shadow_structures[side]
-        d_shadow = self._shadow_lines["d"]
-        set_shift = self.set_shift
-        # L1D's sets and mask (the walk's), L1(side)'s, L2's and L3's.
-        d1, dk1, s2, k2, s3, k3 = self._level_sets["d"]
-        s1, k1 = self._level_sets[side][:2]
-        # The d-side line fills this access makes, in fill order: the
-        # walk's missing lines, then (d-side) the line's.
-        d_fills: List[int] = []
+        # The walk's lines that missed every level, in fill order; a
+        # line counts as a shadow hit once an earlier fill of the same
+        # access put it there (see _fill_fitted).
+        missed: Tuple[int, ...] = ()
+        translated = 0
         if entry is None:
             self._walks.value += 1
-            d_latency = self._latency["d"]
-            walk_lines = self._page_walk_lines.get(vpn) \
-                or self._walk_lines(vaddr)
+            walk = self._page_walks.get(vpn) or self._page_walk(vpn)
             latency = 0
-            for walk_line in walk_lines:
-                index = walk_line >> set_shift
-                if walk_line in d_shadow or (
-                        walk_line in d_fills
-                        and self._fill_fitted(d_fills, walk_line)):
-                    latency += d_latency["shadow"]
-                elif walk_line in d1.get(index & dk1, ()):
-                    latency += d_latency["L1"]
-                elif walk_line in s2.get(index & k2, ()):
-                    latency += d_latency["L2"]
-                elif walk_line in s3.get(index & k3, ()):
-                    latency += d_latency["L3"]
+            for walk_line, t1, t2, t3 in walk:
+                if walk_line in d_shadow or walk_line in t1 \
+                        or walk_line in missed \
+                        and self._fill_fitted(missed, walk_line):
+                    latency += d_latency        # shadow or L1D
+                elif walk_line in t2:
+                    latency += l2_latency
+                elif walk_line in t3:
+                    latency += l3_latency
                 else:
-                    latency += d_latency["MEM"]
-                    d_fills.append(walk_line)
-            walked = len(d_fills)
-            translated = shadow_tlb.count_committed(1)
+                    latency += mem_latency
+                    missed += (walk_line,)
+            if shadow_tlb._count < shadow_tlb.capacity:
+                translated = 1
+                shadow_tlb._fills.value += 1
+                shadow_tlb._committed.value += 1
+            else:
+                shadow_tlb._lost.value += 1
         else:
-            latency = self._tlb_hit_latency[side]
-            walked = translated = 0
+            latency = tlb_latency
         paddr = (translation.ppn << PAGE_SHIFT) | (vaddr & (PAGE_SIZE - 1))
+        walked = d_fills = len(missed)
         level = ""
         filled = 0
         if line:
             line_addr = paddr & self.line_mask
-            index = line_addr >> set_shift
-            if line_addr in self._shadow_lines[side] or (
-                    side == "d" and line_addr in d_fills
-                    and self._fill_fitted(d_fills, line_addr)):
+            index = line_addr >> self.set_shift
+            c1, c2, c3 = s1[index & k1], s2[index & k2], s3[index & k3]
+            if line_addr in line_shadow or (
+                    missed and side == "d" and line_addr in missed
+                    and self._fill_fitted(missed, line_addr)):
                 level = "shadow"
-            elif line_addr in s1.get(index & k1, ()):
+                latency += l1_latency
+            elif line_addr in c1:
                 level = "L1"
-            elif line_addr in s2.get(index & k2, ()):
-                level = "L2"
-            elif line_addr in s3.get(index & k3, ()):
-                level = "L3"
+                latency += l1_latency
             else:
-                level = "MEM"
-            latency += self._latency[side][level]
-            if level != "L1" and level != "shadow":
-                if side == "d":
-                    d_fills.append(line_addr)
+                if line_addr in c2:
+                    level = "L2"
+                    latency += l2_latency
+                elif line_addr in c3:
+                    level = "L3"
+                    latency += l3_latency
                 else:
-                    filled = shadow_cache.count_committed(1)
+                    level = "MEM"
+                    latency += mem_latency
+                if side == "d":
+                    d_fills += 1
+                elif shadow_cache._count < shadow_cache.capacity:
+                    filled = 1
+                    shadow_cache._fills.value += 1
+                    shadow_cache._committed.value += 1
+                else:
+                    shadow_cache._lost.value += 1
         if d_fills:
-            d_filled = self._shadow_structures["d"][0].count_committed(
-                len(d_fills))
-            if d_filled > walked:
+            room = d_cache.capacity - d_cache._count
+            if room < d_fills:
+                d_cache._lost.value += d_fills - room
+                d_fills = room
+            d_cache._fills.value += d_fills
+            d_cache._committed.value += d_fills
+            if d_fills > walked:
                 filled = 1
-            walked = min(walked, d_filled)
-        for walk_line in d_fills[:walked]:
+            else:
+                walked = d_fills
+        for walk_line in missed[:walked]:
             self.install_line("d", walk_line)
         if translated:
-            (self.itlb if side == "i" else self.dtlb).fill(translation)
+            tlb._fills.value += 1
+            if len(tlb_entries) >= tlb._capacity:
+                tlb_entries.popitem(False)
+                tlb._evictions.value += 1
+            tlb_entries[vpn] = translation
         if filled:
-            self.install_line(side, line_addr)
+            # install_line, on the sets the lookup found.  The line is
+            # in none of them unless a walk line it aliases was just
+            # installed.
+            if line_addr in c1:
+                c1.move_to_end(line_addr)
+            else:
+                f1.value += 1
+                if len(c1) >= w1:
+                    c1.popitem(False)
+                    e1.value += 1
+                c1[line_addr] = True
+            if line_addr in c2:
+                c2.move_to_end(line_addr)
+            else:
+                f2.value += 1
+                if len(c2) >= w2:
+                    c2.popitem(False)
+                    e2.value += 1
+                c2[line_addr] = True
+            if line_addr in c3:
+                c3.move_to_end(line_addr)
+            else:
+                f3.value += 1
+                if len(c3) >= w3:
+                    c3.popitem(False)
+                    e3.value += 1
+                c3[line_addr] = True
         installed = walked + translated + filled
         if installed:
             self._engine.promotions += installed
         if vpn in tlb_entries:
             tlb_entries.move_to_end(vpn)
         if entry is None:
-            for walk_line in walk_lines:
-                index = walk_line >> set_shift
-                for cache_set in (d1[index & dk1], s2[index & k2],
-                                  s3[index & k3]):
-                    if walk_line in cache_set:
-                        cache_set.move_to_end(walk_line)
-        if level == "L1" or level == "L2" or level == "L3":
-            index = line_addr >> set_shift
-            for cache_set in s1[index & k1], s2[index & k2], s3[index & k3]:
+            for walk_line, t1, t2, t3 in walk:
+                if walk_line in t1:
+                    t1.move_to_end(walk_line)
+                if walk_line in t2:
+                    t2.move_to_end(walk_line)
+                if walk_line in t3:
+                    t3.move_to_end(walk_line)
+        if level in _PRESENT:
+            for cache_set in c1, c2, c3:
                 if line_addr in cache_set:
                     cache_set.move_to_end(line_addr)
         return latency, level, paddr
 
-    def _fill_fitted(self, fills: List[int], line_addr: int) -> bool:
+    def _fill_fitted(self, fills: Tuple[int, ...], line_addr: int) -> bool:
         """Whether ``line_addr``, one of the d-side ``fills`` a retiring
         access made, fitted in the shadow d-cache (so a later lookup of
         the same access hits it there).  A line filled twice in one
         access is a page-walk line aliasing another, or the access's own
         line; no workload makes one."""
-        shadow = self._shadow_structures["d"][0]
-        return fills.index(line_addr) < shadow.capacity - shadow.occupancy()
+        shadow = self._engine.shadow_dcache
+        return fills.index(line_addr) < shadow.capacity - shadow._count
 
     # ------------------------------------------------------------------
     # store commit (TSO: stores update memory state only at commit)
@@ -710,4 +807,4 @@ class MemoryHierarchy:
             return tlb.config.hit_latency
         level_latency = self._latency["d"]
         return sum(level_latency[self.committed_hit_level("d", line) or "MEM"]
-                   for line in self._walk_lines(vaddr))
+                   for line, _, _, _ in self._page_walk(vaddr >> PAGE_SHIFT))

@@ -118,9 +118,17 @@ class TLB:
         return tuple(self._entries.values())
 
     def restore(self, translations: "tuple[Translation, ...]") -> None:
-        """Replace contents with a :meth:`snapshot` (LRU order preserved)."""
+        """Replace contents with a :meth:`snapshot` (LRU order preserved).
+
+        Raises :class:`ConfigError` when the snapshot holds more entries
+        than this TLB, as :meth:`Cache.restore` does for an over-full set.
+        """
+        if len(translations) > self._capacity:
+            raise ConfigError(
+                f"{self.config.name}: snapshot holds {len(translations)} "
+                f"entries, TLB has {self._capacity}")
         self._entries.clear()
-        for translation in translations[-self._capacity:]:
+        for translation in translations:
             self._entries[translation.vpn] = translation
 
     def occupancy(self) -> int:

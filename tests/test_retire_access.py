@@ -59,9 +59,9 @@ PAGES = {
 VPNS = sorted(PAGES) + [0x40]      # vpn 0x40 is unmapped
 
 
-def _machine(full_policy, entries):
+def _machine(full_policy, entries, geometry):
     machine = Machine(
-        policy=CommitPolicy.WFC, hierarchy_config=TINY,
+        policy=CommitPolicy.WFC, hierarchy_config=geometry,
         safespec_config=SafeSpecConfig(
             policy=CommitPolicy.WFC, sizing=SizingMode.CUSTOM,
             full_policy=full_policy, dcache_entries=entries,
@@ -116,9 +116,21 @@ def _round_trip(machine, side, vaddr, write, line, seq):
 @pytest.mark.parametrize("full_policy", list(FullPolicy),
                          ids=lambda p: p.value)
 def test_retire_access_matches_round_trip(full_policy, entries):
+    _check_round_trip(full_policy, entries, TINY)
+
+
+@pytest.mark.parametrize("entries", [1, 2, 16])
+@pytest.mark.parametrize("full_policy", list(FullPolicy),
+                         ids=lambda p: p.value)
+def test_retire_access_matches_round_trip_table2(full_policy, entries):
+    # The default Table II geometry: 64-entry TLBs, 4-level walks.
+    _check_round_trip(full_policy, entries, HierarchyConfig())
+
+
+def _check_round_trip(full_policy, entries, geometry):
     rng = random.Random(entries * 7 + len(full_policy.value))
-    reference = _machine(full_policy, entries)
-    retiring = _machine(full_policy, entries)
+    reference = _machine(full_policy, entries, geometry)
+    retiring = _machine(full_policy, entries, geometry)
     in_flight = []
     seq = 0
     retired = faulted = 0

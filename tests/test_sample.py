@@ -264,6 +264,31 @@ class TestPackedCheckpoint:
         with pytest.raises(ConfigError, match=r"L1D: snapshot set \d+ holds"):
             checkpoint.apply(machine)
 
+    def test_restore_rejects_over_full_tlb(self, mcf_wfc):
+        # The warm dTLB holds 64 entries; this machine's holds 16.
+        checkpoint = self._capture(*mcf_wfc)
+        spec = MachineSpec().derive(**{"hierarchy.dtlb.entries": 16})
+        machine = Machine.from_spec(spec, policy=CommitPolicy.WFC,
+                                    backend="fast")
+        with pytest.raises(ConfigError, match=r"dTLB: snapshot holds 64"):
+            checkpoint.apply(machine)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_restore_captures_back_equal(self, mcf_wfc, backend):
+        # Every set's LRU order, TLB order and page permissions survive
+        # an apply onto a fresh machine of the same spec.
+        checkpoint = self._capture(*mcf_wfc)
+        machine = Machine.from_spec(policy=CommitPolicy.WFC,
+                                    backend=backend)
+        checkpoint.apply(machine)
+        again = Checkpoint.capture(machine,
+                                   instructions=checkpoint.instructions,
+                                   next_pc=checkpoint.next_pc,
+                                   registers=checkpoint.registers,
+                                   faults=checkpoint.faults)
+        assert again == checkpoint
+        assert again.digest() == checkpoint.digest()
+
 
 class TestCheckpointRestore:
     """Dump on the fast backend, restore anywhere, equal straight-line."""
