@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from itertools import repeat
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.statistics import StatRegistry
@@ -201,23 +202,41 @@ class Cache:
         return [tuple(get(index, ()))
                 for index in range(self.config.num_sets)]
 
-    def restore(self, sets: List[Tuple[int, ...]]) -> None:
-        """Replace contents with a :meth:`snapshot` (LRU order preserved)."""
-        if len(sets) != self.config.num_sets:
-            raise ConfigError(
-                f"{self.config.name}: snapshot has {len(sets)} sets, "
-                f"cache has {self.config.num_sets}")
-        for index, lines in enumerate(sets):
-            if len(lines) > self._associativity:
+    def restore(self, sets: Sequence[Sequence[int]],
+                indices: Optional[Sequence[int]] = None) -> None:
+        """Replace contents with a :meth:`snapshot` (LRU order preserved).
+
+        ``sets`` is dense, as :meth:`snapshot` returns it, or, with
+        ``indices``, the lines of the named sets only (the rest empty).
+        Sets already made are refilled in place.
+        """
+        name = self.config.name
+        if indices is None:
+            if len(sets) != self.config.num_sets:
                 raise ConfigError(
-                    f"{self.config.name}: snapshot set {index} holds "
-                    f"{len(lines)} lines, cache is "
-                    f"{self._associativity}-way")
-        for cache_set in self._sets.values():
+                    f"{name}: snapshot has {len(sets)} sets, "
+                    f"cache has {self.config.num_sets}")
+            indices = range(len(sets))
+        elif len(indices) != len(sets) or (
+                indices and not 0 <= min(indices) <= max(indices)
+                < self.config.num_sets):
+            raise ConfigError(f"{name}: snapshot names sets outside "
+                              f"0..{self.config.num_sets - 1}")
+        if max(map(len, sets), default=0) > self._associativity:
+            for index, lines in zip(indices, sets):
+                if len(lines) > self._associativity:
+                    raise ConfigError(
+                        f"{name}: snapshot set {index} holds "
+                        f"{len(lines)} lines, cache is "
+                        f"{self._associativity}-way")
+        live = self._sets
+        for cache_set in live.values():
             cache_set.clear()
-        for index, lines in enumerate(sets):
-            if lines:
-                self._sets[index].update(dict.fromkeys(lines, True))
+        restored = dict(zip(indices, map(OrderedDict.fromkeys, sets,
+                                         repeat(True))))
+        for index in restored.keys() & live.keys():
+            live[index].update(restored.pop(index))
+        live.update(restored)
 
     # -- statistics ---------------------------------------------------------
 

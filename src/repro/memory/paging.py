@@ -101,6 +101,11 @@ class PageTable:
         for vpn in range(first, last + 1):
             self.map_page(vpn, permissions=permissions)
 
+    def map_translations(self, translations: Iterable[Translation]) -> None:
+        """Install every translation as its page's mapping (checkpoint
+        restore)."""
+        self._entries.update((t.vpn, t) for t in translations)
+
     def lookup(self, vaddr: int) -> Optional[Translation]:
         """Return the translation covering ``vaddr`` or ``None`` if unmapped.
 

@@ -38,7 +38,7 @@ import dataclasses
 import hashlib
 import json
 from array import array
-from itertools import chain, islice
+from itertools import accumulate, chain, compress
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
                     Optional, Tuple)
 
@@ -64,11 +64,20 @@ def _permission_bits(perms: PagePermissions) -> int:
             | int(perms.supervisor_only) << 3)
 
 
-def _permissions_from_bits(bits: int) -> PagePermissions:
-    return PagePermissions(readable=bool(bits & 1),
-                           writable=bool(bits & 2),
-                           executable=bool(bits & 4),
-                           supervisor_only=bool(bits & 8))
+# The page permissions of each of the 16 bit patterns, shared by every
+# translation a checkpoint restores.
+_PERMISSIONS = tuple(PagePermissions(readable=bool(bits & 1),
+                                     writable=bool(bits & 2),
+                                     executable=bool(bits & 4),
+                                     supervisor_only=bool(bits & 8))
+                     for bits in range(16))
+
+
+def _translations(packed: bytes) -> List[Translation]:
+    """The translations of a :func:`_pack_translations` value."""
+    flat = array("Q", packed).tolist()
+    return list(map(Translation, flat[0::3], flat[1::3],
+                    map(_PERMISSIONS.__getitem__, flat[2::3])))
 
 
 def _pack(rows: Iterable[Iterable[int]]) -> bytes:
@@ -98,20 +107,40 @@ def _pack_translations(translations: Iterable[Translation]) -> bytes:
                  for t in translations)
 
 
-def _pack_sets(sets: Iterable[Tuple[int, List[int]]]) -> bytes:
-    """Sparse cache sets packed as ``index, count, *lines`` runs."""
-    return _pack((index, len(lines), *lines) for index, lines in sets)
+def _pack_sets(indices: List[int], sets: List[Iterable[int]]) -> bytes:
+    """Sparse cache sets packed as their count ``n``, the ``n`` set
+    indices, the ``n`` line counts, then every set's lines LRU-first."""
+    words = array("Q", [len(indices)])
+    words.extend(indices)
+    words.extend(map(len, sets))
+    words.extend(chain.from_iterable(sets))
+    return words.tobytes()
 
 
-def _sparse_sets(packed: bytes) -> Iterator[List[Any]]:
+def _pack_cache(cache_sets: Mapping[int, Iterable[int]]) -> bytes:
+    """A cache's non-empty sets (set index -> lines LRU-first), packed
+    straight from the live sets by :func:`_pack_sets`."""
+    indices = sorted(cache_sets)
+    sets = list(map(cache_sets.__getitem__, indices))
+    return _pack_sets(list(compress(indices, sets)),
+                      list(filter(None, sets)))
+
+
+def _unpack_sets(packed: bytes) -> Tuple[List[int], List[Any]]:
+    """The set indices of a :func:`_pack_sets` value and each set's
+    lines (as ``Q`` memoryview slices of ``packed``)."""
+    flat = memoryview(packed).cast("Q")
+    n = flat[0] if len(flat) else 0
+    ends = list(accumulate(flat[1 + n:1 + 2 * n], initial=1 + 2 * n))
+    return (flat[1:1 + n].tolist(),
+            list(map(flat.__getitem__, map(slice, ends[:-1], ends[1:]))))
+
+
+def _sparse_sets(packed: bytes) -> List[List[Any]]:
     """The ``[set_index, [line addresses LRU-first]]`` pairs of
     :func:`_pack_sets` (the wire form)."""
-    flat = array("Q", packed)
-    at = 0
-    while at < len(flat):
-        index, count = flat[at], flat[at + 1]
-        yield [index, flat[at + 2:at + 2 + count].tolist()]
-        at += 2 + count
+    indices, sets = _unpack_sets(packed)
+    return [[index, lines.tolist()] for index, lines in zip(indices, sets)]
 
 
 def _canonical(value: Any) -> str:
@@ -139,12 +168,19 @@ def _rows_text(packed: bytes, width: int) -> Iterator[str]:
 
 
 def _sets_text(packed: bytes) -> Iterator[str]:
-    """:func:`_canonical` of ``list(_sparse_sets(packed))``, written a
-    bounded batch of sets at a time."""
-    sets = ("[%d,[%s]]" % (index, ",".join(map(str, lines)))
-            for index, lines in _sparse_sets(packed))
-    return _joined(",".join(batch) for batch in iter(
-        lambda: list(islice(sets, _DIGEST_BATCH)), []))
+    """:func:`_canonical` of ``_sparse_sets(packed)``, written a bounded
+    batch of sets at a time: each batch is one format string (one
+    template per set size) applied to the batch's indices and lines."""
+    indices, sets = _unpack_sets(packed)
+    sizes = list(map(len, sets))
+    template = {size: "[%d,[" + ",".join(("%d",) * size) + "]]"
+                for size in set(sizes)}
+    return _joined(
+        ",".join(map(template.__getitem__, sizes[at:at + _DIGEST_BATCH]))
+        % tuple(chain.from_iterable(map(
+            chain, zip(indices[at:at + _DIGEST_BATCH]),
+            sets[at:at + _DIGEST_BATCH])))
+        for at in range(0, len(sets), _DIGEST_BATCH))
 
 
 def _text_chunks(value: Any) -> Iterator[str]:
@@ -272,12 +308,10 @@ class Checkpoint:
                 getattr(machine.hierarchy, name).snapshot())
             for name in _TLBS
         }
-        # Caches are stored sparsely: only non-empty sets, LRU-first.
+        # Caches are stored sparsely: only non-empty sets, LRU-first,
+        # packed from the live sets.
         warm["caches"] = {
-            name: _pack_sets(
-                (index, lines) for index, lines
-                in enumerate(getattr(machine.hierarchy, name).snapshot())
-                if lines)
+            name: _pack_cache(getattr(machine.hierarchy, name)._sets)
             for name in _CACHE_LEVELS
         }
         return warm
@@ -293,8 +327,7 @@ class Checkpoint:
         initial_registers=dict(enumerate(ckpt.registers)))`` continues
         exactly where the checkpointed run stopped, on either backend.
         """
-        for vpn, ppn, bits in _rows(self.pages, 3):
-            machine.page_table.map_page(vpn, ppn, _permissions_from_bits(bits))
+        machine.page_table.map_translations(_translations(self.pages))
         machine.hierarchy.memory.restore(_unpack_mapping(self.memory),
                                          _unpack_mapping(self.written))
         if self.warm is not None:
@@ -312,17 +345,13 @@ class Checkpoint:
         for name, packed in warm.get("tlbs", {}).items():
             if name not in _TLBS:
                 raise SampleError(f"unknown TLB in checkpoint: {name!r}")
-            getattr(machine.hierarchy, name).restore(tuple(
-                Translation(vpn, ppn, _permissions_from_bits(bits))
-                for vpn, ppn, bits in _rows(packed, 3)))
+            getattr(machine.hierarchy, name).restore(
+                tuple(_translations(packed)))
         for name, packed in warm.get("caches", {}).items():
             if name not in _CACHE_LEVELS:
                 raise SampleError(f"unknown cache in checkpoint: {name!r}")
-            cache = getattr(machine.hierarchy, name)
-            dense: List[Tuple[int, ...]] = [()] * cache.config.num_sets
-            for index, lines in _sparse_sets(packed):
-                dense[index] = tuple(lines)
-            cache.restore(dense)
+            indices, sets = _unpack_sets(packed)
+            getattr(machine.hierarchy, name).restore(sets, indices)
 
     # ------------------------------------------------------------------
     # serialization / identity
@@ -330,8 +359,7 @@ class Checkpoint:
 
     def to_dict(self) -> Dict[str, Any]:
         """This checkpoint as nested JSON-representable primitives."""
-        return self._wire_form(_rows, lambda packed: list(
-            _sparse_sets(packed)))
+        return self._wire_form(_rows, _sparse_sets)
 
     def _wire_form(self, rows: Callable[[bytes, int], Any],
                    sets: Callable[[bytes], Any]) -> Dict[str, Any]:
@@ -369,7 +397,8 @@ class Checkpoint:
             warm=None if payload.get("warm") is None else _convert_warm(
                 payload["warm"],
                 lambda rows: _pack((v, p, b) for v, p, b in rows),
-                _pack_sets),
+                lambda sets: _pack_sets([index for index, _ in sets],
+                                        [lines for _, lines in sets])),
         )
 
     def digest(self) -> str:
