@@ -10,11 +10,11 @@ Design notes mapping to the paper:
 * ``fill`` is the leaky operation SafeSpec intercepts: in the baseline it
   is called during speculative execution, in SafeSpec only when shadow
   state is committed.
-* ``flush_line`` models ``clflush`` on one cache (paper Section IV:
-  "with the availability of instructions such as clflush on x86, an
-  attacker is able to evict data"); the hierarchy's ``clflush`` does the
-  same on every level's bound sets.
-* ``probe_set``/``contains`` are non-perturbing inspection used by the
+* ``clflush`` lives on the hierarchy, which deletes the line from every
+  level's bound sets (paper Section IV: "with the availability of
+  instructions such as clflush on x86, an attacker is able to evict
+  data").
+* ``contains``/``snapshot`` are non-perturbing inspection used by the
   attack receivers and by tests.  The timing-path lookup, which updates
   replacement state and the hit/miss counters, is the memory hierarchy's
   walk over its levels' bound sets
@@ -163,27 +163,11 @@ class Cache:
         return (addr & self._line_mask) in \
             self._sets.get((addr >> self._set_shift) & self._set_mask, ())
 
-    def probe_set(self, addr: int) -> Tuple[int, ...]:
-        """Resident line addresses of the set selected by ``addr``
-        (LRU-first order), without perturbing state."""
-        return tuple(self._sets.get(self.set_index(addr), ()))
-
     def occupancy(self) -> int:
         """Total number of resident lines."""
         return sum(len(s) for s in self._sets.values())
 
     # -- invalidation ------------------------------------------------------
-
-    def flush_line(self, addr: int) -> bool:
-        """Evict the line containing ``addr`` (clflush).  Returns whether
-        the line was present."""
-        line = self.line_address(addr)
-        cache_set = self._sets.get(self.set_index(addr), ())
-        if line in cache_set:
-            del cache_set[line]
-            self._flushes.increment()
-            return True
-        return False
 
     def flush_all(self) -> None:
         """Invalidate the entire cache (each set emptied in place)."""

@@ -122,20 +122,23 @@ class TestLru:
         hierarchy, cache = small_l1d(assoc=2, sets=1)
         cache.fill(0)
         cache.fill(64)
-        assert cache.probe_set(0) == (0, 64)
+        assert cache.snapshot()[0] == (0, 64)
         touch(hierarchy, 0)
-        assert cache.probe_set(0) == (64, 0)
+        assert cache.snapshot()[0] == (64, 0)
 
 
 class TestFlush:
     def test_flush_line(self):
-        cache = small_cache()
-        cache.fill(0x1000)
-        assert cache.flush_line(0x1000)
+        hierarchy, cache = small_l1d()
+        hierarchy.install_line("d", 0x1000)
+        hierarchy.clflush(0x1000)
         assert not cache.contains(0x1000)
+        assert cache.stats.counter("flushes").value == 1
 
     def test_flush_absent_line(self):
-        assert not small_cache().flush_line(0x1000)
+        hierarchy, cache = small_l1d()
+        hierarchy.clflush(0x1000)
+        assert cache.stats.counter("flushes").value == 0
 
     def test_flush_all(self):
         cache = small_cache()
@@ -191,8 +194,6 @@ class TestLazySets:
         cache = small_cache(assoc=2, sets=4)
         for addr in range(0, 4 * 64, 64):
             assert not cache.contains(addr)
-            assert cache.probe_set(addr) == ()
-            assert not cache.flush_line(addr)
         assert cache.snapshot() == [()] * 4
         assert cache.occupancy() == 0
         assert allocations == []

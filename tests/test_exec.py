@@ -304,7 +304,7 @@ class TestSlotsPickling:
         cache.fill(0x80)
         clone = pickle.loads(pickle.dumps(cache))
         assert clone.contains(0x40)
-        assert clone.probe_set(0x40) == cache.probe_set(0x40)
+        assert clone.snapshot() == cache.snapshot()
         assert clone.stats.as_dict() == cache.stats.as_dict()
         tlb = TLB(TLBConfig("t", 4))
         clone_tlb = pickle.loads(pickle.dumps(tlb))

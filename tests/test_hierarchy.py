@@ -75,7 +75,12 @@ class TestCachePath:
 
     def test_l2_hit_promotes_into_l1(self, hierarchy):
         hierarchy.install_line("d", 0x2000)
-        hierarchy.l1d.flush_line(0x2000)
+        # Evict it from L1D alone: fill its set with other lines.
+        l1d = hierarchy.config.l1d
+        stride = l1d.num_sets * l1d.line_bytes
+        for way in range(1, l1d.associativity + 1):
+            hierarchy.l1d.fill(0x2000 + way * stride)
+        assert not hierarchy.l1d.contains(0x2000)
         result = hierarchy.data_access(0x2000, is_write=False,
                                        privilege=PrivilegeLevel.USER)
         assert result.hit_level == "L2"

@@ -6,9 +6,8 @@ it binds once (``MemoryHierarchy.levels``) instead of calling
 geometry see the same fills, touches and flushes; on one every query
 and installation runs through the hierarchy, on the other through a
 reference that goes one cache at a time: ``Cache.contains``,
-``Cache.fill`` and ``Cache.flush_line``, plus the per-cache lookup and
-recency refresh below (the reference model; ``Cache`` itself has no
-such methods).  Every answer must agree, and so must the
+``Cache.fill``, plus the per-cache lookup, flush and recency refresh
+below (the reference model; ``Cache`` itself has no such methods).  Every answer must agree, and so must the
 hit/miss/fill/eviction/flush counters and the contents
 (``Cache.snapshot()``, LRU order included) at the end.
 
@@ -87,6 +86,15 @@ def _touch(cache, addr):
         return True
     cache._misses.value += 1
     return False
+
+
+def _flush(cache, addr):
+    """clflush of one cache."""
+    line = cache.line_address(addr)
+    cache_set = cache._sets.get(cache.set_index(addr), ())
+    if line in cache_set:
+        del cache_set[line]
+        cache._flushes.value += 1
 
 
 def _refresh(cache, addr):
@@ -195,7 +203,7 @@ def test_bound_levels_match_cache_methods(config, warm, walked, program):
         elif op == "flush":
             hierarchy.clflush(args[0])
             for name in LEVELS:
-                getattr(reference, name).flush_line(args[0])
+                _flush(getattr(reference, name), args[0])
         elif op == "fill_walk":
             for line in _walk_lines(reference, args[0]):
                 hierarchy.install_line("d", line)

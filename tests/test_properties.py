@@ -9,7 +9,8 @@ from repro.isa.instructions import Instruction, Opcode
 from repro.isa.registers import to_unsigned
 from repro.memory.cache import Cache, CacheConfig
 from repro.memory.dram import MainMemory
-from repro.memory.paging import PagePermissions, Translation
+from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.paging import PagePermissions, PageTable, Translation
 from repro.memory.tlb import TLB, TLBConfig
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import Core
@@ -40,11 +41,12 @@ class TestCacheProperties:
 
     @given(st.lists(addresses, max_size=100), addresses)
     def test_flushed_line_absent(self, addrs, victim):
-        cache = Cache(CacheConfig("p", 4096, 4, 64, 1))
+        hierarchy = MemoryHierarchy(page_table=PageTable())
         for addr in addrs:
-            cache.fill(addr)
-        cache.flush_line(victim)
-        assert not cache.contains(victim)
+            hierarchy.install_line("d", addr)
+        hierarchy.clflush(victim)
+        for cache in (hierarchy.l1d, hierarchy.l2, hierarchy.l3):
+            assert not cache.contains(victim)
 
     @given(st.lists(addresses, max_size=100),
            st.lists(addresses, max_size=100))
