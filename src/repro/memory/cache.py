@@ -82,8 +82,6 @@ class _LazySets(dict):
     """Set index -> that set's lines, created the first time the timing
     path indexes it.  Most of an L2/L3's sets are never touched by a
     short job, so building them eagerly dominated machine construction.
-    A set, once made, is never replaced (restore and flush empty it in
-    place), so the memory hierarchy may hold on to it.
     """
 
     __slots__ = ()
@@ -170,9 +168,8 @@ class Cache:
     # -- invalidation ------------------------------------------------------
 
     def flush_all(self) -> None:
-        """Invalidate the entire cache (each set emptied in place)."""
-        for cache_set in self._sets.values():
-            cache_set.clear()
+        """Invalidate the entire cache."""
+        self._sets.clear()
 
     # -- checkpointing ------------------------------------------------------
 
@@ -186,22 +183,13 @@ class Cache:
         return [tuple(get(index, ()))
                 for index in range(self.config.num_sets)]
 
-    def restore(self, sets: Sequence[Sequence[int]],
-                indices: Optional[Sequence[int]] = None) -> None:
-        """Replace contents with a :meth:`snapshot` (LRU order preserved).
-
-        ``sets`` is dense, as :meth:`snapshot` returns it, or, with
-        ``indices``, the lines of the named sets only (the rest empty).
-        Sets already made are refilled in place.
-        """
+    def restore(self, indices: Sequence[int],
+                sets: Sequence[Sequence[int]]) -> None:
+        """Replace contents with the lines of the sets ``indices`` name,
+        each LRU-first (every other set empty): the non-empty sets of a
+        :meth:`snapshot`, as a checkpoint holds them."""
         name = self.config.name
-        if indices is None:
-            if len(sets) != self.config.num_sets:
-                raise ConfigError(
-                    f"{name}: snapshot has {len(sets)} sets, "
-                    f"cache has {self.config.num_sets}")
-            indices = range(len(sets))
-        elif len(indices) != len(sets) or (
+        if len(indices) != len(sets) or (
                 indices and not 0 <= min(indices) <= max(indices)
                 < self.config.num_sets):
             raise ConfigError(f"{name}: snapshot names sets outside "
@@ -213,14 +201,9 @@ class Cache:
                         f"{name}: snapshot set {index} holds "
                         f"{len(lines)} lines, cache is "
                         f"{self._associativity}-way")
-        live = self._sets
-        for cache_set in live.values():
-            cache_set.clear()
-        restored = dict(zip(indices, map(OrderedDict.fromkeys, sets,
-                                         repeat(True))))
-        for index in restored.keys() & live.keys():
-            live[index].update(restored.pop(index))
-        live.update(restored)
+        self._sets.clear()
+        self._sets.update(zip(indices, map(OrderedDict.fromkeys, sets,
+                                           repeat(True))))
 
     # -- statistics ---------------------------------------------------------
 

@@ -77,19 +77,16 @@ def _cache_level(name: str, cache: Cache) -> CacheLevel:
 # sets, set mask, associativity, and fill and eviction counters.
 FillLevel = Tuple[Dict[int, Dict[int, bool]], int, int, Counter, Counter]
 
-# One page-table line a page walk reads, with the L1D, L2 and L3 sets it
-# maps to.  A cache's sets are never replaced once made (see
-# ``cache._LazySets``), so an entry stays valid for the hierarchy's life.
-WalkLine = Tuple[int, Dict[int, bool], Dict[int, bool], Dict[int, bool]]
+# One page-table line a page walk reads, with the indices of the L1D, L2
+# and L3 sets it maps to.  Indices, not the sets: a set is made only when
+# a line is installed into it (see ``cache._LazySets``).
+WalkLine = Tuple[int, int, int, int]
 
 
 def _fill_level(cache: Cache) -> FillLevel:
     return (cache._sets, cache._set_mask, cache._associativity,
             cache._fills, cache._evictions)
 
-
-# The hit levels of a line present in a committed cache.
-_PRESENT = frozenset(("L1", "L2", "L3"))
 
 
 class _BySide(dict):
@@ -152,9 +149,9 @@ class MemoryHierarchy:
         self.dtlb = TLB(self.config.dtlb)
         self.stats = StatRegistry("hierarchy")
         self._walks = self.stats.counter("page_walks")
-        # Page walks' lines and the sets they map to: vpn -> its walk,
-        # and line -> that line's entry (pages share their upper levels'
-        # lines).  See _page_walk.
+        # Page walks' lines and the set indices they map to: vpn -> its
+        # walk, and line -> that line's entry (pages share their upper
+        # levels' lines).  See _page_walk.
         self._page_walks: Dict[int, Tuple[WalkLine, ...]] = {}
         self._walk_line_entries: Dict[int, WalkLine] = {}
         # The raw cache layout, bound once.  Each side reaches L1(side),
@@ -230,16 +227,17 @@ class MemoryHierarchy:
                                     d=engine.shadow_dtlb._by_key)
         d_cache = engine.shadow_dcache
         latency = self._latency["d"]
-        # What both sides share: the shadow d-cache (the walk's), L2's
-        # and L3's fill bindings, and the L1D, L2, L3 and memory
-        # latencies.
-        shared = (d_cache._by_key, d_cache, *self._fill_sets["d"][5:],
+        # Per side: its TLB, shadow TLB and shadow cache, L1(side)'s sets
+        # and latency; then what both sides share: the shadow d-cache
+        # (the walk's), L1D's, L2's and L3's sets, and the L1D, L2, L3
+        # and memory latencies.
+        shared = (d_cache._by_key, d_cache, *self._level_sets["d"],
                   latency["L1"], latency["L2"], latency["L3"],
                   latency["MEM"])
         self._retiring = _BySide(
             (side, (tlb, tlb._entries, tlb_shadow._by_key, tlb_shadow,
                     tlb.config.hit_latency, side == "i", line_shadow._by_key,
-                    line_shadow, *self._fill_sets[side][:5],
+                    line_shadow, *self._level_sets[side][:2],
                     self._latency[side]["L1"], *shared))
             for side, tlb, line_shadow, tlb_shadow in (
                 ("i", self.itlb, engine.shadow_icache, engine.shadow_itlb),
@@ -313,13 +311,14 @@ class MemoryHierarchy:
     def refresh_walk_lines(self, vaddr: int) -> None:
         """Refresh cache recency of the page-table lines a committing
         access's page walk read (they went through the d-cache path)."""
-        for line, l1, l2, l3 in self._page_walk(vaddr >> PAGE_SHIFT):
-            if line in l1:
-                l1.move_to_end(line)
-            if line in l2:
-                l2.move_to_end(line)
-            if line in l3:
-                l3.move_to_end(line)
+        s1, _, s2, _, s3, _ = self._level_sets["d"]
+        for line, i1, i2, i3 in self._page_walk(vaddr >> PAGE_SHIFT):
+            if line in s1.get(i1, ()):
+                s1[i1].move_to_end(line)
+            if line in s2.get(i2, ()):
+                s2[i2].move_to_end(line)
+            if line in s3.get(i3, ()):
+                s3[i3].move_to_end(line)
 
     # ------------------------------------------------------------------
     # non-perturbing presence checks (speculative path + attack receivers)
@@ -349,7 +348,8 @@ class MemoryHierarchy:
 
     def _page_walk(self, vpn: int) -> Tuple[WalkLine, ...]:
         """The page-table lines a walk for page ``vpn`` reads, one per
-        walk level, each with the L1D, L2 and L3 sets it maps to.  Each
+        walk level, each with the L1D, L2 and L3 set indices it maps to
+        (finding them makes no set).  Each
         entry has a synthetic physical address per (walk level, vpn),
         which gives walker accesses realistic locality.  A page's walk
         is computed once: its walk and every commit-time refresh of that
@@ -357,15 +357,15 @@ class MemoryHierarchy:
         walk = self._page_walks.get(vpn)
         if walk is None:
             line_mask, shift = self.line_mask, self.set_shift
-            s1, k1, s2, k2, s3, k3 = self._level_sets["d"]
+            _, k1, _, k2, _, k3 = self._level_sets["d"]
             entries = self._walk_line_entries
             lines = ((PAGE_TABLE_BASE + (level << 36)
                       + (vpn >> (9 * level)) * 8) & line_mask
                      for level in range(self.page_table.walk_levels))
             walk = self._page_walks[vpn] = tuple(
                 entries.get(line) or entries.setdefault(line, (
-                    line, s1[(line >> shift) & k1],
-                    s2[(line >> shift) & k2], s3[(line >> shift) & k3]))
+                    line, (line >> shift) & k1, (line >> shift) & k2,
+                    (line >> shift) & k3))
                 for line in lines)
         return walk
 
@@ -557,20 +557,20 @@ class MemoryHierarchy:
         6. the TLB, walk-line and line recency refreshes.
 
         Everything is resolved in one pass over the per-side binding
-        :meth:`bind_shadow` made: the cache sets the access's line maps
-        to are looked up once for its lookup, install and refresh, and
-        only a walk line that missed every level is installed through
-        :meth:`install_line`.  Occupancy is not charged: each
-        structure's count is the same before and after, so its
-        histogram is too.  Returns ``(latency, hit_level, paddr)``, or
-        ``None``, with no state changed, when the access would fault: a
-        fault window reads the faulting access's shadow state (and WFB
-        promotes it), so the caller makes that access owned.
+        :meth:`bind_shadow` made: each walk line's set indices are
+        cached with the page's walk, and the sets the access's line maps
+        to are looked up once for its lookup and refresh.  A line is
+        installed through :meth:`install_line`.  Occupancy is not
+        charged: each structure's count is the same before and after,
+        so its histogram is too.  Returns ``(latency, hit_level,
+        paddr)``, or ``None``, with no state changed, when the access
+        would fault: a fault window reads the faulting access's shadow
+        state (and WFB promotes it), so the caller makes that access
+        owned.
         """
         (tlb, tlb_entries, tlb_shadow, shadow_tlb, tlb_latency, execute,
-         line_shadow, shadow_cache, s1, k1, w1, f1, e1, l1_latency,
-         d_shadow, d_cache, s2, k2, w2, f2, e2, s3, k3, w3, f3, e3,
-         d_latency, l2_latency, l3_latency,
+         line_shadow, shadow_cache, s1, k1, l1_latency, d_shadow, d_cache,
+         d1, _, s2, k2, s3, k3, d_latency, l2_latency, l3_latency,
          mem_latency) = self._retiring[side]
         vpn = vaddr >> PAGE_SHIFT
         shadowed = tlb_shadow.get(vpn)
@@ -588,14 +588,14 @@ class MemoryHierarchy:
             self._walks.value += 1
             walk = self._page_walks.get(vpn) or self._page_walk(vpn)
             latency = 0
-            for walk_line, t1, t2, t3 in walk:
-                if walk_line in d_shadow or walk_line in t1 \
+            for walk_line, i1, i2, i3 in walk:
+                if walk_line in d_shadow or walk_line in d1.get(i1, ()) \
                         or walk_line in missed \
                         and self._fill_fitted(missed, walk_line):
                     latency += d_latency        # shadow or L1D
-                elif walk_line in t2:
+                elif walk_line in s2.get(i2, ()):
                     latency += l2_latency
-                elif walk_line in t3:
+                elif walk_line in s3.get(i3, ()):
                     latency += l3_latency
                 else:
                     latency += mem_latency
@@ -615,7 +615,9 @@ class MemoryHierarchy:
         if line:
             line_addr = paddr & self.line_mask
             index = line_addr >> self.set_shift
-            c1, c2, c3 = s1[index & k1], s2[index & k2], s3[index & k3]
+            c1 = s1.get(index & k1, ())
+            c2 = s2.get(index & k2, ())
+            c3 = s3.get(index & k3, ())
             if line_addr in line_shadow or (
                     missed and side == "d" and line_addr in missed
                     and self._fill_fitted(missed, line_addr)):
@@ -662,47 +664,23 @@ class MemoryHierarchy:
                 tlb._evictions.value += 1
             tlb_entries[vpn] = translation
         if filled:
-            # install_line, on the sets the lookup found.  The line is
-            # in none of them unless a walk line it aliases was just
-            # installed.
-            if line_addr in c1:
-                c1.move_to_end(line_addr)
-            else:
-                f1.value += 1
-                if len(c1) >= w1:
-                    c1.popitem(False)
-                    e1.value += 1
-                c1[line_addr] = True
-            if line_addr in c2:
-                c2.move_to_end(line_addr)
-            else:
-                f2.value += 1
-                if len(c2) >= w2:
-                    c2.popitem(False)
-                    e2.value += 1
-                c2[line_addr] = True
-            if line_addr in c3:
-                c3.move_to_end(line_addr)
-            else:
-                f3.value += 1
-                if len(c3) >= w3:
-                    c3.popitem(False)
-                    e3.value += 1
-                c3[line_addr] = True
+            self.install_line(side, line_addr)
+            # The line's sets exist now; its refresh below reads them.
+            c1, c2, c3 = s1[index & k1], s2[index & k2], s3[index & k3]
         installed = walked + translated + filled
         if installed:
             self._engine.promotions += installed
         if vpn in tlb_entries:
             tlb_entries.move_to_end(vpn)
         if entry is None:
-            for walk_line, t1, t2, t3 in walk:
-                if walk_line in t1:
-                    t1.move_to_end(walk_line)
-                if walk_line in t2:
-                    t2.move_to_end(walk_line)
-                if walk_line in t3:
-                    t3.move_to_end(walk_line)
-        if level in _PRESENT:
+            for walk_line, i1, i2, i3 in walk:
+                if walk_line in d1.get(i1, ()):
+                    d1[i1].move_to_end(walk_line)
+                if walk_line in s2.get(i2, ()):
+                    s2[i2].move_to_end(walk_line)
+                if walk_line in s3.get(i3, ()):
+                    s3[i3].move_to_end(walk_line)
+        if level in ("L1", "L2", "L3"):
             for cache_set in c1, c2, c3:
                 if line_addr in cache_set:
                     cache_set.move_to_end(line_addr)

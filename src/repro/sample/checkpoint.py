@@ -350,8 +350,7 @@ class Checkpoint:
         for name, packed in warm.get("caches", {}).items():
             if name not in _CACHE_LEVELS:
                 raise SampleError(f"unknown cache in checkpoint: {name!r}")
-            indices, sets = _unpack_sets(packed)
-            getattr(machine.hierarchy, name).restore(sets, indices)
+            getattr(machine.hierarchy, name).restore(*_unpack_sets(packed))
 
     # ------------------------------------------------------------------
     # serialization / identity

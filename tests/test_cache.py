@@ -212,7 +212,8 @@ class TestLazySets:
         dump = cache.snapshot()
         other = small_cache(assoc=2, sets=4)
         other.fill(0x0C0)
-        other.restore(dump)
+        indices = [index for index, lines in enumerate(dump) if lines]
+        other.restore(indices, [dump[index] for index in indices])
         assert other.snapshot() == dump
         assert not other.contains(0x0C0)
         # LRU order survives: 0x100 is the oldest line of set 0.
@@ -224,6 +225,15 @@ class TestLazySets:
         cache = small_cache(assoc=2, sets=4)
         cache.fill(0x040)
         with pytest.raises(ConfigError, match="test: snapshot set 0 holds 3"):
-            cache.restore([(0x000, 0x100, 0x200), (), (), ()])
+            cache.restore([0], [(0x000, 0x100, 0x200)])
+        # Nothing was replaced.
+        assert cache.snapshot() == [(), (0x040,), (), ()]
+
+    def test_restore_rejects_sets_outside_the_cache(self):
+        cache = small_cache(assoc=2, sets=4)
+        cache.fill(0x040)
+        with pytest.raises(ConfigError, match=r"test: snapshot names sets "
+                           r"outside 0\.\.3"):
+            cache.restore([4], [(0x100,)])
         # Nothing was replaced.
         assert cache.snapshot() == [(), (0x040,), (), ()]
