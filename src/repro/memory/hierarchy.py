@@ -77,16 +77,10 @@ def _cache_level(name: str, cache: Cache) -> CacheLevel:
 # sets, set mask, associativity, and fill and eviction counters.
 FillLevel = Tuple[Dict[int, Dict[int, bool]], int, int, Counter, Counter]
 
-# One page-table line a page walk reads, with the indices of the L1D, L2
-# and L3 sets it maps to.  Indices, not the sets: a set is made only when
-# a line is installed into it (see ``cache._LazySets``).
-WalkLine = Tuple[int, int, int, int]
-
 
 def _fill_level(cache: Cache) -> FillLevel:
     return (cache._sets, cache._set_mask, cache._associativity,
             cache._fills, cache._evictions)
-
 
 
 class _BySide(dict):
@@ -149,11 +143,7 @@ class MemoryHierarchy:
         self.dtlb = TLB(self.config.dtlb)
         self.stats = StatRegistry("hierarchy")
         self._walks = self.stats.counter("page_walks")
-        # Page walks' lines and the set indices they map to: vpn -> its
-        # walk, and line -> that line's entry (pages share their upper
-        # levels' lines).  See _page_walk.
-        self._page_walks: Dict[int, Tuple[WalkLine, ...]] = {}
-        self._walk_line_entries: Dict[int, WalkLine] = {}
+        self._page_walk_lines: Dict[int, Tuple[int, ...]] = {}
         # The raw cache layout, bound once.  Each side reaches L1(side),
         # L2 and L3, in that order; every level shares one line size
         # (HierarchyConfig checks it), so one line mask and set shift
@@ -311,14 +301,13 @@ class MemoryHierarchy:
     def refresh_walk_lines(self, vaddr: int) -> None:
         """Refresh cache recency of the page-table lines a committing
         access's page walk read (they went through the d-cache path)."""
-        s1, _, s2, _, s3, _ = self._level_sets["d"]
-        for line, i1, i2, i3 in self._page_walk(vaddr >> PAGE_SHIFT):
-            if line in s1.get(i1, ()):
-                s1[i1].move_to_end(line)
-            if line in s2.get(i2, ()):
-                s2[i2].move_to_end(line)
-            if line in s3.get(i3, ()):
-                s3[i3].move_to_end(line)
+        shift = self.set_shift
+        s1, k1, s2, k2, s3, k3 = self._level_sets["d"]
+        for line in self._walk_lines(vaddr):
+            index = line >> shift
+            for cache_set in s1[index & k1], s2[index & k2], s3[index & k3]:
+                if line in cache_set:
+                    cache_set.move_to_end(line)
 
     # ------------------------------------------------------------------
     # non-perturbing presence checks (speculative path + attack receivers)
@@ -346,28 +335,20 @@ class MemoryHierarchy:
     # page walking
     # ------------------------------------------------------------------
 
-    def _page_walk(self, vpn: int) -> Tuple[WalkLine, ...]:
-        """The page-table lines a walk for page ``vpn`` reads, one per
-        walk level, each with the L1D, L2 and L3 set indices it maps to
-        (finding them makes no set).  Each
-        entry has a synthetic physical address per (walk level, vpn),
-        which gives walker accesses realistic locality.  A page's walk
-        is computed once: its walk and every commit-time refresh of that
-        walk read it."""
-        walk = self._page_walks.get(vpn)
-        if walk is None:
-            line_mask, shift = self.line_mask, self.set_shift
-            _, k1, _, k2, _, k3 = self._level_sets["d"]
-            entries = self._walk_line_entries
-            lines = ((PAGE_TABLE_BASE + (level << 36)
-                      + (vpn >> (9 * level)) * 8) & line_mask
-                     for level in range(self.page_table.walk_levels))
-            walk = self._page_walks[vpn] = tuple(
-                entries.get(line) or entries.setdefault(line, (
-                    line, (line >> shift) & k1, (line >> shift) & k2,
-                    (line >> shift) & k3))
-                for line in lines)
-        return walk
+    def _walk_lines(self, vaddr: int) -> Tuple[int, ...]:
+        """Lines of the page-table entries a walk for ``vaddr`` reads,
+        one per walk level.  Each entry has a synthetic physical address
+        per (walk level, vpn), which gives walker accesses realistic
+        locality.  A page's lines are computed once: its walk and every
+        commit-time refresh of that walk read them."""
+        vpn = vaddr >> PAGE_SHIFT
+        lines = self._page_walk_lines.get(vpn)
+        if lines is None:
+            line_mask = self.line_mask
+            lines = self._page_walk_lines[vpn] = tuple(
+                (PAGE_TABLE_BASE + (level << 36) + (vpn >> (9 * level)) * 8)
+                & line_mask for level in range(self.page_table.walk_levels))
+        return lines
 
     def _walk(self, side: str, vaddr: int, owner: Optional[int],
               result: AccessResult) -> Optional[Translation]:
@@ -381,7 +362,7 @@ class MemoryHierarchy:
         self._walks.increment()
         latency = self._latency["d"]
         walk_latency = 0
-        for line, _, _, _ in self._page_walk(vaddr >> PAGE_SHIFT):
+        for line in self._walk_lines(vaddr):
             level_name = self._lookup_line_level("d", line, owner)
             walk_latency += latency[level_name]
             if level_name == "MEM":
@@ -557,9 +538,9 @@ class MemoryHierarchy:
         6. the TLB, walk-line and line recency refreshes.
 
         Everything is resolved in one pass over the per-side binding
-        :meth:`bind_shadow` made: each walk line's set indices are
-        cached with the page's walk, and the sets the access's line maps
-        to are looked up once for its lookup and refresh.  A line is
+        :meth:`bind_shadow` made: the sets the access's line maps to
+        are looked up once for its lookup and refresh, the shadow
+        counters and the TLB fill are made in place, and lines are
         installed through :meth:`install_line`.  Occupancy is not
         charged: each structure's count is the same before and after,
         so its histogram is too.  Returns ``(latency, hit_level,
@@ -570,9 +551,10 @@ class MemoryHierarchy:
         """
         (tlb, tlb_entries, tlb_shadow, shadow_tlb, tlb_latency, execute,
          line_shadow, shadow_cache, s1, k1, l1_latency, d_shadow, d_cache,
-         d1, _, s2, k2, s3, k3, d_latency, l2_latency, l3_latency,
+         d1, dk1, s2, k2, s3, k3, d_latency, l2_latency, l3_latency,
          mem_latency) = self._retiring[side]
         vpn = vaddr >> PAGE_SHIFT
+        set_shift = self.set_shift
         shadowed = tlb_shadow.get(vpn)
         entry = shadowed[-1].payload if shadowed else tlb_entries.get(vpn)
         translation = entry or self._mappings.get(vpn)
@@ -586,16 +568,19 @@ class MemoryHierarchy:
         translated = 0
         if entry is None:
             self._walks.value += 1
-            walk = self._page_walks.get(vpn) or self._page_walk(vpn)
+            walk_lines = self._page_walk_lines.get(vpn) \
+                or self._walk_lines(vaddr)
             latency = 0
-            for walk_line, i1, i2, i3 in walk:
-                if walk_line in d_shadow or walk_line in d1.get(i1, ()) \
+            for walk_line in walk_lines:
+                index = walk_line >> set_shift
+                if walk_line in d_shadow \
+                        or walk_line in d1.get(index & dk1, ()) \
                         or walk_line in missed \
                         and self._fill_fitted(missed, walk_line):
                     latency += d_latency        # shadow or L1D
-                elif walk_line in s2.get(i2, ()):
+                elif walk_line in s2.get(index & k2, ()):
                     latency += l2_latency
-                elif walk_line in s3.get(i3, ()):
+                elif walk_line in s3.get(index & k3, ()):
                     latency += l3_latency
                 else:
                     latency += mem_latency
@@ -614,7 +599,7 @@ class MemoryHierarchy:
         filled = 0
         if line:
             line_addr = paddr & self.line_mask
-            index = line_addr >> self.set_shift
+            index = line_addr >> set_shift
             c1 = s1.get(index & k1, ())
             c2 = s2.get(index & k2, ())
             c3 = s3.get(index & k3, ())
@@ -673,13 +658,13 @@ class MemoryHierarchy:
         if vpn in tlb_entries:
             tlb_entries.move_to_end(vpn)
         if entry is None:
-            for walk_line, i1, i2, i3 in walk:
-                if walk_line in d1.get(i1, ()):
-                    d1[i1].move_to_end(walk_line)
-                if walk_line in s2.get(i2, ()):
-                    s2[i2].move_to_end(walk_line)
-                if walk_line in s3.get(i3, ()):
-                    s3[i3].move_to_end(walk_line)
+            for walk_line in walk_lines:
+                index = walk_line >> set_shift
+                for cache_set in (d1.get(index & dk1, ()),
+                                  s2.get(index & k2, ()),
+                                  s3.get(index & k3, ())):
+                    if walk_line in cache_set:
+                        cache_set.move_to_end(walk_line)
         if level in ("L1", "L2", "L3"):
             for cache_set in c1, c2, c3:
                 if line_addr in cache_set:
@@ -785,4 +770,4 @@ class MemoryHierarchy:
             return tlb.config.hit_latency
         level_latency = self._latency["d"]
         return sum(level_latency[self.committed_hit_level("d", line) or "MEM"]
-                   for line, _, _, _ in self._page_walk(vaddr >> PAGE_SHIFT))
+                   for line in self._walk_lines(vaddr))
