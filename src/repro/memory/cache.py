@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import repeat
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.statistics import StatRegistry
@@ -184,26 +184,32 @@ class Cache:
                 for index in range(self.config.num_sets)]
 
     def restore(self, indices: Sequence[int],
-                sets: Sequence[Sequence[int]]) -> None:
+                sets: Iterable[Iterable[int]]) -> None:
         """Replace contents with the lines of the sets ``indices`` name,
-        each LRU-first (every other set empty): the non-empty sets of a
-        :meth:`snapshot`, as a checkpoint holds them."""
+        ``sets`` giving each one's lines LRU-first (every other set
+        empty): the non-empty sets of a :meth:`snapshot`, as a
+        checkpoint holds them.  Nothing changes if the sets do not fit.
+        """
         name = self.config.name
-        if len(indices) != len(sets) or (
-                indices and not 0 <= min(indices) <= max(indices)
-                < self.config.num_sets):
+        if indices and not 0 <= min(indices) <= max(indices) \
+                < self.config.num_sets:
             raise ConfigError(f"{name}: snapshot names sets outside "
                               f"0..{self.config.num_sets - 1}")
-        if max(map(len, sets), default=0) > self._associativity:
-            for index, lines in zip(indices, sets):
+        try:
+            restored = dict(zip(indices, map(OrderedDict.fromkeys, sets,
+                                              repeat(True)), strict=True))
+        except ValueError:
+            raise ConfigError(f"{name}: snapshot names {len(indices)} "
+                              f"sets but holds a different number") from None
+        if max(map(len, restored.values()), default=0) > self._associativity:
+            for index, lines in restored.items():
                 if len(lines) > self._associativity:
                     raise ConfigError(
                         f"{name}: snapshot set {index} holds "
                         f"{len(lines)} lines, cache is "
                         f"{self._associativity}-way")
         self._sets.clear()
-        self._sets.update(zip(indices, map(OrderedDict.fromkeys, sets,
-                                           repeat(True))))
+        self._sets.update(restored)
 
     # -- statistics ---------------------------------------------------------
 

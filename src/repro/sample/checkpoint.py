@@ -38,7 +38,7 @@ import dataclasses
 import hashlib
 import json
 from array import array
-from itertools import accumulate, chain, compress
+from itertools import chain, compress, islice, repeat
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
                     Optional, Tuple)
 
@@ -57,20 +57,14 @@ _CACHE_LEVELS = ("l1i", "l1d", "l2", "l3")
 _TLBS = ("itlb", "dtlb")
 
 
-def _permission_bits(perms: PagePermissions) -> int:
-    return (int(perms.readable)
-            | int(perms.writable) << 1
-            | int(perms.executable) << 2
-            | int(perms.supervisor_only) << 3)
-
-
 # The page permissions of each of the 16 bit patterns, shared by every
-# translation a checkpoint restores.
+# translation a checkpoint restores, and each one's bits.
 _PERMISSIONS = tuple(PagePermissions(readable=bool(bits & 1),
                                      writable=bool(bits & 2),
                                      executable=bool(bits & 4),
                                      supervisor_only=bool(bits & 8))
                      for bits in range(16))
+_PERMISSION_BITS = {perms: bits for bits, perms in enumerate(_PERMISSIONS)}
 
 
 def _translations(packed: bytes) -> List[Translation]:
@@ -93,7 +87,11 @@ def _rows(packed: bytes, width: int) -> List[List[int]]:
 
 def _pack_mapping(mapping: Mapping[int, int]) -> bytes:
     """An int -> int mapping as packed key-sorted ``(key, value)`` pairs."""
-    return _pack(sorted(mapping.items()))
+    keys = sorted(mapping)
+    words = array("Q", bytes(16 * len(keys)))
+    words[0::2] = array("Q", keys)
+    words[1::2] = array("Q", map(mapping.__getitem__, keys))
+    return words.tobytes()
 
 
 def _unpack_mapping(packed: bytes) -> Dict[int, int]:
@@ -103,7 +101,7 @@ def _unpack_mapping(packed: bytes) -> Dict[int, int]:
 
 def _pack_translations(translations: Iterable[Translation]) -> bytes:
     """Translations as packed ``(vpn, ppn, permission_bits)`` triples."""
-    return _pack((t.vpn, t.ppn, _permission_bits(t.permissions))
+    return _pack((t.vpn, t.ppn, _PERMISSION_BITS[t.permissions])
                  for t in translations)
 
 
@@ -120,27 +118,32 @@ def _pack_sets(indices: List[int], sets: List[Iterable[int]]) -> bytes:
 def _pack_cache(cache_sets: Mapping[int, Iterable[int]]) -> bytes:
     """A cache's non-empty sets (set index -> lines LRU-first), packed
     straight from the live sets by :func:`_pack_sets`."""
-    indices = sorted(cache_sets)
-    sets = list(map(cache_sets.__getitem__, indices))
-    return _pack_sets(list(compress(indices, sets)),
-                      list(filter(None, sets)))
+    indices = sorted(compress(cache_sets, cache_sets.values()))
+    return _pack_sets(indices, list(map(cache_sets.__getitem__, indices)))
 
 
-def _unpack_sets(packed: bytes) -> Tuple[List[int], List[Any]]:
-    """The set indices of a :func:`_pack_sets` value and each set's
-    lines (as ``Q`` memoryview slices of ``packed``)."""
+def _unpack_sets(packed: bytes) -> Tuple[memoryview, memoryview,
+                                         memoryview]:
+    """The set indices, line counts and lines of a :func:`_pack_sets`
+    value, as ``Q`` views of ``packed``."""
     flat = memoryview(packed).cast("Q")
     n = flat[0] if len(flat) else 0
-    ends = list(accumulate(flat[1 + n:1 + 2 * n], initial=1 + 2 * n))
-    return (flat[1:1 + n].tolist(),
-            list(map(flat.__getitem__, map(slice, ends[:-1], ends[1:]))))
+    return flat[1:1 + n], flat[1 + n:1 + 2 * n], flat[1 + 2 * n:]
+
+
+def _set_lines(counts: Iterable[int],
+               lines: Iterable[int]) -> Iterator[Iterator[int]]:
+    """Each set's lines: ``lines`` cut into runs of ``counts``, each run
+    read lazily (consume one before taking the next)."""
+    return map(islice, repeat(iter(lines)), counts)
 
 
 def _sparse_sets(packed: bytes) -> List[List[Any]]:
     """The ``[set_index, [line addresses LRU-first]]`` pairs of
     :func:`_pack_sets` (the wire form)."""
-    indices, sets = _unpack_sets(packed)
-    return [[index, lines.tolist()] for index, lines in zip(indices, sets)]
+    indices, counts, lines = _unpack_sets(packed)
+    return [[index, list(run)] for index, run in zip(
+        indices.tolist(), _set_lines(counts, lines.tolist()))]
 
 
 def _canonical(value: Any) -> str:
@@ -169,18 +172,23 @@ def _rows_text(packed: bytes, width: int) -> Iterator[str]:
 
 def _sets_text(packed: bytes) -> Iterator[str]:
     """:func:`_canonical` of ``_sparse_sets(packed)``, written a bounded
-    batch of sets at a time: each batch is one format string (one
-    template per set size) applied to the batch's indices and lines."""
-    indices, sets = _unpack_sets(packed)
-    sizes = list(map(len, sets))
-    template = {size: "[%d,[" + ",".join(("%d",) * size) + "]]"
-                for size in set(sizes)}
-    return _joined(
-        ",".join(map(template.__getitem__, sizes[at:at + _DIGEST_BATCH]))
-        % tuple(chain.from_iterable(map(
-            chain, zip(indices[at:at + _DIGEST_BATCH]),
-            sets[at:at + _DIGEST_BATCH])))
-        for at in range(0, len(sets), _DIGEST_BATCH))
+    batch of sets at a time: each batch is one format string, the
+    batch's set indices written into it and one ``%d`` per line."""
+    indices, counts, lines = _unpack_sets(packed)
+    fields: Dict[int, str] = {}     # set size -> its lines' fields
+
+    def batches() -> Iterator[str]:
+        end = 0
+        for at in range(0, len(indices), _DIGEST_BATCH):
+            sizes = counts[at:at + _DIGEST_BATCH].tolist()
+            for size in set(sizes).difference(fields):
+                fields[size] = ",".join(("%d",) * size)
+            start, end = end, end + sum(sizes)
+            yield ",".join(map(
+                "[{},[{}]]".format, indices[at:at + _DIGEST_BATCH].tolist(),
+                map(fields.__getitem__, sizes))) % tuple(lines[start:end])
+
+    return _joined(batches())
 
 
 def _text_chunks(value: Any) -> Iterator[str]:
@@ -350,7 +358,9 @@ class Checkpoint:
         for name, packed in warm.get("caches", {}).items():
             if name not in _CACHE_LEVELS:
                 raise SampleError(f"unknown cache in checkpoint: {name!r}")
-            getattr(machine.hierarchy, name).restore(*_unpack_sets(packed))
+            indices, counts, lines = _unpack_sets(packed)
+            getattr(machine.hierarchy, name).restore(
+                indices.tolist(), _set_lines(counts, lines))
 
     # ------------------------------------------------------------------
     # serialization / identity
