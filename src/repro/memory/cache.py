@@ -195,21 +195,19 @@ class Cache:
                 < self.config.num_sets:
             raise ConfigError(f"{name}: snapshot names sets outside "
                               f"0..{self.config.num_sets - 1}")
-        try:
-            restored = dict(zip(indices, map(OrderedDict.fromkeys, sets,
-                                              repeat(True)), strict=True))
-        except ValueError:
+        restored = list(map(OrderedDict.fromkeys, sets, repeat(True)))
+        if len(restored) != len(indices):
             raise ConfigError(f"{name}: snapshot names {len(indices)} "
-                              f"sets but holds a different number") from None
-        if max(map(len, restored.values()), default=0) > self._associativity:
-            for index, lines in restored.items():
+                              f"sets but holds {len(restored)}")
+        if max(map(len, restored), default=0) > self._associativity:
+            for index, lines in zip(indices, restored):
                 if len(lines) > self._associativity:
                     raise ConfigError(
                         f"{name}: snapshot set {index} holds "
                         f"{len(lines)} lines, cache is "
                         f"{self._associativity}-way")
         self._sets.clear()
-        self._sets.update(restored)
+        self._sets.update(zip(indices, restored))
 
     # -- statistics ---------------------------------------------------------
 

@@ -88,7 +88,7 @@ def _rows(packed: bytes, width: int) -> List[List[int]]:
 def _pack_mapping(mapping: Mapping[int, int]) -> bytes:
     """An int -> int mapping as packed key-sorted ``(key, value)`` pairs."""
     keys = sorted(mapping)
-    words = array("Q", bytes(16 * len(keys)))
+    words = array("Q", keys) * 2
     words[0::2] = array("Q", keys)
     words[1::2] = array("Q", map(mapping.__getitem__, keys))
     return words.tobytes()

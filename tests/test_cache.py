@@ -237,3 +237,11 @@ class TestLazySets:
             cache.restore([4], [(0x100,)])
         # Nothing was replaced.
         assert cache.snapshot() == [(), (0x040,), (), ()]
+
+    def test_restore_rejects_a_set_count_mismatch(self):
+        cache = small_cache(assoc=2, sets=4)
+        cache.fill(0x040)
+        with pytest.raises(ConfigError, match="test: snapshot names 2 sets"):
+            cache.restore([0, 2], [(0x000,)])
+        # Nothing was replaced.
+        assert cache.snapshot() == [(), (0x040,), (), ()]
